@@ -26,7 +26,8 @@ from .h2analysis import (
 from .interp import BasisV, DeflatedSystem, InterpData, spark_basis, tangential_basis
 from .pork import RomRealization, check_interpolation, check_orthogonality, pork_input
 from . import spark
-from .spark import SparkParams, TrustRegionConfig, spark_cost, spark_gradient
+from .spark import SparkParams, TrustRegionConfig
+from .spark import evaluate as spark_evaluate
 from .spark import spark as run_spark
 
 __all__ = [
@@ -62,8 +63,7 @@ __all__ = [
     "run_spark",
     "spark",
     "spark_basis",
-    "spark_cost",
-    "spark_gradient",
+    "spark_evaluate",
     "tangential_basis",
 ]
 

@@ -40,23 +40,28 @@ class UnsupportedInput(DaecureError):
     pass
 
 
-def _cap_threads():
-    """Honor DAECURE_THREADS by capping the BLAS thread pools if possible."""
-    val = os.environ.get("DAECURE_THREADS")
-    if not val:
-        return
+def _thread_request():
+    """The DAECURE_THREADS value as a positive int, or None."""
     try:
-        limit = max(1, int(val))
-    except ValueError:
-        return
+        return max(1, int(os.environ["DAECURE_THREADS"]))
+    except (KeyError, ValueError):
+        return None
+
+
+def _cap_threads():
+    """Cap the BLAS thread pools at DAECURE_THREADS; returns whether a cap
+    was applied.  That takes threadpoolctl: once numpy has loaded its
+    BLAS, setting OMP_*/OPENBLAS_* variables no longer changes anything.
+    """
+    limit = _thread_request()
+    if limit is None:
+        return False
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
+        return False
+    threadpoolctl.threadpool_limits(limits=limit)
+    return True
 
 
 def _parse_pair(text, what):
@@ -118,7 +123,13 @@ def _step_interpolation_residuals(sys, kit, ledger):
 
 
 def cmd_reduce(args):
-    _cap_threads()
+    if args.max_steps < 1:
+        raise UnsupportedInput(
+            f"--max-steps must be at least 1, got {args.max_steps}")
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise UnsupportedInput(
+            f"--tol must be finite and nonnegative, got {args.tol}")
+    threads = {"requested": _thread_request(), "applied": _cap_threads()}
     sys = _load_siso(args)
     if sys.m != 1 or sys.p != 1:
         raise UnsupportedInput(
@@ -157,7 +168,8 @@ def cmd_reduce(args):
     rom_files = bio.write_rom(combined, args.out, name="rom")
     bio.write_h2_history(os.path.join(args.out, "h2_history.csv"),
                          report["norm_history"])
-    man = json.load(open(args.manifest))
+    with open(args.manifest) as fh:
+        man = json.load(fh)
     input_files = [args.manifest] + [
         os.path.join(os.path.dirname(os.path.abspath(args.manifest)), fn)
         for fn in man.get("files", {}).values()
@@ -171,6 +183,7 @@ def cmd_reduce(args):
             "out": os.path.abspath(args.out),
         },
         "input_hash": bio.content_hash(input_files),
+        "threads": threads,
         "orders": {
             "n": sys.n,
             "q_strictly_proper": total.order if total is not None else 0,
@@ -205,11 +218,14 @@ def _bode_eval(sys, rom, omegas):
 
 
 def cmd_bode(args):
+    if args.points < 2:
+        raise UnsupportedInput("need at least 2 frequency points")
+    if not (0 < args.wmin < args.wmax < np.inf):
+        raise UnsupportedInput(
+            f"need 0 < --wmin < --wmax < inf, got {args.wmin}, {args.wmax}")
     _cap_threads()
     sys = _load_siso(args)
     rom = bio.read_rom(args.rom) if args.rom else None
-    if args.points < 2:
-        raise UnsupportedInput("need at least 2 frequency points")
     omegas = np.logspace(np.log10(args.wmin), np.log10(args.wmax),
                          args.points)
     fom, red = _bode_eval(sys, rom, omegas)

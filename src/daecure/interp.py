@@ -42,6 +42,7 @@ class DeflatedSystem:
     B_defl: np.ndarray
     C: np.ndarray
     kit: dm.ProjectorKit = field(repr=False, default=None)
+    _fac: object = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_dae(cls, sys: dm.DaeSystem, kit: dm.ProjectorKit = None):
@@ -63,8 +64,15 @@ class DeflatedSystem:
 
     def eval(self, s):
         """Transfer value C (sE - A)^-1 B_defl (strictly proper by
-        construction when B_defl is left-deflated)."""
-        fac = nk.factor_shifted(self.A, self.E, s)
+        construction when B_defl is left-deflated).  The conjugate of the
+        previous shift reuses its factorization (A and E never change)."""
+        s = complex(s)
+        fac = self._fac
+        if fac is None or s.imag == 0.0 or s != fac.sigma.conjugate():
+            self._fac = fac = None      # free the old LU before the next
+            fac = self._fac = nk.factor_shifted(self.A, self.E, s)
+        else:
+            fac = nk.ConjugateFactorization(fac)
         return -(self.C @ fac.solve(self.B_defl))
 
 
@@ -219,20 +227,9 @@ def realify_shift_directions(shift_dirs, m):
         S_blocks.append(np.array([[al, be], [-be, al]]))
         R_cols.append(np.column_stack([di.real, di.imag]))
         used[i], used[j] = True, True
-    S = _blockdiag(S_blocks) if S_blocks else np.zeros((0, 0))
+    S = spla.block_diag(*S_blocks) if S_blocks else np.zeros((0, 0))
     R = np.hstack(R_cols) if R_cols else np.zeros((m, 0))
     return S, R
-
-
-def _blockdiag(blocks):
-    sizes = [b.shape[0] for b in blocks]
-    n = sum(sizes)
-    out = np.zeros((n, n))
-    k = 0
-    for b in blocks:
-        out[k:k + b.shape[0], k:k + b.shape[0]] = b
-        k += b.shape[0]
-    return out
 
 
 def tangential_basis(ds: DeflatedSystem, shift_dirs):

@@ -23,6 +23,10 @@ from .errors import (
 #: relative residual guaranteed by a ShiftedFactorization solve
 TOL_SOLVE = 1e-10
 
+#: Schur diagonal entries of a real S conjugate to within this (relative
+#: to ||S||; complex Schur is off by a few ulps) share one factorization
+CONJ_TOL = 1e-12
+
 
 def as_csc(M):
     """Return ``M`` as a CSC matrix with duplicates summed."""
@@ -102,6 +106,21 @@ class ShiftedFactorization:
         return x
 
 
+class ConjugateFactorization:
+    """(A - conj(sigma) E) for real A, E, solved through the factorization
+    at sigma: its solution is conj of (A - sigma E)^-1 conj(b), which
+    meets the same ``TOL_SOLVE`` contract without a second LU."""
+
+    def __init__(self, fac: ShiftedFactorization):
+        if np.iscomplexobj(fac._A) or np.iscomplexobj(fac._E):
+            raise DimensionMismatch("conjugate sharing needs real A and E")
+        self._fac = fac
+        self.sigma = fac.sigma.conjugate()
+
+    def solve(self, rhs, trans="N"):
+        return np.conj(self._fac.solve(np.conj(rhs), trans=trans))
+
+
 def factor_shifted(A, E, sigma):
     """Factor (A - sigma*E); complex sigma yields a complex factorization."""
     return ShiftedFactorization(A, E, sigma)
@@ -167,46 +186,6 @@ def solve_small_lyapunov(S, R):
 
 #: finite/infinite classification threshold, applied after pencil scaling
 EIG_INFINITE_CUTOFF = 1.0 / np.sqrt(np.finfo(float).eps)
-
-
-def eig_pencil_dense(E, A, cutoff=None):
-    """Finite and infinite eigenvalues of the pencil lambda*E - A.
-
-    Returns a list of (eigenvalue, right eigenvector) pairs where the
-    eigenvalue is ``np.inf`` for the infinite part.  The pencil is scaled by
-    norm(A)/norm(E) before classifying; eigenvalues whose scaled magnitude
-    exceeds ``cutoff`` (default 1/sqrt(eps)) count as infinite.
-    """
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if E.shape != A.shape or E.shape[0] != E.shape[1]:
-        raise DimensionMismatch("E, A must be square and equal-sized")
-    if cutoff is None:
-        cutoff = EIG_INFINITE_CUTOFF
-    _check_regular(E, A)
-    nA = max(np.linalg.norm(A, "fro"), 1e-300)
-    nE = max(np.linalg.norm(E, "fro"), 1e-300)
-    alpha, beta, V = _eig_ab(A, E)
-    out = []
-    for a, b, v in zip(alpha, beta, V.T):
-        finite = abs(b) * nA > abs(a) * nE / cutoff
-        if finite:
-            lam = a / b
-            res = np.linalg.norm(A @ v - lam * (E @ v))
-            bnd = 1e-8 * (np.linalg.norm(A) + abs(lam) * np.linalg.norm(E))
-            if res > bnd * np.linalg.norm(v):
-                raise SingularPencil(
-                    f"eigen-residual {res:.2e} exceeds bound for lambda={lam}"
-                )
-            out.append((lam, v))
-        else:
-            out.append((np.inf, v))
-    return out
-
-
-def _eig_ab(A, E):
-    (alpha, beta), V = spla.eig(A, E, right=True, homogeneous_eigvals=True)
-    return alpha, beta, V
 
 
 def _check_regular(E, A, n_probe=3, tol=1e-12):
@@ -303,6 +282,9 @@ class SylvesterContext:
     S is small (q x q); a complex Schur form of S decouples the columns into
     q shifted sparse solves, which remains well defined for defective S
     (confluent shifts).  Factorizations are reused across right-hand sides.
+    For real A, E and S, a Schur diagonal entry within ``CONJ_TOL`` of the
+    conjugate of an earlier one becomes that exact conjugate and shares
+    its factorization, so a conjugate shift pair costs one complex LU.
     """
 
     def __init__(self, A, E, S):
@@ -311,9 +293,21 @@ class SylvesterContext:
         S = np.atleast_2d(np.asarray(S))
         self.S = S
         self.T, self.U = spla.schur(S.astype(complex), output="complex")
-        self.factors = [
-            factor_shifted(self.A, self.E, self.T[j, j]) for j in range(S.shape[0])
-        ]
+        real = not any(map(np.iscomplexobj, (self.A, self.E, S)))
+        tol = CONJ_TOL * np.linalg.norm(S)
+        self.factors = []
+        for j in range(S.shape[0]):
+            sigma = self.T[j, j]
+            fac = next((f for f in self.factors
+                        if real and sigma.imag != 0.0
+                        and isinstance(f, ShiftedFactorization)
+                        and abs(sigma - f.sigma.conjugate()) <= tol), None)
+            if fac is None:
+                fac = factor_shifted(self.A, self.E, sigma)
+            else:
+                fac = ConjugateFactorization(fac)
+                self.T[j, j] = fac.sigma
+            self.factors.append(fac)
 
     def solve(self, F):
         """Return X with A X - E X S = F; real when the inputs are real."""

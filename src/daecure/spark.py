@@ -50,7 +50,6 @@ class TrustRegionConfig:
     gtol: float = 1e-9
     steptol: float = 1e-12
     maxiter: int = 200
-    hessian_fd_h: float = 1e-5
     #: candidates with a or b at/below this are rejected like orthant
     #: violations; keeps the reduced pencil numerically regular when the
     #: cost is flat in one parameter and the iterate would drift to the
@@ -62,62 +61,61 @@ class TrustRegionConfig:
             raise NonPositiveParams("need 0 < eta1 < eta2 < 1")
 
 
-# reduced controllability Gramian in closed form and its (a, b) derivatives
+# reduced controllability Gramian in closed form
 def _gramian_c(a, b):
     return np.array([[4 * a, 4 * a * a],
                      [4 * a * a, 4 * a * (a * a + b)]])
 
 
-def _gramian_c_da(a, b):
-    return np.array([[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]])
-
-
-def _gramian_c_db(a, b):
-    return np.array([[0.0, 0.0], [0.0, 4 * a]])
-
-
-# derivatives of S(a, b) = [[a, 1], [a^2 - b, a]]
-_S_DA = np.array([[1.0, 0.0], [2.0, 1.0]])  # the 2a entry is filled in
+# derivatives of S(a, b) = [[a, 1], [a^2 - b, a]]; S_ab = S_bb = 0
 _S_DB = np.array([[0.0, 0.0], [-1.0, 0.0]])
+_S_DAA = np.array([[0.0, 0.0], [2.0, 0.0]])
 
 
-def _cost_from_parts(Cr, a, b):
-    return -float(np.trace(Cr @ _gramian_c(a, b) @ Cr.T))
+def evaluate(ds: DeflatedSystem, a: float, b: float):
+    """(J, gradient, exact Hessian, V, data) at the shift pair (a, b).
 
-
-def spark_cost(ds: DeflatedSystem, params: SparkParams) -> float:
-    """J(a, b) = -||G_r||^2 via the closed-form reduced Gramian."""
-    data = spark_params_matrices(params.a, params.b)
-    V = nk.solve_sparse_dense_sylvester(ds.A, ds.E, data.S,
-                                        ds.B_defl @ data.R)
-    Cr = ds.C @ V
-    return _cost_from_parts(Cr, params.a, params.b)
-
-
-def spark_gradient(ds: DeflatedSystem, params: SparkParams):
-    """Analytic (J, gradient) in the (a, b) parameters.
-
-    Differentiating A V - E V S = B R gives A V' - E V' S = E V S', so
-    the basis sensitivities reuse the factorizations of the basis solve
-    and remain smooth through the shift confluence a^2 = b.
+    J(a, b) = -||G_r||^2 = -tr(Cr G Cr^T) with Cr = C V and the closed-form
+    reduced Gramian G(a, b).  Differentiating A V - E V S = B R once gives
+    A V_i - E V_i S = E V S_i and twice A V_ij - E V_ij S =
+    E (V_i S_j + V_j S_i + V S_ij), so all six solves share the
+    factorizations of the basis solve and stay smooth through the shift
+    confluence a^2 = b.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
-    a, b = params.a, params.b
     data = spark_params_matrices(a, b)
     ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
+    E = ds.E
+    S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ data.R)
-    S_da = np.array([[1.0, 0.0], [2 * a, 1.0]])
-    Va = ctx.solve(ds.E @ (V @ S_da))
-    Vb = ctx.solve(ds.E @ (V @ _S_DB))
-    Cr = ds.C @ V
+    Va = ctx.solve(E @ (V @ S_a))
+    Vb = ctx.solve(E @ (V @ _S_DB))
+    Vaa = ctx.solve(E @ (2 * Va @ S_a + V @ _S_DAA))
+    Vab = ctx.solve(E @ (Va @ _S_DB + Vb @ S_a))
+    Vbb = ctx.solve(E @ (2 * Vb @ _S_DB))
+    Cr, Ca, Cb, Caa, Cab, Cbb = (ds.C @ X for X in (V, Va, Vb, Vaa, Vab, Vbb))
     G = _gramian_c(a, b)
-    J = -float(np.trace(Cr @ G @ Cr.T))
-    ga = -2 * float(np.trace((ds.C @ Va) @ G @ Cr.T)) \
-        - float(np.trace(Cr @ _gramian_c_da(a, b) @ Cr.T))
-    gb = -2 * float(np.trace((ds.C @ Vb) @ G @ Cr.T)) \
-        - float(np.trace(Cr @ _gramian_c_db(a, b) @ Cr.T))
-    return J, np.array([ga, gb])
+    Ga = np.array([[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]])
+    Gb = np.array([[0.0, 0.0], [0.0, 4 * a]])
+    Gaa = np.array([[0.0, 8.0], [8.0, 24 * a]])
+    Gab = np.array([[0.0, 0.0], [0.0, 4.0]])
+    Gbb = np.zeros((2, 2))
+
+    def tr(X, M, Y):
+        return float(np.trace(X @ M @ Y.T))
+
+    def second(Cij, Ci, Cj, Gi, Gj, Gij):
+        return -2 * (tr(Cij, G, Cr) + tr(Ci, G, Cj) + tr(Ci, Gj, Cr)
+                     + tr(Cj, Gi, Cr)) - tr(Cr, Gij, Cr)
+
+    J = -tr(Cr, G, Cr)
+    g = np.array([-2 * tr(Ca, G, Cr) - tr(Cr, Ga, Cr),
+                  -2 * tr(Cb, G, Cr) - tr(Cr, Gb, Cr)])
+    Hab = second(Cab, Ca, Cb, Ga, Gb, Gab)
+    H = np.array([[second(Caa, Ca, Ca, Ga, Ga, Gaa), Hab],
+                  [Hab, second(Cbb, Cb, Cb, Gb, Gb, Gbb)]])
+    return J, g, H, V, data
 
 
 def trust_region_step(g, H, radius):
@@ -191,17 +189,6 @@ class SparkResult:
     trace: list = field(default_factory=list)
 
 
-def _fd_hessian(ds, p, g, h_rel):
-    H = np.zeros((2, 2))
-    for i in range(2):
-        h = h_rel * max(1.0, abs(p[i]))
-        pp = p.copy()
-        pp[i] += h
-        _, gp = spark_gradient(ds, SparkParams(*pp))
-        H[:, i] = (gp - g) / h
-    return 0.5 * (H + H.T)
-
-
 def spark(ds: DeflatedSystem, init: SparkParams = None,
           cfg: TrustRegionConfig = None) -> SparkResult:
     """Trust-region search for the locally optimal shift pair.
@@ -209,13 +196,15 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
     Iterates stay in the positive orthant (steps leaving it are rejected
     with a radius shrink), accepted costs are monotone nonincreasing, and
     the returned reduced model is the projection at the final parameters.
+    Each candidate is evaluated once; an accepted candidate's Hessian and
+    basis are kept, so nothing is refactored at the end.
     """
     if init is None:
         init = SparkParams(1e-4, 1e-4)
     if cfg is None:
         cfg = TrustRegionConfig()
     p = init.as_array()
-    J, g = spark_gradient(ds, SparkParams(*p))
+    J, g, H, V, data = evaluate(ds, *p)
     radius = cfg.radius0
     trace = [{"iter": 0, "a": p[0], "b": p[1], "J": J,
               "gnorm": float(np.linalg.norm(g)), "radius": radius,
@@ -225,7 +214,6 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
         if np.linalg.norm(g) <= cfg.gtol * (1.0 + abs(J)):
             converged, reason = True, "gtol"
             break
-        H = _fd_hessian(ds, p, g, cfg.hessian_fd_h)
         # affine scaling: in directions pushed toward the a, b > 0 boundary
         # the trust region is shrunk to the distance from it, so small
         # parameters cannot veto long steps in the other coordinate
@@ -245,7 +233,8 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
             rec.update(accepted=False, why="left positive orthant")
             trace.append(rec)
         else:
-            Jc = spark_cost(ds, SparkParams(*cand))
+            point = evaluate(ds, *cand)
+            Jc = point[0]
             pred = -(g @ s + 0.5 * s @ H @ s)
             rho = (J - Jc) / pred if pred > 0 else -np.inf
             rec["rho"] = rho
@@ -256,7 +245,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
             polish = pred <= noise and Jc <= J + noise
             if rho >= cfg.eta1 or polish:
                 p = cand
-                J, g = spark_gradient(ds, SparkParams(*p))
+                J, g, H, V, data = point
                 rec.update(accepted=True, J=J,
                            gnorm=float(np.linalg.norm(g)))
             else:
@@ -270,8 +259,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
             converged, reason = True, "radius collapse"
             break
     params = SparkParams(*p)
-    from .interp import spark_basis
-    basis, data = spark_basis(ds, params.a, params.b)
+    basis = BasisV(V=V, provenance=(params.a, params.b))
     rom = pork_input(basis, data, ds.C, provenance=f"spark a={params.a} "
                      f"b={params.b}")
     return SparkResult(params=params, basis=basis, data=data, rom=rom,

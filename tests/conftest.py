@@ -4,6 +4,7 @@ import scipy.sparse as sps
 
 from daecure import bench_io as bio
 from daecure import daemodel as dm
+from daecure import numkernel as nk
 
 
 def make_ode(lam, b, c, T=None):
@@ -52,3 +53,17 @@ def stokes_small():
 @pytest.fixture(scope="session")
 def ode_small():
     return make_random_stable_ode(24, seed=11)
+
+
+@pytest.fixture
+def factor_log(monkeypatch):
+    """Shifts of every ShiftedFactorization built during the test."""
+    made = []
+    init = nk.ShiftedFactorization.__init__
+
+    def counting_init(self, A, E, sigma):
+        made.append(complex(sigma))
+        init(self, A, E, sigma)
+
+    monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)
+    return made

@@ -172,14 +172,14 @@ def test_criterion_07_gradient():
         ds = DeflatedSystem.from_dae(sys)
         for _ in range(25):
             a, b = rng.uniform(0.1, 6.0, 2)
-            _, g = sp.spark_gradient(ds, sp.SparkParams(a, b))
+            _, g, _, _, _ = sp.evaluate(ds, a, b)
             fd = np.empty(2)
             for i in range(2):
                 hstep = 1e-6 * max(1.0, (a, b)[i])
                 da = hstep if i == 0 else 0.0
                 db = hstep if i == 1 else 0.0
-                Jp = sp.spark_cost(ds, sp.SparkParams(a + da, b + db))
-                Jm = sp.spark_cost(ds, sp.SparkParams(a - da, b - db))
+                Jp = sp.evaluate(ds, a + da, b + db)[0]
+                Jm = sp.evaluate(ds, a - da, b - db)[0]
                 fd[i] = (Jp - Jm) / (2 * hstep)
             worst = max(worst,
                         np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-10))

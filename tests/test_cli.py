@@ -131,3 +131,47 @@ def test_bad_shifts_init_is_io_error(sysdir, tmp_path, capsys):
                 "--shifts-init", "nope",
                 "--out", str(tmp_path / "res")]) == cli.EXIT_IO
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--max-steps", "0"],
+    ["reduce", "--max-steps", "-3"],
+    ["reduce", "--tol", "-1"],
+    ["reduce", "--tol", "nan"],
+    ["reduce", "--tol", "inf"],
+    ["bode", "--wmin", "0", "--wmax", "1e2"],
+    ["bode", "--wmin", "-1", "--wmax", "1e2"],
+    ["bode", "--wmin", "1e2", "--wmax", "1e2"],
+    ["bode", "--wmin", "1e3", "--wmax", "1e2"],
+    ["bode", "--wmin", "1e-2", "--wmax", "inf"],
+])
+def test_bad_flags_exit2_with_one_json_object(sysdir, tmp_path, capsys,
+                                              argv):
+    cmd, flags = argv[0], argv[1:]
+    assert run([cmd, "--manifest", _manifest(sysdir), *flags,
+                "--out", str(tmp_path / "res")]) == cli.EXIT_UNSUPPORTED
+    err = capsys.readouterr().err.strip()
+    obj = json.loads(err)          # exactly one JSON object, nothing else
+    assert obj["exit_code"] == cli.EXIT_UNSUPPORTED
+    assert obj["error"] == "UnsupportedInput"
+    assert flags[0] in obj["message"]
+    assert not (tmp_path / "res").exists()
+
+
+def test_report_records_thread_cap(sysdir, tmp_path, monkeypatch):
+    try:
+        import threadpoolctl  # noqa: F401
+        capped = True
+    except ImportError:
+        capped = False
+    for env, want in ((None, {"requested": None, "applied": False}),
+                      ("1", {"requested": 1, "applied": capped})):
+        if env is None:
+            monkeypatch.delenv("DAECURE_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DAECURE_THREADS", env)
+        out = tmp_path / f"res{env}"
+        assert run(["reduce", "--manifest", _manifest(sysdir),
+                    "--max-steps", "1", "--out", str(out)]) == 0
+        report = json.load(open(out / "report.json"))
+        assert report["threads"] == want

@@ -100,3 +100,18 @@ def test_shift_directions_roundtrip():
     assert np.allclose(shifts, [0.5 - d, 0.5 + d])
     for _, r in sd:
         assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
+
+
+def test_eval_at_conjugate_shift_reuses_factorization(index1_small,
+                                                       factor_log):
+    ds = interp.DeflatedSystem.from_dae(index1_small)
+    s = 0.7 + 2.3j
+    fresh = [interp.DeflatedSystem.from_dae(index1_small).eval(x)
+             for x in (s, np.conj(s))]     # one new system per shift
+    made = factor_log
+    del made[:]
+    shared = [ds.eval(x) for x in (s, np.conj(s), 1.5, s)]
+    assert made == [s, 1.5, s]
+    for got, want in zip(shared, fresh):
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(shared[3], shared[0])

@@ -133,3 +133,50 @@ def test_pencil_deflation_projector_idempotent():
 def test_dense_sylvester_shape_guard():
     with pytest.raises(DimensionMismatch):
         nk.solve_dense_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))
+
+
+def test_sylvester_context_conjugate_pair_shares_one_lu(factor_log):
+    rng = np.random.default_rng(7)
+    n = 40
+    A = sps.csc_matrix(rng.standard_normal((n, n)) - 8 * np.eye(n))
+    E = sps.csc_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
+    F = rng.standard_normal((n, 2))
+    made = factor_log
+    for a, b in rng.uniform(0.1, 5.0, (20, 2)):
+        S = np.array([[a, 1.0], [a * a - b, a]])
+        del made[:]
+        ctx = nk.SylvesterContext(A, E, S)
+        if a * a < b:
+            assert len(made) == 1 and made[0].imag != 0.0
+            assert ctx.factors[1].sigma == np.conj(ctx.factors[0].sigma)
+        else:
+            assert len(made) == 2
+        V = ctx.solve(F)
+        assert not np.iscomplexobj(V)
+        # the same residual as the two-LU path: factor every Schur shift
+        T, U = spla.schur(S.astype(complex), output="complex")
+        Xt = np.zeros((n, 2), dtype=complex)
+        Ft = F @ U
+        for j in range(2):
+            fac = nk.ShiftedFactorization(A, E, T[j, j])
+            Xt[:, j] = fac.solve(Ft[:, j] + E @ (Xt[:, :j] @ T[:j, j]))
+        V2 = (Xt @ U.conj().T).real
+        for X in (V, V2):
+            assert np.linalg.norm(A @ X - E @ (X @ S) - F) \
+                <= 1e-9 * np.linalg.norm(F)
+        assert np.linalg.norm(V - V2) <= 1e-12 * np.linalg.norm(V)
+
+
+def test_conjugate_factorization_solves_partner_shift():
+    rng = np.random.default_rng(8)
+    n = 30
+    A = sps.csc_matrix(rng.standard_normal((n, n)) - 6 * np.eye(n))
+    E = sps.eye(n, format="csc")
+    sigma = 0.4 + 1.3j
+    partner = nk.ConjugateFactorization(nk.factor_shifted(A, E, sigma))
+    assert partner.sigma == np.conj(sigma)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for trans, M in (("N", A - np.conj(sigma) * E),
+                     ("T", (A - np.conj(sigma) * E).T)):
+        x = partner.solve(b, trans=trans)
+        assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)

@@ -32,15 +32,29 @@ def test_closed_form_reduced_matrices():
                            atol=1e-9 * np.abs(G).max())
 
 
+def _cost(ds, a, b):
+    return sp.evaluate(ds, a, b)[0]
+
+
 def test_cost_equals_negative_captured_norm():
     sys = make_random_stable_ode(12, seed=2)
     ds = DeflatedSystem.from_dae(sys)
     from daecure import h2analysis as h2
     a, b = 0.8, 1.4
-    J = sp.spark_cost(ds, sp.SparkParams(a, b))
+    J = _cost(ds, a, b)
     basis, data = spark_basis(ds, a, b)
     rom = pork_input(basis, data, ds.C)
     assert abs(-J - h2.h2_norm(rom) ** 2) <= 1e-10 * max(abs(J), 1.0)
+
+
+def test_evaluate_basis_is_the_spark_basis():
+    ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
+    for a, b in ((0.8, 1.4), (2.0, 1.0)):
+        _, _, _, V, data = sp.evaluate(ds, a, b)
+        basis, data0 = spark_basis(ds, a, b)
+        assert np.allclose(V, basis.V, rtol=0, atol=1e-12 * np.abs(V).max())
+        assert np.array_equal(data.S, data0.S)
+        assert np.array_equal(data.R, data0.R)
 
 
 def test_gradient_matches_central_differences():
@@ -50,23 +64,52 @@ def test_gradient_matches_central_differences():
         ds = DeflatedSystem.from_dae(sys)
         for _ in range(5):
             a, b = rng.uniform(0.1, 5.0, 2)
-            _, g = sp.spark_gradient(ds, sp.SparkParams(a, b))
+            _, g, _, _, _ = sp.evaluate(ds, a, b)
             h = 1e-6
             fd = np.empty(2)
             for i, (da, db) in enumerate([(h, 0.0), (0.0, h)]):
-                Jp = sp.spark_cost(ds, sp.SparkParams(a + da, b + db))
-                Jm = sp.spark_cost(ds, sp.SparkParams(a - da, b - db))
+                Jp = _cost(ds, a + da, b + db)
+                Jm = _cost(ds, a - da, b - db)
                 fd[i] = (Jp - Jm) / (2 * h)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(np.linalg.norm(fd), 1e-8)
+
+
+def test_hessian_matches_central_differences_of_gradient():
+    rng = np.random.default_rng(11)
+    for seed in (0, 1, 2):
+        ds = DeflatedSystem.from_dae(make_random_stable_ode(15, seed=seed))
+        for _ in range(6):
+            a, b = rng.uniform(0.1, 5.0, 2)
+            _, _, H, _, _ = sp.evaluate(ds, a, b)
+            assert np.array_equal(H, H.T)
+            fd = np.empty((2, 2))
+            for i in range(2):
+                step = np.zeros(2)
+                step[i] = 1e-5 * max(1.0, (a, b)[i])
+                gp = sp.evaluate(ds, *(np.array([a, b]) + step))[1]
+                gm = sp.evaluate(ds, *(np.array([a, b]) - step))[1]
+                fd[:, i] = (gp - gm) / (2 * step[i])
+            assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_gradient_continuous_through_confluence():
     sys = make_random_stable_ode(12, seed=9)
     ds = DeflatedSystem.from_dae(sys)
     a = 1.1
-    _, g0 = sp.spark_gradient(ds, sp.SparkParams(a, a * a * (1 - 1e-8)))
-    _, g1 = sp.spark_gradient(ds, sp.SparkParams(a, a * a * (1 + 1e-8)))
+    _, g0, _, _, _ = sp.evaluate(ds, a, a * a * (1 - 1e-8))
+    _, g1, _, _, _ = sp.evaluate(ds, a, a * a * (1 + 1e-8))
     assert np.linalg.norm(g0 - g1) <= 1e-5 * max(np.linalg.norm(g0), 1e-8)
+
+
+def test_hessian_continuous_through_confluence():
+    sys = make_random_stable_ode(12, seed=9)
+    ds = DeflatedSystem.from_dae(sys)
+    a = 1.1
+    _, _, H0, _, _ = sp.evaluate(ds, a, a * a * (1 - 1e-8))
+    _, _, H1, _, _ = sp.evaluate(ds, a, a * a * (1 + 1e-8))
+    _, _, Hc, _, _ = sp.evaluate(ds, a, a * a)
+    for H in (H1, Hc):
+        assert np.linalg.norm(H0 - H) <= 1e-5 * max(np.linalg.norm(H0), 1e-8)
 
 
 def test_trust_region_step_interior_newton():
@@ -135,3 +178,30 @@ def test_spark_exact_on_order_two():
     from daecure import h2analysis as h2
     err = h2.h2_error_norm(ds, res.rom)
     assert err <= 1e-8
+
+
+def test_spark_factors_once_per_evaluated_point(factor_log, monkeypatch):
+    # one complex LU (conjugate pair) or two real LUs (real pair) per
+    # trust-region point, and no refactorization once the loop returns
+    shifts = factor_log
+    evaluated = []
+    evaluate = sp.evaluate
+
+    def counting_evaluate(ds, a, b):
+        evaluated.append((a, b, len(shifts)))
+        return evaluate(ds, a, b)
+
+    monkeypatch.setattr(sp, "evaluate", counting_evaluate)
+    ds = DeflatedSystem.from_dae(make_random_stable_ode(20, seed=4))
+    res = sp.spark(ds)
+    assert res.converged and len(evaluated) >= 5
+    ends = [k for _, _, k in evaluated[1:]] + [len(shifts)]
+    saw = set()
+    for (a, b, start), end in zip(evaluated, ends):
+        point = shifts[start:end]
+        if a * a < b:
+            assert len(point) == 1 and point[0].imag != 0.0
+        else:
+            assert len(point) <= 2 and all(s.imag == 0.0 for s in point)
+        saw.add(a * a < b)
+    assert saw == {True, False}
