@@ -5,7 +5,6 @@ by cumulative rational interpolation with trust-region shift optimization.
 from .cure import CureConfig, CureLedger, assemble_total, cured_spark
 from .daemodel import (
     DaeSystem,
-    GeneralDense,
     ProjectorKit,
     SemiExplicitIndex1,
     StokesIndex2,
@@ -23,10 +22,10 @@ from .h2analysis import (
     h2_norm,
     rom_to_pole_residue,
 )
-from .interp import BasisV, DeflatedSystem, InterpData, spark_basis, tangential_basis
+from .interp import BasisV, DeflatedSystem, InterpData, spark_basis
 from .pork import RomRealization, check_interpolation, check_orthogonality, pork_input
 from . import spark
-from .spark import SparkParams, TrustRegionConfig
+from .spark import SparkParams
 from .spark import evaluate as spark_evaluate
 from .spark import spark as run_spark
 
@@ -37,14 +36,12 @@ __all__ = [
     "DaeSystem",
     "DaecureError",
     "DeflatedSystem",
-    "GeneralDense",
     "InterpData",
     "ProjectorKit",
     "RomRealization",
     "SemiExplicitIndex1",
     "SparkParams",
     "StokesIndex2",
-    "TrustRegionConfig",
     "assemble_total",
     "build_projectors",
     "check_interpolation",
@@ -64,7 +61,6 @@ __all__ = [
     "spark",
     "spark_basis",
     "spark_evaluate",
-    "tangential_basis",
 ]
 
 __version__ = "0.1.0"

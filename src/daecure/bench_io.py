@@ -18,6 +18,7 @@ import scipy.linalg as spla
 import scipy.sparse as sps
 
 from . import daemodel as dm
+from . import numkernel as nk
 from .errors import ParseError, StructureViolation
 
 MANIFEST_VERSION = 1
@@ -80,7 +81,7 @@ def gen_semi_explicit_index1(n1, n2, seed, m=1, p=1,
     sys = dm.DaeSystem(E, A, B, C, np.zeros((p, m)),
                        dm.SemiExplicitIndex1(n1))
     n = n1 + n2
-    if n <= dm.DESK_SCALE_LIMIT + 100:
+    if n <= nk.DENSE_LIMIT + 100:
         w = spla.eigvals(A.toarray(), E.toarray())
         finite = w[np.isfinite(w)]
         if finite.size and finite.real.max() >= 0:
@@ -137,18 +138,11 @@ def gen_stokes_index2(m, seed, n_in=1, n_out=1) -> dm.DaeSystem:
 # manifest read/write
 # ---------------------------------------------------------------------------
 
-_TAG_NAMES = {"semi_explicit_index1": dm.SemiExplicitIndex1,
-              "stokes_index2": dm.StokesIndex2,
-              "general_dense": dm.GeneralDense}
-
-
 def _tag_to_json(tag):
     if isinstance(tag, dm.SemiExplicitIndex1):
         return {"kind": "semi_explicit_index1", "n1": tag.n1}
     if isinstance(tag, dm.StokesIndex2):
         return {"kind": "stokes_index2", "n_v": tag.n_v, "n_p": tag.n_p}
-    if isinstance(tag, dm.GeneralDense):
-        return {"kind": "general_dense"}
     raise StructureViolation(f"unknown structure tag {tag!r}")
 
 
@@ -161,8 +155,6 @@ def _tag_from_json(obj):
         return dm.SemiExplicitIndex1(int(obj["n1"]))
     if kind == "stokes_index2":
         return dm.StokesIndex2(int(obj["n_v"]), int(obj["n_p"]))
-    if kind == "general_dense":
-        return dm.GeneralDense()
     raise ParseError(f"manifest: unknown structure kind {kind!r}")
 
 

@@ -14,12 +14,12 @@ import os
 import sys as _sys
 
 import numpy as np
+import scipy.linalg as spla
 
 from . import bench_io as bio
 from . import cure as curemod
 from . import daemodel as dm
 from . import h2analysis as h2
-from . import spark as sparkmod
 from .errors import (
     DaecureError,
     DeskScaleExceeded,
@@ -28,7 +28,7 @@ from .errors import (
     StructureViolation,
 )
 from .interp import DeflatedSystem
-from .pork import RomRealization, check_interpolation
+from .pork import RomRealization
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -97,29 +97,16 @@ def _combine(total: RomRealization, poly: RomRealization | None):
     polynomial-part realization."""
     if poly is None or poly.order == 0:
         return total
-    q1, q2 = total.order, poly.order
-    E = np.zeros((q1 + q2, q1 + q2))
-    A = np.zeros((q1 + q2, q1 + q2))
-    E[:q1, :q1] = total.Er
-    E[q1:, q1:] = poly.Er
-    A[:q1, :q1] = total.Ar
-    A[q1:, q1:] = poly.Ar
-    B = np.vstack([total.Br, poly.Br])
-    C = np.hstack([total.Cr, poly.Cr])
-    return RomRealization(Er=E, Ar=A, Br=B, Cr=C,
+    return RomRealization(Er=spla.block_diag(total.Er, poly.Er),
+                          Ar=spla.block_diag(total.Ar, poly.Ar),
+                          Br=np.vstack([total.Br, poly.Br]),
+                          Cr=np.hstack([total.Cr, poly.Cr]),
                           Dr=total.Dr + poly.Dr, provenance="combined")
 
 
-def _step_interpolation_residuals(sys, kit, ledger):
-    """Replay the cumulative run and certify interpolation per step."""
-    ds = DeflatedSystem.from_dae(sys, kit)
-    worst = []
-    for rec in ledger.records:
-        res = check_interpolation(ds.eval, rec.rom, rec.data)
-        worst.append(max(res))
-        ds.B_defl = ds.B_defl - ds.E @ (
-            rec.basis.V @ np.linalg.solve(rec.rom.Er, rec.rom.Br))
-    return worst
+def _step_interpolation_residuals(ledger):
+    """Per-step interpolation certificates, as made by ``cure_step``."""
+    return [rec.interp_residual for rec in ledger.records]
 
 
 def cmd_reduce(args):
@@ -129,6 +116,11 @@ def cmd_reduce(args):
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise UnsupportedInput(
             f"--tol must be finite and nonnegative, got {args.tol}")
+    init_a, init_b = _parse_pair(args.shifts_init, "--shifts-init")
+    if not all(np.isfinite(x) and x > 0 for x in (init_a, init_b)):
+        raise UnsupportedInput(
+            f"--shifts-init must be two finite positive numbers, got "
+            f"{args.shifts_init}")
     threads = {"requested": _thread_request(), "applied": _cap_threads()}
     sys = _load_siso(args)
     if sys.m != 1 or sys.p != 1:
@@ -140,11 +132,9 @@ def cmd_reduce(args):
     pp = dm.polynomial_part(sys, kit)
     if pp.kind == "unsupported":
         raise UnsupportedInput("Unsupported polynomial part")
-    init_a, init_b = _parse_pair(args.shifts_init, "--shifts-init")
     cfg = curemod.CureConfig(
         tol_rel=args.tol, max_steps=args.max_steps,
         init_a=init_a, init_b=init_b,
-        spark_cfg=sparkmod.TrustRegionConfig(),
     )
     total, report, ledger = curemod.cured_spark(sys, kit, cfg)
     poly_rom = None
@@ -152,11 +142,11 @@ def cmd_reduce(args):
         poly_rom = dm.realize_constant_poly(pp.constant)
     combined = _combine(total, poly_rom)
 
-    poles = combined.poles() if total is not None else np.array([])
+    poles = combined.poles()
     finite = poles[np.isfinite(poles)]
-    interp_worst = _step_interpolation_residuals(sys, kit, ledger)
     invariants = {
-        "interpolation_residual_max_per_step": interp_worst,
+        "interpolation_residual_max_per_step":
+            _step_interpolation_residuals(ledger),
         "total_poles_max_real": float(finite.real.max())
         if finite.size else None,
         "stable": bool(finite.size == 0 or finite.real.max() < 0),
@@ -186,7 +176,7 @@ def cmd_reduce(args):
         "threads": threads,
         "orders": {
             "n": sys.n,
-            "q_strictly_proper": total.order if total is not None else 0,
+            "q_strictly_proper": total.order,
             "q_polynomial": poly_rom.order if poly_rom is not None else 0,
             "q": combined.order,
         },

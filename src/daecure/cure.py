@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import daemodel as dm
-from . import h2analysis as h2
+from . import numkernel as nk
 from . import spark as sparkmod
 from .errors import DimensionMismatch
 from .interp import DeflatedSystem
-from .pork import RomRealization
+from .pork import RomRealization, check_interpolation
+
+#: a step capturing at most this times max(||G_tot||^2, 1) is degenerate
+DEGENERATE_TOL = 1e-14
 
 
 @dataclass
@@ -31,6 +34,9 @@ class CureRecord:
     rom: RomRealization
     params: object
     cost: float
+    #: worst per-shift tangential residual ||(G - G_r) r|| / ||G r|| of
+    #: the step's ROM against the deflated system it was made from
+    interp_residual: float
     flagged_degenerate: bool = False
 
 
@@ -91,10 +97,29 @@ def allpass_factor(rec: CureRecord) -> RomRealization:
                           provenance="allpass")
 
 
+def _interpolation_residual(ds: DeflatedSystem, rom: RomRealization,
+                           data) -> float:
+    """Worst per-shift tangential residual of ``rom`` against ``ds``.
+
+    G(sigma) comes from refined solves with the factorizations of one
+    Sylvester context for the step's S, so a conjugate shift pair costs one
+    complex LU; its Schur shifts agree with the eigenvalues of S to
+    rounding.  The context is local so that no LU outlives the check.
+    """
+    ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
+
+    def fom_eval(s):
+        fac = min(ctx.factors, key=lambda f: abs(f.sigma - s))
+        return -(ds.C @ fac.solve(ds.B_defl))
+
+    return max(check_interpolation(fom_eval, rom, data))
+
+
 def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     """Fold one shift-optimization result into the ledger.
 
-    Updates the deflated input and re-assembles the total model.  The
+    Certifies the step's interpolation against the current deflated input,
+    then depletes that input and re-assembles the total model.  The
     total H2 norm is tracked incrementally: by the error-norm
     decomposition each step adds exactly the captured energy -J, so
     ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k.  This stays exact and
@@ -103,11 +128,13 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     solve on the assembled pencil would be refused).
     """
     rom = spark_out.rom
+    ds = ledger.ds
     rec = CureRecord(basis=spark_out.basis, data=spark_out.data, rom=rom,
-                     params=spark_out.params, cost=spark_out.cost)
+                     params=spark_out.params, cost=spark_out.cost,
+                     interp_residual=_interpolation_residual(
+                         ds, rom, spark_out.data))
     Vr = spark_out.basis.V
-    ledger.ds.B_defl = ledger.ds.B_defl \
-        - ledger.ds.E @ (Vr @ np.linalg.solve(rom.Er, rom.Br))
+    ds.B_defl = ds.B_defl - ds.E @ (Vr @ np.linalg.solve(rom.Er, rom.Br))
     ledger.records.append(rec)
     ledger.total = assemble_total(ledger.records)
     prev_sq = ledger.norm_history[-1] ** 2 if ledger.norm_history else 0.0
@@ -119,11 +146,10 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
 class CureConfig:
     tol_rel: float = 1e-6
     max_steps: int = 20
-    spark_cfg: sparkmod.TrustRegionConfig = None
     init_a: float = 1e-4
     init_b: float = 1e-4
-    warm_start: bool = False
-    degenerate_tol: float = 1e-14
+    #: SPARK's stopping test ||g|| <= gtol * (1 + |J|)
+    gtol: float = sparkmod.GTOL
 
 
 def cured_spark(sys: dm.DaeSystem, kit: dm.ProjectorKit = None,
@@ -148,7 +174,7 @@ def cured_spark(sys: dm.DaeSystem, kit: dm.ProjectorKit = None,
     init = sparkmod.SparkParams(cfg.init_a, cfg.init_b)
     degenerate_run = 0
     while ledger.k < cfg.max_steps:
-        res = sparkmod.spark(ledger.ds, init=init, cfg=cfg.spark_cfg)
+        res = sparkmod.spark(ledger.ds, init=init, gtol=cfg.gtol)
         # stagnation is decided on the prospective step, before folding it
         # in: a nearly exhausted residual drives the optimizer against the
         # b > 0 boundary and would contribute a numerically singular block
@@ -170,9 +196,7 @@ def cured_spark(sys: dm.DaeSystem, kit: dm.ProjectorKit = None,
             "J": rec.cost, "converged": res.converged,
             "reason": res.reason, "norm_total": norm, "rel_increase": rel_inc,
         })
-        if cfg.warm_start and res.converged:
-            init = rec.params
-        if captured <= cfg.degenerate_tol * max(norm ** 2, 1.0):
+        if captured <= DEGENERATE_TOL * max(norm ** 2, 1.0):
             rec.flagged_degenerate = True
             degenerate_run += 1
             report["flagged"] = True

@@ -1,9 +1,9 @@
 """Descriptor system representation, structured spectral projectors and
 transfer function evaluation.
 
-Projectors are applied implicitly through sparse sub-block solves; they are
-only materialized densely for the desk-scale ``GeneralDense`` structure
-(built from the QZ deflation oracle).
+Two structures are supported: semi-explicit index-1 and Stokes-type
+index-2.  Their projectors are applied implicitly through sub-block solves
+and never materialized.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +20,6 @@ from .errors import (
     StructureViolation,
 )
 
-DESK_SCALE_LIMIT = 500
-
 
 @dataclass(frozen=True)
 class SemiExplicitIndex1:
@@ -37,14 +35,6 @@ class StokesIndex2:
 
     n_v: int
     n_p: int
-
-
-@dataclass(frozen=True)
-class GeneralDense:
-    """Unstructured pencil; projectors come from the dense deflation oracle.
-
-    Restricted to n <= DESK_SCALE_LIMIT.
-    """
 
 
 @dataclass
@@ -115,11 +105,6 @@ def _validate_structure(sys):
             raise StructureViolation("Stokes tag: E must be [[E11,0],[0,0]]")
         if sys.A[nv:, nv:].nnz:
             raise StructureViolation("Stokes tag: A22 block must be zero")
-    elif isinstance(tag, GeneralDense):
-        if n > DESK_SCALE_LIMIT:
-            raise StructureViolation(
-                f"GeneralDense limited to n <= {DESK_SCALE_LIMIT}, got {n}"
-            )
     else:
         raise StructureViolation(f"unknown structure tag {tag!r}")
 
@@ -175,16 +160,6 @@ def build_projectors(sys: DaeSystem) -> ProjectorKit:
         return _projectors_semi_explicit(sys)
     if isinstance(tag, StokesIndex2):
         return _projectors_stokes(sys)
-    if isinstance(tag, GeneralDense):
-        defl = nk.PencilDeflation(sys.E.toarray(), sys.A.toarray())
-        Pl, Pr = defl.projectors()
-        return ProjectorKit(
-            n=sys.n,
-            apply_left=lambda v: Pl @ v,
-            apply_left_t=lambda v: Pl.T @ v,
-            apply_right=lambda v: Pr @ v,
-            apply_right_t=lambda v: Pr.T @ v,
-        )
     raise StructureViolation(f"unsupported structure {tag!r}")
 
 

@@ -33,10 +33,6 @@ class SingularSchurComplement(DaecureError):
     """A structural Schur complement required to be nonsingular is singular."""
 
 
-class DuplicateShift(DaecureError):
-    pass
-
-
 class NonPositiveParams(DaecureError):
     """SPARK parameters (a, b) must be strictly positive."""
 

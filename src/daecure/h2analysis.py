@@ -25,9 +25,6 @@ from .errors import (
 from .interp import DeflatedSystem
 from .pork import RomRealization
 
-# largest full-order size the dense Weierstrass oracle is allowed to touch
-DENSE_LIMIT = 500
-
 # relative gap below which reduced poles count as multiple
 POLE_SEP_TOL = 1e-8
 
@@ -118,9 +115,9 @@ def _finite_std(obj):
     else:
         raise DimensionMismatch(f"cannot analyze object of type {type(obj)}")
     n = E.shape[0]
-    if n > DENSE_LIMIT:
+    if n > nk.DENSE_LIMIT:
         raise DeskScaleExceeded(
-            f"dense H2 analysis limited to n <= {DENSE_LIMIT}, got {n}"
+            f"dense H2 analysis limited to n <= {nk.DENSE_LIMIT}, got {n}"
         )
     defl = nk.PencilDeflation(E, A)
     nf = defl.nf

@@ -184,6 +184,10 @@ def solve_small_lyapunov(S, R):
     return G
 
 
+#: largest full-order size a dense oracle (QZ deflation, dense
+#: eigenvalues) is run on
+DENSE_LIMIT = 500
+
 #: finite/infinite classification threshold, applied after pencil scaling
 EIG_INFINITE_CUTOFF = 1.0 / np.sqrt(np.finfo(float).eps)
 

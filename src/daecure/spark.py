@@ -14,21 +14,36 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import numkernel as nk
-from .errors import DimensionMismatch, NonPositiveParams
+from .errors import DimensionMismatch
 from .interp import BasisV, DeflatedSystem, spark_params_matrices
 from .pork import pork_input
 
 
+#: trust-region radius rules and stopping thresholds
+RADIUS0 = 1.0
+RADIUS_MIN = 1e-14
+RADIUS_MAX = 1e6
+ETA1 = 0.1
+ETA2 = 0.75
+SHRINK = 0.5
+EXPAND = 2.0
+GTOL = 1e-9
+STEPTOL = 1e-12
+MAXITER = 200
+#: candidates with a or b at/below this are rejected like orthant
+#: violations; keeps the reduced pencil numerically regular when the
+#: cost is flat in one parameter and the iterate would drift to the
+#: boundary (mirror poles collapse onto the imaginary axis there)
+PARAM_FLOOR = 1e-8
+
+
 @dataclass
 class SparkParams:
+    """A shift pair a +- sqrt(a^2 - b); a, b > 0 is enforced where the pair
+    is turned into interpolation data (``spark_params_matrices``)."""
+
     a: float
     b: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise NonPositiveParams(
-                f"need a > 0 and b > 0, got a={self.a}, b={self.b}"
-            )
 
     def shifts(self):
         d = np.lib.scimath.sqrt(self.a ** 2 - self.b)
@@ -36,29 +51,6 @@ class SparkParams:
 
     def as_array(self):
         return np.array([self.a, self.b])
-
-
-@dataclass
-class TrustRegionConfig:
-    radius0: float = 1.0
-    radius_min: float = 1e-14
-    radius_max: float = 1e6
-    eta1: float = 0.1
-    eta2: float = 0.75
-    shrink: float = 0.5
-    expand: float = 2.0
-    gtol: float = 1e-9
-    steptol: float = 1e-12
-    maxiter: int = 200
-    #: candidates with a or b at/below this are rejected like orthant
-    #: violations; keeps the reduced pencil numerically regular when the
-    #: cost is flat in one parameter and the iterate would drift to the
-    #: boundary (mirror poles collapse onto the imaginary axis there)
-    param_floor: float = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.eta1 < self.eta2 < 1:
-            raise NonPositiveParams("need 0 < eta1 < eta2 < 1")
 
 
 # reduced controllability Gramian in closed form
@@ -190,28 +182,27 @@ class SparkResult:
 
 
 def spark(ds: DeflatedSystem, init: SparkParams = None,
-          cfg: TrustRegionConfig = None) -> SparkResult:
+          gtol: float = GTOL) -> SparkResult:
     """Trust-region search for the locally optimal shift pair.
 
     Iterates stay in the positive orthant (steps leaving it are rejected
     with a radius shrink), accepted costs are monotone nonincreasing, and
     the returned reduced model is the projection at the final parameters.
     Each candidate is evaluated once; an accepted candidate's Hessian and
-    basis are kept, so nothing is refactored at the end.
+    basis are kept, so nothing is refactored at the end.  The search stops
+    once ||g|| <= gtol * (1 + |J|).
     """
     if init is None:
         init = SparkParams(1e-4, 1e-4)
-    if cfg is None:
-        cfg = TrustRegionConfig()
     p = init.as_array()
     J, g, H, V, data = evaluate(ds, *p)
-    radius = cfg.radius0
+    radius = RADIUS0
     trace = [{"iter": 0, "a": p[0], "b": p[1], "J": J,
               "gnorm": float(np.linalg.norm(g)), "radius": radius,
               "accepted": True}]
     converged, reason = False, "maxiter"
-    for it in range(1, cfg.maxiter + 1):
-        if np.linalg.norm(g) <= cfg.gtol * (1.0 + abs(J)):
+    for it in range(1, MAXITER + 1):
+        if np.linalg.norm(g) <= gtol * (1.0 + abs(J)):
             converged, reason = True, "gtol"
             break
         # affine scaling: in directions pushed toward the a, b > 0 boundary
@@ -222,14 +213,14 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
         u = trust_region_step(d * g, d[:, None] * H * d[None, :], radius)
         s = d * u
         snorm = float(np.linalg.norm(s))
-        if snorm <= cfg.steptol * (1.0 + np.linalg.norm(p)):
+        if snorm <= STEPTOL * (1.0 + np.linalg.norm(p)):
             converged, reason = True, "steptol"
             break
         cand = p + s
         rec = {"iter": it, "a": cand[0], "b": cand[1], "radius": radius,
                "step": snorm}
-        if cand[0] <= cfg.param_floor or cand[1] <= cfg.param_floor:
-            radius *= cfg.shrink
+        if cand[0] <= PARAM_FLOOR or cand[1] <= PARAM_FLOOR:
+            radius *= SHRINK
             rec.update(accepted=False, why="left positive orthant")
             trace.append(rec)
         else:
@@ -243,19 +234,19 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
             # (Newton) polish step as long as the cost does not increase
             noise = 1e-13 * (1.0 + abs(J))
             polish = pred <= noise and Jc <= J + noise
-            if rho >= cfg.eta1 or polish:
+            if rho >= ETA1 or polish:
                 p = cand
                 J, g, H, V, data = point
                 rec.update(accepted=True, J=J,
                            gnorm=float(np.linalg.norm(g)))
             else:
                 rec.update(accepted=False)
-            if rho < cfg.eta1 and not polish:
-                radius *= cfg.shrink
-            elif rho > cfg.eta2 and snorm >= 0.99 * radius:
-                radius = min(radius * cfg.expand, cfg.radius_max)
+            if rho < ETA1 and not polish:
+                radius *= SHRINK
+            elif rho > ETA2 and snorm >= 0.99 * radius:
+                radius = min(radius * EXPAND, RADIUS_MAX)
             trace.append(rec)
-        if radius < cfg.radius_min:
+        if radius < RADIUS_MIN:
             converged, reason = True, "radius collapse"
             break
     params = SparkParams(*p)

@@ -18,7 +18,6 @@ from daecure import cure
 from daecure import daemodel as dm
 from daecure import h2analysis as h2
 from daecure import spark as sp
-from daecure.cli import _step_interpolation_residuals
 from daecure.interp import DeflatedSystem, spark_basis
 from daecure.pork import RomRealization, check_orthogonality, pork_input
 
@@ -60,7 +59,7 @@ def test_criterion_01_interpolation():
         t0 = time.perf_counter()
         kit = dm.build_projectors(sys)
         total, rep, ledger = cure.cured_spark(sys, kit, cure.CureConfig())
-        res = _step_interpolation_residuals(sys, kit, ledger)
+        res = [rec.interp_residual for rec in ledger.records]
         slowest = max(slowest, time.perf_counter() - t0)
         worst = max(worst, max(res))
     report(1, "interpolation", worst <= 1e-8 and slowest < 60.0,
@@ -238,8 +237,7 @@ def test_criterion_09_assembly_equivalence():
 def test_criterion_10_exact_recovery():
     # order 2: one step recovers the model
     sys2 = make_ode([-1.0, -2.0], [1.0, 1.0], [0.25, -0.175])
-    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14,
-                          spark_cfg=sp.TrustRegionConfig(gtol=1e-11))
+    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14, gtol=1e-11)
     total2, _, _ = cure.cured_spark(sys2, cfg=cfg)
     err2 = h2.h2_error_norm(DeflatedSystem.from_dae(sys2), total2)
 
@@ -253,8 +251,7 @@ def test_criterion_10_exact_recovery():
     phi = np.array([0.25, -0.175, 5e-11, -4e-11])
     T = rng.standard_normal((4, 4)) + 4 * np.eye(4)
     sys4 = make_ode(lam, np.ones(4), phi, T=T)
-    cfg4 = cure.CureConfig(max_steps=2, tol_rel=1e-14,
-                           spark_cfg=sp.TrustRegionConfig(gtol=1e-11))
+    cfg4 = cure.CureConfig(max_steps=2, tol_rel=1e-14, gtol=1e-11)
     total4, rep4, led4 = cure.cured_spark(sys4, cfg=cfg4)
     err4 = h2.h2_error_norm(DeflatedSystem.from_dae(sys4), total4)
     ok = err2 <= 1e-8 and err4 <= 1e-8 and led4.k <= 2

@@ -111,6 +111,19 @@ def test_unsupported_polynomial_part_exit2(tmp_path, capsys):
     assert err["message"] == "Unsupported polynomial part"
 
 
+def test_general_dense_manifest_is_parse_error(sysdir, tmp_path, capsys):
+    man = json.load(open(_manifest(sysdir)))
+    man["structure"] = {"kind": "general_dense"}
+    man["files"] = {k: os.path.join(sysdir, v)
+                    for k, v in man["files"].items()}
+    mp = tmp_path / "manifest.json"
+    json.dump(man, open(mp, "w"))
+    assert run(["h2norm", str(mp)]) == cli.EXIT_IO
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == cli.EXIT_IO
+    assert "general_dense" in err["message"]
+
+
 def test_mimo_without_channel_exit2(tmp_path, capsys):
     sys = bio.gen_semi_explicit_index1(10, 3, seed=0, m=2, p=2)
     mp = bio.write_system(sys, tmp_path)
@@ -139,6 +152,10 @@ def test_bad_shifts_init_is_io_error(sysdir, tmp_path, capsys):
     ["reduce", "--tol", "-1"],
     ["reduce", "--tol", "nan"],
     ["reduce", "--tol", "inf"],
+    ["reduce", "--shifts-init", "0,1"],
+    ["reduce", "--shifts-init", "1,-1"],
+    ["reduce", "--shifts-init", "inf,1"],
+    ["reduce", "--shifts-init", "nan,1"],
     ["bode", "--wmin", "0", "--wmax", "1e2"],
     ["bode", "--wmin", "-1", "--wmax", "1e2"],
     ["bode", "--wmin", "1e2", "--wmax", "1e2"],

@@ -1,16 +1,19 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from daecure import cure
 from daecure import h2analysis as h2
 from daecure import spark as sp
-from daecure.interp import DeflatedSystem
+from daecure.interp import DeflatedSystem, spark_basis
+from daecure.pork import pork_input
 
 from conftest import make_ode, make_random_stable_ode
 
 
 def run_cure(sys, max_steps=4, tol=1e-12, gtol=1e-9):
-    cfg = cure.CureConfig(max_steps=max_steps, tol_rel=tol,
-                          spark_cfg=sp.TrustRegionConfig(gtol=gtol))
+    cfg = cure.CureConfig(max_steps=max_steps, tol_rel=tol, gtol=gtol)
     return cure.cured_spark(sys, cfg=cfg)
 
 
@@ -91,8 +94,7 @@ def test_stagnation_stop(index1_small):
 
 def test_exact_recovery_order2():
     sys = make_ode([-1.0, -2.0], [1.0, 1.0], [0.25, -0.175])
-    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14,
-                          spark_cfg=sp.TrustRegionConfig(gtol=1e-11))
+    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14, gtol=1e-11)
     total, report, ledger = cure.cured_spark(sys, cfg=cfg)
     ds0 = DeflatedSystem.from_dae(sys)
     assert h2.h2_error_norm(ds0, total) <= 1e-8
@@ -116,3 +118,41 @@ def test_report_contents(index1_small):
         assert all(complex(s).real > 0 for s in step["shifts"])
     assert len(report["norm_history"]) == report["k"]
     assert report["runtime_s"] >= 0
+
+
+def _result_at(ds, a, b):
+    """An unoptimized SparkResult for the shift pair (a, b)."""
+    basis, data = spark_basis(ds, a, b)
+    return sp.SparkResult(params=sp.SparkParams(a, b), basis=basis,
+                          data=data, rom=pork_input(basis, data, ds.C),
+                          cost=0.0, grad=np.zeros(2), converged=True,
+                          reason="fixed")
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_step_certification_factors_once_per_shift(fixture, request,
+                                                   factor_log):
+    ledger = cure.cure_init(request.getfixturevalue(fixture))
+    for a, b in ((0.5, 4.0), (2.0, 3.0)):     # conjugate pair, real pair
+        res = _result_at(ledger.ds, a, b)
+        del factor_log[:]
+        cure.cure_step(ledger, res)
+        if b > a * a:
+            assert len(factor_log) == 1 and factor_log[0].imag != 0.0
+        else:
+            assert np.allclose(sorted(s.real for s in factor_log), [1.0, 3.0],
+                               rtol=1e-12, atol=0)
+            assert all(s.imag == 0.0 for s in factor_log)
+        assert ledger.records[-1].interp_residual <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_step_certificate_can_fail(fixture, request):
+    sys = request.getfixturevalue(fixture)
+    total, report, ledger = run_cure(sys, max_steps=3, tol=1e-6)
+    assert all(rec.interp_residual <= 1e-10 for rec in ledger.records)
+    ledger = cure.cure_init(sys)
+    res = sp.spark(ledger.ds)
+    bad_rom = dataclasses.replace(res.rom, Cr=1.01 * res.rom.Cr)
+    cure.cure_step(ledger, dataclasses.replace(res, rom=bad_rom))
+    assert ledger.records[-1].interp_residual >= 1e-3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from daecure import h2analysis as h2
+from daecure import numkernel as nk
 from daecure.errors import DefectivePencil, DeskScaleExceeded, UnstableSystem
 from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization
@@ -92,7 +93,7 @@ def test_repeated_poles_rejected_for_pole_residue():
 def test_desk_scale_limit_enforced():
     import scipy.sparse as sps
     from daecure import daemodel as dm
-    n = h2.DENSE_LIMIT + 1
+    n = nk.DENSE_LIMIT + 1
     A = sps.csc_matrix(sps.diags(-np.arange(1.0, n + 1)))
     sys = dm.DaeSystem(sps.eye(n, format="csc"), A,
                        sps.csc_matrix(np.ones((n, 1))),

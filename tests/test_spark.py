@@ -3,7 +3,7 @@ import pytest
 
 from daecure import spark as sp
 from daecure.errors import NonPositiveParams
-from daecure.interp import DeflatedSystem, spark_basis
+from daecure.interp import DeflatedSystem, spark_basis, spark_params_matrices
 from daecure.pork import pork_input
 
 from conftest import make_ode, make_random_stable_ode
@@ -153,9 +153,9 @@ def test_trust_region_hard_case():
 
 def test_positive_params_required():
     with pytest.raises(NonPositiveParams):
-        sp.SparkParams(-1.0, 1.0)
+        spark_params_matrices(-1.0, 1.0)
     with pytest.raises(NonPositiveParams):
-        sp.SparkParams(1.0, 0.0)
+        spark_params_matrices(1.0, 0.0)
 
 
 def test_spark_drives_gradient_down():
@@ -174,7 +174,7 @@ def test_spark_exact_on_order_two():
     # [DERIVED] for an order-2 target the optimizer can zero the error
     sys = make_ode([-1.0, -2.0], [1.0, 1.0], [0.25, -0.175])
     ds = DeflatedSystem.from_dae(sys)
-    res = sp.spark(ds, cfg=sp.TrustRegionConfig(gtol=1e-11))
+    res = sp.spark(ds, gtol=1e-11)
     from daecure import h2analysis as h2
     err = h2.h2_error_norm(ds, res.rom)
     assert err <= 1e-8
