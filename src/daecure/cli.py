@@ -40,6 +40,14 @@ class UnsupportedInput(DaecureError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as UnsupportedInput, so it exits 2
+    with one JSON error object like every other rejected input."""
+
+    def error(self, message):
+        raise UnsupportedInput(message)
+
+
 def _thread_request():
     """The DAECURE_THREADS value as a positive int, or None."""
     try:
@@ -156,8 +164,10 @@ def cmd_reduce(args):
     }
     os.makedirs(args.out, exist_ok=True)
     rom_files = bio.write_rom(combined, args.out, name="rom")
-    bio.write_h2_history(os.path.join(args.out, "h2_history.csv"),
-                         report["norm_history"])
+    history = os.path.join(args.out, "h2_history.csv")
+    bio.write_h2_history(history, report["norm_history"])
+    output_files = [history] + [os.path.join(args.out, fn)
+                                for fn in rom_files.values()]
     with open(args.manifest) as fh:
         man = json.load(fh)
     input_files = [args.manifest] + [
@@ -173,6 +183,7 @@ def cmd_reduce(args):
             "out": os.path.abspath(args.out),
         },
         "input_hash": bio.content_hash(input_files),
+        "output_hash": bio.content_hash(output_files),
         "threads": threads,
         "orders": {
             "n": sys.n,
@@ -314,7 +325,7 @@ def cmd_gen(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="daecure",
         description="H2-pseudo-optimal reduction of sparse descriptor "
                     "systems by cumulative rational interpolation",
@@ -374,9 +385,8 @@ def _error_json(code, exc):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, OSError) as exc:
         print(_error_json(EXIT_IO, exc), file=_sys.stderr)

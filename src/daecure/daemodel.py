@@ -2,14 +2,15 @@
 transfer function evaluation.
 
 Two structures are supported: semi-explicit index-1 and Stokes-type
-index-2.  Their projectors are applied implicitly through sub-block solves
-and never materialized.
+index-2.  For each, one sparse LU of a saddle-point matrix (M for index 1,
+K for Stokes) applies the finite spectral projectors implicitly and
+extracts the polynomial part; no projector or block inverse is ever
+materialized.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as spla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
 
@@ -23,15 +24,16 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SemiExplicitIndex1:
-    """E = [[E11, E12], [0, 0]] with E11 and A22 - A21 E11^-1 E12 nonsingular."""
+    """E = [[E11, E12], [0, 0]] (n1 differential rows) with
+    M = [[E11, E12], [A21, A22]] nonsingular, the index-1 condition."""
 
     n1: int
 
 
 @dataclass(frozen=True)
 class StokesIndex2:
-    """E = [[E11, 0], [0, 0]], A = [[A11, A12], [A21, 0]] with E11 and
-    A21 E11^-1 A12 nonsingular."""
+    """E = [[E11, 0], [0, 0]], A = [[A11, A12], [A21, 0]] with
+    K = [[E11, A12], [A21, 0]] nonsingular."""
 
     n_v: int
     n_p: int
@@ -79,15 +81,6 @@ class DaeSystem:
         return self.C.shape[0]
 
 
-def _blocks_semi_explicit(sys):
-    n1 = sys.structure.n1
-    E, A = sys.E, sys.A
-    return (
-        E[:n1, :n1], E[:n1, n1:],
-        A[:n1, :n1], A[:n1, n1:], A[n1:, :n1], A[n1:, n1:],
-    )
-
-
 def _validate_structure(sys):
     tag = sys.structure
     n = sys.n
@@ -109,41 +102,24 @@ def _validate_structure(sys):
         raise StructureViolation(f"unknown structure tag {tag!r}")
 
 
-class _DenseLU:
-    """lu_factor wrapper with transpose solves; raises on singular input."""
+def _with_zeros(x, above, below):
+    """``x`` with ``above`` zero rows on top and ``below`` zero rows under it."""
+    x = np.asarray(x)
 
-    def __init__(self, M, what):
-        M = np.asarray(M.toarray() if sps.issparse(M) else M, dtype=float)
-        try:
-            self.lu = spla.lu_factor(M)
-        except spla.LinAlgError as exc:
-            raise SingularSchurComplement(f"{what} is singular") from exc
-        if not np.all(np.isfinite(self.lu[0])):
-            raise SingularSchurComplement(f"{what} is singular")
-        diag = np.abs(np.diag(self.lu[0]))
-        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-            raise SingularSchurComplement(f"{what} is numerically singular")
+    def zeros(k):
+        return np.zeros((k,) + x.shape[1:], dtype=x.dtype)
 
-    def solve(self, b, trans=0):
-        return spla.lu_solve(self.lu, b, trans=trans)
-
-
-def _real_map(fn):
-    """Lift a real linear map to complex arguments by linearity."""
-
-    def wrapped(v):
-        if np.iscomplexobj(v):
-            return wrapped(v.real) + 1j * wrapped(v.imag)
-        return fn(np.ascontiguousarray(v, dtype=float))
-
-    return wrapped
+    return np.concatenate([zeros(above), x, zeros(below)])
 
 
 @dataclass
 class ProjectorKit:
     """Implicit applications of the finite spectral projectors.
 
-    Each map takes and returns an (n,) vector or (n, k) block.
+    Each map takes and returns an (n,) vector or (n, k) block, real or
+    complex.  ``saddle`` is the one sparse factorization every map solves
+    with, of M = [[E11, E12], [A21, A22]] (index 1) or
+    K = [[E11, A12], [A21, 0]] (Stokes); ``polynomial_part`` reuses it.
     """
 
     n: int
@@ -151,160 +127,97 @@ class ProjectorKit:
     apply_left_t: callable = field(repr=False, default=None)
     apply_right: callable = field(repr=False, default=None)
     apply_right_t: callable = field(repr=False, default=None)
+    saddle: nk.ShiftedFactorization = field(repr=False, default=None)
 
 
 def build_projectors(sys: DaeSystem) -> ProjectorKit:
-    """Construct the implicit finite spectral projector maps for ``sys``."""
-    tag = sys.structure
-    if isinstance(tag, SemiExplicitIndex1):
+    """Construct the implicit finite spectral projector maps for ``sys``.
+
+    Raises SingularSchurComplement when the saddle-point matrix M (index 1)
+    or K (Stokes) is singular, i.e. the pencil does not have the declared
+    structure.
+    """
+    if isinstance(sys.structure, SemiExplicitIndex1):
         return _projectors_semi_explicit(sys)
-    if isinstance(tag, StokesIndex2):
-        return _projectors_stokes(sys)
-    raise StructureViolation(f"unsupported structure {tag!r}")
+    return _projectors_stokes(sys)
+
+
+def _factor_saddle(M, what):
+    M = nk.as_csc(M)
+    try:
+        return nk.factor_shifted(M, sps.csc_matrix(M.shape), 0.0)
+    except SingularShift as exc:
+        raise SingularSchurComplement(f"{what} is singular: {exc}") from exc
 
 
 def _projectors_semi_explicit(sys):
-    """Index-1 projectors from the tractability chain.
+    """Index-1 projectors Pi_r = I - M^-1 W A and Pi_l = I - A M^-1 W.
 
-    With Q0 a projector onto ker E, G1 = E - A Q0 is nonsingular for index-1
-    pencils and the canonical projector is Qc = -Q0 G1^-1 A, giving
-    Pi_r^f = I - Qc.  The left projector follows from the transposed pencil:
-    Pi_l^f = I + A Ginv W with G = [[E11, E12], [-A21, -A22]] and W the
-    selector of the algebraic block.  For E11 = I, E12 = 0 both collapse to
-    the familiar [[I, -A12 A22^-1], [0, 0]] / [[I, 0], [-A22^-1 A21, 0]].
+    W selects the algebraic rows, so M = E + W A; W E = 0 gives
+    W A M^-1 = W, from which idempotence, Pi_l A = A Pi_r and
+    Pi_l E = E = E Pi_r follow.  Pi_r has range ker(W A) (the
+    constraint manifold) and kernel ker E.  One M-solve per application.
     """
     n1 = sys.structure.n1
-    n = sys.n
-    if n1 == n:
-        # no algebraic part: E is nonsingular, projectors are the identity
-        ident = _real_map(lambda v: v.copy())
-        return ProjectorKit(n=n, apply_left=ident, apply_left_t=ident,
-                            apply_right=ident, apply_right_t=ident)
-    E11, E12, A11, A12, A21, A22 = _blocks_semi_explicit(sys)
-    lu_E11 = spsla.splu(nk.as_csc(E11))
-    Z12 = lu_E11.solve(E12.toarray())  # E11^-1 E12, dense n1 x n2
-    Schur = A22.toarray() - A21 @ Z12
-    lu_S = _DenseLU(Schur, "A22 - A21 E11^-1 E12")
+    A = sys.A
+    fac = _factor_saddle(sps.vstack([sys.E[:n1], A[n1:]]),
+                         "M = [[E11, E12], [A21, A22]]")
 
-    def split(v):
-        return v[:n1], v[n1:]
-
-    def join(v1, v2):
-        return np.concatenate([v1, v2], axis=0)
-
-    def apply_right(v):
-        v1, v2 = split(v)
-        u = sys.A @ v
-        # y2 solves the lower-triangular block of G1 y = u
-        y2 = -lu_S.solve(u[n1:])
-        return join(v1 - Z12 @ y2, v2 + y2)
-
-    def apply_right_t(v):
-        # Pi_r^T = I - Qc^T, Qc = -Q0 G1^-1 A with Q0 = [[0, -Z12], [0, I]]
-        # and G1 = E - A Q0 = [[E11, U], [0, -Schur]].  The first block of
-        # Q0^T v is zero, so G1^-T only needs the Schur-complement solve.
-        v1, v2 = split(v)
-        w2 = -Z12.T @ v1 + v2
-        y2 = -lu_S.solve(w2, trans=1)
-        y = join(np.zeros_like(np.asarray(v1, dtype=float)), y2)
-        return v + sys.A.T @ y
-
-    def apply_left(v):
-        v1, v2 = split(v)
-        # solve [[E11, E12], [-A21, -A22]] y = [0; v2]
-        y2 = -lu_S.solve(np.asarray(v2, dtype=float))
-        y1 = -Z12 @ y2
-        return v + sys.A @ join(y1, y2)
-
-    def apply_left_t(v):
-        # (I + A G^-1 W)^T = I + W^T G^-T A^T
-        w = sys.A.T @ v
-        w1, w2 = split(w)
-        # G^T = [[E11^T, -A21^T], [E12^T, -A22^T]]; solve G^T y = [w1; w2]
-        # via its Schur complement: -A22^T + E12^T E11^-T A21^T = -Schur^T
-        t = lu_E11.solve(w1, trans="T")
-        y2 = -lu_S.solve(w2 - E12.T @ t, trans=1)
-        # W^T picks the algebraic block of y
-        out = v.copy().astype(float)
-        out[n1:] += y2
-        return out
+    def alg(x):  # W x
+        return _with_zeros(x[n1:], n1, 0)
 
     return ProjectorKit(
-        n=n,
-        apply_left=_real_map(apply_left),
-        apply_left_t=_real_map(apply_left_t),
-        apply_right=_real_map(apply_right),
-        apply_right_t=_real_map(apply_right_t),
+        n=sys.n,
+        apply_left=lambda v: v - A @ fac.solve(alg(v)),
+        apply_left_t=lambda v: v - alg(fac.solve(A.T @ v, trans="T")),
+        apply_right=lambda v: v - fac.solve(alg(A @ v)),
+        apply_right_t=lambda v: v - A.T @ alg(fac.solve(v, trans="T")),
+        saddle=fac,
     )
 
 
 def _projectors_stokes(sys):
-    """Index-2 Stokes projectors built around K = I - A12 S^-1 A21 E11^-1
-    with S = A21 E11^-1 A12.
+    """Index-2 Stokes projectors from two K-solves each.
 
-    For E11 = I this is the textbook pair
-    Pi_l = [[K, -K A11 A12 S^-1], [0, 0]],
-    Pi_r = [[K', 0], [-S^-1 A21 A11 K', 0]] with K' = I - A12 S^-1 A21;
-    general nonsingular E11 is handled by the equivalence transform
-    diag(E11^-1, I) applied from the left.
+    With S = A21 E11^-1 A12, the right projector is
+    Pi_r = [[P, 0], [-S^-1 A21 E11^-1 A11 P, 0]] for the oblique velocity
+    projector P = I - E11^-1 A12 S^-1 A21 onto ker A21.  Both P v1 and
+    S^-1 A21 E11^-1 (A11 P v1) are blocks of K-solves, and so are the
+    factors of Pi_l = [[E11 P E11^-1, -E11 P E11^-1 A11 E11^-1 A12 S^-1],
+    [0, 0]].  The transposed pencil is again of Stokes type, with K^T,
+    E11^T and A11^T in place of K, E11 and A11, and it swaps the roles of
+    the two projectors: Pi_l^T is its right projector and Pi_r^T its
+    left one.
     """
-    nv = sys.structure.n_v
-    n = sys.n
+    nv, npp = sys.structure.n_v, sys.structure.n_p
     E11 = sys.E[:nv, :nv]
     A11 = sys.A[:nv, :nv]
-    A12 = sys.A[:nv, nv:]
-    A21 = sys.A[nv:, :nv]
-    lu_E11 = spsla.splu(nk.as_csc(E11))
-    W12 = lu_E11.solve(A12.toarray())  # E11^-1 A12, dense nv x np
-    S = A21 @ W12
-    lu_S = _DenseLU(S, "A21 E11^-1 A12")
+    fac = _factor_saddle(sps.bmat([[E11, sys.A[:nv, nv:]],
+                                   [sys.A[nv:, :nv], None]]),
+                         "K = [[E11, A12], [A21, 0]]")
 
-    def split(v):
-        return v[:nv], v[nv:]
+    blocks = {"N": (E11, A11), "T": (E11.T, A11.T)}
 
-    def join(v1, v2):
-        return np.concatenate([v1, v2], axis=0)
+    def right(v, trans):
+        e11, a11 = blocks[trans]
+        x = fac.solve(_with_zeros(e11 @ v[:nv], 0, npp), trans=trans)[:nv]
+        p = fac.solve(_with_zeros(a11 @ x, 0, npp), trans=trans)[nv:]
+        return np.concatenate([x, -p])
 
-    def Kp(v1):  # K' = I - W12 S^-1 A21 (projector in primed coordinates)
-        return v1 - W12 @ lu_S.solve(A21 @ v1)
-
-    def Kp_t(v1):
-        return v1 - A21.T @ lu_S.solve(W12.T @ v1, trans=1)
-
-    def apply_right(v):
-        v1, _ = split(v)
-        u1 = Kp(v1)
-        # second block: -S^-1 A21 E11^-1 A11 u1
-        u2 = -lu_S.solve(A21 @ lu_E11.solve(A11 @ u1))
-        return join(u1, u2)
-
-    def apply_right_t(v):
-        v1, v2 = split(v)
-        t = A11.T @ lu_E11.solve(A21.T @ lu_S.solve(-v2, trans=1), trans="T")
-        return join(Kp_t(v1 + t), np.zeros_like(np.asarray(v2, dtype=float)))
-
-    def apply_left(v):
-        v1, v2 = split(v)
-        # primed left projector rows: [K', -K' A'11 W12 S^-1] with
-        # A'11 = E11^-1 A11, then conjugate by diag(E11^-1, I).
-        t = lu_E11.solve(np.asarray(v1, dtype=float))
-        u = t - lu_E11.solve(A11 @ (W12 @ lu_S.solve(np.asarray(v2, dtype=float))))
-        u1 = Kp(u)
-        return join(E11 @ u1, np.zeros_like(np.asarray(v2, dtype=float)))
-
-    def apply_left_t(v):
-        v1, _ = split(v)
-        w = Kp_t(E11.T @ v1)
-        top = lu_E11.solve(w, trans="T")
-        bot = -lu_S.solve(W12.T @ (A11.T @ top), trans=1)
-        return join(top, bot)
+    def left(v, trans):
+        e11, a11 = blocks[trans]
+        w = fac.solve(_with_zeros(v[nv:], nv, 0), trans=trans)[:nv]
+        x = fac.solve(_with_zeros(v[:nv] - a11 @ w, 0, npp),
+                      trans=trans)[:nv]
+        return _with_zeros(e11 @ x, 0, npp)
 
     return ProjectorKit(
-        n=n,
-        apply_left=_real_map(apply_left),
-        apply_left_t=_real_map(apply_left_t),
-        apply_right=_real_map(apply_right),
-        apply_right_t=_real_map(apply_right_t),
+        n=sys.n,
+        apply_left=lambda v: left(v, "N"),
+        apply_left_t=lambda v: right(v, "T"),
+        apply_right=lambda v: right(v, "N"),
+        apply_right_t=lambda v: left(v, "T"),
+        saddle=fac,
     )
 
 
@@ -319,17 +232,8 @@ def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
 def eval_strictly_proper(sys: DaeSystem, kit: ProjectorKit, s) -> np.ndarray:
     """G^sp(s) = C Pi_r^f (sE - A)^-1 Pi_l^f B."""
     fac = nk.factor_shifted(sys.A, sys.E, s)
-    Bd = kit.apply_left(sys.B.toarray())
-    X = -fac.solve(Bd)
-    X = _apply_cols(kit.apply_right, X)
-    return np.asarray(sys.C @ X)
-
-
-def _apply_cols(fn, X):
-    if X.ndim == 1:
-        return fn(X)
-    cols = [fn(X[:, j]) for j in range(X.shape[1])]
-    return np.stack(cols, axis=1)
+    X = -fac.solve(kit.apply_left(sys.B.toarray()))
+    return np.asarray(sys.C @ kit.apply_right(X))
 
 
 @dataclass
@@ -342,36 +246,36 @@ class PolyPart:
 
 
 def polynomial_part(sys: DaeSystem, kit: ProjectorKit | None = None) -> PolyPart:
-    """Classify and (for index-1) extract the polynomial part of G(s)."""
-    tag = sys.structure
-    if isinstance(tag, SemiExplicitIndex1):
-        if kit is None:
-            kit = build_projectors(sys)
-        # index 1: P(s) is constant; evaluate the improper channel once
-        s0 = 0.8254 + 0.31j
-        fac = nk.factor_shifted(sys.A, sys.E, s0)
-        B = sys.B.toarray()
-        Binf = B - kit.apply_left(B)
-        X = -fac.solve(Binf)
-        X = X - _apply_cols(kit.apply_right, X)
-        P = np.asarray(sys.C @ X) + sys.D
-        if np.abs(P.imag).max() > 1e-8 * max(np.abs(P).max(), 1e-300):
-            raise SingularSchurComplement(
-                "constant polynomial part came out complex"
-            )
-        return PolyPart("constant", P.real)
-    if isinstance(tag, StokesIndex2):
-        if sys.D.any():
-            return PolyPart("unsupported")
-        # strict properness check: ||G|| must drop by ~100x per frequency
-        # decade pair (1/s decay); improper parts stall or grow instead
-        mags = [np.linalg.norm(eval_transfer(sys, s)) for s in (1e4, 1e6, 1e8)]
-        tiny = 1e-12 * max(np.linalg.norm(eval_transfer(sys, 1.0)), 1e-300)
-        ok = (
-            mags[1] <= 0.1 * mags[0] + tiny
-            and mags[2] <= 0.1 * mags[1] + tiny
-        )
-        return PolyPart("strictly_proper") if ok else PolyPart("unsupported")
+    """Classify and (for index-1) extract the polynomial part of G(s).
+
+    Solves only with the saddle-point factorization of ``kit``.  Index 1:
+    P = D - C M^-1 [0; B2], the value of G at infinity.  Stokes: the
+    expansion of (sE - A)^-1 B at infinity gives P(s) = P0 + s P1 with
+    (x_b, y_b) = K^-1 [0; B2], y_c the second block of
+    K^-1 [B1 - A11 x_b; 0], P1 = C2 y_b and P0 = D - C1 x_b - C2 y_c.
+    The part is 'strictly_proper' when P0 and P1 vanish to rounding,
+    relative to ||C|| times the solves they come from, else 'unsupported'.
+    """
+    if kit is None:
+        kit = build_projectors(sys)
+    fac = kit.saddle
+    B = sys.B.toarray()
+    if isinstance(sys.structure, SemiExplicitIndex1):
+        n1 = sys.structure.n1
+        X = fac.solve(_with_zeros(B[n1:], n1, 0))
+        return PolyPart("constant", sys.D - sys.C @ X)
+    nv, npp = sys.structure.n_v, sys.structure.n_p
+    C1, C2 = sys.C[:, :nv], sys.C[:, nv:]
+    xy_b = fac.solve(_with_zeros(B[nv:], nv, 0))
+    x_b = xy_b[:nv]
+    xy_c = fac.solve(_with_zeros(B[:nv] - sys.A[:nv, :nv] @ x_b, 0, npp))
+    P1 = C2 @ xy_b[nv:]
+    P0 = sys.D - C1 @ x_b - C2 @ xy_c[nv:]
+    tol = 1e-8 * spsla.norm(sys.C)
+    nb, nc = np.linalg.norm(xy_b), np.linalg.norm(xy_c)
+    if (np.linalg.norm(P1) <= tol * nb
+            and np.linalg.norm(P0) <= tol * (nb + nc)):
+        return PolyPart("strictly_proper")
     return PolyPart("unsupported")
 
 

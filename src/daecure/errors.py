@@ -30,7 +30,9 @@ class StructureViolation(DaecureError):
 
 
 class SingularSchurComplement(DaecureError):
-    """A structural Schur complement required to be nonsingular is singular."""
+    """The saddle-point matrix that defines the structured projectors (M
+    for index 1, K for Stokes) is singular: the pencil does not have the
+    declared structure."""
 
 
 class NonPositiveParams(DaecureError):

@@ -64,6 +64,10 @@ def test_reduce_reports_same_hash_for_same_input(sysdir, tmp_path):
         outs.append(json.load(open(out / "report.json")))
     assert outs[0]["input_hash"] == outs[1]["input_hash"]
     assert outs[0]["cure"]["norm_history"] == outs[1]["cure"]["norm_history"]
+    assert outs[0]["output_hash"] == outs[1]["output_hash"]
+    written = [tmp_path / "a" / "h2_history.csv"] + [
+        tmp_path / "a" / fn for fn in outs[0]["rom_files"].values()]
+    assert outs[0]["output_hash"] == bio.content_hash(written)
 
 
 def test_bode_row_count_and_error_column(sysdir, tmp_path):
@@ -109,6 +113,18 @@ def test_unsupported_polynomial_part_exit2(tmp_path, capsys):
                 "--out", str(tmp_path / "res")]) == cli.EXIT_UNSUPPORTED
     err = json.loads(capsys.readouterr().err.strip())
     assert err["message"] == "Unsupported polynomial part"
+
+
+def test_index2_pencil_tagged_index1_is_numerical_error(tmp_path, capsys):
+    mp = bio.write_system(bio.gen_stokes_index2(3, seed=0), tmp_path)
+    man = json.load(open(mp))
+    man["structure"] = {"kind": "semi_explicit_index1",
+                        "n1": man["structure"]["n_v"]}
+    json.dump(man, open(mp, "w"))
+    assert run(["reduce", "--manifest", mp,
+                "--out", str(tmp_path / "res")]) == cli.EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "SingularSchurComplement"
 
 
 def test_general_dense_manifest_is_parse_error(sysdir, tmp_path, capsys):
@@ -161,18 +177,33 @@ def test_bad_shifts_init_is_io_error(sysdir, tmp_path, capsys):
     ["bode", "--wmin", "1e2", "--wmax", "1e2"],
     ["bode", "--wmin", "1e3", "--wmax", "1e2"],
     ["bode", "--wmin", "1e-2", "--wmax", "inf"],
+    ["reduce", "--max-steps", "two"],
+    ["reduce", "--shifts-init", "-1,1"],
+    ["reduce", "--no-such-flag"],
+    [],
 ])
 def test_bad_flags_exit2_with_one_json_object(sysdir, tmp_path, capsys,
                                               argv):
-    cmd, flags = argv[0], argv[1:]
-    assert run([cmd, "--manifest", _manifest(sysdir), *flags,
-                "--out", str(tmp_path / "res")]) == cli.EXIT_UNSUPPORTED
+    # an empty argv has no subcommand, which argparse calls "command"
+    cmd, flags = (argv[0], argv[1:]) if argv else (None, ["command"])
+    full = [cmd, "--manifest", _manifest(sysdir), *flags,
+            "--out", str(tmp_path / "res")] if cmd else []
+    assert run(full) == cli.EXIT_UNSUPPORTED
     err = capsys.readouterr().err.strip()
     obj = json.loads(err)          # exactly one JSON object, nothing else
     assert obj["exit_code"] == cli.EXIT_UNSUPPORTED
     assert obj["error"] == "UnsupportedInput"
     assert flags[0] in obj["message"]
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["reduce", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert "usage: daecure" in out.out and out.err == ""
 
 
 def test_report_records_thread_cap(sysdir, tmp_path, monkeypatch):

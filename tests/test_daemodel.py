@@ -7,6 +7,61 @@ from daecure import numkernel as nk
 from daecure.errors import StructureViolation
 
 
+def _equivalent(sys, L, R):
+    """The system (L E R, L A R, L B, C R, D): same transfer function and,
+    for block-diagonal L, R of the tag's partition, the same tag."""
+    L, R = sps.csc_matrix(L), sps.csc_matrix(R)
+    return dm.DaeSystem(L @ sys.E @ R, L @ sys.A @ R, L @ sys.B, sys.C @ R,
+                        sys.D, sys.structure)
+
+
+def _near_identity(rng, k):
+    return np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k)
+
+
+@pytest.fixture(scope="module")
+def index1_general(index1_small):
+    """diag(T, I) (E, A) [[I, X], [0, I]]: E11 != I and E12 != 0."""
+    n1 = index1_small.structure.n1
+    n2 = index1_small.n - n1
+    rng = np.random.default_rng(5)
+    L = sps.block_diag([_near_identity(rng, n1), sps.eye(n2)])
+    R = sps.bmat([[sps.eye(n1), rng.standard_normal((n1, n2))],
+                  [None, sps.eye(n2)]])
+    return _equivalent(index1_small, L, R)
+
+
+@pytest.fixture(scope="module")
+def index1_singular_e11(index1_small):
+    """Differential unknown 0 swapped with algebraic unknown n1: E11 is
+    singular while [E11, E12] keeps full row rank."""
+    n, n1 = index1_small.n, index1_small.structure.n1
+    perm = np.arange(n)
+    perm[[0, n1]] = [n1, 0]
+    return _equivalent(index1_small, sps.eye(n),
+                       sps.eye(n, format="csc")[:, perm])
+
+
+@pytest.fixture(scope="module")
+def stokes_general(stokes_small):
+    """diag(T, I) (E, A) diag(T2, I): E11 != I, A21 != A12^T."""
+    nv, npp = stokes_small.structure.n_v, stokes_small.structure.n_p
+    rng = np.random.default_rng(6)
+    return _equivalent(
+        stokes_small,
+        sps.block_diag([_near_identity(rng, nv), sps.eye(npp)]),
+        sps.block_diag([_near_identity(rng, nv), sps.eye(npp)]))
+
+
+@pytest.fixture(scope="module")
+def stokes_singular_e11(stokes_small):
+    """E[0, 0] = 0: E11 is singular, K = [[E11, A12], [A21, 0]] is not."""
+    E = stokes_small.E.tolil()
+    E[0, 0] = 0.0
+    return dm.DaeSystem(E.tocsc(), stokes_small.A, stokes_small.B,
+                        stokes_small.C, stokes_small.D, stokes_small.structure)
+
+
 def dense_projector_oracle(sys):
     return nk.PencilDeflation(sys.E.toarray(), sys.A.toarray()).projectors()
 
@@ -26,12 +81,26 @@ def check_kit_against_oracle(sys, tol=1e-10):
     return kit
 
 
-def test_index1_projectors_match_dense_oracle(index1_small):
-    check_kit_against_oracle(index1_small)
+def test_index1_projectors_match_dense_oracle(index1_small, index1_general,
+                                              index1_singular_e11):
+    for sys in (index1_small, index1_general, index1_singular_e11):
+        check_kit_against_oracle(sys)
 
 
-def test_stokes_projectors_match_dense_oracle(stokes_small):
-    check_kit_against_oracle(stokes_small, tol=1e-8)
+def test_stokes_projectors_match_dense_oracle(stokes_small, stokes_general,
+                                              stokes_singular_e11):
+    for sys in (stokes_small, stokes_general, stokes_singular_e11):
+        check_kit_against_oracle(sys, tol=1e-8)
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_projectors_and_polynomial_part_share_one_factorization(
+        fixture, request, factor_log):
+    sys = request.getfixturevalue(fixture)
+    del factor_log[:]
+    kit = dm.build_projectors(sys)
+    dm.polynomial_part(sys, kit)
+    assert len(factor_log) == 1
 
 
 def test_ode_projectors_are_identity(ode_small):
@@ -78,15 +147,36 @@ def test_stokes_polynomial_part_strictly_proper(stokes_small):
     assert pp.kind == "strictly_proper"
 
 
-def test_transfer_split(index1_small):
-    sys = index1_small
-    kit = dm.build_projectors(sys)
-    pp = dm.polynomial_part(sys, kit)
-    for s in (0.5 + 1.0j, 3.0, 0.1 + 7.0j):
-        total = dm.eval_transfer(sys, s)
-        strictly = dm.eval_strictly_proper(sys, kit, s)
-        assert np.linalg.norm(total - strictly - pp.constant) \
-            <= 1e-9 * max(np.linalg.norm(total), 1.0)
+@pytest.mark.parametrize("block", ["B2", "C2"])
+def test_stokes_pressure_io_is_unsupported(stokes_general, block):
+    # an input into the constraint rows, or an output reading the
+    # pressure, adds a constant (and, with both, a linear) part
+    sys = stokes_general
+    nv = sys.structure.n_v
+    rng = np.random.default_rng(7)
+    B, C = sys.B.toarray(), sys.C.toarray()
+    if block == "B2":
+        B[nv:] = rng.standard_normal(B[nv:].shape)
+    else:
+        C[:, nv:] = rng.standard_normal(C[:, nv:].shape)
+    pp = dm.polynomial_part(dm.DaeSystem(sys.E, sys.A, sps.csc_matrix(B),
+                                         sps.csc_matrix(C), sys.D,
+                                         sys.structure))
+    assert pp.kind == "unsupported"
+
+
+def test_transfer_split(index1_small, index1_general, index1_singular_e11,
+                        stokes_general):
+    for sys in (index1_small, index1_general, index1_singular_e11,
+                stokes_general):
+        kit = dm.build_projectors(sys)
+        pp = dm.polynomial_part(sys, kit)
+        poly = pp.constant if pp.kind == "constant" else 0.0
+        for s in (0.5 + 1.0j, 3.0, 0.1 + 7.0j):
+            total = dm.eval_transfer(sys, s)
+            strictly = dm.eval_strictly_proper(sys, kit, s)
+            assert np.linalg.norm(total - strictly - poly) \
+                <= 1e-9 * max(np.linalg.norm(total), 1.0)
 
 
 def test_strictly_proper_part_decays(index1_small):
