@@ -22,7 +22,7 @@ from .h2analysis import (
     h2_norm,
     rom_to_pole_residue,
 )
-from .interp import BasisV, DeflatedSystem, InterpData, spark_basis
+from .interp import DeflatedSystem, InterpData, spark_basis
 from .pork import RomRealization, check_interpolation, check_orthogonality, pork_input
 from . import spark
 from .spark import SparkParams
@@ -30,7 +30,6 @@ from .spark import evaluate as spark_evaluate
 from .spark import spark as run_spark
 
 __all__ = [
-    "BasisV",
     "CureConfig",
     "CureLedger",
     "DaeSystem",

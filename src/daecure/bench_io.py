@@ -146,16 +146,42 @@ def _tag_to_json(tag):
     raise StructureViolation(f"unknown structure tag {tag!r}")
 
 
+def _integer(value, what):
+    """A manifest entry that must be an integer (a JSON integer, or a
+    number with an integral value)."""
+    if (isinstance(value, int) and not isinstance(value, bool)) \
+            or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ParseError(f"manifest: {what} must be an integer, got {value!r}")
+
+
 def _tag_from_json(obj):
     try:
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ParseError("manifest: structure entry must have a 'kind'")
-    if kind == "semi_explicit_index1":
-        return dm.SemiExplicitIndex1(int(obj["n1"]))
-    if kind == "stokes_index2":
-        return dm.StokesIndex2(int(obj["n_v"]), int(obj["n_p"]))
-    raise ParseError(f"manifest: unknown structure kind {kind!r}")
+    fields = {"semi_explicit_index1": (dm.SemiExplicitIndex1, ("n1",)),
+              "stokes_index2": (dm.StokesIndex2, ("n_v", "n_p"))}
+    if kind not in fields:
+        raise ParseError(f"manifest: unknown structure kind {kind!r}")
+    tag, keys = fields[kind]
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ParseError(f"manifest: structure {kind!r} needs {missing}")
+    return tag(*(_integer(obj[key], f"structure.{key}") for key in keys))
+
+
+def _permutation(value, n, what):
+    """The 0-based permutation of range(n) given as ``value``, or the
+    identity when it is absent."""
+    if value is None:
+        return np.arange(n)
+    perm = [_integer(v, f"{what} entry") for v in value] \
+        if isinstance(value, list) else None
+    if perm is None or sorted(perm) != list(range(n)):
+        raise ParseError("manifest: permutations must be 0-based "
+                         "permutations of the state indices")
+    return np.asarray(perm, dtype=int)
 
 
 def write_system(sys: dm.DaeSystem, outdir, name="system"):
@@ -210,6 +236,8 @@ def read_system(manifest_path) -> dm.DaeSystem:
             f"manifest {manifest_path}: line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}"
         )
+    if not isinstance(man, dict):
+        raise ParseError(f"manifest {manifest_path}: must be a JSON object")
     base = os.path.dirname(os.path.abspath(manifest_path))
     files = man.get("files")
     if not isinstance(files, dict):
@@ -217,6 +245,10 @@ def read_system(manifest_path) -> dm.DaeSystem:
     for key in ("E", "A", "B", "C"):
         if key not in files:
             raise ParseError(f"manifest: missing file entry for {key}")
+    for key, fn in files.items():
+        if not isinstance(fn, str):
+            raise ParseError(f"manifest: file entry for {key} must be a "
+                             "file name")
     E = sps.csc_matrix(_read_mtx(base, files["E"], "E"))
     A = sps.csc_matrix(_read_mtx(base, files["A"], "A"))
     B = sps.csc_matrix(_read_mtx(base, files["B"], "B"))
@@ -227,23 +259,17 @@ def read_system(manifest_path) -> dm.DaeSystem:
             dtype=float))
     else:
         D = np.zeros((C.shape[0], B.shape[1]))
-    rp = man.get("row_perm")
-    cp = man.get("col_perm")
-    if rp is not None or cp is not None:
+    if man.get("row_perm") is not None or man.get("col_perm") is not None:
         n = E.shape[0]
-        rp = np.arange(n) if rp is None else np.asarray(rp, dtype=int)
-        cp = np.arange(n) if cp is None else np.asarray(cp, dtype=int)
-        if sorted(rp.tolist()) != list(range(n)) \
-                or sorted(cp.tolist()) != list(range(n)):
-            raise ParseError("manifest: permutations must be 0-based "
-                             "permutations of the state indices")
+        rp = _permutation(man.get("row_perm"), n, "row_perm")
+        cp = _permutation(man.get("col_perm"), n, "col_perm")
         E = E[rp][:, cp].tocsc()
         A = A[rp][:, cp].tocsc()
         B = B[rp].tocsc()
         C = C[:, cp].tocsc()
     tag = _tag_from_json(man.get("structure"))
     n_decl = man.get("n")
-    if n_decl is not None and int(n_decl) != E.shape[0]:
+    if n_decl is not None and _integer(n_decl, "n") != E.shape[0]:
         raise StructureViolation(
             f"manifest declares n = {n_decl} but E is {E.shape[0]} x "
             f"{E.shape[1]}"
@@ -345,7 +371,7 @@ def read_rom(romdir, name="rom"):
             sps.csc_matrix(_read_mtx(romdir, f"{name}_D.mtx", "D")).toarray(),
             dtype=float))
     return RomRealization(Er=mats["E"], Ar=mats["A"], Br=mats["B"],
-                          Cr=mats["C"], Dr=D, provenance=f"file:{romdir}")
+                          Cr=mats["C"], Dr=D)
 
 
 def write_results(report, outdir):

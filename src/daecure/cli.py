@@ -109,7 +109,7 @@ def _combine(total: RomRealization, poly: RomRealization | None):
                           Ar=spla.block_diag(total.Ar, poly.Ar),
                           Br=np.vstack([total.Br, poly.Br]),
                           Cr=np.hstack([total.Cr, poly.Cr]),
-                          Dr=total.Dr + poly.Dr, provenance="combined")
+                          Dr=total.Dr + poly.Dr)
 
 
 def _step_interpolation_residuals(ledger):

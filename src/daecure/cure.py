@@ -29,7 +29,6 @@ DEGENERATE_TOL = 1e-14
 class CureRecord:
     """Everything kept from one cumulative step."""
 
-    basis: object
     data: object
     rom: RomRealization
     params: object
@@ -37,7 +36,6 @@ class CureRecord:
     #: worst per-shift tangential residual ||(G - G_r) r|| / ||G r|| of
     #: the step's ROM against the deflated system it was made from
     interp_residual: float
-    flagged_degenerate: bool = False
 
 
 @dataclass
@@ -46,7 +44,6 @@ class CureLedger:
 
     ds: DeflatedSystem
     records: list = field(default_factory=list)
-    total: RomRealization = None
     norm_history: list = field(default_factory=list)
 
     @property
@@ -87,14 +84,13 @@ def assemble_total(records) -> RomRealization:
         for j in range(i):
             sj, ej = offs[j], offs[j + 1]
             A[si:ei, sj:ej] = rec.rom.Br @ records[j].data.R
-    return RomRealization(Er=E, Ar=A, Br=B, Cr=C, provenance="cure-total")
+    return RomRealization(Er=E, Ar=A, Br=B, Cr=C)
 
 
 def allpass_factor(rec: CureRecord) -> RomRealization:
     """The unit-feedthrough error factor (Er, Ar, Br, R, I) of one step."""
     return RomRealization(Er=rec.rom.Er, Ar=rec.rom.Ar, Br=rec.rom.Br,
-                          Cr=rec.data.R, Dr=np.eye(rec.rom.m),
-                          provenance="allpass")
+                          Cr=rec.data.R, Dr=np.eye(rec.rom.m))
 
 
 def _interpolation_residual(ds: DeflatedSystem, rom: RomRealization,
@@ -119,9 +115,9 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     """Fold one shift-optimization result into the ledger.
 
     Certifies the step's interpolation against the current deflated input,
-    then depletes that input and re-assembles the total model.  The
-    total H2 norm is tracked incrementally: by the error-norm
-    decomposition each step adds exactly the captured energy -J, so
+    then depletes that input.  The total H2 norm is tracked incrementally:
+    by the error-norm decomposition each step adds exactly the captured
+    energy -J, so
     ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k.  This stays exact and
     well-defined even when a late, nearly exhausted step parks its mirror
     poles arbitrarily close to the imaginary axis (where a dense Lyapunov
@@ -129,14 +125,13 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     """
     rom = spark_out.rom
     ds = ledger.ds
-    rec = CureRecord(basis=spark_out.basis, data=spark_out.data, rom=rom,
-                     params=spark_out.params, cost=spark_out.cost,
+    rec = CureRecord(data=spark_out.data, rom=rom, params=spark_out.params,
+                     cost=spark_out.cost,
                      interp_residual=_interpolation_residual(
                          ds, rom, spark_out.data))
-    Vr = spark_out.basis.V
-    ds.B_defl = ds.B_defl - ds.E @ (Vr @ np.linalg.solve(rom.Er, rom.Br))
+    ds.B_defl = ds.B_defl - ds.E @ (spark_out.V
+                                    @ np.linalg.solve(rom.Er, rom.Br))
     ledger.records.append(rec)
-    ledger.total = assemble_total(ledger.records)
     prev_sq = ledger.norm_history[-1] ** 2 if ledger.norm_history else 0.0
     ledger.norm_history.append(float(np.sqrt(prev_sq + max(-rec.cost, 0.0))))
     return ledger
@@ -197,7 +192,6 @@ def cured_spark(sys: dm.DaeSystem, kit: dm.ProjectorKit = None,
             "reason": res.reason, "norm_total": norm, "rel_increase": rel_inc,
         })
         if captured <= DEGENERATE_TOL * max(norm ** 2, 1.0):
-            rec.flagged_degenerate = True
             degenerate_run += 1
             report["flagged"] = True
             if degenerate_run >= 2:
@@ -207,8 +201,9 @@ def cured_spark(sys: dm.DaeSystem, kit: dm.ProjectorKit = None,
             degenerate_run = 0
     if report["stop_reason"] is None:
         report["stop_reason"] = "max_steps"
+    total = assemble_total(ledger.records) if ledger.records else None
     report["k"] = ledger.k
-    report["order"] = ledger.total.order if ledger.total is not None else 0
+    report["order"] = total.order if total is not None else 0
     report["norm_history"] = list(ledger.norm_history)
     report["runtime_s"] = time.perf_counter() - t0
-    return ledger.total, report, ledger
+    return total, report, ledger

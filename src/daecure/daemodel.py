@@ -41,7 +41,11 @@ class StokesIndex2:
 
 @dataclass
 class DaeSystem:
-    """Sparse descriptor realization (E, A, B, C, D) with a structure tag."""
+    """Sparse descriptor realization (E, A, B, C, D) with a structure tag.
+
+    Construction checks shapes and the tag's structural zero blocks;
+    regularity is certified where the projectors are built.
+    """
 
     E: sps.csc_matrix
     A: sps.csc_matrix
@@ -49,7 +53,6 @@ class DaeSystem:
     C: sps.csc_matrix
     D: np.ndarray
     structure: object
-    n_f: int | None = None
 
     def __post_init__(self):
         self.E = nk.as_csc(self.E)
@@ -65,8 +68,6 @@ class DaeSystem:
         if self.D.shape != (self.C.shape[0], self.B.shape[1]):
             raise StructureViolation("D must be p x m")
         _validate_structure(self)
-        # regularity probe: a factorization at a random point must succeed
-        nk.factor_shifted(self.A, self.E, 0.7310581 + 0.391j)
 
     @property
     def n(self):
@@ -135,7 +136,12 @@ def build_projectors(sys: DaeSystem) -> ProjectorKit:
 
     Raises SingularSchurComplement when the saddle-point matrix M (index 1)
     or K (Stokes) is singular, i.e. the pencil does not have the declared
-    structure.
+    structure.  A nonsingular M or K also certifies a regular pencil:
+    scaling sE - A by diag(s^-1 I, I) on the left (and, for Stokes, by
+    diag(I, s I) on the right) gives a matrix whose determinant tends to
+    +-det M or +-det K as s -> oo, so det(sE - A) is not identically
+    zero.  Constructing a DaeSystem therefore checks only shapes and
+    structural zeros.
     """
     if isinstance(sys.structure, SemiExplicitIndex1):
         return _projectors_semi_explicit(sys)
@@ -145,7 +151,7 @@ def build_projectors(sys: DaeSystem) -> ProjectorKit:
 def _factor_saddle(M, what):
     M = nk.as_csc(M)
     try:
-        return nk.factor_shifted(M, sps.csc_matrix(M.shape), 0.0)
+        return nk.ShiftedFactorization(M, sps.csc_matrix(M.shape), 0.0)
     except SingularShift as exc:
         raise SingularSchurComplement(f"{what} is singular: {exc}") from exc
 
@@ -223,7 +229,7 @@ def _projectors_stokes(sys):
 
 def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
     """G(s) = C (sE - A)^-1 B + D via m sparse solves."""
-    fac = nk.factor_shifted(sys.A, sys.E, s)
+    fac = nk.ShiftedFactorization(sys.A, sys.E, s)
     X = fac.solve(sys.B.toarray())
     G = -(sys.C @ X) + sys.D
     return np.asarray(G)
@@ -231,7 +237,7 @@ def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
 
 def eval_strictly_proper(sys: DaeSystem, kit: ProjectorKit, s) -> np.ndarray:
     """G^sp(s) = C Pi_r^f (sE - A)^-1 Pi_l^f B."""
-    fac = nk.factor_shifted(sys.A, sys.E, s)
+    fac = nk.ShiftedFactorization(sys.A, sys.E, s)
     X = -fac.solve(kit.apply_left(sys.B.toarray()))
     return np.asarray(sys.C @ kit.apply_right(X))
 
@@ -300,5 +306,4 @@ def realize_constant_poly(P: np.ndarray):
         Br=Bf,
         Cr=Cf,
         Dr=np.zeros((p, m)),
-        provenance="constant-polynomial-part",
     )

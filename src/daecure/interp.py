@@ -12,7 +12,7 @@ reduced poles at the mirror images of the shifts without ever forming an
 explicit test basis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
@@ -35,17 +35,14 @@ class DeflatedSystem:
     E: sps.csc_matrix
     B_defl: np.ndarray
     C: np.ndarray
-    kit: dm.ProjectorKit = field(repr=False, default=None)
 
     @classmethod
     def from_dae(cls, sys: dm.DaeSystem, kit: dm.ProjectorKit = None):
         if kit is None:
             kit = dm.build_projectors(sys)
-        B_defl = np.atleast_2d(kit.apply_left(sys.B.toarray()))
-        if B_defl.ndim == 1:
-            B_defl = B_defl[:, None]
+        B_defl = kit.apply_left(sys.B.toarray())
         return cls(A=sys.A, E=sys.E, B_defl=np.asarray(B_defl, dtype=float),
-                   C=sys.C.toarray(), kit=kit)
+                   C=sys.C.toarray())
 
     @property
     def n(self):
@@ -58,7 +55,7 @@ class DeflatedSystem:
     def eval(self, s):
         """Transfer value C (sE - A)^-1 B_defl (strictly proper by
         construction when B_defl is left-deflated)."""
-        fac = nk.factor_shifted(self.A, self.E, s)
+        fac = nk.ShiftedFactorization(self.A, self.E, s)
         return -(self.C @ fac.solve(self.B_defl))
 
 
@@ -101,18 +98,6 @@ class InterpData:
         return out
 
 
-@dataclass
-class BasisV:
-    """A reduction basis with a note on where its shifts came from."""
-
-    V: np.ndarray
-    provenance: object = None
-
-    @property
-    def q(self):
-        return self.V.shape[1]
-
-
 def spark_params_matrices(a: float, b: float) -> InterpData:
     """The 2x2 (S, R) pair encoding the shift pair a +- sqrt(a^2 - b)."""
     if not (a > 0 and b > 0):
@@ -127,20 +112,20 @@ def spark_basis(ds: DeflatedSystem, a: float, b: float):
 
     The Sylvester route stays smooth through the confluence a^2 = b where
     the two shifts merge, which explicit per-shift solves do not.  Requires
-    a single-input deflated system.
+    a single-input deflated system.  Returns (V, data).
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair basis requires a SISO input")
     data = spark_params_matrices(a, b)
     V = nk.solve_sparse_dense_sylvester(ds.A, ds.E, data.S,
                                         ds.B_defl @ data.R)
-    return BasisV(V=V, provenance=(a, b)), data
+    return V, data
 
 
-def sylvester_residual(ds: DeflatedSystem, basis: BasisV,
+def sylvester_residual(ds: DeflatedSystem, V: np.ndarray,
                        data: InterpData) -> float:
     """Relative residual of A V - E V S = B R for a candidate basis."""
-    V, S, R = basis.V, data.S, data.R
+    S, R = data.S, data.R
     if V.shape != (ds.n, data.q) or R.shape[0] != ds.m:
         raise DimensionMismatch("basis/data shapes inconsistent with system")
     res = ds.A @ V - ds.E @ (V @ S) - ds.B_defl @ R

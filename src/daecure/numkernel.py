@@ -121,11 +121,6 @@ class ConjugateFactorization:
         return np.conj(self._fac.solve(np.conj(rhs), trans=trans))
 
 
-def factor_shifted(A, E, sigma):
-    """Factor (A - sigma*E); complex sigma yields a complex factorization."""
-    return ShiftedFactorization(A, E, sigma)
-
-
 def solve_dense_sylvester(A, B, C):
     """Solve A*X + X*B + C = 0 for dense A (m x m), B (k x k), C (m x k).
 
@@ -307,7 +302,7 @@ class SylvesterContext:
                         and isinstance(f, ShiftedFactorization)
                         and abs(sigma - f.sigma.conjugate()) <= tol), None)
             if fac is None:
-                fac = factor_shifted(self.A, self.E, sigma)
+                fac = ShiftedFactorization(self.A, self.E, sigma)
             else:
                 fac = ConjugateFactorization(fac)
                 self.T[j, j] = fac.sigma

@@ -12,15 +12,14 @@ normalizing) is deliberate: the cumulative-reduction bookkeeping uses
 these blocks verbatim.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
 
-from . import daemodel as dm
 from . import numkernel as nk
 from .errors import DimensionMismatch
-from .interp import BasisV, DeflatedSystem, InterpData
+from .interp import DeflatedSystem, InterpData
 
 
 @dataclass
@@ -32,8 +31,6 @@ class RomRealization:
     Br: np.ndarray
     Cr: np.ndarray
     Dr: np.ndarray = None
-    provenance: str = ""
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.Er = np.atleast_2d(np.asarray(self.Er))
@@ -70,22 +67,20 @@ class RomRealization:
         return spla.eigvals(self.Ar, self.Er)
 
 
-def pork_input(basis: BasisV, data: InterpData, C: np.ndarray,
-               provenance: str = "pork") -> RomRealization:
-    """Project onto V in the pole-mirroring frame fixed by (S, R)."""
+def pork_input(V: np.ndarray, data: InterpData,
+               C: np.ndarray) -> RomRealization:
+    """Project onto V in the pole-mirroring frame fixed by (S, R).
+
+    The reduced controllability Gramian is Er^-1 = Gamma^-1.
+    """
     S, R = data.S, data.R
     Gamma = nk.solve_small_lyapunov(S, R)
-    C = np.atleast_2d(C)
-    rom = RomRealization(
+    return RomRealization(
         Er=Gamma,
         Ar=-S.conj().T @ Gamma,
         Br=-R.conj().T,
-        Cr=C @ basis.V,
-        provenance=provenance,
+        Cr=np.atleast_2d(C) @ V,
     )
-    rom.extras["gramian"] = np.linalg.inv(Gamma)
-    rom.extras["data"] = data
-    return rom
 
 
 def check_interpolation(fom_eval, rom: RomRealization,

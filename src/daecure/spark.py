@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from . import numkernel as nk
 from .errors import DimensionMismatch
-from .interp import BasisV, DeflatedSystem, spark_params_matrices
+from .interp import DeflatedSystem, spark_params_matrices
 from .pork import pork_input
 
 
@@ -171,7 +171,7 @@ def trust_region_step(g, H, radius):
 @dataclass
 class SparkResult:
     params: SparkParams
-    basis: BasisV
+    V: np.ndarray
     data: object
     rom: object
     cost: float
@@ -249,10 +249,6 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
         if radius < RADIUS_MIN:
             converged, reason = True, "radius collapse"
             break
-    params = SparkParams(*p)
-    basis = BasisV(V=V, provenance=(params.a, params.b))
-    rom = pork_input(basis, data, ds.C, provenance=f"spark a={params.a} "
-                     f"b={params.b}")
-    return SparkResult(params=params, basis=basis, data=data, rom=rom,
-                       cost=J, grad=g, converged=converged, reason=reason,
-                       trace=trace)
+    return SparkResult(params=SparkParams(*p), V=V, data=data,
+                       rom=pork_input(V, data, ds.C), cost=J, grad=g,
+                       converged=converged, reason=reason, trace=trace)

@@ -153,6 +153,15 @@ def test_channel_selection():
         bio.select_channel(sys, 5, 0)
 
 
+def test_read_and_channel_selection_factor_nothing(tmp_path, factor_log):
+    mp = bio.write_system(
+        bio.gen_semi_explicit_index1(8, 2, seed=4, m=3, p=2), tmp_path)
+    del factor_log[:]
+    sub = bio.select_channel(bio.read_system(mp), 1, 2)
+    assert sub.m == 1 and sub.p == 1
+    assert factor_log == []
+
+
 def test_freq_response_csv(tmp_path):
     path = tmp_path / "fr.csv"
     omegas = np.array([0.1, 1.0, 10.0])

@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 import scipy.io as spio
+import scipy.sparse as sps
 
 from daecure import bench_io as bio
 from daecure import cli
+from daecure import daemodel as dm
 from daecure.pork import RomRealization
 
 
@@ -125,6 +127,54 @@ def test_index2_pencil_tagged_index1_is_numerical_error(tmp_path, capsys):
                 "--out", str(tmp_path / "res")]) == cli.EXIT_NUMERICAL
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "SingularSchurComplement"
+
+
+def test_non_regular_pencil_fails_with_typed_error(tmp_path, capsys):
+    # det(sE - A) = 0 for every s: E = diag(1, 0), A = diag(-1, 0)
+    sys = dm.DaeSystem(sps.diags([1.0, 0.0]), sps.diags([-1.0, 0.0]),
+                       np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)),
+                       dm.SemiExplicitIndex1(1))
+    mp = bio.write_system(sys, tmp_path)
+    for argv, error in (
+            (["reduce", "--manifest", mp, "--out", str(tmp_path / "r")],
+             "SingularSchurComplement"),
+            (["validate", mp], "SingularSchurComplement"),
+            (["h2norm", mp], "SingularSchurComplement"),
+            (["bode", "--manifest", mp, "--wmin", "1e-2", "--wmax", "1e2",
+              "--points", "5", "--out", str(tmp_path / "b")],
+             "SingularShift")):
+        assert run(argv) == cli.EXIT_NUMERICAL
+        obj = json.loads(capsys.readouterr().err.strip())
+        assert obj["error"] == error and obj["exit_code"] == cli.EXIT_NUMERICAL
+
+
+INDEX1 = {"kind": "semi_explicit_index1"}
+
+
+@pytest.mark.parametrize("command", ["validate", "bode", "reduce"])
+@pytest.mark.parametrize("edit", [
+    lambda man: {**man, "structure": INDEX1},
+    lambda man: {**man, "structure": {**INDEX1, "n1": "eight"}},
+    lambda man: {**man, "structure": {**INDEX1, "n1": 7.5}},
+    lambda man: {**man, "n": "many"},
+    lambda man: {**man, "row_perm": ["x"] + list(range(1, man["n"]))},
+    lambda man: {**man, "files": {**man["files"], "E": 5}},
+    lambda man: [man],
+], ids=["no-n1", "n1-text", "n1-fraction", "n-text", "row-perm-text",
+        "file-not-a-name", "top-level-list"])
+def test_malformed_manifest_field_is_parse_error(tmp_path, capsys, command,
+                                                 edit):
+    mp = bio.write_system(bio.gen_stokes_index2(4, seed=1), tmp_path)
+    json.dump(edit(json.load(open(mp))), open(mp, "w"))
+    out = str(tmp_path / "out")
+    argv = {"validate": ["validate", mp],
+            "bode": ["bode", "--manifest", mp, "--wmin", "1e-2",
+                     "--wmax", "1e2", "--out", out],
+            "reduce": ["reduce", "--manifest", mp, "--out", out]}[command]
+    assert run(argv) == cli.EXIT_IO
+    obj = json.loads(capsys.readouterr().err.strip())
+    assert obj["error"] == "ParseError" and obj["exit_code"] == cli.EXIT_IO
+    assert not os.path.exists(out)
 
 
 def test_general_dense_manifest_is_parse_error(sysdir, tmp_path, capsys):

@@ -122,9 +122,9 @@ def test_report_contents(index1_small):
 
 def _result_at(ds, a, b):
     """An unoptimized SparkResult for the shift pair (a, b)."""
-    basis, data = spark_basis(ds, a, b)
-    return sp.SparkResult(params=sp.SparkParams(a, b), basis=basis,
-                          data=data, rom=pork_input(basis, data, ds.C),
+    V, data = spark_basis(ds, a, b)
+    return sp.SparkResult(params=sp.SparkParams(a, b), V=V,
+                          data=data, rom=pork_input(V, data, ds.C),
                           cost=0.0, grad=np.zeros(2), converged=True,
                           reason="fixed")
 

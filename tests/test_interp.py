@@ -5,8 +5,8 @@ from daecure import interp
 
 def test_spark_basis_sylvester_residual(index1_small):
     ds = interp.DeflatedSystem.from_dae(index1_small)
-    basis, data = interp.spark_basis(ds, 1.3, 0.9)
-    assert interp.sylvester_residual(ds, basis, data) <= 1e-12
+    V, data = interp.spark_basis(ds, 1.3, 0.9)
+    assert interp.sylvester_residual(ds, V, data) <= 1e-12
 
 
 def test_spark_matrices_encode_shift_pair():
@@ -21,17 +21,17 @@ def test_spark_matrices_encode_shift_pair():
 
 def test_interpolation_at_distinct_real_shifts(index1_small):
     ds = interp.DeflatedSystem.from_dae(index1_small)
-    basis, data = interp.spark_basis(ds, 2.0, 3.0)  # a^2 > b: real shifts
+    V, data = interp.spark_basis(ds, 2.0, 3.0)  # a^2 > b: real shifts
     from daecure.pork import check_interpolation, pork_input
-    rom = pork_input(basis, data, ds.C)
+    rom = pork_input(V, data, ds.C)
     assert max(check_interpolation(ds.eval, rom, data)) <= 1e-10
 
 
 def test_interpolation_at_complex_pair(stokes_small):
     ds = interp.DeflatedSystem.from_dae(stokes_small)
-    basis, data = interp.spark_basis(ds, 0.5, 4.0)  # a^2 < b: complex pair
+    V, data = interp.spark_basis(ds, 0.5, 4.0)  # a^2 < b: complex pair
     from daecure.pork import check_interpolation, pork_input
-    rom = pork_input(basis, data, ds.C)
+    rom = pork_input(V, data, ds.C)
     assert max(check_interpolation(ds.eval, rom, data)) <= 1e-10
 
 
@@ -41,7 +41,7 @@ def test_basis_smooth_through_confluence(index1_small):
     a = 1.5
     V0, _ = interp.spark_basis(ds, a, a * a)
     Vm, _ = interp.spark_basis(ds, a, a * a * (1 - 1e-7))
-    assert np.linalg.norm(V0.V - Vm.V) <= 1e-4 * np.linalg.norm(V0.V)
+    assert np.linalg.norm(V0 - Vm) <= 1e-4 * np.linalg.norm(V0)
 
 
 def test_shift_directions_roundtrip():

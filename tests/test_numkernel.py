@@ -18,7 +18,7 @@ def test_factor_shifted_solves_shifted_system():
     A = sps.csc_matrix(rng.standard_normal((n, n)) - 6 * np.eye(n))
     E = sps.eye(n, format="csc")
     sigma = 0.3 + 1.1j
-    fac = nk.factor_shifted(A, E, sigma)
+    fac = nk.ShiftedFactorization(A, E, sigma)
     b = rng.standard_normal(n)
     x = fac.solve(b)
     assert np.linalg.norm((A - sigma * E) @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -30,7 +30,7 @@ def test_factor_shifted_transpose_solve():
     A = sps.csc_matrix(rng.standard_normal((n, n)) - 6 * np.eye(n))
     E = sps.csc_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
     sigma = -1.7
-    fac = nk.factor_shifted(A, E, sigma)
+    fac = nk.ShiftedFactorization(A, E, sigma)
     b = rng.standard_normal(n)
     x = fac.solve(b, trans="T")
     assert np.linalg.norm((A - sigma * E).T @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -40,7 +40,7 @@ def test_factor_shifted_singular_raises():
     A = sps.csc_matrix(np.diag([1.0, 2.0]))
     E = sps.eye(2, format="csc")
     with pytest.raises(SingularShift):
-        nk.factor_shifted(A, E, 1.0)
+        nk.ShiftedFactorization(A, E, 1.0)
 
 
 def test_dense_sylvester_matches_scipy_oracle():
@@ -173,7 +173,7 @@ def test_conjugate_factorization_solves_partner_shift():
     A = sps.csc_matrix(rng.standard_normal((n, n)) - 6 * np.eye(n))
     E = sps.eye(n, format="csc")
     sigma = 0.4 + 1.3j
-    partner = nk.ConjugateFactorization(nk.factor_shifted(A, E, sigma))
+    partner = nk.ConjugateFactorization(nk.ShiftedFactorization(A, E, sigma))
     assert partner.sigma == np.conj(sigma)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for trans, M in (("N", A - np.conj(sigma) * E),

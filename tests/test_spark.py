@@ -19,8 +19,8 @@ def test_closed_form_reduced_matrices():
     ds = DeflatedSystem.from_dae(sys)
     for _ in range(20):
         a, b = rng.uniform(0.05, 10.0, 2)
-        basis, data = spark_basis(ds, a, b)
-        rom = pork_input(basis, data, ds.C)
+        V, data = spark_basis(ds, a, b)
+        rom = pork_input(V, data, ds.C)
         Er = np.array([[a * a + b, -a], [-a, 1.0]]) / (4 * a * b)
         Ar = np.array([[-2 * a, 1.0], [-1.0, 0.0]]) / (4 * a)
         scale = max(np.abs(Er).max(), 1.0)
@@ -42,8 +42,8 @@ def test_cost_equals_negative_captured_norm():
     from daecure import h2analysis as h2
     a, b = 0.8, 1.4
     J = _cost(ds, a, b)
-    basis, data = spark_basis(ds, a, b)
-    rom = pork_input(basis, data, ds.C)
+    V, data = spark_basis(ds, a, b)
+    rom = pork_input(V, data, ds.C)
     assert abs(-J - h2.h2_norm(rom) ** 2) <= 1e-10 * max(abs(J), 1.0)
 
 
@@ -51,8 +51,8 @@ def test_evaluate_basis_is_the_spark_basis():
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     for a, b in ((0.8, 1.4), (2.0, 1.0)):
         _, _, _, V, data = sp.evaluate(ds, a, b)
-        basis, data0 = spark_basis(ds, a, b)
-        assert np.allclose(V, basis.V, rtol=0, atol=1e-12 * np.abs(V).max())
+        V0, data0 = spark_basis(ds, a, b)
+        assert np.allclose(V, V0, rtol=0, atol=1e-12 * np.abs(V).max())
         assert np.array_equal(data.S, data0.S)
         assert np.array_equal(data.R, data0.R)
 
