@@ -20,6 +20,7 @@ from . import bench_io as bio
 from . import cure as curemod
 from . import daemodel as dm
 from . import h2analysis as h2
+from . import numkernel as nk
 from .errors import (
     DaecureError,
     DeskScaleExceeded,
@@ -35,6 +36,10 @@ EXIT_NUMERICAL = 1
 EXIT_UNSUPPORTED = 2
 EXIT_IO = 3
 
+#: thread variables BLAS/OpenMP read when numpy loads; ``reduce`` records
+#: their values in report.json
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class UnsupportedInput(DaecureError):
     pass
@@ -46,30 +51,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UnsupportedInput(message)
-
-
-def _thread_request():
-    """The DAECURE_THREADS value as a positive int, or None."""
-    try:
-        return max(1, int(os.environ["DAECURE_THREADS"]))
-    except (KeyError, ValueError):
-        return None
-
-
-def _cap_threads():
-    """Cap the BLAS thread pools at DAECURE_THREADS; returns whether a cap
-    was applied.  That takes threadpoolctl: once numpy has loaded its
-    BLAS, setting OMP_*/OPENBLAS_* variables no longer changes anything.
-    """
-    limit = _thread_request()
-    if limit is None:
-        return False
-    try:
-        import threadpoolctl
-    except ImportError:
-        return False
-    threadpoolctl.threadpool_limits(limits=limit)
-    return True
 
 
 def _parse_pair(text, what):
@@ -129,7 +110,6 @@ def cmd_reduce(args):
         raise UnsupportedInput(
             f"--shifts-init must be two finite positive numbers, got "
             f"{args.shifts_init}")
-    threads = {"requested": _thread_request(), "applied": _cap_threads()}
     sys = _load_siso(args)
     if sys.m != 1 or sys.p != 1:
         raise UnsupportedInput(
@@ -184,7 +164,7 @@ def cmd_reduce(args):
         },
         "input_hash": bio.content_hash(input_files),
         "output_hash": bio.content_hash(output_files),
-        "threads": threads,
+        "threads": {v: os.environ.get(v) for v in THREAD_VARS},
         "orders": {
             "n": sys.n,
             "q_strictly_proper": total.order,
@@ -224,7 +204,6 @@ def cmd_bode(args):
     if not (0 < args.wmin < args.wmax < np.inf):
         raise UnsupportedInput(
             f"need 0 < --wmin < --wmax < inf, got {args.wmin}, {args.wmax}")
-    _cap_threads()
     sys = _load_siso(args)
     rom = bio.read_rom(args.rom) if args.rom else None
     omegas = np.logspace(np.log10(args.wmin), np.log10(args.wmax),
@@ -247,7 +226,6 @@ def cmd_bode(args):
 
 
 def cmd_h2norm(args):
-    _cap_threads()
     target = args.target
     if os.path.isdir(target):
         rom = bio.read_rom(target)
@@ -262,7 +240,6 @@ def cmd_h2norm(args):
 
 
 def cmd_validate(args):
-    _cap_threads()
     sys = bio.read_system(args.manifest)
     kit = dm.build_projectors(sys)
     rng = np.random.default_rng(0)
@@ -292,9 +269,12 @@ def cmd_validate(args):
     pp = dm.polynomial_part(sys, kit)
     check("polynomial part classified", pp.kind != "unsupported")
     if pp.kind != "unsupported":
-        s0 = 2.17 + 0.3j
-        total = dm.eval_transfer(sys, s0)
-        sp = dm.eval_strictly_proper(sys, kit, s0)
+        # G(s0) and G^sp(s0) = C Pi_r (s0 E - A)^-1 Pi_l B from one LU
+        fac = nk.ShiftedFactorization(sys.A, sys.E, 2.17 + 0.3j)
+        B = sys.B.toarray()
+        X = -fac.solve(np.hstack([B, kit.apply_left(B)]))
+        total = sys.C @ X[:, :sys.m] + sys.D
+        sp = sys.C @ kit.apply_right(X[:, sys.m:])
         poly = pp.constant if pp.kind == "constant" else 0.0
         check("transfer splits into strictly proper + polynomial",
               np.linalg.norm(total - sp - poly)
@@ -306,7 +286,6 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
-    _cap_threads()
     if args.kind == "index1":
         if args.n1 is None or args.n2 is None:
             raise UnsupportedInput("--kind index1 needs --n1 and --n2")

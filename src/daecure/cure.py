@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import daemodel as dm
-from . import numkernel as nk
 from . import spark as sparkmod
 from .errors import DimensionMismatch
 from .interp import DeflatedSystem
-from .pork import RomRealization, check_interpolation
+from .pork import RomRealization
 
 #: a step capturing at most this times max(||G_tot||^2, 1) is degenerate
 DEGENERATE_TOL = 1e-14
@@ -93,31 +92,14 @@ def allpass_factor(rec: CureRecord) -> RomRealization:
                           Cr=rec.data.R, Dr=np.eye(rec.rom.m))
 
 
-def _interpolation_residual(ds: DeflatedSystem, rom: RomRealization,
-                           data) -> float:
-    """Worst per-shift tangential residual of ``rom`` against ``ds``.
-
-    G(sigma) comes from refined solves with the factorizations of one
-    Sylvester context for the step's S, so a conjugate shift pair costs one
-    complex LU; its Schur shifts agree with the eigenvalues of S to
-    rounding.  The context is local so that no LU outlives the check.
-    """
-    ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
-
-    def fom_eval(s):
-        fac = min(ctx.factors, key=lambda f: abs(f.sigma - s))
-        return -(ds.C @ fac.solve(ds.B_defl))
-
-    return max(check_interpolation(fom_eval, rom, data))
-
-
 def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     """Fold one shift-optimization result into the ledger.
 
-    Certifies the step's interpolation against the current deflated input,
-    then depletes that input.  The total H2 norm is tracked incrementally:
-    by the error-norm decomposition each step adds exactly the captured
-    energy -J, so
+    Records the step's interpolation certificate, which the shift-pair
+    optimizer made with its own factorizations against the current
+    deflated input, then depletes that input.  The total H2 norm is
+    tracked incrementally: by the error-norm decomposition each step adds
+    exactly the captured energy -J, so
     ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k.  This stays exact and
     well-defined even when a late, nearly exhausted step parks its mirror
     poles arbitrarily close to the imaginary axis (where a dense Lyapunov
@@ -127,8 +109,7 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     ds = ledger.ds
     rec = CureRecord(data=spark_out.data, rom=rom, params=spark_out.params,
                      cost=spark_out.cost,
-                     interp_residual=_interpolation_residual(
-                         ds, rom, spark_out.data))
+                     interp_residual=spark_out.interp_residual)
     ds.B_defl = ds.B_defl - ds.E @ (spark_out.V
                                     @ np.linalg.solve(rom.Er, rom.Br))
     ledger.records.append(rec)
@@ -160,11 +141,6 @@ def cured_spark(sys: dm.DaeSystem, kit: dm.ProjectorKit = None,
         cfg = CureConfig()
     t0 = time.perf_counter()
     ledger = cure_init(sys, kit)
-    if ledger.ds.m != 1:
-        raise DimensionMismatch(
-            "cumulative shift-pair reduction requires a SISO input; "
-            "select a channel first"
-        )
     report = {"steps": [], "stop_reason": None, "flagged": False}
     init = sparkmod.SparkParams(cfg.init_a, cfg.init_b)
     degenerate_run = 0

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from . import numkernel as nk
 from .errors import DimensionMismatch
 from .interp import DeflatedSystem, spark_params_matrices
-from .pork import pork_input
+from .pork import check_interpolation, pork_input
 
 
 #: trust-region radius rules and stopping thresholds
@@ -65,7 +65,8 @@ _S_DAA = np.array([[0.0, 0.0], [2.0, 0.0]])
 
 
 def evaluate(ds: DeflatedSystem, a: float, b: float):
-    """(J, gradient, exact Hessian, V, data) at the shift pair (a, b).
+    """(J, gradient, exact Hessian, V, data, ROM, certificate) at the shift
+    pair (a, b).
 
     J(a, b) = -||G_r||^2 = -tr(Cr G Cr^T) with Cr = C V and the closed-form
     reduced Gramian G(a, b).  Differentiating A V - E V S = B R once gives
@@ -73,6 +74,12 @@ def evaluate(ds: DeflatedSystem, a: float, b: float):
     E (V_i S_j + V_j S_i + V S_ij), so all six solves share the
     factorizations of the basis solve and stay smooth through the shift
     confluence a^2 = b.
+
+    The certificate is the worst per-shift tangential residual
+    ||(G - G_r) r|| / ||G r|| of the ROM.  G(sigma) comes from refined,
+    ``TOL_SOLVE``-checked solves of B_defl with the factorization whose
+    Schur shift is nearest sigma (they agree to rounding).  No
+    factorization outlives the call.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
@@ -107,7 +114,14 @@ def evaluate(ds: DeflatedSystem, a: float, b: float):
     Hab = second(Cab, Ca, Cb, Ga, Gb, Gab)
     H = np.array([[second(Caa, Ca, Ca, Ga, Ga, Gaa), Hab],
                   [Hab, second(Cbb, Cb, Cb, Gb, Gb, Gbb)]])
-    return J, g, H, V, data
+    rom = pork_input(V, data, ds.C)
+
+    def fom_eval(s):
+        fac = min(ctx.factors, key=lambda f: abs(f.sigma - s))
+        return -(ds.C @ fac.solve(ds.B_defl))
+
+    residual = max(check_interpolation(fom_eval, rom, data))
+    return J, g, H, V, data, rom, residual
 
 
 def trust_region_step(g, H, radius):
@@ -178,6 +192,9 @@ class SparkResult:
     grad: np.ndarray
     converged: bool
     reason: str
+    #: worst per-shift tangential residual of ``rom`` against the
+    #: deflated system it was made from
+    interp_residual: float
     trace: list = field(default_factory=list)
 
 
@@ -188,14 +205,15 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
     Iterates stay in the positive orthant (steps leaving it are rejected
     with a radius shrink), accepted costs are monotone nonincreasing, and
     the returned reduced model is the projection at the final parameters.
-    Each candidate is evaluated once; an accepted candidate's Hessian and
-    basis are kept, so nothing is refactored at the end.  The search stops
-    once ||g|| <= gtol * (1 + |J|).
+    Each candidate is evaluated once; an accepted candidate's Hessian,
+    basis, ROM and interpolation certificate are kept, so nothing is
+    refactored at the end.  The search stops once
+    ||g|| <= gtol * (1 + |J|).
     """
     if init is None:
         init = SparkParams(1e-4, 1e-4)
     p = init.as_array()
-    J, g, H, V, data = evaluate(ds, *p)
+    J, g, H, V, data, rom, residual = evaluate(ds, *p)
     radius = RADIUS0
     trace = [{"iter": 0, "a": p[0], "b": p[1], "J": J,
               "gnorm": float(np.linalg.norm(g)), "radius": radius,
@@ -236,7 +254,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
             polish = pred <= noise and Jc <= J + noise
             if rho >= ETA1 or polish:
                 p = cand
-                J, g, H, V, data = point
+                J, g, H, V, data, rom, residual = point
                 rec.update(accepted=True, J=J,
                            gnorm=float(np.linalg.norm(g)))
             else:
@@ -249,6 +267,6 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
         if radius < RADIUS_MIN:
             converged, reason = True, "radius collapse"
             break
-    return SparkResult(params=SparkParams(*p), V=V, data=data,
-                       rom=pork_input(V, data, ds.C), cost=J, grad=g,
-                       converged=converged, reason=reason, trace=trace)
+    return SparkResult(params=SparkParams(*p), V=V, data=data, rom=rom,
+                       cost=J, grad=g, converged=converged, reason=reason,
+                       interp_residual=residual, trace=trace)

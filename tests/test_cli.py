@@ -257,19 +257,24 @@ def test_help_exits_0(argv, capsys):
 
 
 def test_report_records_thread_cap(sysdir, tmp_path, monkeypatch):
-    try:
-        import threadpoolctl  # noqa: F401
-        capped = True
-    except ImportError:
-        capped = False
-    for env, want in ((None, {"requested": None, "applied": False}),
-                      ("1", {"requested": 1, "applied": capped})):
-        if env is None:
-            monkeypatch.delenv("DAECURE_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DAECURE_THREADS", env)
+    for env in (None, "1"):
+        for var in cli.THREAD_VARS:
+            if env is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, env)
         out = tmp_path / f"res{env}"
         assert run(["reduce", "--manifest", _manifest(sysdir),
                     "--max-steps", "1", "--out", str(out)]) == 0
         report = json.load(open(out / "report.json"))
-        assert report["threads"] == want
+        assert report["threads"] == {"OMP_NUM_THREADS": env,
+                                     "OPENBLAS_NUM_THREADS": env,
+                                     "MKL_NUM_THREADS": env}
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_validate_factors_saddle_and_one_shift(fixture, request, tmp_path,
+                                               factor_log):
+    path = bio.write_system(request.getfixturevalue(fixture), tmp_path)
+    assert run(["validate", path]) == 0
+    assert factor_log == [0.0, 2.17 + 0.3j]

@@ -6,7 +6,8 @@ import pytest
 from daecure import cure
 from daecure import h2analysis as h2
 from daecure import spark as sp
-from daecure.interp import DeflatedSystem, spark_basis
+from daecure.errors import DimensionMismatch
+from daecure.interp import DeflatedSystem
 from daecure.pork import pork_input
 
 from conftest import make_ode, make_random_stable_ode
@@ -122,37 +123,49 @@ def test_report_contents(index1_small):
 
 def _result_at(ds, a, b):
     """An unoptimized SparkResult for the shift pair (a, b)."""
-    V, data = spark_basis(ds, a, b)
-    return sp.SparkResult(params=sp.SparkParams(a, b), V=V,
-                          data=data, rom=pork_input(V, data, ds.C),
-                          cost=0.0, grad=np.zeros(2), converged=True,
-                          reason="fixed")
+    J, g, _, V, data, rom, residual = sp.evaluate(ds, a, b)
+    return sp.SparkResult(params=sp.SparkParams(a, b), V=V, data=data,
+                          rom=rom, cost=J, grad=g, converged=True,
+                          reason="fixed", interp_residual=residual)
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
-def test_step_certification_factors_once_per_shift(fixture, request,
-                                                   factor_log):
+def test_cure_step_makes_no_factorization(fixture, request, factor_log):
+    # the step certificate comes from the factorizations of the point's
+    # own evaluation: one complex LU for a conjugate pair, two real LUs
+    # for a real pair, and none in cure_step
     ledger = cure.cure_init(request.getfixturevalue(fixture))
     for a, b in ((0.5, 4.0), (2.0, 3.0)):     # conjugate pair, real pair
-        res = _result_at(ledger.ds, a, b)
         del factor_log[:]
-        cure.cure_step(ledger, res)
+        res = _result_at(ledger.ds, a, b)
         if b > a * a:
             assert len(factor_log) == 1 and factor_log[0].imag != 0.0
         else:
             assert np.allclose(sorted(s.real for s in factor_log), [1.0, 3.0],
                                rtol=1e-12, atol=0)
             assert all(s.imag == 0.0 for s in factor_log)
+        del factor_log[:]
+        cure.cure_step(ledger, res)
+        assert factor_log == []
         assert ledger.records[-1].interp_residual <= 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
-def test_step_certificate_can_fail(fixture, request):
+def test_step_certificate_can_fail(fixture, request, monkeypatch):
     sys = request.getfixturevalue(fixture)
     total, report, ledger = run_cure(sys, max_steps=3, tol=1e-6)
     assert all(rec.interp_residual <= 1e-10 for rec in ledger.records)
+
+    def wrong_rom(V, data, C):
+        rom = pork_input(V, data, C)
+        return dataclasses.replace(rom, Cr=1.01 * rom.Cr)
+
+    monkeypatch.setattr(sp, "pork_input", wrong_rom)
     ledger = cure.cure_init(sys)
-    res = sp.spark(ledger.ds)
-    bad_rom = dataclasses.replace(res.rom, Cr=1.01 * res.rom.Cr)
-    cure.cure_step(ledger, dataclasses.replace(res, rom=bad_rom))
+    cure.cure_step(ledger, sp.spark(ledger.ds))
     assert ledger.records[-1].interp_residual >= 1e-3
+
+
+def test_cured_spark_rejects_multi_input():
+    with pytest.raises(DimensionMismatch):
+        cure.cured_spark(make_random_stable_ode(10, seed=0, m=2))

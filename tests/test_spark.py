@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from daecure import cure
 from daecure import spark as sp
 from daecure.errors import NonPositiveParams
 from daecure.interp import DeflatedSystem, spark_basis, spark_params_matrices
@@ -50,11 +51,13 @@ def test_cost_equals_negative_captured_norm():
 def test_evaluate_basis_is_the_spark_basis():
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     for a, b in ((0.8, 1.4), (2.0, 1.0)):
-        _, _, _, V, data = sp.evaluate(ds, a, b)
+        _, _, _, V, data, rom, residual = sp.evaluate(ds, a, b)
         V0, data0 = spark_basis(ds, a, b)
         assert np.allclose(V, V0, rtol=0, atol=1e-12 * np.abs(V).max())
         assert np.array_equal(data.S, data0.S)
         assert np.array_equal(data.R, data0.R)
+        assert np.array_equal(rom.Cr, ds.C @ V)
+        assert residual <= 1e-10
 
 
 def test_gradient_matches_central_differences():
@@ -64,7 +67,7 @@ def test_gradient_matches_central_differences():
         ds = DeflatedSystem.from_dae(sys)
         for _ in range(5):
             a, b = rng.uniform(0.1, 5.0, 2)
-            _, g, _, _, _ = sp.evaluate(ds, a, b)
+            g = sp.evaluate(ds, a, b)[1]
             h = 1e-6
             fd = np.empty(2)
             for i, (da, db) in enumerate([(h, 0.0), (0.0, h)]):
@@ -80,7 +83,7 @@ def test_hessian_matches_central_differences_of_gradient():
         ds = DeflatedSystem.from_dae(make_random_stable_ode(15, seed=seed))
         for _ in range(6):
             a, b = rng.uniform(0.1, 5.0, 2)
-            _, _, H, _, _ = sp.evaluate(ds, a, b)
+            H = sp.evaluate(ds, a, b)[2]
             assert np.array_equal(H, H.T)
             fd = np.empty((2, 2))
             for i in range(2):
@@ -96,8 +99,8 @@ def test_gradient_continuous_through_confluence():
     sys = make_random_stable_ode(12, seed=9)
     ds = DeflatedSystem.from_dae(sys)
     a = 1.1
-    _, g0, _, _, _ = sp.evaluate(ds, a, a * a * (1 - 1e-8))
-    _, g1, _, _, _ = sp.evaluate(ds, a, a * a * (1 + 1e-8))
+    g0 = sp.evaluate(ds, a, a * a * (1 - 1e-8))[1]
+    g1 = sp.evaluate(ds, a, a * a * (1 + 1e-8))[1]
     assert np.linalg.norm(g0 - g1) <= 1e-5 * max(np.linalg.norm(g0), 1e-8)
 
 
@@ -105,9 +108,9 @@ def test_hessian_continuous_through_confluence():
     sys = make_random_stable_ode(12, seed=9)
     ds = DeflatedSystem.from_dae(sys)
     a = 1.1
-    _, _, H0, _, _ = sp.evaluate(ds, a, a * a * (1 - 1e-8))
-    _, _, H1, _, _ = sp.evaluate(ds, a, a * a * (1 + 1e-8))
-    _, _, Hc, _, _ = sp.evaluate(ds, a, a * a)
+    H0 = sp.evaluate(ds, a, a * a * (1 - 1e-8))[2]
+    H1 = sp.evaluate(ds, a, a * a * (1 + 1e-8))[2]
+    Hc = sp.evaluate(ds, a, a * a)[2]
     for H in (H1, Hc):
         assert np.linalg.norm(H0 - H) <= 1e-5 * max(np.linalg.norm(H0), 1e-8)
 
@@ -182,7 +185,9 @@ def test_spark_exact_on_order_two():
 
 def test_spark_factors_once_per_evaluated_point(factor_log, monkeypatch):
     # one complex LU (conjugate pair) or two real LUs (real pair) per
-    # trust-region point, and no refactorization once the loop returns
+    # trust-region point; besides them a whole cumulative reduction
+    # factors only the saddle-point matrix, first: nothing is refactored
+    # once a SPARK loop returns, to certify or to deplete a step
     shifts = factor_log
     evaluated = []
     evaluate = sp.evaluate
@@ -192,9 +197,11 @@ def test_spark_factors_once_per_evaluated_point(factor_log, monkeypatch):
         return evaluate(ds, a, b)
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
-    ds = DeflatedSystem.from_dae(make_random_stable_ode(20, seed=4))
-    res = sp.spark(ds)
-    assert res.converged and len(evaluated) >= 5
+    _, report, _ = cure.cured_spark(make_random_stable_ode(20, seed=4))
+    assert report["k"] >= 2
+    assert all(st["converged"] for st in report["steps"])
+    assert len(evaluated) >= 5
+    assert shifts[0] == 0.0 and evaluated[0][2] == 1
     ends = [k for _, _, k in evaluated[1:]] + [len(shifts)]
     saw = set()
     for (a, b, start), end in zip(evaluated, ends):
