@@ -9,7 +9,6 @@ from .daemodel import (
     SemiExplicitIndex1,
     StokesIndex2,
     build_projectors,
-    eval_strictly_proper,
     eval_transfer,
     polynomial_part,
     realize_constant_poly,
@@ -46,7 +45,6 @@ __all__ = [
     "check_interpolation",
     "check_orthogonality",
     "cured_spark",
-    "eval_strictly_proper",
     "eval_transfer",
     "h2_error_norm",
     "h2_inner_pole_residue",

@@ -149,9 +149,13 @@ def build_projectors(sys: DaeSystem) -> ProjectorKit:
 
 
 def _factor_saddle(M, what):
+    """LU of M; one residual-checked solve also rejects a near-singular M
+    whose factorization succeeds."""
     M = nk.as_csc(M)
     try:
-        return nk.ShiftedFactorization(M, sps.csc_matrix(M.shape), 0.0)
+        fac = nk.ShiftedFactorization(M, sps.csc_matrix(M.shape), 0.0)
+        fac.solve(np.random.default_rng(0).standard_normal(M.shape[0]))
+        return fac
     except SingularShift as exc:
         raise SingularSchurComplement(f"{what} is singular: {exc}") from exc
 
@@ -233,13 +237,6 @@ def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
     X = fac.solve(sys.B.toarray())
     G = -(sys.C @ X) + sys.D
     return np.asarray(G)
-
-
-def eval_strictly_proper(sys: DaeSystem, kit: ProjectorKit, s) -> np.ndarray:
-    """G^sp(s) = C Pi_r^f (sE - A)^-1 Pi_l^f B."""
-    fac = nk.ShiftedFactorization(sys.A, sys.E, s)
-    X = -fac.solve(kit.apply_left(sys.B.toarray()))
-    return np.asarray(sys.C @ kit.apply_right(X))
 
 
 @dataclass

@@ -98,15 +98,18 @@ def h2_inner_pole_residue(eval_G, gm: PoleResidueForm):
 def _finite_std(obj):
     """Finite-coordinate standard realization (A1, B1, C1) plus the
     Gramian map-back factors (XR1, R1) with X = XR1 Xff XR1_H^H and
-    Y = R1^H Yff R1_H."""
+    Y = R1^H Yff R1_H.
+
+    A reduced realization with singular Er (one that carries a polynomial
+    part, such as a constant block) is deflated like a full system, so
+    its strictly proper part is analyzed."""
     if isinstance(obj, RomRealization):
-        Er, Ar, B, C = obj.Er, obj.Ar, obj.Br, obj.Cr
-        A1 = np.linalg.solve(Er, Ar)
-        B1 = np.linalg.solve(Er, B)
-        n = Er.shape[0]
-        return A1, B1, np.asarray(C, dtype=float), np.eye(n), \
-            np.linalg.inv(Er)
-    if isinstance(obj, DeflatedSystem):
+        E, A, B, C = obj.Er, obj.Ar, obj.Br, obj.Cr
+        n = E.shape[0]
+        if np.linalg.matrix_rank(E) == n:
+            return np.linalg.solve(E, A), np.linalg.solve(E, B), \
+                np.asarray(C, dtype=float), np.eye(n), np.linalg.inv(E)
+    elif isinstance(obj, DeflatedSystem):
         E, A = obj.E.toarray(), obj.A.toarray()
         B, C = obj.B_defl, obj.C
     elif isinstance(obj, dm.DaeSystem):

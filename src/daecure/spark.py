@@ -73,10 +73,12 @@ def evaluate(ds: DeflatedSystem, a: float, b: float):
     A V_i - E V_i S = E V S_i and twice A V_ij - E V_ij S =
     E (V_i S_j + V_j S_i + V S_ij), so all six solves share the
     factorizations of the basis solve and stay smooth through the shift
-    confluence a^2 = b.
+    confluence a^2 = b.  They are solved by dependency level, V, then
+    (V_a, V_b), then (V_aa, V_ab, V_bb), one block solve per Schur column
+    and level.
 
     The certificate is the worst per-shift tangential residual
-    ||(G - G_r) r|| / ||G r|| of the ROM.  G(sigma) comes from refined,
+    ||(G - G_r) r|| / ||G r|| of the ROM.  G(sigma) comes from
     ``TOL_SOLVE``-checked solves of B_defl with the factorization whose
     Schur shift is nearest sigma (they agree to rounding).  No
     factorization outlives the call.
@@ -88,11 +90,10 @@ def evaluate(ds: DeflatedSystem, a: float, b: float):
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ data.R)
-    Va = ctx.solve(E @ (V @ S_a))
-    Vb = ctx.solve(E @ (V @ _S_DB))
-    Vaa = ctx.solve(E @ (2 * Va @ S_a + V @ _S_DAA))
-    Vab = ctx.solve(E @ (Va @ _S_DB + Vb @ S_a))
-    Vbb = ctx.solve(E @ (2 * Vb @ _S_DB))
+    Va, Vb = ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))
+    Vaa, Vab, Vbb = ctx.solve(np.stack([E @ (2 * Va @ S_a + V @ _S_DAA),
+                                        E @ (Va @ _S_DB + Vb @ S_a),
+                                        E @ (2 * Vb @ _S_DB)]))
     Cr, Ca, Cb, Caa, Cab, Cbb = (ds.C @ X for X in (V, Va, Vb, Vaa, Vab, Vbb))
     G = _gramian_c(a, b)
     Ga = np.array([[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]])

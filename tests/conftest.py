@@ -67,3 +67,34 @@ def factor_log(monkeypatch):
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)
     return made
+
+
+class CountingLU:
+    """Stands in for a factorization's SuperLU and records the shape of
+    every triangular-solve right-hand side; with ``perturb`` set, the
+    first solve's columns ``perturb`` come back scaled by 1 + 1e-6."""
+
+    def __init__(self, lu, log, perturb=()):
+        self._lu, self.log, self.perturb = lu, log, list(perturb)
+
+    def solve(self, b, trans="N"):
+        self.log.append(np.shape(b))
+        x = self._lu.solve(b, trans=trans)
+        if len(self.log) == 1 and self.perturb:
+            x[:, self.perturb] *= 1 + 1e-6
+        return x
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    """Right-hand-side shapes of every triangular solve made with a
+    ShiftedFactorization built during the test."""
+    log = []
+    init = nk.ShiftedFactorization.__init__
+
+    def counting_init(self, A, E, sigma):
+        init(self, A, E, sigma)
+        self._lu = CountingLU(self._lu, log)
+
+    monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)
+    return log

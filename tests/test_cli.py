@@ -97,6 +97,22 @@ def test_h2norm_scalar_anchor(tmp_path, capsys):
     assert out == "0.7071067811865476"
 
 
+def test_h2norm_of_index1_rom_is_its_strictly_proper_norm(tmp_path, capsys):
+    # the constant-part block makes Er singular; the reported norm is that
+    # of the strictly proper part, the last captured norm of the reduction
+    sysd, rom = tmp_path / "sys", tmp_path / "rom"
+    assert run(["gen", "--kind", "index1", "--n1", "60", "--n2", "12",
+                "--seed", "0", "--out", str(sysd)]) == 0
+    assert run(["reduce", "--manifest", _manifest(sysd),
+                "--out", str(rom)]) == 0
+    capsys.readouterr()
+    assert run(["h2norm", str(rom)]) == 0
+    val = float(capsys.readouterr().out.strip())
+    last = json.load(open(rom / "report.json"))["cure"]["norm_history"][-1]
+    assert abs(val - last) <= 1e-6 * last
+    assert abs(val - 0.96729177) <= 1e-8
+
+
 def test_missing_manifest_is_io_error(capsys):
     assert run(["h2norm", "/nonexistent/manifest.json"]) == cli.EXIT_IO
     err = json.loads(capsys.readouterr().err.strip())

@@ -4,7 +4,7 @@ import scipy.sparse as sps
 
 from daecure import daemodel as dm
 from daecure import numkernel as nk
-from daecure.errors import StructureViolation
+from daecure.errors import SingularSchurComplement, StructureViolation
 
 
 def _equivalent(sys, L, R):
@@ -165,6 +165,13 @@ def test_stokes_pressure_io_is_unsupported(stokes_general, block):
     assert pp.kind == "unsupported"
 
 
+def eval_strictly_proper(sys, kit, s):
+    """G^sp(s) = C Pi_r^f (sE - A)^-1 Pi_l^f B."""
+    fac = nk.ShiftedFactorization(sys.A, sys.E, s)
+    X = -fac.solve(kit.apply_left(sys.B.toarray()))
+    return np.asarray(sys.C @ kit.apply_right(X))
+
+
 def test_transfer_split(index1_small, index1_general, index1_singular_e11,
                         stokes_general):
     for sys in (index1_small, index1_general, index1_singular_e11,
@@ -174,16 +181,30 @@ def test_transfer_split(index1_small, index1_general, index1_singular_e11,
         poly = pp.constant if pp.kind == "constant" else 0.0
         for s in (0.5 + 1.0j, 3.0, 0.1 + 7.0j):
             total = dm.eval_transfer(sys, s)
-            strictly = dm.eval_strictly_proper(sys, kit, s)
+            strictly = eval_strictly_proper(sys, kit, s)
             assert np.linalg.norm(total - strictly - poly) \
                 <= 1e-9 * max(np.linalg.norm(total), 1.0)
 
 
 def test_strictly_proper_part_decays(index1_small):
     kit = dm.build_projectors(index1_small)
-    g1 = np.linalg.norm(dm.eval_strictly_proper(index1_small, kit, 1e6))
-    g0 = np.linalg.norm(dm.eval_strictly_proper(index1_small, kit, 1.0))
+    g1 = np.linalg.norm(eval_strictly_proper(index1_small, kit, 1e6))
+    g0 = np.linalg.norm(eval_strictly_proper(index1_small, kit, 1.0))
     assert g1 <= 1e-4 * g0
+
+
+def test_near_singular_saddle_matrix_is_reported(index1_small):
+    # algebraic row n1 + 1 repeats row n1 up to 1e-300 on the diagonal:
+    # M = [[E11, E12], [A21, A22]] factors (no pivot is exactly zero),
+    # but no solve with it meets the residual bound
+    n1 = index1_small.structure.n1
+    A = index1_small.A.tolil()
+    A[n1 + 1, :] = A[n1, :]
+    A[n1 + 1, n1 + 1] += 1e-300
+    sys = dm.DaeSystem(index1_small.E, A.tocsc(), index1_small.B,
+                       index1_small.C, index1_small.D, index1_small.structure)
+    with pytest.raises(SingularSchurComplement):
+        dm.build_projectors(sys)
 
 
 def test_realize_constant_poly_identity():

@@ -11,6 +11,8 @@ from daecure.errors import (
     SpectraOverlap,
 )
 
+from conftest import CountingLU
+
 
 def test_factor_shifted_solves_shifted_system():
     rng = np.random.default_rng(0)
@@ -180,3 +182,73 @@ def test_conjugate_factorization_solves_partner_shift():
                      ("T", (A - np.conj(sigma) * E).T)):
         x = partner.solve(b, trans=trans)
         assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _well_posed(n, seed):
+    rng = np.random.default_rng(seed)
+    A = sps.csc_matrix(rng.standard_normal((n, n)) - 6 * np.eye(n))
+    E = sps.csc_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
+    return rng, A, E
+
+
+@pytest.mark.parametrize("sigma", [-0.7, 0.4 + 1.3j])
+def test_block_solve_meets_tolerance_per_column(sigma):
+    # columns 1e12 apart in scale: a Frobenius check over the block would
+    # let the small column miss the bound unseen
+    rng, A, E = _well_posed(30, 9)
+    M = A - sigma * E
+    fac = nk.ShiftedFactorization(A, E, sigma)
+    scales = np.array([1e-6, 1.0, 1e6])
+    for b in (rng.standard_normal((30, 3)) * scales,
+              (rng.standard_normal((30, 3))
+               + 1j * rng.standard_normal((30, 3))) * scales):
+        x = fac.solve(b)
+        assert x.shape == b.shape
+        rel = np.linalg.norm(M @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+        assert np.all(rel <= nk.TOL_SOLVE)
+        # a 1-D right-hand side solves as before
+        assert np.array_equal(fac.solve(b[:, 2]), x[:, 2])
+
+
+def test_refinement_only_for_columns_that_miss_the_bound():
+    rng, A, E = _well_posed(30, 10)
+    fac = nk.ShiftedFactorization(A, E, -0.7)
+    lu = fac._lu
+    b = rng.standard_normal((30, 3))
+    log = []
+    fac._lu = CountingLU(lu, log)
+    exact = fac.solve(b)
+    assert log == [(30, 3)]
+    # a complex block on the real LU is one real block [Re | Im]
+    del log[:]
+    fac.solve(b + 1j * b[:, ::-1])
+    assert log == [(30, 6)]
+    # spoil column 1 of the first triangular solve: only it is refined
+    del log[:]
+    fac._lu = CountingLU(lu, log, perturb=[1])
+    x = fac.solve(b)
+    assert log == [(30, 3), (30, 1)]
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.8, 1.4), (1.5, 2.25)],
+                         ids=["real", "conjugate", "confluent"])
+def test_stacked_sylvester_solve_equals_single_solves(a, b):
+    rng, A, E = _well_posed(40, 11)
+    S = np.array([[a, 1.0], [a * a - b, a]])
+    ctx = nk.SylvesterContext(A, E, S)
+    F = rng.standard_normal((3, 40, 2))
+    X = ctx.solve(F)
+    assert X.shape == F.shape and not np.iscomplexobj(X)
+    for Xi, Fi in zip(X, F):
+        single = ctx.solve(Fi)
+        assert np.linalg.norm(Xi - single) <= 1e-12 * np.linalg.norm(single)
+        assert np.linalg.norm(A @ Xi - E @ (Xi @ S) - Fi) \
+            <= 1e-9 * np.linalg.norm(Fi)
+
+
+def test_stacked_sylvester_solve_shape_guard():
+    _, A, E = _well_posed(10, 12)
+    ctx = nk.SylvesterContext(A, E, np.array([[2.0, 1.0], [3.0, 2.0]]))
+    with pytest.raises(DimensionMismatch):
+        ctx.solve(np.ones((2, 10, 3)))

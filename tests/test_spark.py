@@ -60,6 +60,22 @@ def test_evaluate_basis_is_the_spark_basis():
         assert residual <= 1e-10
 
 
+@pytest.mark.parametrize("a, b", [(0.8, 1.4), (2.0, 1.0)],
+                         ids=["conjugate", "real"])
+def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
+    # one block solve per Schur column for V, (V_a, V_b) and
+    # (V_aa, V_ab, V_bb), then one B_defl solve per shift for the
+    # certificate; no column needs refinement
+    ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
+    del lu_solves[:]
+    sp.evaluate(ds, a, b)
+    assert len(lu_solves) == 8
+    # a real pair solves the complex Schur columns as [Re | Im] blocks
+    width = 1 if a * a < b else 2
+    assert [shape[1] for shape in lu_solves] \
+        == [width * k for k in (1, 1, 2, 2, 3, 3)] + [1, 1]
+
+
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
     for seed in (0, 1):
