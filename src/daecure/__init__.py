@@ -10,8 +10,8 @@ from .daemodel import (
     StokesIndex2,
     build_projectors,
     eval_transfer,
-    polynomial_part,
     realize_constant_poly,
+    split_transfer,
 )
 from .errors import DaecureError
 from .h2analysis import (
@@ -21,7 +21,7 @@ from .h2analysis import (
     h2_norm,
     rom_to_pole_residue,
 )
-from .interp import DeflatedSystem, InterpData, spark_basis
+from .interp import DeflatedSystem, InterpData
 from .pork import RomRealization, check_interpolation, check_orthogonality, pork_input
 from . import spark
 from .spark import SparkParams
@@ -51,13 +51,12 @@ __all__ = [
     "h2_inner_sylvester_dense",
     "h2_norm",
     "pork_input",
-    "polynomial_part",
     "realize_constant_poly",
     "rom_to_pole_residue",
     "run_spark",
     "spark",
-    "spark_basis",
     "spark_evaluate",
+    "split_transfer",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
 """Command-line frontend.
 
-Pipeline for ``reduce``: load system -> build structured projectors ->
-split off the polynomial part -> cumulative shift-pair reduction of the
-strictly proper part -> realize the constant polynomial part -> combine
-block-diagonally -> write ROM files, H2 history and a JSON report.
+Pipeline for ``reduce``: load system -> split the transfer function into
+the deflated input and the polynomial part (one saddle-point
+factorization) -> cumulative shift-pair reduction of the strictly proper
+part -> realize the constant polynomial part -> combine block-diagonally
+-> write ROM files, H2 history and a JSON report.
 
 Exit codes: 0 ok, 1 numerical failure, 2 unsupported input, 3 I/O error.
 """
@@ -116,15 +117,15 @@ def cmd_reduce(args):
             f"reduction needs a SISO system; got {sys.p} x {sys.m} "
             "(use --channel to select one)"
         )
-    kit = dm.build_projectors(sys)
-    pp = dm.polynomial_part(sys, kit)
+    ds = DeflatedSystem.from_dae(sys)
+    pp = ds.poly
     if pp.kind == "unsupported":
         raise UnsupportedInput("Unsupported polynomial part")
     cfg = curemod.CureConfig(
         tol_rel=args.tol, max_steps=args.max_steps,
         init_a=init_a, init_b=init_b,
     )
-    total, report, ledger = curemod.cured_spark(sys, kit, cfg)
+    total, report, ledger = curemod.cured_spark(ds, cfg)
     poly_rom = None
     if pp.kind == "constant" and np.any(pp.constant):
         poly_rom = dm.realize_constant_poly(pp.constant)
@@ -231,10 +232,7 @@ def cmd_h2norm(args):
         rom = bio.read_rom(target)
         val = h2.h2_norm(rom)
     else:
-        sys = bio.read_system(target)
-        kit = dm.build_projectors(sys)
-        ds = DeflatedSystem.from_dae(sys, kit)
-        val = h2.h2_norm(ds)
+        val = h2.h2_norm(DeflatedSystem.from_dae(bio.read_system(target)))
     print(repr(float(val)))
     return EXIT_OK
 
@@ -266,13 +264,12 @@ def cmd_validate(args):
     check("transpose consistency",
           abs(w @ kit.apply_left(v) - kit.apply_left_t(w) @ v)
           <= 1e-8 * max(abs(w @ kit.apply_left(v)), 1.0))
-    pp = dm.polynomial_part(sys, kit)
+    B_defl, pp = dm.split_transfer(sys, kit)
     check("polynomial part classified", pp.kind != "unsupported")
     if pp.kind != "unsupported":
         # G(s0) and G^sp(s0) = C Pi_r (s0 E - A)^-1 Pi_l B from one LU
         fac = nk.ShiftedFactorization(sys.A, sys.E, 2.17 + 0.3j)
-        B = sys.B.toarray()
-        X = -fac.solve(np.hstack([B, kit.apply_left(B)]))
+        X = -fac.solve(np.hstack([sys.B.toarray(), B_defl]))
         total = sys.C @ X[:, :sys.m] + sys.D
         sp = sys.C @ kit.apply_right(X[:, sys.m:])
         poly = pp.constant if pp.kind == "constant" else 0.0

@@ -10,11 +10,10 @@ poles and stability is inherited step by step.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import daemodel as dm
 from . import spark as sparkmod
 from .errors import DimensionMismatch
 from .interp import DeflatedSystem
@@ -48,12 +47,6 @@ class CureLedger:
     @property
     def k(self):
         return len(self.records)
-
-
-def cure_init(sys: dm.DaeSystem, kit: dm.ProjectorKit = None) -> CureLedger:
-    """Fresh ledger with the input deflated onto the proper subspace."""
-    ds = DeflatedSystem.from_dae(sys, kit)
-    return CureLedger(ds=ds)
 
 
 def assemble_total(records) -> RomRealization:
@@ -128,19 +121,19 @@ class CureConfig:
     gtol: float = sparkmod.GTOL
 
 
-def cured_spark(sys: dm.DaeSystem, kit: dm.ProjectorKit = None,
-                cfg: CureConfig = None):
+def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     """Adaptive cumulative reduction driver.
 
     Runs the shift-pair optimizer on the current deflated system, folds
     each result in, and stops once the relative H2-norm increase of the
     total model drops below ``tol_rel`` (or degenerate/step limits hit).
-    Returns (TotalRom, report dict).
+    The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
+    left as it is.  Returns (TotalRom, report dict, ledger).
     """
     if cfg is None:
         cfg = CureConfig()
     t0 = time.perf_counter()
-    ledger = cure_init(sys, kit)
+    ledger = CureLedger(ds=replace(ds))
     report = {"steps": [], "stop_reason": None, "flagged": False}
     init = sparkmod.SparkParams(cfg.init_a, cfg.init_b)
     degenerate_run = 0

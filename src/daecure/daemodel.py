@@ -120,7 +120,7 @@ class ProjectorKit:
     Each map takes and returns an (n,) vector or (n, k) block, real or
     complex.  ``saddle`` is the one sparse factorization every map solves
     with, of M = [[E11, E12], [A21, A22]] (index 1) or
-    K = [[E11, A12], [A21, 0]] (Stokes); ``polynomial_part`` reuses it.
+    K = [[E11, A12], [A21, 0]] (Stokes); ``split_transfer`` reuses it.
     """
 
     n: int
@@ -248,38 +248,41 @@ class PolyPart:
     constant: np.ndarray | None = None
 
 
-def polynomial_part(sys: DaeSystem, kit: ProjectorKit | None = None) -> PolyPart:
-    """Classify and (for index-1) extract the polynomial part of G(s).
+def split_transfer(sys: DaeSystem, kit: ProjectorKit):
+    """Split G = G_sp + P: the deflated input Pi_l B that realizes the
+    strictly proper part G_sp, and the polynomial part P.
 
-    Solves only with the saddle-point factorization of ``kit``.  Index 1:
-    P = D - C M^-1 [0; B2], the value of G at infinity.  Stokes: the
-    expansion of (sE - A)^-1 B at infinity gives P(s) = P0 + s P1 with
-    (x_b, y_b) = K^-1 [0; B2], y_c the second block of
-    K^-1 [B1 - A11 x_b; 0], P1 = C2 y_b and P0 = D - C1 x_b - C2 y_c.
-    The part is 'strictly_proper' when P0 and P1 vanish to rounding,
-    relative to ||C|| times the solves they come from, else 'unsupported'.
+    Both come from the same solves with the saddle-point factorization of
+    ``kit``, the ones ``kit.apply_left(B)`` makes.  Index 1: with
+    X = M^-1 [0; B2], Pi_l B = B - A X and P = D - C X, the value of G at
+    infinity.  Stokes: the expansion of (sE - A)^-1 B at infinity gives
+    P(s) = P0 + s P1 with (x_b, y_b) = K^-1 [0; B2],
+    (x_c, y_c) = K^-1 [B1 - A11 x_b; 0], Pi_l B = [E11 x_c; 0],
+    P1 = C2 y_b and P0 = D - C1 x_b - C2 y_c.  The part is
+    'strictly_proper' when P0 and P1 vanish to rounding, relative to
+    ||C|| times the solves they come from, else 'unsupported'.
+    Returns (B_defl, PolyPart).
     """
-    if kit is None:
-        kit = build_projectors(sys)
     fac = kit.saddle
     B = sys.B.toarray()
     if isinstance(sys.structure, SemiExplicitIndex1):
         n1 = sys.structure.n1
         X = fac.solve(_with_zeros(B[n1:], n1, 0))
-        return PolyPart("constant", sys.D - sys.C @ X)
+        return B - sys.A @ X, PolyPart("constant", sys.D - sys.C @ X)
     nv, npp = sys.structure.n_v, sys.structure.n_p
     C1, C2 = sys.C[:, :nv], sys.C[:, nv:]
     xy_b = fac.solve(_with_zeros(B[nv:], nv, 0))
     x_b = xy_b[:nv]
     xy_c = fac.solve(_with_zeros(B[:nv] - sys.A[:nv, :nv] @ x_b, 0, npp))
+    B_defl = _with_zeros(sys.E[:nv, :nv] @ xy_c[:nv], 0, npp)
     P1 = C2 @ xy_b[nv:]
     P0 = sys.D - C1 @ x_b - C2 @ xy_c[nv:]
     tol = 1e-8 * spsla.norm(sys.C)
     nb, nc = np.linalg.norm(xy_b), np.linalg.norm(xy_c)
     if (np.linalg.norm(P1) <= tol * nb
             and np.linalg.norm(P0) <= tol * (nb + nc)):
-        return PolyPart("strictly_proper")
-    return PolyPart("unsupported")
+        return B_defl, PolyPart("strictly_proper")
+    return B_defl, PolyPart("unsupported")
 
 
 def realize_constant_poly(P: np.ndarray):

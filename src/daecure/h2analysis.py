@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as spla
 
-from . import daemodel as dm
 from . import numkernel as nk
 from .errors import (
     DefectivePencil,
@@ -112,9 +111,6 @@ def _finite_std(obj):
     elif isinstance(obj, DeflatedSystem):
         E, A = obj.E.toarray(), obj.A.toarray()
         B, C = obj.B_defl, obj.C
-    elif isinstance(obj, dm.DaeSystem):
-        E, A = obj.E.toarray(), obj.A.toarray()
-        B, C = obj.B.toarray(), obj.C.toarray()
     else:
         raise DimensionMismatch(f"cannot analyze object of type {type(obj)}")
     n = E.shape[0]

@@ -28,21 +28,23 @@ class DeflatedSystem:
     """Sparse system data with the input deflated onto the proper subspace.
 
     ``B_defl`` starts as Pi_l^f B and is depleted step by step during
-    cumulative reduction; A, E, C never change.
+    cumulative reduction; A, E, C never change.  ``poly`` is the
+    polynomial part split off with it.
     """
 
     A: sps.csc_matrix
     E: sps.csc_matrix
     B_defl: np.ndarray
     C: np.ndarray
+    poly: dm.PolyPart
 
     @classmethod
-    def from_dae(cls, sys: dm.DaeSystem, kit: dm.ProjectorKit = None):
-        if kit is None:
-            kit = dm.build_projectors(sys)
-        B_defl = kit.apply_left(sys.B.toarray())
-        return cls(A=sys.A, E=sys.E, B_defl=np.asarray(B_defl, dtype=float),
-                   C=sys.C.toarray())
+    def from_dae(cls, sys: dm.DaeSystem):
+        """Build the projectors and split the transfer function; the
+        saddle-point factorization is released on return."""
+        B_defl, poly = dm.split_transfer(sys, dm.build_projectors(sys))
+        return cls(A=sys.A, E=sys.E, B_defl=B_defl, C=sys.C.toarray(),
+                   poly=poly)
 
     @property
     def n(self):
@@ -105,21 +107,6 @@ def spark_params_matrices(a: float, b: float) -> InterpData:
     S = np.array([[a, 1.0], [a * a - b, a]])
     R = np.array([[1.0, 0.0]])
     return InterpData(S=S, R=R)
-
-
-def spark_basis(ds: DeflatedSystem, a: float, b: float):
-    """Order-2 real basis for the shift pair parameterized by (a, b) > 0.
-
-    The Sylvester route stays smooth through the confluence a^2 = b where
-    the two shifts merge, which explicit per-shift solves do not.  Requires
-    a single-input deflated system.  Returns (V, data).
-    """
-    if ds.m != 1:
-        raise DimensionMismatch("shift-pair basis requires a SISO input")
-    data = spark_params_matrices(a, b)
-    V = nk.solve_sparse_dense_sylvester(ds.A, ds.E, data.S,
-                                        ds.B_defl @ data.R)
-    return V, data
 
 
 def sylvester_residual(ds: DeflatedSystem, V: np.ndarray,

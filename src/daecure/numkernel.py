@@ -237,8 +237,6 @@ class PencilDeflation:
         N[:nf, nf:] = Rh
         self.XL = M @ Q.T
         self.XR = Z @ N
-        self.XR_inv = np.linalg.inv(self.XR)
-        self.XL_inv = np.linalg.inv(self.XL)
         self.Ef = T11
         self.Af = S11
         self.Einf = T22
@@ -249,8 +247,8 @@ class PencilDeflation:
         n, nf = self.n, self.nf
         Sel = np.zeros((n, n))
         Sel[:nf, :nf] = np.eye(nf)
-        Pi_r = self.XR @ Sel @ self.XR_inv
-        Pi_l = self.XL_inv @ Sel @ self.XL
+        Pi_r = self.XR @ Sel @ np.linalg.inv(self.XR)
+        Pi_l = np.linalg.inv(self.XL) @ Sel @ self.XL
         return Pi_l, Pi_r
 
     def finite_realization(self, B, C):
@@ -334,8 +332,3 @@ class SylvesterContext:
                         "real Sylvester problem produced a complex solution"
                     )
         return X if F.ndim == 3 else X[0]
-
-
-def solve_sparse_dense_sylvester(A, E, S, F):
-    """One-shot A*X - E*X*S = F solve (see SylvesterContext for reuse)."""
-    return SylvesterContext(A, E, S).solve(F)

@@ -5,6 +5,7 @@ import scipy.sparse as sps
 from daecure import bench_io as bio
 from daecure import daemodel as dm
 from daecure import numkernel as nk
+from daecure import spark as sp
 
 
 def make_ode(lam, b, c, T=None):
@@ -26,6 +27,13 @@ def make_ode(lam, b, c, T=None):
     return dm.DaeSystem(sps.eye(n, format="csc"), sps.csc_matrix(A),
                         sps.csc_matrix(b), sps.csc_matrix(c),
                         np.zeros((1, 1)), dm.SemiExplicitIndex1(n))
+
+
+def basis_at(ds, a, b):
+    """The order-2 basis V and its data (S, R) that spark.evaluate makes
+    at the shift pair (a, b)."""
+    _, _, _, V, data, _, _ = sp.evaluate(ds, a, b)
+    return V, data
 
 
 def make_random_stable_ode(n, seed, m=1, p=1, shift=2.0):

@@ -15,13 +15,12 @@ import scipy.linalg as spla
 
 from daecure import bench_io as bio
 from daecure import cure
-from daecure import daemodel as dm
 from daecure import h2analysis as h2
 from daecure import spark as sp
-from daecure.interp import DeflatedSystem, spark_basis
+from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization, check_orthogonality, pork_input
 
-from conftest import make_ode, make_random_stable_ode
+from conftest import basis_at, make_ode, make_random_stable_ode
 
 
 _CAP = None
@@ -57,8 +56,8 @@ def test_criterion_01_interpolation():
     for sys in (bio.gen_semi_explicit_index1(500, 100, seed=0),
                 bio.gen_stokes_index2(12, seed=0)):
         t0 = time.perf_counter()
-        kit = dm.build_projectors(sys)
-        total, rep, ledger = cure.cured_spark(sys, kit, cure.CureConfig())
+        total, rep, ledger = cure.cured_spark(DeflatedSystem.from_dae(sys),
+                                              cure.CureConfig())
         res = [rec.interp_residual for rec in ledger.records]
         slowest = max(slowest, time.perf_counter() - t0)
         worst = max(worst, max(res))
@@ -74,7 +73,7 @@ def test_criterion_02_stability_fuzz():
         n2 = int(rng.integers(2, 8))
         sys = bio.gen_semi_explicit_index1(n1, n2, seed=seed)
         total, rep, ledger = cure.cured_spark(
-            sys, cfg=cure.CureConfig(max_steps=4))
+            DeflatedSystem.from_dae(sys), cure.CureConfig(max_steps=4))
         for k in range(1, ledger.k + 1):
             w = spla.eigvals(*[getattr(cure.assemble_total(
                 ledger.records[:k]), a) for a in ("Ar", "Er")])
@@ -89,8 +88,8 @@ def test_criterion_03_norm_decomposition():
     for sys in (bio.gen_semi_explicit_index1(150, 30, seed=1),
                 make_random_stable_ode(120, seed=2)):
         ds = DeflatedSystem.from_dae(sys)
-        total, rep, ledger = cure.cured_spark(
-            sys, cfg=cure.CureConfig(max_steps=6))
+        total, rep, ledger = cure.cured_spark(ds,
+                                              cure.CureConfig(max_steps=6))
         ng = h2.h2_norm(ds)
         nr = h2.h2_norm(total)
         ne = h2.h2_error_norm(ds, total)
@@ -102,7 +101,7 @@ def test_criterion_03_norm_decomposition():
 def test_criterion_04_orthogonality():
     sys = bio.gen_semi_explicit_index1(120, 25, seed=4)
     ds = DeflatedSystem.from_dae(sys)
-    V, data = spark_basis(ds, 0.9, 1.8)
+    V, data = basis_at(ds, 0.9, 1.8)
     rom = pork_input(V, data, ds.C)
     worst = check_orthogonality(ds, rom, data, trials=10, seed=0)
     report(4, "orthogonality", worst <= 1e-8,
@@ -143,7 +142,7 @@ def test_criterion_06_closed_form_objects():
     worst = 0.0
     for _ in range(100):
         a, b = rng.uniform(np.nextafter(0, 1), 10.0, 2)
-        V, data = spark_basis(ds, a, b)
+        V, data = basis_at(ds, a, b)
         rom = pork_input(V, data, ds.C)
         Er = np.array([[a * a + b, -a], [-a, 1.0]]) / (4 * a * b)
         Ar = np.array([[-2 * a, 1.0], [-1.0, 0.0]]) / (4 * a)
@@ -193,8 +192,8 @@ def test_criterion_08_monotonicity_and_allpass():
     for sys in (bio.gen_semi_explicit_index1(100, 20, seed=8),
                 bio.gen_stokes_index2(5, seed=8)):
         ds0 = DeflatedSystem.from_dae(sys)
-        total, rep, ledger = cure.cured_spark(
-            sys, cfg=cure.CureConfig(max_steps=6))
+        total, rep, ledger = cure.cured_spark(ds0,
+                                              cure.CureConfig(max_steps=6))
         hist = rep["norm_history"]
         mono_up = all(h2_ >= h1 - 1e-12 * max(h2_, 1.0)
                       for h1, h2_ in zip(hist, hist[1:]))
@@ -219,7 +218,8 @@ def test_criterion_09_assembly_equivalence():
     sys = make_ode(-np.logspace(-1, 3, n), np.ones(n),
                    rng.standard_normal(n))
     total, rep, ledger = cure.cured_spark(
-        sys, cfg=cure.CureConfig(max_steps=10, tol_rel=1e-30))
+        DeflatedSystem.from_dae(sys),
+        cure.CureConfig(max_steps=10, tol_rel=1e-30))
     k = ledger.k
     worst = 0.0
     for _ in range(20):
@@ -239,8 +239,9 @@ def test_criterion_10_exact_recovery():
     # order 2: one step recovers the model
     sys2 = make_ode([-1.0, -2.0], [1.0, 1.0], [0.25, -0.175])
     cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14, gtol=1e-11)
-    total2, _, _ = cure.cured_spark(sys2, cfg=cfg)
-    err2 = h2.h2_error_norm(DeflatedSystem.from_dae(sys2), total2)
+    ds2 = DeflatedSystem.from_dae(sys2)
+    total2, _, _ = cure.cured_spark(ds2, cfg)
+    err2 = h2.h2_error_norm(ds2, total2)
 
     # order 4: the recoverable family requires the residue content the
     # greedy pair optimizer cannot strip to lie below tolerance (a full
@@ -253,8 +254,9 @@ def test_criterion_10_exact_recovery():
     T = rng.standard_normal((4, 4)) + 4 * np.eye(4)
     sys4 = make_ode(lam, np.ones(4), phi, T=T)
     cfg4 = cure.CureConfig(max_steps=2, tol_rel=1e-14, gtol=1e-11)
-    total4, rep4, led4 = cure.cured_spark(sys4, cfg=cfg4)
-    err4 = h2.h2_error_norm(DeflatedSystem.from_dae(sys4), total4)
+    ds4 = DeflatedSystem.from_dae(sys4)
+    total4, rep4, led4 = cure.cured_spark(ds4, cfg4)
+    err4 = h2.h2_error_norm(ds4, total4)
     ok = err2 <= 1e-8 and err4 <= 1e-8 and led4.k <= 2
     report(10, "exact recovery", ok,
            f"order-2 error {err2:.2e} (1 step), order-4 error {err4:.2e} "
@@ -272,7 +274,8 @@ def test_criterion_11_external_benchmark():
     if sys.m > 1 or sys.p > 1:
         sys = bio.select_channel(sys, 42, 42)
     total, rep, ledger = cure.cured_spark(
-        sys, cfg=cure.CureConfig(tol_rel=1e-6, max_steps=40))
+        DeflatedSystem.from_dae(sys),
+        cure.CureConfig(tol_rel=1e-6, max_steps=40))
     q = total.order + 1  # one extra state for the constant part
     norm = rep["norm_history"][-1]
     ok = q == 33 and abs(norm - 0.97897) <= 0.01 * 0.97897

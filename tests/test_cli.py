@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import scipy.sparse as sps
 
 from daecure import bench_io as bio
 from daecure import cli
+from daecure import cure
 from daecure import daemodel as dm
+from daecure import numkernel as nk
 from daecure.pork import RomRealization
 
 
@@ -294,3 +297,48 @@ def test_validate_factors_saddle_and_one_shift(fixture, request, tmp_path,
     path = bio.write_system(request.getfixturevalue(fixture), tmp_path)
     assert run(["validate", path]) == 0
     assert factor_log == [0.0, 2.17 + 0.3j]
+
+
+@pytest.mark.parametrize("fixture, split_solves",
+                         [("index1_small", 1), ("stokes_small", 2)])
+def test_reduce_solves_each_saddle_rhs_once(fixture, split_solves, request,
+                                            tmp_path, lu_solves, monkeypatch):
+    # the regularity check, then one solve per distinct right-hand side of
+    # the transfer split: M^-1 [0; B2] (index 1), or K^-1 [0; B2] and
+    # K^-1 [B1 - A11 x_b; 0] (Stokes)
+    saddle = []
+    init = nk.ShiftedFactorization.__init__
+
+    def log_saddle_apart(self, A, E, sigma):
+        init(self, A, E, sigma)
+        if self._E.nnz == 0:        # only the saddle-point LU has E = 0
+            self._lu.log = saddle
+
+    monkeypatch.setattr(nk.ShiftedFactorization, "__init__",
+                        log_saddle_apart)
+    path = bio.write_system(request.getfixturevalue(fixture), tmp_path)
+    assert run(["reduce", "--manifest", path, "--max-steps", "1",
+                "--out", str(tmp_path / "rom")]) == 0
+    assert len(saddle) == 1 + split_solves
+
+
+def test_saddle_factorization_freed_before_cure(sysdir, tmp_path,
+                                                monkeypatch):
+    refs, alive = [], []
+    factor_saddle = dm._factor_saddle
+    cured_spark = cure.cured_spark
+
+    def tracked(M, what):
+        fac = factor_saddle(M, what)
+        refs.append(weakref.ref(fac))
+        return fac
+
+    def entry(*args, **kwargs):
+        alive.extend(ref() is not None for ref in refs)
+        return cured_spark(*args, **kwargs)
+
+    monkeypatch.setattr(dm, "_factor_saddle", tracked)
+    monkeypatch.setattr(cure, "cured_spark", entry)
+    assert run(["reduce", "--manifest", _manifest(sysdir), "--max-steps", "1",
+                "--out", str(tmp_path / "rom")]) == 0
+    assert alive == [False]

@@ -15,7 +15,7 @@ from conftest import make_ode, make_random_stable_ode
 
 def run_cure(sys, max_steps=4, tol=1e-12, gtol=1e-9):
     cfg = cure.CureConfig(max_steps=max_steps, tol_rel=tol, gtol=gtol)
-    return cure.cured_spark(sys, cfg=cfg)
+    return cure.cured_spark(DeflatedSystem.from_dae(sys), cfg)
 
 
 def spread_pole_system(n=40, seed=0):
@@ -49,9 +49,9 @@ def test_total_assembly_equals_cascade():
 
 def test_error_factorization():
     # G - G_r,tot(k) = G_perp(k) * prod_j allpass_j
-    sysw = spread_pole_system()
-    total, report, ledger = run_cure(sysw, max_steps=5, tol=1e-30)
-    ds0 = DeflatedSystem.from_dae(sysw)
+    ds0 = DeflatedSystem.from_dae(spread_pole_system())
+    total, report, ledger = cure.cured_spark(
+        ds0, cure.CureConfig(max_steps=5, tol_rel=1e-30))
     rng = np.random.default_rng(1)
     for _ in range(5):
         s = complex(rng.uniform(0.2, 3), rng.uniform(-5, 5))
@@ -87,25 +87,23 @@ def test_norm_history_monotone_and_stable(index1_small):
 
 
 def test_stagnation_stop(index1_small):
-    cfg = cure.CureConfig(max_steps=20, tol_rel=1e-6)
-    total, report, ledger = cure.cured_spark(index1_small, cfg=cfg)
+    total, report, ledger = run_cure(index1_small, max_steps=20, tol=1e-6)
     assert report["stop_reason"] in ("tolerance", "degenerate")
     assert report["k"] < 20
 
 
 def test_exact_recovery_order2():
     sys = make_ode([-1.0, -2.0], [1.0, 1.0], [0.25, -0.175])
-    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14, gtol=1e-11)
-    total, report, ledger = cure.cured_spark(sys, cfg=cfg)
     ds0 = DeflatedSystem.from_dae(sys)
+    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14, gtol=1e-11)
+    total, report, ledger = cure.cured_spark(ds0, cfg)
     assert h2.h2_error_norm(ds0, total) <= 1e-8
 
 
 def test_degenerate_input_flagged():
     # zero input residual: the very first step is degenerate
     sys = make_ode([-1.0, -2.0], [0.0, 0.0], [1.0, 1.0])
-    cfg = cure.CureConfig(max_steps=5, tol_rel=1e-12)
-    total, report, ledger = cure.cured_spark(sys, cfg=cfg)
+    total, report, ledger = run_cure(sys, max_steps=5)
     assert report["flagged"]
     assert report["stop_reason"] == "degenerate"
 
@@ -134,7 +132,8 @@ def test_cure_step_makes_no_factorization(fixture, request, factor_log):
     # the step certificate comes from the factorizations of the point's
     # own evaluation: one complex LU for a conjugate pair, two real LUs
     # for a real pair, and none in cure_step
-    ledger = cure.cure_init(request.getfixturevalue(fixture))
+    ledger = cure.CureLedger(
+        DeflatedSystem.from_dae(request.getfixturevalue(fixture)))
     for a, b in ((0.5, 4.0), (2.0, 3.0)):     # conjugate pair, real pair
         del factor_log[:]
         res = _result_at(ledger.ds, a, b)
@@ -161,11 +160,19 @@ def test_step_certificate_can_fail(fixture, request, monkeypatch):
         return dataclasses.replace(rom, Cr=1.01 * rom.Cr)
 
     monkeypatch.setattr(sp, "pork_input", wrong_rom)
-    ledger = cure.cure_init(sys)
+    ledger = cure.CureLedger(DeflatedSystem.from_dae(sys))
     cure.cure_step(ledger, sp.spark(ledger.ds))
     assert ledger.records[-1].interp_residual >= 1e-3
 
 
+def test_cured_spark_leaves_the_callers_input(index1_small):
+    ds = DeflatedSystem.from_dae(index1_small)
+    B_defl = ds.B_defl.copy()
+    total, report, ledger = cure.cured_spark(ds, cure.CureConfig(max_steps=2))
+    assert ledger.k >= 1 and not np.array_equal(ledger.ds.B_defl, B_defl)
+    assert np.array_equal(ds.B_defl, B_defl)
+
+
 def test_cured_spark_rejects_multi_input():
     with pytest.raises(DimensionMismatch):
-        cure.cured_spark(make_random_stable_ode(10, seed=0, m=2))
+        run_cure(make_random_stable_ode(10, seed=0, m=2))

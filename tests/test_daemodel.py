@@ -94,13 +94,23 @@ def test_stokes_projectors_match_dense_oracle(stokes_small, stokes_general,
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
-def test_projectors_and_polynomial_part_share_one_factorization(
+def test_projectors_and_transfer_split_share_one_factorization(
         fixture, request, factor_log):
     sys = request.getfixturevalue(fixture)
     del factor_log[:]
     kit = dm.build_projectors(sys)
-    dm.polynomial_part(sys, kit)
+    dm.split_transfer(sys, kit)
     assert len(factor_log) == 1
+
+
+def test_split_transfer_deflates_like_the_left_projector(
+        index1_small, index1_general, index1_singular_e11, stokes_small,
+        stokes_general, stokes_singular_e11):
+    for sys in (index1_small, index1_general, index1_singular_e11,
+                stokes_small, stokes_general, stokes_singular_e11):
+        kit = dm.build_projectors(sys)
+        B_defl, _ = dm.split_transfer(sys, kit)
+        assert np.array_equal(B_defl, kit.apply_left(sys.B.toarray()))
 
 
 def test_ode_projectors_are_identity(ode_small):
@@ -137,13 +147,13 @@ def test_index1_polynomial_part_is_schur_constant(index1_small):
     B2 = sys.B[n1:, :].toarray()
     C2 = sys.C[:, n1:].toarray()
     expect = -C2 @ np.linalg.solve(A22, B2) + sys.D
-    pp = dm.polynomial_part(sys)
+    _, pp = dm.split_transfer(sys, dm.build_projectors(sys))
     assert pp.kind == "constant"
     assert np.allclose(pp.constant, expect, atol=1e-10 * max(np.abs(expect).max(), 1.0))
 
 
 def test_stokes_polynomial_part_strictly_proper(stokes_small):
-    pp = dm.polynomial_part(stokes_small)
+    _, pp = dm.split_transfer(stokes_small, dm.build_projectors(stokes_small))
     assert pp.kind == "strictly_proper"
 
 
@@ -159,9 +169,9 @@ def test_stokes_pressure_io_is_unsupported(stokes_general, block):
         B[nv:] = rng.standard_normal(B[nv:].shape)
     else:
         C[:, nv:] = rng.standard_normal(C[:, nv:].shape)
-    pp = dm.polynomial_part(dm.DaeSystem(sys.E, sys.A, sps.csc_matrix(B),
-                                         sps.csc_matrix(C), sys.D,
-                                         sys.structure))
+    sys = dm.DaeSystem(sys.E, sys.A, sps.csc_matrix(B), sps.csc_matrix(C),
+                       sys.D, sys.structure)
+    _, pp = dm.split_transfer(sys, dm.build_projectors(sys))
     assert pp.kind == "unsupported"
 
 
@@ -177,7 +187,7 @@ def test_transfer_split(index1_small, index1_general, index1_singular_e11,
     for sys in (index1_small, index1_general, index1_singular_e11,
                 stokes_general):
         kit = dm.build_projectors(sys)
-        pp = dm.polynomial_part(sys, kit)
+        _, pp = dm.split_transfer(sys, kit)
         poly = pp.constant if pp.kind == "constant" else 0.0
         for s in (0.5 + 1.0j, 3.0, 0.1 + 7.0j):
             total = dm.eval_transfer(sys, s)

@@ -100,7 +100,7 @@ def test_desk_scale_limit_enforced():
                        sps.csc_matrix(np.ones((1, n))),
                        np.zeros((1, 1)), dm.SemiExplicitIndex1(n))
     with pytest.raises(DeskScaleExceeded):
-        h2.h2_norm(sys)
+        h2.h2_norm(DeflatedSystem.from_dae(sys))
 
 
 def test_error_norm_of_exact_model_is_zero():

@@ -2,10 +2,12 @@ import numpy as np
 
 from daecure import interp
 
+from conftest import basis_at
+
 
 def test_spark_basis_sylvester_residual(index1_small):
     ds = interp.DeflatedSystem.from_dae(index1_small)
-    V, data = interp.spark_basis(ds, 1.3, 0.9)
+    V, data = basis_at(ds, 1.3, 0.9)
     assert interp.sylvester_residual(ds, V, data) <= 1e-12
 
 
@@ -21,7 +23,7 @@ def test_spark_matrices_encode_shift_pair():
 
 def test_interpolation_at_distinct_real_shifts(index1_small):
     ds = interp.DeflatedSystem.from_dae(index1_small)
-    V, data = interp.spark_basis(ds, 2.0, 3.0)  # a^2 > b: real shifts
+    V, data = basis_at(ds, 2.0, 3.0)  # a^2 > b: real shifts
     from daecure.pork import check_interpolation, pork_input
     rom = pork_input(V, data, ds.C)
     assert max(check_interpolation(ds.eval, rom, data)) <= 1e-10
@@ -29,7 +31,7 @@ def test_interpolation_at_distinct_real_shifts(index1_small):
 
 def test_interpolation_at_complex_pair(stokes_small):
     ds = interp.DeflatedSystem.from_dae(stokes_small)
-    V, data = interp.spark_basis(ds, 0.5, 4.0)  # a^2 < b: complex pair
+    V, data = basis_at(ds, 0.5, 4.0)  # a^2 < b: complex pair
     from daecure.pork import check_interpolation, pork_input
     rom = pork_input(V, data, ds.C)
     assert max(check_interpolation(ds.eval, rom, data)) <= 1e-10
@@ -39,8 +41,8 @@ def test_basis_smooth_through_confluence(index1_small):
     # a^2 = b merges the shifts; Sylvester route must stay finite/continuous
     ds = interp.DeflatedSystem.from_dae(index1_small)
     a = 1.5
-    V0, _ = interp.spark_basis(ds, a, a * a)
-    Vm, _ = interp.spark_basis(ds, a, a * a * (1 - 1e-7))
+    V0, _ = basis_at(ds, a, a * a)
+    Vm, _ = basis_at(ds, a, a * a * (1 - 1e-7))
     assert np.linalg.norm(V0 - Vm) <= 1e-4 * np.linalg.norm(V0)
 
 

@@ -79,7 +79,7 @@ def test_sparse_dense_sylvester_residual():
     E = sps.csc_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
     S = rng.standard_normal((q, q)) + 4 * np.eye(q)
     F = rng.standard_normal((n, q))
-    V = nk.solve_sparse_dense_sylvester(A, E, S, F)
+    V = nk.SylvesterContext(A, E, S).solve(F)
     res = A @ V - E @ (V @ S) - F
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(F)
     assert not np.iscomplexobj(V)

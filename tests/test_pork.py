@@ -5,15 +5,15 @@ import scipy.linalg as spla
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
 from daecure.errors import NotAntistable
-from daecure.interp import DeflatedSystem, InterpData, spark_basis
+from daecure.interp import DeflatedSystem, InterpData
 from daecure.pork import check_interpolation, check_orthogonality, pork_input
 
-from conftest import make_ode
+from conftest import basis_at, make_ode
 
 
 def test_poles_are_mirror_images(index1_small):
     ds = DeflatedSystem.from_dae(index1_small)
-    V, data = spark_basis(ds, 1.2, 5.0)
+    V, data = basis_at(ds, 1.2, 5.0)
     rom = pork_input(V, data, ds.C)
     shifts = np.linalg.eigvals(data.S)
     poles = np.sort_complex(rom.poles())
@@ -22,7 +22,7 @@ def test_poles_are_mirror_images(index1_small):
 
 def test_er_is_the_shift_gramian(index1_small):
     ds = DeflatedSystem.from_dae(index1_small)
-    V, data = spark_basis(ds, 0.8, 2.0)
+    V, data = basis_at(ds, 0.8, 2.0)
     rom = pork_input(V, data, ds.C)
     # Er solves S^H Er + Er S = R^H R by construction
     res = data.S.conj().T @ rom.Er + rom.Er @ data.S - data.R.conj().T @ data.R
@@ -34,7 +34,7 @@ def test_er_is_the_shift_gramian(index1_small):
 def test_reduced_controllability_gramian_is_er_inverse(index1_small):
     # [DERIVED] Ar P Er^T + Er P Ar^T + Br Br^T = 0 is solved by P = Er^-1
     ds = DeflatedSystem.from_dae(index1_small)
-    V, data = spark_basis(ds, 1.0, 0.6)
+    V, data = basis_at(ds, 1.0, 0.6)
     rom = pork_input(V, data, ds.C)
     P = np.linalg.inv(rom.Er)
     res = rom.Ar @ P @ rom.Er.T + rom.Er @ P @ rom.Ar.T + rom.Br @ rom.Br.T
@@ -55,8 +55,7 @@ def test_interpolation_scalar_anchor():
     sys = make_ode([-1.0], [1.0], [1.0])
     ds = DeflatedSystem.from_dae(sys)
     data = InterpData(S=np.array([[1.0]]), R=np.array([[1.0]]))
-    V = nk.solve_sparse_dense_sylvester(ds.A, ds.E, data.S,
-                                        ds.B_defl @ data.R)
+    V = nk.SylvesterContext(ds.A, ds.E, data.S).solve(ds.B_defl @ data.R)
     rom = pork_input(V, data, ds.C)
     # G(1) = 1/2 must be matched; reduced model is c/(s+1) with c chosen
     # so G_r(1) = 1/2, i.e. it reproduces G exactly here
@@ -66,7 +65,7 @@ def test_interpolation_scalar_anchor():
 
 def test_orthogonality_of_pseudo_optimal_error(index1_small):
     ds = DeflatedSystem.from_dae(index1_small)
-    V, data = spark_basis(ds, 0.9, 1.7)
+    V, data = basis_at(ds, 0.9, 1.7)
     rom = pork_input(V, data, ds.C)
     worst = check_orthogonality(ds, rom, data, trials=5, seed=1)
     assert worst <= 1e-10
@@ -75,7 +74,7 @@ def test_orthogonality_of_pseudo_optimal_error(index1_small):
 def test_norm_decomposition_by_pseudo_optimality(index1_small):
     # [DERIVED] orthogonality of the error implies the Pythagorean split
     ds = DeflatedSystem.from_dae(index1_small)
-    V, data = spark_basis(ds, 0.9, 1.7)
+    V, data = basis_at(ds, 0.9, 1.7)
     rom = pork_input(V, data, ds.C)
     ng = h2.h2_norm(ds)
     nr = h2.h2_norm(rom)
