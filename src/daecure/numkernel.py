@@ -199,7 +199,10 @@ class PencilDeflation:
     ``XL @ E @ XR = blockdiag(Ef, Einf)`` and
     ``XL @ A @ XR = blockdiag(Af, Ainf)`` where (Ef, Af) carries the finite
     eigenvalues (Ef nonsingular).  Desk-scale oracle only; never used on
-    large systems.
+    large systems.  Its one pipeline caller is ``h2analysis._finite_std``
+    for a reduced realization with singular Er (``daecure h2norm`` of an
+    index-1 ROM directory); a system's finite coordinates come from its
+    saddle-point projectors instead.
     """
 
     def __init__(self, E, A, cutoff=None):

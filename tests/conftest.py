@@ -63,6 +63,67 @@ def ode_small():
     return make_random_stable_ode(24, seed=11)
 
 
+#: fixtures of both structures, each plain, with a general E11 and with a
+#: singular E11
+STRUCTURE_VARIANTS = ["index1_small", "index1_general", "index1_singular_e11",
+                      "stokes_small", "stokes_general", "stokes_singular_e11"]
+
+
+def _equivalent(sys, L, R):
+    """The system (L E R, L A R, L B, C R, D): same transfer function and,
+    for block-diagonal L, R of the tag's partition, the same tag."""
+    L, R = sps.csc_matrix(L), sps.csc_matrix(R)
+    return dm.DaeSystem(L @ sys.E @ R, L @ sys.A @ R, L @ sys.B, sys.C @ R,
+                        sys.D, sys.structure)
+
+
+def _near_identity(rng, k):
+    return np.eye(k) + 0.3 * rng.standard_normal((k, k)) / np.sqrt(k)
+
+
+@pytest.fixture(scope="session")
+def index1_general(index1_small):
+    """diag(T, I) (E, A) [[I, X], [0, I]]: E11 != I and E12 != 0."""
+    n1 = index1_small.structure.n1
+    n2 = index1_small.n - n1
+    rng = np.random.default_rng(5)
+    L = sps.block_diag([_near_identity(rng, n1), sps.eye(n2)])
+    R = sps.bmat([[sps.eye(n1), rng.standard_normal((n1, n2))],
+                  [None, sps.eye(n2)]])
+    return _equivalent(index1_small, L, R)
+
+
+@pytest.fixture(scope="session")
+def index1_singular_e11(index1_small):
+    """Differential unknown 0 swapped with algebraic unknown n1: E11 is
+    singular while [E11, E12] keeps full row rank."""
+    n, n1 = index1_small.n, index1_small.structure.n1
+    perm = np.arange(n)
+    perm[[0, n1]] = [n1, 0]
+    return _equivalent(index1_small, sps.eye(n),
+                       sps.eye(n, format="csc")[:, perm])
+
+
+@pytest.fixture(scope="session")
+def stokes_general(stokes_small):
+    """diag(T, I) (E, A) diag(T2, I): E11 != I, A21 != A12^T."""
+    nv, npp = stokes_small.structure.n_v, stokes_small.structure.n_p
+    rng = np.random.default_rng(6)
+    return _equivalent(
+        stokes_small,
+        sps.block_diag([_near_identity(rng, nv), sps.eye(npp)]),
+        sps.block_diag([_near_identity(rng, nv), sps.eye(npp)]))
+
+
+@pytest.fixture(scope="session")
+def stokes_singular_e11(stokes_small):
+    """E[0, 0] = 0: E11 is singular, K = [[E11, A12], [A21, 0]] is not."""
+    E = stokes_small.E.tolil()
+    E[0, 0] = 0.0
+    return dm.DaeSystem(E.tocsc(), stokes_small.A, stokes_small.B,
+                        stokes_small.C, stokes_small.D, stokes_small.structure)
+
+
 @pytest.fixture
 def factor_log(monkeypatch):
     """Shifts of every ShiftedFactorization built during the test."""

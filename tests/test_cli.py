@@ -12,8 +12,12 @@ from daecure import bench_io as bio
 from daecure import cli
 from daecure import cure
 from daecure import daemodel as dm
+from daecure import h2analysis as h2
 from daecure import numkernel as nk
+from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization
+
+from conftest import STRUCTURE_VARIANTS
 
 
 def run(argv):
@@ -114,6 +118,26 @@ def test_h2norm_of_index1_rom_is_its_strictly_proper_norm(tmp_path, capsys):
     last = json.load(open(rom / "report.json"))["cure"]["norm_history"][-1]
     assert abs(val - last) <= 1e-6 * last
     assert abs(val - 0.96729177) <= 1e-8
+
+
+@pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS)
+def test_h2norm_of_manifest_factors_only_saddle_points(
+        fixture, request, tmp_path, capsys, monkeypatch, factor_log):
+    sys = request.getfixturevalue(fixture)
+    expected = h2.h2_norm(DeflatedSystem.from_dae(sys))
+    path = bio.write_system(sys, tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense QZ oracle reached from h2norm")
+
+    monkeypatch.setattr(nk, "PencilDeflation", refuse)
+    monkeypatch.setattr(nk, "_check_regular", refuse)
+    del factor_log[:]
+    capsys.readouterr()
+    assert run(["h2norm", path]) == 0
+    assert float(capsys.readouterr().out) == expected
+    # one saddle-point LU for the transfer split, one for the projectors
+    assert factor_log == [0.0, 0.0]
 
 
 def test_missing_manifest_is_io_error(capsys):

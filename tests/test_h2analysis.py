@@ -1,13 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
+from daecure import daemodel as dm
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
-from daecure.errors import DefectivePencil, DeskScaleExceeded, UnstableSystem
+from daecure.errors import (
+    DefectivePencil,
+    DeskScaleExceeded,
+    StructureViolation,
+    UnstableSystem,
+)
 from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization
 
-from conftest import make_ode, make_random_stable_ode
+from conftest import STRUCTURE_VARIANTS, make_ode, make_random_stable_ode
 
 
 def rom_1pole(lam, b=1.0, c=1.0):
@@ -90,17 +99,83 @@ def test_repeated_poles_rejected_for_pole_residue():
         h2.rom_to_pole_residue(rom)
 
 
-def test_desk_scale_limit_enforced():
-    import scipy.sparse as sps
-    from daecure import daemodel as dm
+def test_desk_scale_limit_enforced(monkeypatch):
     n = nk.DENSE_LIMIT + 1
     A = sps.csc_matrix(sps.diags(-np.arange(1.0, n + 1)))
     sys = dm.DaeSystem(sps.eye(n, format="csc"), A,
                        sps.csc_matrix(np.ones((n, 1))),
                        sps.csc_matrix(np.ones((1, n))),
                        np.zeros((1, 1)), dm.SemiExplicitIndex1(n))
+    ds = DeflatedSystem.from_dae(sys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("densified or factored past the size limit")
+
+    # the size is checked before anything is densified or factored
+    monkeypatch.setattr(sps.csc_matrix, "toarray", refuse)
+    monkeypatch.setattr(dm, "build_projectors", refuse)
     with pytest.raises(DeskScaleExceeded):
-        h2.h2_norm(DeflatedSystem.from_dae(sys))
+        h2.h2_norm(ds)
+
+
+def qz_finite_std(ds):
+    """Finite standard realization and map-back factors of a deflated
+    system by reordered QZ of the dense pencil, the oracle for the
+    projector route."""
+    defl = nk.PencilDeflation(ds.E.toarray(), ds.A.toarray())
+    nf = defl.nf
+    A1, B1, C1 = defl.finite_realization(ds.B_defl, ds.C)
+    return A1, B1, C1, defl.XR[:, :nf], np.linalg.solve(defl.Ef,
+                                                         defl.XL[:nf])
+
+
+def with_qz_oracle(fn, *args):
+    """``fn(*args)`` with deflated systems brought to finite coordinates
+    by QZ instead of their projectors."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(h2, "_finite_std_projected", qz_finite_std)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS)
+def test_projector_route_matches_qz_oracle(fixture, request):
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    A1 = h2._finite_std(ds)[0]
+    assert A1.shape[0] == qz_finite_std(ds)[0].shape[0]
+    oracle = with_qz_oracle(h2.h2_norm, ds)
+    assert abs(h2.h2_norm(ds) - oracle) <= 1e-10 * oracle
+
+
+@pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS)
+def test_projected_cross_gramians(fixture, request):
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    rom = _random_rom(4, 7)
+    val, X, Y = h2.h2_inner_sylvester_dense(ds, rom)
+    scale = h2.h2_norm(ds) * h2.h2_norm(rom)
+    pr = h2.rom_to_pole_residue(rom)
+    assert abs(val - h2.h2_inner_pole_residue(ds.eval, pr)) <= 1e-8 * scale
+    # Gramian trace identity: trace(C X Cr^T) = value = trace(B^T Y Br)
+    assert abs(np.trace(ds.C @ X @ rom.Cr.T) - val) <= 1e-10 * scale
+    assert abs(np.trace(ds.B_defl.T @ Y @ rom.Br) - val) <= 1e-9 * scale
+    # the mapped-back Gramians do not depend on the finite coordinates
+    val_qz, X_qz, Y_qz = with_qz_oracle(h2.h2_inner_sylvester_dense, ds, rom)
+    assert abs(val - val_qz) <= 1e-10 * scale
+    assert np.linalg.norm(X - X_qz) <= 1e-8 * np.linalg.norm(X_qz)
+    assert np.linalg.norm(Y - Y_qz) <= 1e-8 * np.linalg.norm(Y_qz)
+
+
+def test_projector_rank_must_match_the_tag(index1_small, monkeypatch):
+    ds = DeflatedSystem.from_dae(index1_small)
+    build = dm.build_projectors
+
+    def halved(sys):
+        kit = build(sys)
+        return dataclasses.replace(
+            kit, apply_right=lambda v: 0.5 * kit.apply_right(v))
+
+    monkeypatch.setattr(dm, "build_projectors", halved)
+    with pytest.raises(StructureViolation, match="rank 25"):
+        h2.h2_norm(ds)
 
 
 def test_error_norm_of_exact_model_is_zero():
