@@ -232,7 +232,7 @@ def cmd_h2norm(args):
         rom = bio.read_rom(target)
         val = h2.h2_norm(rom)
     else:
-        val = h2.h2_norm(DeflatedSystem.from_dae(bio.read_system(target)))
+        val = h2.h2_norm(bio.read_system(target))
     print(repr(float(val)))
     return EXIT_OK
 

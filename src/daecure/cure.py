@@ -128,7 +128,8 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     each result in, and stops once the relative H2-norm increase of the
     total model drops below ``tol_rel`` (or degenerate/step limits hit).
     The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
-    left as it is.  Returns (TotalRom, report dict, ledger).
+    left as it is.  A step that returned at ``init`` hands its LUs to the
+    next.  Returns (TotalRom, report dict, ledger).
     """
     if cfg is None:
         cfg = CureConfig()
@@ -137,8 +138,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     report = {"steps": [], "stop_reason": None, "flagged": False}
     init = sparkmod.SparkParams(cfg.init_a, cfg.init_b)
     degenerate_run = 0
+    res = None
     while ledger.k < cfg.max_steps:
-        res = sparkmod.spark(ledger.ds, init=init, gtol=cfg.gtol)
+        res = sparkmod.spark(ledger.ds, init=init, gtol=cfg.gtol, reuse=res)
         # stagnation is decided on the prospective step, before folding it
         # in: a nearly exhausted residual drives the optimizer against the
         # b > 0 boundary and would contribute a numerically singular block
@@ -159,6 +161,8 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
             "shifts": [complex(s) for s in rec.params.shifts()],
             "J": rec.cost, "converged": res.converged,
             "reason": res.reason, "norm_total": norm, "rel_increase": rel_inc,
+            "iterations": len(res.trace) - 1,
+            "rejected": sum(not r["accepted"] for r in res.trace),
         })
         if captured <= DEGENERATE_TOL * max(norm ** 2, 1.0):
             degenerate_run += 1

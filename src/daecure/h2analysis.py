@@ -108,11 +108,11 @@ def _finite_std(obj):
     Gramian map-back factors (XR1, R1) with X = XR1 Xff XR1_H^H and
     Y = R1^H Yff R1_H.
 
-    A deflated system is brought to its finite coordinates by its
-    saddle-point projectors.  A reduced realization with singular Er (one
-    that carries a polynomial part, such as a constant block) is deflated
-    by QZ, so its strictly proper part is analyzed."""
-    if isinstance(obj, DeflatedSystem):
+    A system, deflated or not, is brought to its finite coordinates by
+    its saddle-point projectors.  A reduced realization with singular Er
+    (one that carries a polynomial part, such as a constant block) is
+    deflated by QZ.  Either way its strictly proper part is analyzed."""
+    if isinstance(obj, (dm.DaeSystem, DeflatedSystem)):
         return _finite_std_projected(obj)
     if not isinstance(obj, RomRealization):
         raise DimensionMismatch(f"cannot analyze object of type {type(obj)}")
@@ -137,16 +137,19 @@ def _check_dense_size(n):
         )
 
 
-def _finite_std_projected(ds: DeflatedSystem):
+def _finite_std_projected(ds):
     """Finite coordinates from the spectral projectors (Stykel, ETNA 30,
     2008): Z spans range Pi_r, Y = orth(E Z) spans range Pi_l, and
     (s E - A) Z = Y (s Ef - Af) with Ef = Y^T E Z, Af = Y^T A Z.  The
     finite part of the resolvent is Z (s Ef - Af)^-1 Y^T Pi_l, so
     XR1 = Z and R1 = Ef^-1 Y^T Pi_l.  The saddle-point LU behind the
-    projectors also certifies a regular pencil."""
+    projectors also certifies a regular pencil and deflates a DaeSystem's
+    input."""
     n = ds.n
     _check_dense_size(n)
     kit = dm.build_projectors(ds)
+    B, C = (dm.split_transfer(ds, kit)[0], ds.C.toarray()) \
+        if isinstance(ds, dm.DaeSystem) else (ds.B_defl, ds.C)
     Pr = kit.apply_right(np.eye(n))
     tag = ds.structure
     if isinstance(tag, dm.SemiExplicitIndex1):
@@ -163,7 +166,7 @@ def _finite_std_projected(ds: DeflatedSystem):
     Y, Ef = np.linalg.qr(ds.E @ Z)
     R1 = np.linalg.solve(Ef, kit.apply_left_t(Y).T)
     A1 = np.linalg.solve(Ef, Y.T @ (ds.A @ Z))
-    return A1, R1 @ ds.B_defl, ds.C @ Z, Z, R1
+    return A1, R1 @ B, C @ Z, Z, R1
 
 
 def _check_stable(A, what="system", cplx=False):
@@ -245,7 +248,7 @@ def h2_inner_sylvester_dense(sysA, sysB):
 
 
 def h2_norm(obj) -> float:
-    """H2 norm of a stable strictly proper system or reduced realization."""
+    """H2 norm of the strictly proper part of a stable system or ROM."""
     A1, B1, C1, _, _ = _finite_std(obj)
     val = _lyapunov_trace([(A1, "system")], B1, C1)
     return float(np.sqrt(max(val, 0.0)))

@@ -64,9 +64,9 @@ _S_DB = np.array([[0.0, 0.0], [-1.0, 0.0]])
 _S_DAA = np.array([[0.0, 0.0], [2.0, 0.0]])
 
 
-def evaluate(ds: DeflatedSystem, a: float, b: float):
-    """(J, gradient, exact Hessian, V, data, ROM, certificate) at the shift
-    pair (a, b).
+def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None):
+    """(J, gradient, exact Hessian, V, data, context) at the shift pair
+    (a, b).
 
     J(a, b) = -||G_r||^2 = -tr(Cr G Cr^T) with Cr = C V and the closed-form
     reduced Gramian G(a, b).  Differentiating A V - E V S = B R once gives
@@ -77,16 +77,14 @@ def evaluate(ds: DeflatedSystem, a: float, b: float):
     (V_a, V_b), then (V_aa, V_ab, V_bb), one block solve per Schur column
     and level.
 
-    The certificate is the worst per-shift tangential residual
-    ||(G - G_r) r|| / ||G r|| of the ROM.  G(sigma) comes from
-    ``TOL_SOLVE``-checked solves of B_defl with the factorization whose
-    Schur shift is nearest sigma (they agree to rounding).  No
-    factorization outlives the call.
+    The context is ``ctx`` when given (a ``SylvesterContext`` of this
+    pair's S), else a new one; the caller owns it.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
     data = spark_params_matrices(a, b)
-    ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
+    if ctx is None:
+        ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ data.R)
@@ -115,14 +113,7 @@ def evaluate(ds: DeflatedSystem, a: float, b: float):
     Hab = second(Cab, Ca, Cb, Ga, Gb, Gab)
     H = np.array([[second(Caa, Ca, Ca, Ga, Ga, Gaa), Hab],
                   [Hab, second(Cbb, Cb, Cb, Gb, Gb, Gbb)]])
-    rom = pork_input(V, data, ds.C)
-
-    def fom_eval(s):
-        fac = min(ctx.factors, key=lambda f: abs(f.sigma - s))
-        return -(ds.C @ fac.solve(ds.B_defl))
-
-    residual = max(check_interpolation(fom_eval, rom, data))
-    return J, g, H, V, data, rom, residual
+    return J, g, H, V, data, ctx
 
 
 def trust_region_step(g, H, radius):
@@ -197,24 +188,33 @@ class SparkResult:
     #: deflated system it was made from
     interp_residual: float
     trace: list = field(default_factory=list)
+    ctx: object = None
 
 
 def spark(ds: DeflatedSystem, init: SparkParams = None,
-          gtol: float = GTOL) -> SparkResult:
+          gtol: float = GTOL, reuse: SparkResult = None) -> SparkResult:
     """Trust-region search for the locally optimal shift pair.
 
     Iterates stay in the positive orthant (steps leaving it are rejected
     with a radius shrink), accepted costs are monotone nonincreasing, and
     the returned reduced model is the projection at the final parameters.
-    Each candidate is evaluated once; an accepted candidate's Hessian,
-    basis, ROM and interpolation certificate are kept, so nothing is
-    refactored at the end.  The search stops once
-    ||g|| <= gtol * (1 + |J|).
+    The search stops once ||g|| <= gtol * (1 + |J|).  The accepted point
+    keeps its LUs (its context) only until that test, so one point's LUs
+    are alive at a time.  Only the returned point gets a ROM and a
+    certificate, the worst per-shift tangential residual
+    ||(G - G_r) r|| / ||G r|| with G(sigma) from ``TOL_SOLVE``-checked
+    solves of B_defl with its own context (refactored once after a stop
+    that dropped it), which the result then owns.  ``reuse``, an earlier
+    result on the same A and E, hands its context over, which serves init
+    if that result returned there.
     """
     if init is None:
         init = SparkParams(1e-4, 1e-4)
+    ctx = None
+    if reuse is not None:
+        ctx, reuse.ctx = (reuse.ctx if reuse.params == init else None), None
     p = init.as_array()
-    J, g, H, V, data, rom, residual = evaluate(ds, *p)
+    J, g, H, V, data, ctx = evaluate(ds, *p, ctx)
     radius = RADIUS0
     trace = [{"iter": 0, "a": p[0], "b": p[1], "J": J,
               "gnorm": float(np.linalg.norm(g)), "radius": radius,
@@ -224,6 +224,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
         if np.linalg.norm(g) <= gtol * (1.0 + abs(J)):
             converged, reason = True, "gtol"
             break
+        ctx = None      # free this point's LUs before a candidate factors
         # affine scaling: in directions pushed toward the a, b > 0 boundary
         # the trust region is shrunk to the distance from it, so small
         # parameters cannot veto long steps in the other coordinate
@@ -255,11 +256,12 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
             polish = pred <= noise and Jc <= J + noise
             if rho >= ETA1 or polish:
                 p = cand
-                J, g, H, V, data, rom, residual = point
+                J, g, H, V, data, ctx = point
                 rec.update(accepted=True, J=J,
                            gnorm=float(np.linalg.norm(g)))
             else:
                 rec.update(accepted=False)
+            point = None    # a rejected candidate's LUs go here
             if rho < ETA1 and not polish:
                 radius *= SHRINK
             elif rho > ETA2 and snorm >= 0.99 * radius:
@@ -268,6 +270,15 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
         if radius < RADIUS_MIN:
             converged, reason = True, "radius collapse"
             break
+    if ctx is None:
+        ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
+    rom = pork_input(V, data, ds.C)
+
+    def fom_eval(s):
+        fac = min(ctx.factors, key=lambda f: abs(f.sigma - s))
+        return -(ds.C @ fac.solve(ds.B_defl))
+
+    residual = max(check_interpolation(fom_eval, rom, data))
     return SparkResult(params=SparkParams(*p), V=V, data=data, rom=rom,
                        cost=J, grad=g, converged=converged, reason=reason,
-                       interp_residual=residual, trace=trace)
+                       interp_residual=residual, trace=trace, ctx=ctx)

@@ -32,7 +32,7 @@ def make_ode(lam, b, c, T=None):
 def basis_at(ds, a, b):
     """The order-2 basis V and its data (S, R) that spark.evaluate makes
     at the shift pair (a, b)."""
-    _, _, _, V, data, _, _ = sp.evaluate(ds, a, b)
+    _, _, _, V, data, _ = sp.evaluate(ds, a, b)
     return V, data
 
 

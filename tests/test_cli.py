@@ -136,8 +136,19 @@ def test_h2norm_of_manifest_factors_only_saddle_points(
     capsys.readouterr()
     assert run(["h2norm", path]) == 0
     assert float(capsys.readouterr().out) == expected
-    # one saddle-point LU for the transfer split, one for the projectors
-    assert factor_log == [0.0, 0.0]
+    # one saddle-point LU for the transfer split and the projectors
+    assert factor_log == [0.0]
+
+
+def test_refused_h2norm_of_manifest_factors_nothing(tmp_path, capsys,
+                                                    factor_log):
+    path = bio.write_system(bio.gen_stokes_index2(60, seed=0), tmp_path)
+    capsys.readouterr()
+    assert run(["h2norm", path]) == cli.EXIT_UNSUPPORTED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "DeskScaleExceeded"
+    assert factor_log == []
 
 
 def test_missing_manifest_is_io_error(capsys):

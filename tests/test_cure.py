@@ -1,10 +1,12 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
 from daecure import cure
 from daecure import h2analysis as h2
+from daecure import numkernel as nk
 from daecure import spark as sp
 from daecure.errors import DimensionMismatch
 from daecure.interp import DeflatedSystem
@@ -120,11 +122,9 @@ def test_report_contents(index1_small):
 
 
 def _result_at(ds, a, b):
-    """An unoptimized SparkResult for the shift pair (a, b)."""
-    J, g, _, V, data, rom, residual = sp.evaluate(ds, a, b)
-    return sp.SparkResult(params=sp.SparkParams(a, b), V=V, data=data,
-                          rom=rom, cost=J, grad=g, converged=True,
-                          reason="fixed", interp_residual=residual)
+    """An unoptimized SparkResult for the shift pair (a, b): SPARK stops
+    at its start pair."""
+    return sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
@@ -176,3 +176,87 @@ def test_cured_spark_leaves_the_callers_input(index1_small):
 def test_cured_spark_rejects_multi_input():
     with pytest.raises(DimensionMismatch):
         run_cure(make_random_stable_ode(10, seed=0, m=2))
+
+
+@pytest.mark.parametrize("gtol", [sp.GTOL, 1e30], ids=["moving", "at-start"])
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_one_spark_context_alive_at_a_time(fixture, gtol, request,
+                                           monkeypatch):
+    # every SPARK factorization is made for the context under construction
+    # while no other context is alive, and none outlives cured_spark;
+    # gtol = 1e30 hands each step's context to the next step
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    contexts, alive = [], []
+    ctx_init = nk.SylvesterContext.__init__
+    fac_init = nk.ShiftedFactorization.__init__
+
+    def tracked_ctx(self, A, E, S):
+        contexts.append(weakref.ref(self))
+        ctx_init(self, A, E, S)
+
+    def tracked_fac(self, A, E, sigma):
+        alive.append(sum(ref() is not None for ref in contexts))
+        fac_init(self, A, E, sigma)
+
+    monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked_ctx)
+    monkeypatch.setattr(nk.ShiftedFactorization, "__init__", tracked_fac)
+    cure.cured_spark(ds, cure.CureConfig(max_steps=3, tol_rel=1e-6,
+                                         gtol=gtol))
+    assert alive and alive == [1] * len(alive)
+    assert all(ref() is None for ref in contexts)
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_steps_returned_at_the_start_share_one_factorization(
+        fixture, request, factor_log):
+    # every SPARK call stops at its start pair (1e-4, 1e-4), a conjugate
+    # pair: one complex LU serves every step's evaluation and certificate
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    del factor_log[:]
+    _, report, ledger = cure.cured_spark(
+        ds, cure.CureConfig(max_steps=3, tol_rel=0.0, gtol=1e30))
+    assert report["k"] == 3
+    assert [st["iterations"] for st in report["steps"]] == [0, 0, 0]
+    assert len(factor_log) == 1 and factor_log[0].imag != 0.0
+    assert all(rec.interp_residual <= 1e-10 for rec in ledger.records)
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_one_certificate_per_spark_call(fixture, request, monkeypatch):
+    calls = []
+    check, spark = sp.check_interpolation, sp.spark
+
+    def counting_check(*args):
+        calls.append("certificate")
+        return check(*args)
+
+    def counting_spark(*args, **kwargs):
+        calls.append("spark")
+        return spark(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "check_interpolation", counting_check)
+    monkeypatch.setattr(sp, "spark", counting_spark)
+    _, report, _ = run_cure(request.getfixturevalue(fixture), max_steps=3,
+                            tol=1e-6)
+    assert sum(st["iterations"] for st in report["steps"]) > 0
+    assert calls == ["spark", "certificate"] * (len(calls) // 2)
+
+
+def test_report_counts_iterations_and_rejections(stokes_small, monkeypatch):
+    # the SPARK trace behind each step's counters: iteration 0 is the
+    # start pair, every later record one trust-region iteration
+    traces = []
+    spark = sp.spark
+
+    def keep_trace(*args, **kwargs):
+        res = spark(*args, **kwargs)
+        traces.append(res.trace)
+        return res
+
+    monkeypatch.setattr(sp, "spark", keep_trace)
+    _, report, _ = run_cure(stokes_small, max_steps=3, tol=1e-6)
+    steps = report["steps"]
+    assert any(st["rejected"] > 0 for st in steps)
+    for st, trace in zip(steps, traces):
+        assert st["iterations"] == len(trace) - 1 == trace[-1]["iter"]
+        assert st["rejected"] == sum(not r["accepted"] for r in trace[1:])

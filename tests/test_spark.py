@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from daecure import cure
+from daecure import numkernel as nk
 from daecure import spark as sp
 from daecure.errors import NonPositiveParams
 from daecure.interp import (DeflatedSystem, spark_params_matrices,
@@ -52,7 +55,10 @@ def test_cost_equals_negative_captured_norm():
 def test_evaluate_basis_is_the_spark_basis():
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     for a, b in ((0.8, 1.4), (2.0, 1.0)):
-        _, _, _, V, data, rom, residual = sp.evaluate(ds, a, b)
+        _, _, _, V, data, _ = sp.evaluate(ds, a, b)
+        res = sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
+        rom, residual = res.rom, res.interp_residual
+        assert np.array_equal(res.V, V)
         data0 = spark_params_matrices(a, b)
         assert sylvester_residual(ds, V, data) <= 1e-12
         assert np.array_equal(data.S, data0.S)
@@ -65,11 +71,16 @@ def test_evaluate_basis_is_the_spark_basis():
                          ids=["conjugate", "real"])
 def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
     # one block solve per Schur column for V, (V_a, V_b) and
-    # (V_aa, V_ab, V_bb), then one B_defl solve per shift for the
-    # certificate; no column needs refinement
+    # (V_aa, V_ab, V_bb) in evaluate, then one B_defl solve per shift for
+    # the certificate of the point SPARK returns, here its start pair; no
+    # column needs refinement
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     del lu_solves[:]
     sp.evaluate(ds, a, b)
+    assert len(lu_solves) == 6
+    del lu_solves[:]
+    res = sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
+    assert res.reason == "gtol" and res.trace[-1]["iter"] == 0
     assert len(lu_solves) == 8
     # a real pair solves the complex Schur columns as [Re | Im] blocks
     width = 1 if a * a < b else 2
@@ -209,9 +220,9 @@ def test_spark_factors_once_per_evaluated_point(factor_log, monkeypatch):
     evaluated = []
     evaluate = sp.evaluate
 
-    def counting_evaluate(ds, a, b):
+    def counting_evaluate(ds, a, b, ctx=None):
         evaluated.append((a, b, len(shifts)))
-        return evaluate(ds, a, b)
+        return evaluate(ds, a, b, ctx)
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
     _, report, _ = cure.cured_spark(
@@ -230,3 +241,35 @@ def test_spark_factors_once_per_evaluated_point(factor_log, monkeypatch):
             assert len(point) <= 2 and all(s.imag == 0.0 for s in point)
         saw.add(a * a < b)
     assert saw == {True, False}
+
+
+@pytest.mark.parametrize("maxiter, reason, refactor",
+                         [(1, "maxiter", 0), (sp.MAXITER, "steptol", 1)])
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_returned_point_is_certified_after_any_stop(
+        fixture, maxiter, reason, refactor, request, monkeypatch):
+    # with gtol = 0 the stopping test never passes.  A steptol stop comes
+    # after the returned point dropped its context at that test, so the
+    # point is refactored once; with maxiter = 1 the accepted trial still
+    # holds its context, which then certifies it
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    contexts, evaluated = [], []
+    ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
+
+    def tracked(self, A, E, S):
+        contexts.append(weakref.ref(self))
+        ctx_init(self, A, E, S)
+
+    def counting_evaluate(ds, a, b, ctx=None):
+        evaluated.append((a, b))
+        return evaluate(ds, a, b, ctx)
+
+    monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked)
+    monkeypatch.setattr(sp, "evaluate", counting_evaluate)
+    monkeypatch.setattr(sp, "MAXITER", maxiter)
+    res = sp.spark(ds, gtol=0.0)
+    assert res.reason == reason
+    assert len(contexts) == len(evaluated) + refactor
+    assert res.ctx is contexts[-1]()
+    assert np.array_equal(res.ctx.S, res.data.S)
+    assert res.interp_residual <= 1e-10
