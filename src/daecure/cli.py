@@ -10,6 +10,8 @@ Exit codes: 0 ok, 1 numerical failure, 2 unsupported input, 3 I/O error.
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys as _sys
@@ -40,6 +42,12 @@ EXIT_IO = 3
 #: thread variables BLAS/OpenMP read when numpy loads; ``reduce`` records
 #: their values in report.json
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: glibc's mallopt parameters, and the value the CLI pins both to: blocks
+#: of at least MALLOC_THRESHOLD bytes are mapped on their own, and free
+#: space at the top of the heap is returned once it exceeds it
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLD = 4 << 20
 
 
 class UnsupportedInput(DaecureError):
@@ -352,6 +360,33 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def pin_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds for this process, once.
+
+    By default glibc raises its mmap threshold to the size of each mapped
+    block it frees (up to 32 MiB).  After the first sparse LU of a large
+    pencil, SuperLU's growing work arrays then come from the brk heap, and
+    how much of the heap stays resident depends on its layout: the peak
+    RSS of identical reductions of Stokes m=60 in one process varied by
+    8 MB.  With fixed thresholds every block of 4 MiB or more is mapped
+    and returned when freed.  Thresholds set through glibc's
+    ``MALLOC_MMAP_THRESHOLD_`` / ``MALLOC_TRIM_THRESHOLD_`` are kept, and
+    without glibc this does nothing.  Returns whether it pinned them.
+    """
+    if any(f"MALLOC_{name}_THRESHOLD_" in os.environ
+           for name in ("MMAP", "TRIM")):
+        return False
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return False
+    return bool(mallopt(M_MMAP_THRESHOLD, MALLOC_THRESHOLD)
+                and mallopt(M_TRIM_THRESHOLD, MALLOC_THRESHOLD))
+
+
 def _error_json(code, exc):
     return json.dumps({
         "error": type(exc).__name__,
@@ -361,6 +396,7 @@ def _error_json(code, exc):
 
 
 def main(argv=None):
+    pin_malloc_thresholds()
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)

@@ -17,7 +17,7 @@ import numpy as np
 from . import spark as sparkmod
 from .errors import DimensionMismatch
 from .interp import DeflatedSystem
-from .pork import RomRealization
+from .pork import RomRealization, check_interpolation, pork_input
 
 #: a step capturing at most this times max(||G_tot||^2, 1) is degenerate
 DEGENERATE_TOL = 1e-14
@@ -88,9 +88,10 @@ def allpass_factor(rec: CureRecord) -> RomRealization:
 def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     """Fold one shift-optimization result into the ledger.
 
-    Records the step's interpolation certificate, which the shift-pair
-    optimizer made with its own factorizations against the current
-    deflated input, then depletes that input.  The total H2 norm is
+    Builds the step's ROM and certifies it, the worst per-shift
+    tangential residual ||(G - G_r) r|| / ||G r|| with G(sigma) from
+    ``TOL_SOLVE``-checked solves of the current deflated input with the
+    result's own LUs, then depletes that input.  The total H2 norm is
     tracked incrementally: by the error-norm decomposition each step adds
     exactly the captured energy -J, so
     ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k.  This stays exact and
@@ -98,11 +99,16 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     poles arbitrarily close to the imaginary axis (where a dense Lyapunov
     solve on the assembled pencil would be refused).
     """
-    rom = spark_out.rom
     ds = ledger.ds
+    rom = pork_input(spark_out.V, spark_out.data, ds.C)
+
+    def fom_eval(s):
+        fac = min(spark_out.ctx.factors, key=lambda f: abs(f.sigma - s))
+        return -(ds.C @ fac.solve(ds.B_defl))
+
+    residual = max(check_interpolation(fom_eval, rom, spark_out.data))
     rec = CureRecord(data=spark_out.data, rom=rom, params=spark_out.params,
-                     cost=spark_out.cost,
-                     interp_residual=spark_out.interp_residual)
+                     cost=spark_out.cost, interp_residual=residual)
     ds.B_defl = ds.B_defl - ds.E @ (spark_out.V
                                     @ np.linalg.solve(rom.Er, rom.Br))
     ledger.records.append(rec)
@@ -128,8 +134,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     each result in, and stops once the relative H2-norm increase of the
     total model drops below ``tol_rel`` (or degenerate/step limits hit).
     The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
-    left as it is.  A step that returned at ``init`` hands its LUs to the
-    next.  Returns (TotalRom, report dict, ledger).
+    left as it is.  One surrogate basis serves every step's SPARK, and a
+    step that returned at ``init`` hands its LUs to the next.  Returns
+    (TotalRom, report dict, ledger).
     """
     if cfg is None:
         cfg = CureConfig()
@@ -137,10 +144,12 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     ledger = CureLedger(ds=replace(ds))
     report = {"steps": [], "stop_reason": None, "flagged": False}
     init = sparkmod.SparkParams(cfg.init_a, cfg.init_b)
+    basis = sparkmod.SurrogateBasis(ds.n)
     degenerate_run = 0
     res = None
     while ledger.k < cfg.max_steps:
-        res = sparkmod.spark(ledger.ds, init=init, gtol=cfg.gtol, reuse=res)
+        res = sparkmod.spark(ledger.ds, init=init, gtol=cfg.gtol, reuse=res,
+                             basis=basis)
         # stagnation is decided on the prospective step, before folding it
         # in: a nearly exhausted residual drives the optimizer against the
         # b > 0 boundary and would contribute a numerically singular block
@@ -163,6 +172,7 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
             "reason": res.reason, "norm_total": norm, "rel_increase": rel_inc,
             "iterations": len(res.trace) - 1,
             "rejected": sum(not r["accepted"] for r in res.trace),
+            "full_evaluations": len(res.evaluations),
         })
         if captured <= DEGENERATE_TOL * max(norm ** 2, 1.0):
             degenerate_run += 1

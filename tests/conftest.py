@@ -32,8 +32,8 @@ def make_ode(lam, b, c, T=None):
 def basis_at(ds, a, b):
     """The order-2 basis V and its data (S, R) that spark.evaluate makes
     at the shift pair (a, b)."""
-    _, _, _, V, data, _ = sp.evaluate(ds, a, b)
-    return V, data
+    point = sp.evaluate(ds, a, b)
+    return point.V, point.data
 
 
 def make_random_stable_ode(n, seed, m=1, p=1, shift=2.0):

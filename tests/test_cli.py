@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -377,3 +379,52 @@ def test_saddle_factorization_freed_before_cure(sysdir, tmp_path,
     assert run(["reduce", "--manifest", _manifest(sysdir), "--max-steps", "1",
                 "--out", str(tmp_path / "rom")]) == 0
     assert alive == [False]
+
+
+#: prints whether the CLI pinned the malloc thresholds and how many bytes
+#: a 5 MiB block added to the mapped total after a 16 MiB mapped block was
+#: freed (which, unpinned, lifts glibc's threshold above 5 MiB)
+MAPPED_PROBE = """
+import ctypes
+from daecure import cli
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(n, ctypes.c_size_t) for n in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+pinned = cli.pin_malloc_thresholds()
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = [ctypes.c_void_p]
+libc.mallinfo2.restype = MallInfo2
+libc.free(libc.malloc(16 << 20))
+before = libc.mallinfo2().hblkhd
+block = libc.malloc(5 << 20)
+print(pinned, libc.mallinfo2().hblkhd - before)
+libc.free(block)
+"""
+
+
+def _mapped_probe(**env):
+    full = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    full.update(env, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                             "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", MAPPED_PROBE], env=full,
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode != 0:
+        pytest.skip(f"no glibc mallinfo2: {proc.stderr.strip()[-200:]}")
+    pinned, grown = proc.stdout.split()
+    return pinned == "True", int(grown)
+
+
+def test_pinned_malloc_maps_large_blocks_after_a_larger_free():
+    pinned, grown = _mapped_probe()
+    if not pinned:
+        pytest.skip("malloc thresholds are pinned on glibc only")
+    assert grown >= 5 << 20
+
+
+def test_malloc_threshold_from_environment_is_kept():
+    pinned, _ = _mapped_probe(MALLOC_MMAP_THRESHOLD_=str(64 << 20))
+    assert not pinned

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from daecure import bench_io as bio
 from daecure import cure
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
@@ -159,7 +160,7 @@ def test_step_certificate_can_fail(fixture, request, monkeypatch):
         rom = pork_input(V, data, C)
         return dataclasses.replace(rom, Cr=1.01 * rom.Cr)
 
-    monkeypatch.setattr(sp, "pork_input", wrong_rom)
+    monkeypatch.setattr(cure, "pork_input", wrong_rom)
     ledger = cure.CureLedger(DeflatedSystem.from_dae(sys))
     cure.cure_step(ledger, sp.spark(ledger.ds))
     assert ledger.records[-1].interp_residual >= 1e-3
@@ -182,20 +183,24 @@ def test_cured_spark_rejects_multi_input():
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
 def test_one_spark_context_alive_at_a_time(fixture, gtol, request,
                                            monkeypatch):
-    # every SPARK factorization is made for the context under construction
-    # while no other context is alive, and none outlives cured_spark;
-    # gtol = 1e30 hands each step's context to the next step
+    # every factorization of the full pencil is made for the context
+    # under construction while no other full-model context is alive, and
+    # none outlives cured_spark; the surrogate's contexts factor its own
+    # small pencil.  gtol = 1e30 hands each step's context to the next
+    # step
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     contexts, alive = [], []
     ctx_init = nk.SylvesterContext.__init__
     fac_init = nk.ShiftedFactorization.__init__
 
     def tracked_ctx(self, A, E, S):
-        contexts.append(weakref.ref(self))
+        if A.shape[0] == ds.n:
+            contexts.append(weakref.ref(self))
         ctx_init(self, A, E, S)
 
     def tracked_fac(self, A, E, sigma):
-        alive.append(sum(ref() is not None for ref in contexts))
+        if A.shape[0] == ds.n:
+            alive.append(sum(ref() is not None for ref in contexts))
         fac_init(self, A, E, sigma)
 
     monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked_ctx)
@@ -221,10 +226,11 @@ def test_steps_returned_at_the_start_share_one_factorization(
     assert all(rec.interp_residual <= 1e-10 for rec in ledger.records)
 
 
-@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
-def test_one_certificate_per_spark_call(fixture, request, monkeypatch):
+def _count_certificates(monkeypatch):
+    """The order of SPARK calls and certificates (cure_step's
+    check_interpolation calls) during the test."""
     calls = []
-    check, spark = sp.check_interpolation, sp.spark
+    check, spark = cure.check_interpolation, sp.spark
 
     def counting_check(*args):
         calls.append("certificate")
@@ -234,29 +240,77 @@ def test_one_certificate_per_spark_call(fixture, request, monkeypatch):
         calls.append("spark")
         return spark(*args, **kwargs)
 
-    monkeypatch.setattr(sp, "check_interpolation", counting_check)
+    monkeypatch.setattr(cure, "check_interpolation", counting_check)
     monkeypatch.setattr(sp, "spark", counting_spark)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_one_certificate_per_spark_call(fixture, request, monkeypatch):
+    # each folded step is certified once, after its SPARK call; the call
+    # whose result the stagnation stop discards is certified never
+    calls = _count_certificates(monkeypatch)
     _, report, _ = run_cure(request.getfixturevalue(fixture), max_steps=3,
                             tol=1e-6)
     assert sum(st["iterations"] for st in report["steps"]) > 0
-    assert calls == ["spark", "certificate"] * (len(calls) // 2)
+    assert report["stop_reason"] in ("tolerance", "degenerate")
+    assert calls == ["spark", "certificate"] * report["k"] + ["spark"]
+
+
+def test_certificates_equal_steps_on_index1_250(monkeypatch):
+    # the benchmark's index-1 system (n1 = 250, n2 = 50, generator seed 0)
+    # folds five steps and discards a sixth SPARK call
+    calls = _count_certificates(monkeypatch)
+    ds = DeflatedSystem.from_dae(bio.gen_semi_explicit_index1(250, 50, 0))
+    _, report, ledger = cure.cured_spark(ds, cure.CureConfig())
+    assert report["k"] == 5 and report["stop_reason"] == "tolerance"
+    assert calls.count("certificate") == report["k"]
+    assert calls.count("spark") == report["k"] + 1
+    assert max(rec.interp_residual for rec in ledger.records) <= 1e-10
+    assert report["norm_history"][-1] >= 0.12634574099
+
+
+def test_one_surrogate_basis_serves_every_step(index1_small, monkeypatch):
+    # A and E never change, so the basis of the SPARK surrogate is kept
+    # across CURE steps and only grows
+    bases, widths = [], []
+    spark = sp.spark
+
+    def keep_basis(*args, **kwargs):
+        bases.append(kwargs["basis"])
+        res = spark(*args, **kwargs)
+        widths.append(kwargs["basis"].W.shape[1])
+        return res
+
+    monkeypatch.setattr(sp, "spark", keep_basis)
+    _, report, _ = run_cure(index1_small, max_steps=4, tol=1e-30)
+    assert report["k"] >= 2
+    assert all(b is bases[0] for b in bases)
+    assert widths == sorted(widths) and widths[0] > 0
 
 
 def test_report_counts_iterations_and_rejections(stokes_small, monkeypatch):
     # the SPARK trace behind each step's counters: iteration 0 is the
-    # start pair, every later record one trust-region iteration
-    traces = []
+    # start pair, every later record one trust-region iteration on the
+    # surrogate, so `iterations` and `rejected` count those; every
+    # full-model point, the start pair included, is one of
+    # `full_evaluations`
+    results = []
     spark = sp.spark
 
-    def keep_trace(*args, **kwargs):
+    def keep_result(*args, **kwargs):
         res = spark(*args, **kwargs)
-        traces.append(res.trace)
+        results.append(res)
         return res
 
-    monkeypatch.setattr(sp, "spark", keep_trace)
+    monkeypatch.setattr(sp, "spark", keep_result)
     _, report, _ = run_cure(stokes_small, max_steps=3, tol=1e-6)
     steps = report["steps"]
     assert any(st["rejected"] > 0 for st in steps)
-    for st, trace in zip(steps, traces):
+    assert any(st["full_evaluations"] > 1 for st in steps)
+    for st, res in zip(steps, results):
+        trace = res.trace
         assert st["iterations"] == len(trace) - 1 == trace[-1]["iter"]
         assert st["rejected"] == sum(not r["accepted"] for r in trace[1:])
+        assert st["full_evaluations"] == len(res.evaluations)
+        assert st["iterations"] >= st["full_evaluations"] - 1

@@ -1,7 +1,9 @@
+import dataclasses
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from daecure import cure
 from daecure import numkernel as nk
@@ -12,6 +14,13 @@ from daecure.interp import (DeflatedSystem, spark_params_matrices,
 from daecure.pork import pork_input
 
 from conftest import basis_at, make_ode, make_random_stable_ode
+
+
+def _certify(ds, res):
+    """The ROM and certificate ``cure_step`` makes of a SPARK result."""
+    ledger = cure.CureLedger(dataclasses.replace(ds))
+    rec = cure.cure_step(ledger, res).records[-1]
+    return rec.rom, rec.interp_residual
 
 
 def test_closed_form_reduced_matrices():
@@ -55,9 +64,10 @@ def test_cost_equals_negative_captured_norm():
 def test_evaluate_basis_is_the_spark_basis():
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     for a, b in ((0.8, 1.4), (2.0, 1.0)):
-        _, _, _, V, data, _ = sp.evaluate(ds, a, b)
+        point = sp.evaluate(ds, a, b)
+        V, data = point.V, point.data
         res = sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
-        rom, residual = res.rom, res.interp_residual
+        rom, residual = _certify(ds, res)
         assert np.array_equal(res.V, V)
         data0 = spark_params_matrices(a, b)
         assert sylvester_residual(ds, V, data) <= 1e-12
@@ -71,9 +81,9 @@ def test_evaluate_basis_is_the_spark_basis():
                          ids=["conjugate", "real"])
 def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
     # one block solve per Schur column for V, (V_a, V_b) and
-    # (V_aa, V_ab, V_bb) in evaluate, then one B_defl solve per shift for
-    # the certificate of the point SPARK returns, here its start pair; no
-    # column needs refinement
+    # (V_aa, V_ab, V_bb) in evaluate, which is all a SPARK call that
+    # returns at its start pair solves; then cure_step makes one B_defl
+    # solve per shift for the certificate.  No column needs refinement
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     del lu_solves[:]
     sp.evaluate(ds, a, b)
@@ -81,6 +91,8 @@ def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
     del lu_solves[:]
     res = sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
     assert res.reason == "gtol" and res.trace[-1]["iter"] == 0
+    assert len(lu_solves) == 6
+    _certify(ds, res)
     assert len(lu_solves) == 8
     # a real pair solves the complex Schur columns as [Re | Im] blocks
     width = 1 if a * a < b else 2
@@ -196,8 +208,9 @@ def test_spark_drives_gradient_down():
     assert res.converged
     assert res.params.a > 0 and res.params.b > 0
     assert np.linalg.norm(res.grad) <= 1e-6 * (1 + abs(res.cost))
-    # accepted iterates are monotone in cost
-    Js = [r["J"] for r in res.trace if r.get("accepted") and "J" in r]
+    # accepted full-model points are monotone in cost
+    Js = [e["J"] for e in res.evaluations if e["accepted"]]
+    assert len(Js) >= 2 and Js[-1] == res.cost
     assert all(j2 <= j1 + 1e-12 for j1, j2 in zip(Js, Js[1:]))
 
 
@@ -207,35 +220,74 @@ def test_spark_exact_on_order_two():
     ds = DeflatedSystem.from_dae(sys)
     res = sp.spark(ds, gtol=1e-11)
     from daecure import h2analysis as h2
-    err = h2.h2_error_norm(ds, res.rom)
+    err = h2.h2_error_norm(ds, pork_input(res.V, res.data, ds.C))
     assert err <= 1e-8
 
 
-def test_spark_factors_once_per_evaluated_point(factor_log, monkeypatch):
-    # one complex LU (conjugate pair) or two real LUs (real pair) per
-    # trust-region point; besides them a whole cumulative reduction
-    # factors only the saddle-point matrix, first: nothing is refactored
-    # once a SPARK loop returns, to certify or to deplete a step
-    shifts = factor_log
+def _track_full(monkeypatch, n):
+    """Weak references to the contexts and the (a, b, context given) of the
+    evaluations made of a system of size n, the full model; a surrogate's
+    are smaller."""
+    contexts, evaluated = [], []
+    ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
+
+    def tracked(self, A, E, S):
+        if A.shape[0] == n:
+            contexts.append(weakref.ref(self))
+        ctx_init(self, A, E, S)
+
+    def counting_evaluate(ds, a, b, ctx=None):
+        if ds.n == n:
+            evaluated.append((a, b, ctx is not None))
+        return evaluate(ds, a, b, ctx)
+
+    monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked)
+    monkeypatch.setattr(sp, "evaluate", counting_evaluate)
+    return contexts, evaluated
+
+
+def test_spark_factors_once_per_evaluated_point(monkeypatch):
+    # one LU set of the full pencil per full-model point: one complex LU
+    # (conjugate pair) or two real LUs (real pair), none for a point that
+    # is handed the LUs of the pair the previous step returned at.  The
+    # surrogate factors only its own small pencil, and besides these a
+    # whole cumulative reduction factors only the saddle-point matrix,
+    # first: nothing is refactored once a SPARK call returns, to certify
+    # or to deplete a step.  This system's full-model points include
+    # real and conjugate pairs
+    sys = make_random_stable_ode(20, seed=0)
+    full, small = [], []
+    fac_init = nk.ShiftedFactorization.__init__
+
+    def counting(self, A, E, sigma):
+        (full if A.shape[0] == sys.n else small).append(complex(sigma))
+        fac_init(self, A, E, sigma)
+
+    monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting)
     evaluated = []
     evaluate = sp.evaluate
 
-    def counting_evaluate(ds, a, b, ctx=None):
-        evaluated.append((a, b, len(shifts)))
-        return evaluate(ds, a, b, ctx)
+    def counting_evaluate(d, a, b, ctx=None):
+        if d.n == sys.n:
+            evaluated.append((a, b, ctx is not None, len(full)))
+        return evaluate(d, a, b, ctx)
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
-    _, report, _ = cure.cured_spark(
-        DeflatedSystem.from_dae(make_random_stable_ode(20, seed=4)))
+    ds = DeflatedSystem.from_dae(sys)
+    _, report, _ = cure.cured_spark(ds)
     assert report["k"] >= 2
     assert all(st["converged"] for st in report["steps"])
-    assert len(evaluated) >= 5
-    assert shifts[0] == 0.0 and evaluated[0][2] == 1
-    ends = [k for _, _, k in evaluated[1:]] + [len(shifts)]
+    assert small and len(evaluated) >= 5
+    assert sum(st["full_evaluations"] for st in report["steps"]) \
+        < len(evaluated)        # and the discarded stagnation call
+    assert full[0] == 0.0 and evaluated[0][3] == 1
+    ends = [k for *_, k in evaluated[1:]] + [len(full)]
     saw = set()
-    for (a, b, start), end in zip(evaluated, ends):
-        point = shifts[start:end]
-        if a * a < b:
+    for (a, b, given, start), end in zip(evaluated, ends):
+        point = full[start:end]
+        if given:
+            assert point == []
+        elif a * a < b:
             assert len(point) == 1 and point[0].imag != 0.0
         else:
             assert len(point) <= 2 and all(s.imag == 0.0 for s in point)
@@ -244,32 +296,132 @@ def test_spark_factors_once_per_evaluated_point(factor_log, monkeypatch):
 
 
 @pytest.mark.parametrize("maxiter, reason, refactor",
-                         [(1, "maxiter", 0), (sp.MAXITER, "steptol", 1)])
+                         [(1, "maxiter", 0), (sp.MAXITER, "steptol", 0)])
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
 def test_returned_point_is_certified_after_any_stop(
         fixture, maxiter, reason, refactor, request, monkeypatch):
-    # with gtol = 0 the stopping test never passes.  A steptol stop comes
-    # after the returned point dropped its context at that test, so the
-    # point is refactored once; with maxiter = 1 the accepted trial still
-    # holds its context, which then certifies it
+    # with gtol = 0 the stopping test never passes: the loop stops after
+    # maxiter full-model points, or when the surrogate finds no step from
+    # the current pair.  Either way the returned pair is the last
+    # accepted full-model point, which still holds its LUs, and they
+    # certify it
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
-    contexts, evaluated = [], []
-    ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
-
-    def tracked(self, A, E, S):
-        contexts.append(weakref.ref(self))
-        ctx_init(self, A, E, S)
-
-    def counting_evaluate(ds, a, b, ctx=None):
-        evaluated.append((a, b))
-        return evaluate(ds, a, b, ctx)
-
-    monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked)
-    monkeypatch.setattr(sp, "evaluate", counting_evaluate)
+    contexts, evaluated = _track_full(monkeypatch, ds.n)
     monkeypatch.setattr(sp, "MAXITER", maxiter)
     res = sp.spark(ds, gtol=0.0)
     assert res.reason == reason
+    assert len(evaluated) == len(res.evaluations) > 1
     assert len(contexts) == len(evaluated) + refactor
     assert res.ctx is contexts[-1]()
     assert np.array_equal(res.ctx.S, res.data.S)
-    assert res.interp_residual <= 1e-10
+    assert _certify(ds, res)[1] <= 1e-10
+
+
+def test_trust_region_step_tiny_curvature():
+    # all Hessian eigenvalues far below 1: the bracket of the secular
+    # equation must not be offset by an absolute shift (it used to be
+    # 1e-16, past the root, and brentq failed)
+    g = np.array([1.1819191393290592e-11, -1.4790310769565938e-12])
+    H = np.array([[3.5948532160030415e-11, -4.5505059291502709e-14],
+                  [-4.5505059291502709e-14, 7.8802695711184312e-17]])
+    s = sp.trust_region_step(g, H, 16384.0)
+    assert abs(np.linalg.norm(s) - 16384.0) <= 1e-10 * 16384.0
+    model = lambda v: g @ v + 0.5 * v @ H @ v
+    best = min(model(16384.0 * np.array([np.cos(t), np.sin(t)]))
+               for t in np.linspace(0, 2 * np.pi, 20000))
+    assert model(s) <= best + 1e-8 * abs(best)
+
+
+@pytest.mark.parametrize("g, H, radius", [
+    ([1.0, -2.0], [[2.0, 0.0], [0.0, 4.0]], 10.0),
+    ([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], 0.25),
+    ([0.3, -0.1], [[1.0, 0.0], [0.0, -2.0]], 1.0),
+    ([0.5, 0.0], [[1.0, 0.0], [0.0, -1.0]], 1.0),
+    ([1e-3, 1.0], [[-1.0, 0.3], [0.3, 2.0]], 0.5),
+    ([1.1819191393290592e-11, -1.4790310769565938e-12],
+     [[3.5948532160030415e-11, -4.5505059291502709e-14],
+      [-4.5505059291502709e-14, 7.8802695711184312e-17]], 16384.0),
+], ids=["interior", "boundary", "indefinite", "hard", "mixed", "tiny"])
+def test_trust_region_step_is_scale_invariant(g, H, radius):
+    g, H = np.array(g), np.array(H)
+    s = sp.trust_region_step(g, H, radius)
+    for c in (1e-6, 1e6):
+        sc = sp.trust_region_step(c * g, c * H, radius)
+        assert np.linalg.norm(sc - s) <= 1e-12 * max(np.linalg.norm(s), 1.0)
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
+                                     "ode_small"])
+def test_surrogate_is_exact_at_full_model_points(fixture, request,
+                                                 monkeypatch):
+    # the Galerkin surrogate of one SPARK call reproduces J and its
+    # gradient at every full-model point whose bases it holds: J relative
+    # to itself, the gradient on the scale of the stopping test
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    added = []
+    add = sp.SurrogateBasis.add
+
+    def keep(self, d, point):
+        added.append(point)
+        return add(self, d, point)
+
+    monkeypatch.setattr(sp.SurrogateBasis, "add", keep)
+    basis = sp.SurrogateBasis(ds.n)
+    res = sp.spark(ds, basis=basis)
+    assert res.reason == "gtol" and len(res.evaluations) >= 2
+    assert len(added) >= 2
+    sur = basis.surrogate(ds)
+    assert sur.n == basis.W.shape[1] < ds.n
+    assert np.allclose(basis.W.T @ basis.W, np.eye(sur.n), atol=1e-12)
+    for point in added:
+        a = point.data.S[0, 0]
+        b = a * a - point.data.S[1, 0]
+        model = sp.evaluate(sur, a, b)
+        assert abs(model.J - point.J) <= 1e-10 * abs(point.J)
+        assert np.linalg.norm(model.g - point.g) <= 1e-10 * (1 + abs(point.J))
+
+
+def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
+    # Galerkin does not keep an index-1 surrogate stable.  Here one is
+    # moved until its rightmost pole sits at +1, where its J has no lower
+    # bound: the full-model J of its optimum rises and the point is
+    # rejected, which enriches the surrogate
+    ds = DeflatedSystem.from_dae(index1_small)
+    opt = sp.spark(ds)
+    init = sp.SparkParams(1.2 * opt.params.a, opt.params.b / 1.2)
+    surrogate = sp.SurrogateBasis.surrogate
+    crossed = []
+
+    def crossing(once):
+        def make(self, d):
+            sur = surrogate(self, d)
+            if once and crossed:
+                return sur
+            w = spla.eigvals(sur.A, sur.E)
+            mu = 1.0 - w[np.isfinite(w)].real.max()
+            crossed.append(mu)
+            return dataclasses.replace(sur, A=sur.A + mu * sur.E)
+        return make
+
+    # a surrogate that crosses once: the step then converges as before
+    monkeypatch.setattr(sp.SurrogateBasis, "surrogate", crossing(True))
+    res = sp.spark(ds, init=init)
+    assert crossed and crossed[0] > 1.0
+    accepted = [e["accepted"] for e in res.evaluations]
+    assert accepted[1] is False and accepted[-1] is True
+    Js = [e["J"] for e in res.evaluations if e["accepted"]]
+    assert all(j2 <= j1 + 1e-13 for j1, j2 in zip(Js, Js[1:]))
+    assert res.reason == "gtol"
+    assert abs(res.cost - opt.cost) <= 1e-10 * abs(opt.cost)
+    # one that always crosses: no point after the start is accepted, and
+    # the start pair is returned with its LUs refactored once
+    contexts, evaluated = _track_full(monkeypatch, ds.n)
+    monkeypatch.setattr(sp.SurrogateBasis, "surrogate", crossing(False))
+    res = sp.spark(ds, init=init)
+    assert [e["accepted"] for e in res.evaluations][1:] \
+        == [False] * (len(res.evaluations) - 1)
+    assert len(res.evaluations) >= 2 and not res.converged
+    assert np.array_equal(res.params.as_array(), init.as_array())
+    assert len(contexts) == len(evaluated) + 1
+    assert res.ctx is contexts[-1]()
+    assert _certify(ds, res)[1] <= 1e-10
