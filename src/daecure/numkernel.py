@@ -1,9 +1,10 @@
-"""Numeric primitives: sparse shifted solves, small dense Sylvester/Lyapunov
+"""Numeric primitives: shifted solves, small dense Sylvester/Lyapunov
 solvers and dense generalized eigenvalue machinery.
 
 Sparse matrices are held in SciPy CSC format throughout (duplicate entries
 are summed on conversion; stored shape is the declared shape).  Dense
-reduced-order quantities are plain ``numpy.ndarray``.
+reduced-order quantities are plain ``numpy.ndarray``; a pencil given as
+two of them (a Galerkin surrogate) stays dense and gets LAPACK LUs.
 """
 
 import numpy as np
@@ -35,16 +36,40 @@ def as_csc(M):
     return M
 
 
+def _pencil(A, E):
+    """(A, E) as they are when both are dense arrays, else both as CSC."""
+    if isinstance(A, np.ndarray) and isinstance(E, np.ndarray):
+        return A, E
+    return as_csc(A), as_csc(E)
+
+
+class DenseLU:
+    """LAPACK getrf LU of a dense square matrix, with SuperLU's
+    ``solve(b, trans)`` for trans "N" or "T".  Raises RuntimeError, as
+    ``splu`` does, on an exact zero pivot or a non-finite factor."""
+
+    def __init__(self, M):
+        getrf, self._getrs = lapack.get_lapack_funcs(("getrf", "getrs"), (M,))
+        self._lu, self._piv, info = getrf(M)
+        if info != 0 or not np.isfinite(self._lu).all():
+            raise RuntimeError(f"dense LU failed (getrf info={info})")
+
+    def solve(self, b, trans="N"):
+        x, _ = self._getrs(self._lu, self._piv, b, trans=int(trans == "T"))
+        return x
+
+
 class ShiftedFactorization:
-    """Direct factorization of (A - sigma*E) with residual-checked solves.
+    """Direct factorization of (A - sigma*E) with residual-checked solves:
+    SuperLU for a sparse pencil, LAPACK for a dense one (see ``_pencil``).
 
     A factorization may be used from one execution context at a time;
     distinct factorizations are independent.
     """
 
     def __init__(self, A, E, sigma):
-        A = as_csc(A)
-        E = as_csc(E)
+        A, E = _pencil(A, E)
+        dense = isinstance(A, np.ndarray)
         if A.shape != E.shape or A.shape[0] != A.shape[1]:
             raise DimensionMismatch(
                 f"A {A.shape} and E {E.shape} must be square and equal-sized"
@@ -54,11 +79,12 @@ class ShiftedFactorization:
         self._A = A
         self._E = E
         if self.sigma.imag == 0.0:
-            self._M = as_csc(A - self.sigma.real * E)
+            M = A - self.sigma.real * E
         else:
-            self._M = as_csc(A.astype(complex) - self.sigma * E)
+            M = A.astype(complex) - self.sigma * E
+        self._M = M if dense else as_csc(M)
         try:
-            self._lu = spsla.splu(self._M)
+            self._lu = (DenseLU if dense else spsla.splu)(self._M)
         except RuntimeError as exc:
             raise SingularShift(
                 f"factorization of (A - {sigma}*E) failed: {exc}"
@@ -281,8 +307,7 @@ class SylvesterContext:
     """
 
     def __init__(self, A, E, S):
-        self.A = as_csc(A)
-        self.E = as_csc(E)
+        self.A, self.E = _pencil(A, E)
         S = np.atleast_2d(np.asarray(S))
         self.S = S
         self.T, self.U = spla.schur(S.astype(complex), output="complex")

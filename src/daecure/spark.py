@@ -10,7 +10,8 @@ decomposition is the same as minimizing the reduction error.
 The trust region runs on a model function: the Galerkin projection of
 the system onto the bases (V, V_a, V_b) of the full-model points seen so
 far, which reproduces J and its gradient at each of them.  The full
-pencil is factored only at the model's optima.
+pencil is factored only at the model's optima, and evaluated there to
+first order; the model's small dense pencil gets LAPACK LUs.
 """
 
 from dataclasses import dataclass, field
@@ -76,8 +77,9 @@ _S_DAA = np.array([[0.0, 0.0], [2.0, 0.0]])
 
 
 class Point(NamedTuple):
-    """One evaluated shift pair: the cost, its exact derivatives, the
-    basis V with its first derivatives, the data (S, R) and the LUs."""
+    """One evaluated shift pair: the cost, its exact derivatives (the
+    Hessian ``None`` on a first-order point), the basis V with its first
+    derivatives, the data (S, R) and the LUs."""
 
     J: float
     g: np.ndarray
@@ -89,9 +91,10 @@ class Point(NamedTuple):
     ctx: object
 
 
-def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None) -> Point:
+def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
+             hessian: bool = True) -> Point:
     """The ``Point`` (J, gradient, exact Hessian, V, ...) at the shift pair
-    (a, b).
+    (a, b); with ``hessian`` false, a first-order point (H is None).
 
     J(a, b) = -||G_r||^2 = -tr(Cr G Cr^T) with Cr = C V and the closed-form
     reduced Gramian G(a, b).  Differentiating A V - E V S = B R once gives
@@ -100,7 +103,7 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None) -> Point:
     factorizations of the basis solve and stay smooth through the shift
     confluence a^2 = b.  They are solved by dependency level, V, then
     (V_a, V_b), then (V_aa, V_ab, V_bb), one block solve per Schur column
-    and level.
+    and level; a first-order point stops after the second level.
 
     The context is ``ctx`` when given (a ``SylvesterContext`` of this
     pair's S), else a new one; the caller owns it.
@@ -114,27 +117,31 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None) -> Point:
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ data.R)
     Va, Vb = ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))
-    Vaa, Vab, Vbb = ctx.solve(np.stack([E @ (2 * Va @ S_a + V @ _S_DAA),
-                                        E @ (Va @ _S_DB + Vb @ S_a),
-                                        E @ (2 * Vb @ _S_DB)]))
-    Cr, Ca, Cb, Caa, Cab, Cbb = (ds.C @ X for X in (V, Va, Vb, Vaa, Vab, Vbb))
+    Cr, Ca, Cb = (ds.C @ X for X in (V, Va, Vb))
     G = _gramian_c(a, b)
     Ga = np.array([[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]])
     Gb = np.array([[0.0, 0.0], [0.0, 4 * a]])
-    Gaa = np.array([[0.0, 8.0], [8.0, 24 * a]])
-    Gab = np.array([[0.0, 0.0], [0.0, 4.0]])
-    Gbb = np.zeros((2, 2))
 
     def tr(X, M, Y):
         return float(np.trace(X @ M @ Y.T))
+
+    J = -tr(Cr, G, Cr)
+    g = np.array([-2 * tr(Ca, G, Cr) - tr(Cr, Ga, Cr),
+                  -2 * tr(Cb, G, Cr) - tr(Cr, Gb, Cr)])
+    if not hessian:
+        return Point(J, g, None, V, Va, Vb, data, ctx)
+    Vaa, Vab, Vbb = ctx.solve(np.stack([E @ (2 * Va @ S_a + V @ _S_DAA),
+                                        E @ (Va @ _S_DB + Vb @ S_a),
+                                        E @ (2 * Vb @ _S_DB)]))
+    Caa, Cab, Cbb = (ds.C @ X for X in (Vaa, Vab, Vbb))
+    Gaa = np.array([[0.0, 8.0], [8.0, 24 * a]])
+    Gab = np.array([[0.0, 0.0], [0.0, 4.0]])
+    Gbb = np.zeros((2, 2))
 
     def second(Cij, Ci, Cj, Gi, Gj, Gij):
         return -2 * (tr(Cij, G, Cr) + tr(Ci, G, Cj) + tr(Ci, Gj, Cr)
                      + tr(Cj, Gi, Cr)) - tr(Cr, Gij, Cr)
 
-    J = -tr(Cr, G, Cr)
-    g = np.array([-2 * tr(Ca, G, Cr) - tr(Cr, Ga, Cr),
-                  -2 * tr(Cb, G, Cr) - tr(Cr, Gb, Cr)])
     Hab = second(Cab, Ca, Cb, Ga, Gb, Gab)
     H = np.array([[second(Caa, Ca, Ca, Ga, Ga, Gaa), Hab],
                   [Hab, second(Cbb, Cb, Cb, Gb, Gb, Gbb)]])
@@ -337,7 +344,8 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
     """Search for the locally optimal shift pair on a model function.
 
     An outer loop over full-model points: evaluate the full model at the
-    current pair and stop once ||g|| <= gtol * (1 + |J|).  Otherwise add
+    current pair to first order (the exact Hessian is taken on the
+    surrogate only) and stop once ||g|| <= gtol * (1 + |J|).  Otherwise add
     the point's bases to ``basis`` (a fresh one when not given; a caller
     may keep one across calls on the same A and E), run the trust region
     on the Galerkin surrogate from the current pair down to the stricter
@@ -362,7 +370,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
     if reuse is not None:
         ctx, reuse.ctx = (reuse.ctx if reuse.params == init else None), None
     p = init.as_array()
-    point = evaluate(ds, *p, ctx)
+    point = evaluate(ds, *p, ctx, hessian=False)
     trace = [{"iter": 0, "a": p[0], "b": p[1], "J": point.J,
               "gnorm": float(np.linalg.norm(point.g)), "radius": RADIUS0,
               "accepted": True}]
@@ -379,7 +387,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
         if q is p:
             break       # the surrogate has no step from the current pair
         point = point._replace(ctx=None)    # free p's LUs before q factors
-        trial = evaluate(ds, *q)
+        trial = evaluate(ds, *q, hessian=False)
         noise = 1e-13 * (1.0 + abs(point.J))
         accepted = trial.J <= point.J + noise
         evaluations.append({"a": q[0], "b": q[1], "J": trial.J,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
@@ -252,3 +254,53 @@ def test_stacked_sylvester_solve_shape_guard():
     ctx = nk.SylvesterContext(A, E, np.array([[2.0, 1.0], [3.0, 2.0]]))
     with pytest.raises(DimensionMismatch):
         ctx.solve(np.ones((2, 10, 3)))
+
+
+@pytest.mark.parametrize("sigma", [-0.7, 0.4 + 1.3j], ids=["real", "complex"])
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_dense_and_sparse_factorizations_agree(sigma, trans):
+    # a pencil given as dense arrays is factored by LAPACK and solved
+    # through the same residual-gated path as its SuperLU twin
+    rng, A, E = _well_posed(12, 13)
+    M = (A - sigma * E).toarray()
+    if trans == "T":
+        M = M.T
+    sparse = nk.ShiftedFactorization(A, E, sigma)
+    dense = nk.ShiftedFactorization(A.toarray(), E.toarray(), sigma)
+    assert isinstance(dense._lu, nk.DenseLU)
+    assert isinstance(dense._M, np.ndarray)
+    for b in (rng.standard_normal(12), rng.standard_normal((12, 3)),
+              rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))):
+        xs, xd = sparse.solve(b, trans), dense.solve(b, trans)
+        assert xd.shape == b.shape
+        for x in (xs, xd):
+            r = (M @ x - b).reshape(12, -1)
+            assert np.all(np.linalg.norm(r, axis=0)
+                          <= nk.TOL_SOLVE * np.linalg.norm(b.reshape(12, -1),
+                                                           axis=0))
+        assert np.linalg.norm(xd - xs) <= nk.TOL_SOLVE * np.linalg.norm(xs)
+
+
+def test_sylvester_context_on_dense_pencil_shares_one_lu(factor_log):
+    rng, A, E = _well_posed(10, 14)
+    A, E = A.toarray(), E.toarray()
+    S = np.array([[0.8, 1.0], [0.8 ** 2 - 1.4, 0.8]])     # conjugate pair
+    ctx = nk.SylvesterContext(A, E, S)
+    assert ctx.A is A and ctx.E is E
+    assert len(factor_log) == 1 and factor_log[0].imag != 0.0
+    assert isinstance(ctx.factors[1], nk.ConjugateFactorization)
+    F = rng.standard_normal((10, 2))
+    V = ctx.solve(F)
+    assert not np.iscomplexobj(V)
+    assert np.linalg.norm(A @ V - E @ (V @ S) - F) <= 1e-9 * np.linalg.norm(F)
+
+
+def test_dense_singular_shift_raises():
+    # A - 1*E = 0: an exact zero pivot, reported like a SuperLU failure
+    # and without a LinAlgWarning or an inf in a factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularShift):
+            nk.ShiftedFactorization(np.eye(3), np.eye(3), 1.0)
+        with pytest.raises(SingularShift):
+            nk.ShiftedFactorization(np.diag([1.0, np.inf]), np.eye(2), 0.5)

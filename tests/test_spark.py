@@ -80,24 +80,26 @@ def test_evaluate_basis_is_the_spark_basis():
 @pytest.mark.parametrize("a, b", [(0.8, 1.4), (2.0, 1.0)],
                          ids=["conjugate", "real"])
 def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
-    # one block solve per Schur column for V, (V_a, V_b) and
-    # (V_aa, V_ab, V_bb) in evaluate, which is all a SPARK call that
-    # returns at its start pair solves; then cure_step makes one B_defl
-    # solve per shift for the certificate.  No column needs refinement
+    # evaluate makes one block solve per Schur column for V, (V_a, V_b)
+    # and (V_aa, V_ab, V_bb), and a certificate adds one B_defl solve per
+    # shift.  A SPARK call that returns at its start pair evaluates it to
+    # first order, without the (V_aa, V_ab, V_bb) level; then cure_step
+    # certifies it.  No column needs refinement
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
+    # a real pair solves the complex Schur columns as [Re | Im] blocks
+    width = 1 if a * a < b else 2
     del lu_solves[:]
     sp.evaluate(ds, a, b)
-    assert len(lu_solves) == 6
+    assert [shape[1] for shape in lu_solves] \
+        == [width * k for k in (1, 1, 2, 2, 3, 3)]
     del lu_solves[:]
     res = sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
     assert res.reason == "gtol" and res.trace[-1]["iter"] == 0
-    assert len(lu_solves) == 6
-    _certify(ds, res)
-    assert len(lu_solves) == 8
-    # a real pair solves the complex Schur columns as [Re | Im] blocks
-    width = 1 if a * a < b else 2
     assert [shape[1] for shape in lu_solves] \
-        == [width * k for k in (1, 1, 2, 2, 3, 3)] + [1, 1]
+        == [width * k for k in (1, 1, 2, 2)]
+    _certify(ds, res)
+    assert [shape[1] for shape in lu_solves] \
+        == [width * k for k in (1, 1, 2, 2)] + [1, 1]
 
 
 def test_gradient_matches_central_differences():
@@ -236,10 +238,10 @@ def _track_full(monkeypatch, n):
             contexts.append(weakref.ref(self))
         ctx_init(self, A, E, S)
 
-    def counting_evaluate(ds, a, b, ctx=None):
+    def counting_evaluate(ds, a, b, ctx=None, **kw):
         if ds.n == n:
             evaluated.append((a, b, ctx is not None))
-        return evaluate(ds, a, b, ctx)
+        return evaluate(ds, a, b, ctx, **kw)
 
     monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked)
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
@@ -267,10 +269,10 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     evaluated = []
     evaluate = sp.evaluate
 
-    def counting_evaluate(d, a, b, ctx=None):
+    def counting_evaluate(d, a, b, ctx=None, **kw):
         if d.n == sys.n:
             evaluated.append((a, b, ctx is not None, len(full)))
-        return evaluate(d, a, b, ctx)
+        return evaluate(d, a, b, ctx, **kw)
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
     ds = DeflatedSystem.from_dae(sys)
@@ -293,6 +295,34 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
             assert len(point) <= 2 and all(s.imag == 0.0 for s in point)
         saw.add(a * a < b)
     assert saw == {True, False}
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_full_pencil_solves_first_order_and_surrogate_skips_superlu(
+        fixture, request, monkeypatch):
+    # full-model points are evaluated to first order: no factorization of
+    # the full pencil solves the stacked (V_aa, V_ab, V_bb) right-hand
+    # side.  The surrogate's small dense pencils get LAPACK LUs, so
+    # SuperLU factors only full-pencil matrices
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    blocks, superlu = [], []
+    solve, splu = nk.ShiftedFactorization.solve, nk.spsla.splu
+
+    def logged_solve(self, rhs, trans="N"):
+        if self.n == ds.n:
+            blocks.append(np.shape(rhs)[1:])
+        return solve(self, rhs, trans)
+
+    def logged_splu(M, *args, **kwargs):
+        superlu.append(M.shape)
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(nk.ShiftedFactorization, "solve", logged_solve)
+    monkeypatch.setattr(nk.spsla, "splu", logged_splu)
+    _, report, _ = cure.cured_spark(ds)
+    assert sum(st["iterations"] for st in report["steps"]) > 0
+    assert blocks and (3,) not in blocks
+    assert superlu and set(superlu) == {(ds.n, ds.n)}
 
 
 @pytest.mark.parametrize("maxiter, reason, refactor",
