@@ -14,15 +14,9 @@ from .daemodel import (
     split_transfer,
 )
 from .errors import DaecureError
-from .h2analysis import (
-    h2_error_norm,
-    h2_inner_pole_residue,
-    h2_inner_sylvester_dense,
-    h2_norm,
-    rom_to_pole_residue,
-)
+from .h2analysis import h2_norm
 from .interp import DeflatedSystem, InterpData
-from .pork import RomRealization, check_interpolation, check_orthogonality, pork_input
+from .pork import RomRealization, check_interpolation, pork_input
 from . import spark
 from .spark import SparkParams
 from .spark import evaluate as spark_evaluate
@@ -43,16 +37,11 @@ __all__ = [
     "assemble_total",
     "build_projectors",
     "check_interpolation",
-    "check_orthogonality",
     "cured_spark",
     "eval_transfer",
-    "h2_error_norm",
-    "h2_inner_pole_residue",
-    "h2_inner_sylvester_dense",
     "h2_norm",
     "pork_input",
     "realize_constant_poly",
-    "rom_to_pole_residue",
     "run_spark",
     "spark",
     "spark_evaluate",

@@ -79,12 +79,6 @@ def assemble_total(records) -> RomRealization:
     return RomRealization(Er=E, Ar=A, Br=B, Cr=C)
 
 
-def allpass_factor(rec: CureRecord) -> RomRealization:
-    """The unit-feedthrough error factor (Er, Ar, Br, R, I) of one step."""
-    return RomRealization(Er=rec.rom.Er, Ar=rec.rom.Ar, Br=rec.rom.Br,
-                          Cr=rec.data.R, Dr=np.eye(rec.rom.m))
-
-
 def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     """Fold one shift-optimization result into the ledger.
 

@@ -127,7 +127,6 @@ class ProjectorKit:
     apply_left: callable = field(repr=False, default=None)
     apply_left_t: callable = field(repr=False, default=None)
     apply_right: callable = field(repr=False, default=None)
-    apply_right_t: callable = field(repr=False, default=None)
     saddle: nk.ShiftedFactorization = field(repr=False, default=None)
 
 
@@ -181,7 +180,6 @@ def _projectors_semi_explicit(sys):
         apply_left=lambda v: v - A @ fac.solve(alg(v)),
         apply_left_t=lambda v: v - alg(fac.solve(A.T @ v, trans="T")),
         apply_right=lambda v: v - fac.solve(alg(A @ v)),
-        apply_right_t=lambda v: v - A.T @ alg(fac.solve(v, trans="T")),
         saddle=fac,
     )
 
@@ -214,19 +212,16 @@ def _projectors_stokes(sys):
         p = fac.solve(_with_zeros(a11 @ x, 0, npp), trans=trans)[nv:]
         return np.concatenate([x, -p])
 
-    def left(v, trans):
-        e11, a11 = blocks[trans]
-        w = fac.solve(_with_zeros(v[nv:], nv, 0), trans=trans)[:nv]
-        x = fac.solve(_with_zeros(v[:nv] - a11 @ w, 0, npp),
-                      trans=trans)[:nv]
-        return _with_zeros(e11 @ x, 0, npp)
+    def left(v):
+        w = fac.solve(_with_zeros(v[nv:], nv, 0))[:nv]
+        x = fac.solve(_with_zeros(v[:nv] - A11 @ w, 0, npp))[:nv]
+        return _with_zeros(E11 @ x, 0, npp)
 
     return ProjectorKit(
         n=sys.n,
-        apply_left=lambda v: left(v, "N"),
+        apply_left=left,
         apply_left_t=lambda v: right(v, "T"),
         apply_right=lambda v: right(v, "N"),
-        apply_right_t=lambda v: left(v, "T"),
         saddle=fac,
     )
 

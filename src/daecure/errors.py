@@ -21,10 +21,6 @@ class NotAntistable(DaecureError):
     """A matrix required to have all eigenvalues in the open RHP does not."""
 
 
-class SingularPencil(DaecureError):
-    """det(lambda*E - A) vanishes identically (pencil not regular)."""
-
-
 class StructureViolation(DaecureError):
     """Declared structural zero blocks are not zero, or block sizes disagree."""
 
@@ -39,16 +35,12 @@ class NonPositiveParams(DaecureError):
     """SPARK parameters (a, b) must be strictly positive."""
 
 
-class DefectivePencil(DaecureError):
-    """Reduced pencil has multiple poles; pole-residue form unavailable."""
-
-
 class UnstableSystem(DaecureError):
     """An operation requiring asymptotic stability got an unstable model."""
 
 
 class DeskScaleExceeded(DaecureError):
-    """A dense-oracle routine was called beyond its size limit."""
+    """A sparse system is too large to densify for a dense analysis."""
 
 
 class ParseError(DaecureError):

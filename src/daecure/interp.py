@@ -19,7 +19,6 @@ import scipy.linalg as spla
 import scipy.sparse as sps
 
 from . import daemodel as dm
-from . import numkernel as nk
 from .errors import DimensionMismatch, NonPositiveParams
 
 
@@ -55,12 +54,6 @@ class DeflatedSystem:
     @property
     def m(self):
         return self.B_defl.shape[1]
-
-    def eval(self, s):
-        """Transfer value C (sE - A)^-1 B_defl (strictly proper by
-        construction when B_defl is left-deflated)."""
-        fac = nk.ShiftedFactorization(self.A, self.E, s)
-        return -(self.C @ fac.solve(self.B_defl))
 
 
 @dataclass
@@ -110,18 +103,3 @@ def spark_params_matrices(a: float, b: float) -> InterpData:
     R = np.array([[1.0, 0.0]])
     return InterpData(S=S, R=R)
 
-
-def sylvester_residual(ds: DeflatedSystem, V: np.ndarray,
-                       data: InterpData) -> float:
-    """Relative residual of A V - E V S = B R for a candidate basis."""
-    S, R = data.S, data.R
-    if V.shape != (ds.n, data.q) or R.shape[0] != ds.m:
-        raise DimensionMismatch("basis/data shapes inconsistent with system")
-    res = ds.A @ V - ds.E @ (V @ S) - ds.B_defl @ R
-    nV = np.linalg.norm(V)
-    scale = (
-        np.linalg.norm(ds.A.data) * nV
-        + np.linalg.norm(ds.E.data) * nV * np.linalg.norm(S)
-        + np.linalg.norm(ds.B_defl) * np.linalg.norm(R)
-    )
-    return float(np.linalg.norm(res) / max(scale, 1e-300))

@@ -1,5 +1,5 @@
-"""Numeric primitives: shifted solves, small dense Sylvester/Lyapunov
-solvers and dense generalized eigenvalue machinery.
+"""Numeric primitives: shifted solves, the sparse-dense Sylvester solver
+and a small dense Lyapunov solver.
 
 Sparse matrices are held in SciPy CSC format throughout (duplicate entries
 are summed on conversion; stored shape is the declared shape).  Dense
@@ -16,7 +16,6 @@ from scipy.linalg import lapack
 from .errors import (
     DimensionMismatch,
     NotAntistable,
-    SingularPencil,
     SingularShift,
     SpectraOverlap,
 )
@@ -140,39 +139,6 @@ class ConjugateFactorization:
         return np.conj(self._fac.solve(np.conj(rhs), trans=trans))
 
 
-def solve_dense_sylvester(A, B, C):
-    """Solve A*X + X*B + C = 0 for dense A (m x m), B (k x k), C (m x k).
-
-    Raises SpectraOverlap when spectra of A and -B are not disjoint to
-    working precision.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float if not np.iscomplexobj(A) else complex))
-    B = np.atleast_2d(np.asarray(B, dtype=float if not np.iscomplexobj(B) else complex))
-    C = np.atleast_2d(np.asarray(C, dtype=float if not np.iscomplexobj(C) else complex))
-    if A.shape[0] != A.shape[1] or B.shape[0] != B.shape[1]:
-        raise DimensionMismatch("A and B must be square")
-    if C.shape != (A.shape[0], B.shape[1]):
-        raise DimensionMismatch("C must be m x k")
-    la = spla.eigvals(A)
-    lb = spla.eigvals(B)
-    sep = np.abs(la[:, None] + lb[None, :]).min()
-    scale = max(np.abs(la).max(initial=0.0), np.abs(lb).max(initial=0.0), 1.0)
-    if sep <= 1e-12 * scale:
-        raise SpectraOverlap(
-            f"min |lambda(A) + lambda(B)| = {sep:.2e} (scale {scale:.2e})"
-        )
-    X = spla.solve_sylvester(A, B, -C)
-    res = np.linalg.norm(A @ X + X @ B + C, "fro")
-    bound = (
-        np.linalg.norm(A, "fro") * np.linalg.norm(X, "fro")
-        + np.linalg.norm(X, "fro") * np.linalg.norm(B, "fro")
-        + np.linalg.norm(C, "fro")
-    )
-    if res > 1e-10 * max(bound, 1e-300):
-        raise SpectraOverlap(f"Sylvester residual {res:.2e} exceeds contract")
-    return X
-
-
 def solve_small_lyapunov(S, R):
     """Solve S* Gamma + Gamma S - R* R = 0 for antistable S.
 
@@ -198,101 +164,8 @@ def solve_small_lyapunov(S, R):
     return G
 
 
-#: largest full-order size a dense oracle (QZ deflation, dense
-#: eigenvalues) is run on
+#: largest order of a sparse system that is densified (for its H2 norm)
 DENSE_LIMIT = 500
-
-#: finite/infinite classification threshold, applied after pencil scaling
-EIG_INFINITE_CUTOFF = 1.0 / np.sqrt(np.finfo(float).eps)
-
-
-def _check_regular(E, A, n_probe=3, tol=1e-12):
-    rng = np.random.default_rng(1234)
-    n = E.shape[0]
-    scale = max(np.linalg.norm(A, "fro"), np.linalg.norm(E, "fro"), 1e-300)
-    for _ in range(n_probe):
-        lam = rng.standard_normal() + 1j * rng.standard_normal()
-        s = np.linalg.svd(lam * E - A, compute_uv=False)
-        if s[-1] > tol * scale:
-            return
-    raise SingularPencil("det(lambda*E - A) vanishes on all probe points")
-
-
-class PencilDeflation:
-    """Dense separation of a regular pencil into finite / infinite parts.
-
-    Built from a reordered QZ decomposition: invertible XL, XR with
-    ``XL @ E @ XR = blockdiag(Ef, Einf)`` and
-    ``XL @ A @ XR = blockdiag(Af, Ainf)`` where (Ef, Af) carries the finite
-    eigenvalues (Ef nonsingular).  Desk-scale oracle only; never used on
-    large systems.  Its one pipeline caller is ``h2analysis._finite_std``
-    for a reduced realization with singular Er (``daecure h2norm`` of an
-    index-1 ROM directory); a system's finite coordinates come from its
-    saddle-point projectors instead.
-    """
-
-    def __init__(self, E, A, cutoff=None):
-        E = np.atleast_2d(np.asarray(E, dtype=float))
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        if cutoff is None:
-            cutoff = EIG_INFINITE_CUTOFF
-        _check_regular(E, A)
-        n = E.shape[0]
-        nA = max(np.linalg.norm(A, "fro"), 1e-300)
-        nE = max(np.linalg.norm(E, "fro"), 1e-300)
-
-        def select(alpha, beta):
-            return np.abs(beta) * nA > np.abs(alpha) * nE / cutoff
-
-        SS, TT, alpha, beta, Q, Z = spla.ordqz(A, E, sort=select)
-        nf = int(np.count_nonzero(select(alpha, beta)))
-        self.n = n
-        self.nf = nf
-        S11, S12, S22 = SS[:nf, :nf], SS[:nf, nf:], SS[nf:, nf:]
-        T11, T12, T22 = TT[:nf, :nf], TT[:nf, nf:], TT[nf:, nf:]
-        if nf in (0, n):
-            Rh = np.zeros((nf, n - nf))
-            L = np.zeros((nf, n - nf))
-        else:
-            Rh, L, scale, _, info = lapack.dtgsyl(S11, S22, -S12, T11, T22, -T12)
-            if info != 0:
-                raise SingularPencil(f"tgsyl failed with info={info}")
-            Rh = Rh / scale
-            L = L / scale
-        # XL = [[I, -L], [0, I]] @ Q^T,  XR = Z @ [[I, Rh], [0, I]]
-        M = np.eye(n)
-        M[:nf, nf:] = -L
-        N = np.eye(n)
-        N[:nf, nf:] = Rh
-        self.XL = M @ Q.T
-        self.XR = Z @ N
-        self.Ef = T11
-        self.Af = S11
-        self.Einf = T22
-        self.Ainf = S22
-
-    def projectors(self):
-        """Dense finite spectral projectors (left, right)."""
-        n, nf = self.n, self.nf
-        Sel = np.zeros((n, n))
-        Sel[:nf, :nf] = np.eye(nf)
-        Pi_r = self.XR @ Sel @ np.linalg.inv(self.XR)
-        Pi_l = np.linalg.inv(self.XL) @ Sel @ self.XL
-        return Pi_l, Pi_r
-
-    def finite_realization(self, B, C):
-        """Standard-form ODE (A1, B1, C1) of the strictly proper part.
-
-        G^sp(s) = C1 (s I - A1)^{-1} B1 with A1 = Ef^{-1} Af.
-        """
-        B = np.atleast_2d(np.asarray(B.toarray() if sps.issparse(B) else B, dtype=float))
-        C = np.atleast_2d(np.asarray(C.toarray() if sps.issparse(C) else C, dtype=float))
-        nf = self.nf
-        Bt = (self.XL @ B)[:nf]
-        A1 = spla.solve(self.Ef, self.Af)
-        B1 = spla.solve(self.Ef, Bt)
-        C1 = (C @ self.XR)[:, :nf]
-        return A1, B1, C1
 
 
 class SylvesterContext:

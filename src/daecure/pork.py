@@ -19,7 +19,7 @@ import scipy.linalg as spla
 
 from . import numkernel as nk
 from .errors import DimensionMismatch
-from .interp import DeflatedSystem, InterpData
+from .interp import InterpData
 
 
 @dataclass
@@ -99,33 +99,3 @@ def check_interpolation(fom_eval, rom: RomRealization,
         out.append(float(np.linalg.norm(full - red) / denom))
     return out
 
-
-def check_orthogonality(ds: DeflatedSystem, rom: RomRealization,
-                        data: InterpData, trials: int = 10,
-                        seed: int = 0) -> float:
-    """Max normalized |<G - G_r, G_M>| over random test models G_M.
-
-    G_M ranges over C_M (s I + S^H)^-1 R^H with random C_M, i.e. all
-    models sharing the reduced poles and input residue directions.  For a
-    pseudo-optimal reduced model every inner product vanishes; values are
-    normalized by ||G|| * ||G_M||.
-    """
-    from . import h2analysis as h2
-
-    rng = np.random.default_rng(seed)
-    S, R = data.S, data.R
-    p = rom.p
-    AM = -S.conj().T
-    BM = R.conj().T
-    norm_g = h2.h2_norm(ds)
-    worst = 0.0
-    for _ in range(trials):
-        CM = rng.standard_normal((p, S.shape[0]))
-        gm = RomRealization(Er=np.eye(S.shape[0]), Ar=AM, Br=BM, Cr=CM)
-        pr = h2.rom_to_pole_residue(gm)
-        ip_err = h2.h2_inner_pole_residue(
-            lambda s: np.atleast_2d(ds.eval(s)) - rom.eval(s), pr
-        )
-        norm_m = h2.h2_norm(gm)
-        worst = max(worst, abs(ip_err) / max(norm_g * norm_m, 1e-300))
-    return worst

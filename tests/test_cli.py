@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.io as spio
+import scipy.linalg as spla
 import scipy.sparse as sps
 
 from daecure import bench_io as bio
@@ -106,20 +107,92 @@ def test_h2norm_scalar_anchor(tmp_path, capsys):
     assert out == "0.7071067811865476"
 
 
-def test_h2norm_of_index1_rom_is_its_strictly_proper_norm(tmp_path, capsys):
-    # the constant-part block makes Er singular; the reported norm is that
-    # of the strictly proper part, the last captured norm of the reduction
-    sysd, rom = tmp_path / "sys", tmp_path / "rom"
+@pytest.fixture(scope="module")
+def index1_romdir(tmp_path_factory):
+    """ROM directory of the index-1 60/12 reduction; its constant-part
+    block makes Er singular."""
+    d = tmp_path_factory.mktemp("index1-60")
     assert run(["gen", "--kind", "index1", "--n1", "60", "--n2", "12",
-                "--seed", "0", "--out", str(sysd)]) == 0
-    assert run(["reduce", "--manifest", _manifest(sysd),
-                "--out", str(rom)]) == 0
+                "--seed", "0", "--out", str(d / "sys")]) == 0
+    assert run(["reduce", "--manifest", _manifest(d / "sys"),
+                "--out", str(d / "rom")]) == 0
+    return d / "rom"
+
+
+def _h2norm(target, capsys):
+    """(exit code, stdout, stderr) of ``daecure h2norm target``."""
     capsys.readouterr()
-    assert run(["h2norm", str(rom)]) == 0
-    val = float(capsys.readouterr().out.strip())
-    last = json.load(open(rom / "report.json"))["cure"]["norm_history"][-1]
+    code = run(["h2norm", str(target)])
+    return (code,) + tuple(capsys.readouterr())
+
+
+def _refuse_qz(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QZ reached from h2norm")
+
+    monkeypatch.setattr(spla, "qz", refuse)
+    monkeypatch.setattr(spla, "ordqz", refuse)
+
+
+def test_h2norm_of_index1_rom_is_its_strictly_proper_norm(
+        index1_romdir, capsys, monkeypatch):
+    # the reported norm is that of the strictly proper part, the last
+    # captured norm of the reduction; the SVD of Er, not QZ, finds it
+    _refuse_qz(monkeypatch)
+    rom = bio.read_rom(index1_romdir)
+    assert np.linalg.matrix_rank(rom.Er) < rom.order
+    code, out, _ = _h2norm(index1_romdir, capsys)
+    assert code == 0
+    val = float(out)
+    report = json.load(open(index1_romdir / "report.json"))
+    last = report["cure"]["norm_history"][-1]
     assert abs(val - last) <= 1e-6 * last
     assert abs(val - 0.96729177) <= 1e-8
+
+
+def test_h2norm_of_rotated_index1_rom(index1_romdir, tmp_path, capsys):
+    # orthogonal Q1, Q2 hide the Er = 0 block: Q1 (s Er - Ar) Q2 has the
+    # same transfer function and a singular Er in no block form
+    rom = bio.read_rom(index1_romdir)
+    rng = np.random.default_rng(0)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((rom.order, rom.order)))[0]
+              for _ in range(2))
+    bio.write_rom(RomRealization(Er=Q1 @ rom.Er @ Q2, Ar=Q1 @ rom.Ar @ Q2,
+                                 Br=Q1 @ rom.Br, Cr=rom.Cr @ Q2, Dr=rom.Dr),
+                  tmp_path)
+    val = float(_h2norm(index1_romdir, capsys)[1])
+    code, out, _ = _h2norm(tmp_path, capsys)
+    assert code == 0
+    assert abs(float(out) - val) <= 1e-12 * val
+
+
+def test_h2norm_of_index2_rom_is_numerical_error(tmp_path, capsys):
+    # E = diag(1, 1, 0) and A22 = 0: a regular pencil of index 2, which
+    # has no semi-explicit index-1 form
+    bio.write_rom(RomRealization(
+        Er=np.diag([1.0, 1.0, 0.0]),
+        Ar=np.array([[-1.0, 0.0, 1.0], [0.0, -2.0, 1.0], [1.0, 1.0, 0.0]]),
+        Br=np.array([[1.0], [0.0], [0.0]]), Cr=np.array([[1.0, 1.0, 0.0]])),
+        tmp_path)
+    code, out, err = _h2norm(tmp_path, capsys)
+    assert code == cli.EXIT_NUMERICAL and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SingularSchurComplement"
+
+
+def test_h2norm_of_rom_above_dense_limit(tmp_path, capsys):
+    # the size limit guards the densification of a sparse system only
+    lam = np.arange(1.0, nk.DENSE_LIMIT + 2)
+    n = lam.size
+    bio.write_rom(RomRealization(Er=np.eye(n), Ar=-np.diag(lam),
+                                 Br=np.ones((n, 1)), Cr=np.ones((1, n))),
+                  tmp_path)
+    code, out, _ = _h2norm(tmp_path, capsys)
+    # [DERIVED] ||sum_i 1/(s + lam_i)||^2 = sum_ij 1/(lam_i + lam_j)
+    expected = np.sqrt(np.sum(1.0 / (lam[:, None] + lam[None, :])))
+    assert code == 0
+    assert abs(float(out) - expected) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS)
@@ -128,12 +201,7 @@ def test_h2norm_of_manifest_factors_only_saddle_points(
     sys = request.getfixturevalue(fixture)
     expected = h2.h2_norm(DeflatedSystem.from_dae(sys))
     path = bio.write_system(sys, tmp_path)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense QZ oracle reached from h2norm")
-
-    monkeypatch.setattr(nk, "PencilDeflation", refuse)
-    monkeypatch.setattr(nk, "_check_regular", refuse)
+    _refuse_qz(monkeypatch)
     del factor_log[:]
     capsys.readouterr()
     assert run(["h2norm", path]) == 0

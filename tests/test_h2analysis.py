@@ -8,7 +8,6 @@ from daecure import daemodel as dm
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
 from daecure.errors import (
-    DefectivePencil,
     DeskScaleExceeded,
     StructureViolation,
     UnstableSystem,
@@ -17,6 +16,15 @@ from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization
 
 from conftest import STRUCTURE_VARIANTS, make_ode, make_random_stable_ode
+from oracles import (
+    PencilDeflation,
+    PoleResidueForm,
+    h2_error_norm,
+    h2_inner_pole_residue,
+    h2_inner_sylvester_dense,
+    rom_to_pole_residue,
+    transfer,
+)
 
 
 def rom_1pole(lam, b=1.0, c=1.0):
@@ -31,10 +39,10 @@ def test_h2_norm_scalar_anchor():
 def test_h2_inner_scalar_anchor():
     # [DERIVED] <1/(s+1), 1/(s+2)> = 1/3
     g1, g2 = rom_1pole(-1.0), rom_1pole(-2.0)
-    val, _, _ = h2.h2_inner_sylvester_dense(g1, g2)
+    val, _, _ = h2_inner_sylvester_dense(g1, g2)
     assert abs(val - 1.0 / 3.0) <= 1e-14
-    pr = h2.rom_to_pole_residue(g2)
-    val_pr = h2.h2_inner_pole_residue(g1.eval, pr)
+    pr = rom_to_pole_residue(g2)
+    val_pr = h2_inner_pole_residue(g1.eval, pr)
     assert abs(val_pr - 1.0 / 3.0) <= 1e-14
 
 
@@ -43,9 +51,9 @@ def test_two_routes_agree_on_random_pairs():
         sysA = make_random_stable_ode(12, seed=seed)
         romB = _random_rom(4, seed + 100)
         dsA = DeflatedSystem.from_dae(sysA)
-        v1, X, Y = h2.h2_inner_sylvester_dense(dsA, romB)
-        pr = h2.rom_to_pole_residue(romB)
-        v2 = h2.h2_inner_pole_residue(dsA.eval, pr)
+        v1, X, Y = h2_inner_sylvester_dense(dsA, romB)
+        pr = rom_to_pole_residue(romB)
+        v2 = h2_inner_pole_residue(transfer(dsA), pr)
         assert abs(v1 - v2) <= 1e-8 * max(abs(v1), 1e-6)
         # Gramian symmetry: trace(C X C*) = trace(B* Y B)
         tc = np.trace(dsA.C @ X @ romB.Cr.conj().T)
@@ -86,17 +94,17 @@ def test_unstable_raises():
     with pytest.raises(UnstableSystem):
         h2.h2_norm(rom_1pole(0.5))
     with pytest.raises(UnstableSystem):
-        pr = h2.PoleResidueForm(poles=np.array([0.5 + 0j]),
-                                b_rows=np.array([[1.0 + 0j]]),
-                                c_cols=np.array([[1.0 + 0j]]))
-        h2.h2_inner_pole_residue(lambda s: np.array([[1.0]]), pr)
+        pr = PoleResidueForm(poles=np.array([0.5 + 0j]),
+                             b_rows=np.array([[1.0 + 0j]]),
+                             c_cols=np.array([[1.0 + 0j]]))
+        h2_inner_pole_residue(lambda s: np.array([[1.0]]), pr)
 
 
 def test_repeated_poles_rejected_for_pole_residue():
     rom = RomRealization(Er=np.eye(2), Ar=np.diag([-1.0, -1.0]),
                          Br=np.ones((2, 1)), Cr=np.ones((1, 2)))
-    with pytest.raises(DefectivePencil):
-        h2.rom_to_pole_residue(rom)
+    with pytest.raises(ValueError, match="too close"):
+        rom_to_pole_residue(rom)
 
 
 def test_desk_scale_limit_enforced(monkeypatch):
@@ -122,7 +130,7 @@ def qz_finite_std(ds):
     """Finite standard realization and map-back factors of a deflated
     system by reordered QZ of the dense pencil, the oracle for the
     projector route."""
-    defl = nk.PencilDeflation(ds.E.toarray(), ds.A.toarray())
+    defl = PencilDeflation(ds.E.toarray(), ds.A.toarray())
     nf = defl.nf
     A1, B1, C1 = defl.finite_realization(ds.B_defl, ds.C)
     return A1, B1, C1, defl.XR[:, :nf], np.linalg.solve(defl.Ef,
@@ -131,9 +139,17 @@ def qz_finite_std(ds):
 
 def with_qz_oracle(fn, *args):
     """``fn(*args)`` with deflated systems brought to finite coordinates
-    by QZ instead of their projectors."""
+    by QZ instead of their projectors; a reduced realization keeps its
+    SVD-and-projector route."""
+    finite_std = h2._finite_std
+
+    def qz_for_systems(obj):
+        if isinstance(obj, DeflatedSystem):
+            return qz_finite_std(obj)
+        return finite_std(obj)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(h2, "_finite_std_projected", qz_finite_std)
+        mp.setattr(h2, "_finite_std", qz_for_systems)
         return fn(*args)
 
 
@@ -150,15 +166,15 @@ def test_projector_route_matches_qz_oracle(fixture, request):
 def test_projected_cross_gramians(fixture, request):
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     rom = _random_rom(4, 7)
-    val, X, Y = h2.h2_inner_sylvester_dense(ds, rom)
+    val, X, Y = h2_inner_sylvester_dense(ds, rom)
     scale = h2.h2_norm(ds) * h2.h2_norm(rom)
-    pr = h2.rom_to_pole_residue(rom)
-    assert abs(val - h2.h2_inner_pole_residue(ds.eval, pr)) <= 1e-8 * scale
+    pr = rom_to_pole_residue(rom)
+    assert abs(val - h2_inner_pole_residue(transfer(ds), pr)) <= 1e-8 * scale
     # Gramian trace identity: trace(C X Cr^T) = value = trace(B^T Y Br)
     assert abs(np.trace(ds.C @ X @ rom.Cr.T) - val) <= 1e-10 * scale
     assert abs(np.trace(ds.B_defl.T @ Y @ rom.Br) - val) <= 1e-9 * scale
     # the mapped-back Gramians do not depend on the finite coordinates
-    val_qz, X_qz, Y_qz = with_qz_oracle(h2.h2_inner_sylvester_dense, ds, rom)
+    val_qz, X_qz, Y_qz = with_qz_oracle(h2_inner_sylvester_dense, ds, rom)
     assert abs(val - val_qz) <= 1e-10 * scale
     assert np.linalg.norm(X - X_qz) <= 1e-8 * np.linalg.norm(X_qz)
     assert np.linalg.norm(Y - Y_qz) <= 1e-8 * np.linalg.norm(Y_qz)
@@ -184,4 +200,4 @@ def test_error_norm_of_exact_model_is_zero():
     rom = RomRealization(Er=np.eye(2), Ar=np.diag([-1.0, -3.0]),
                          Br=np.array([[1.0], [1.0]]),
                          Cr=np.array([[2.0, -1.0]]))
-    assert h2.h2_error_norm(ds, rom) <= 1e-12
+    assert h2_error_norm(ds, rom) <= 1e-12
