@@ -62,30 +62,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UnsupportedInput(message)
 
 
-def _parse_pair(text, what):
+def _parse_pair(text, cast, message):
+    """Two comma-separated values of type ``cast``; ParseError with
+    ``message`` otherwise."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"{what} must be two comma-separated numbers")
     try:
-        return float(parts[0]), float(parts[1])
+        if len(parts) == 2:
+            return cast(parts[0]), cast(parts[1])
     except ValueError:
-        raise ParseError(f"{what} must be two comma-separated numbers")
-
-
-def _parse_channel(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError("--channel must be 'out_idx,in_idx' (0-based)")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("--channel must be 'out_idx,in_idx' (0-based)")
+        pass
+    raise ParseError(message)
 
 
 def _load_siso(args):
     sys = bio.read_system(args.manifest)
     if getattr(args, "channel", None):
-        out_idx, in_idx = _parse_channel(args.channel)
+        out_idx, in_idx = _parse_pair(
+            args.channel, int, "--channel must be 'out_idx,in_idx' (0-based)")
         sys = bio.select_channel(sys, out_idx, in_idx)
     return sys
 
@@ -114,7 +107,9 @@ def cmd_reduce(args):
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise UnsupportedInput(
             f"--tol must be finite and nonnegative, got {args.tol}")
-    init_a, init_b = _parse_pair(args.shifts_init, "--shifts-init")
+    init_a, init_b = _parse_pair(
+        args.shifts_init, float,
+        "--shifts-init must be two comma-separated numbers")
     if not all(np.isfinite(x) and x > 0 for x in (init_a, init_b)):
         raise UnsupportedInput(
             f"--shifts-init must be two finite positive numbers, got "
@@ -215,6 +210,10 @@ def cmd_bode(args):
             f"need 0 < --wmin < --wmax < inf, got {args.wmin}, {args.wmax}")
     sys = _load_siso(args)
     rom = bio.read_rom(args.rom) if args.rom else None
+    if rom is not None and (rom.p, rom.m) != (sys.p, sys.m):
+        raise UnsupportedInput(
+            f"ROM has {rom.p} x {rom.m} channels, the system "
+            f"{sys.p} x {sys.m}")
     omegas = np.logspace(np.log10(args.wmin), np.log10(args.wmax),
                          args.points)
     fom, red = _bode_eval(sys, rom, omegas)
@@ -222,8 +221,6 @@ def cmd_bode(args):
     bio.write_freq_response(os.path.join(args.out, "fom.csv"), omegas, fom)
     written = ["fom.csv"]
     if red is not None:
-        if red.shape[1:] != fom.shape[1:]:
-            raise UnsupportedInput("ROM channel count differs from system")
         bio.write_freq_response(os.path.join(args.out, "rom.csv"),
                                 omegas, red)
         bio.write_freq_response(os.path.join(args.out, "error.csv"),
@@ -236,19 +233,14 @@ def cmd_bode(args):
 
 def cmd_h2norm(args):
     target = args.target
-    if os.path.isdir(target):
-        rom = bio.read_rom(target)
-        val = h2.h2_norm(rom)
-    else:
-        val = h2.h2_norm(bio.read_system(target))
-    print(repr(float(val)))
+    read = bio.read_rom if os.path.isdir(target) else bio.read_system
+    print(repr(float(h2.h2_norm(read(target)))))
     return EXIT_OK
 
 
 def cmd_validate(args):
     sys = bio.read_system(args.manifest)
     kit = dm.build_projectors(sys)
-    rng = np.random.default_rng(0)
     failures = []
 
     def check(name, ok):
@@ -256,7 +248,7 @@ def cmd_validate(args):
         if not ok:
             failures.append(name)
 
-    v = rng.standard_normal(sys.n)
+    v = np.random.default_rng(0).standard_normal(sys.n)
     tol = 1e-8 * max(np.linalg.norm(v), 1.0)
     check("left projector idempotent",
           np.linalg.norm(kit.apply_left(kit.apply_left(v))
@@ -268,10 +260,6 @@ def cmd_validate(args):
     check("E-compatibility of the projector pair",
           np.linalg.norm(ev - kit.apply_left(sys.E @ v))
           <= 1e-8 * max(np.linalg.norm(sys.E @ v), 1.0))
-    w = rng.standard_normal(sys.n)
-    check("transpose consistency",
-          abs(w @ kit.apply_left(v) - kit.apply_left_t(w) @ v)
-          <= 1e-8 * max(abs(w @ kit.apply_left(v)), 1.0))
     B_defl, pp = dm.split_transfer(sys, kit)
     check("polynomial part classified", pp.kind != "unsupported")
     if pp.kind != "unsupported":

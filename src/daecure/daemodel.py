@@ -123,9 +123,7 @@ class ProjectorKit:
     K = [[E11, A12], [A21, 0]] (Stokes); ``split_transfer`` reuses it.
     """
 
-    n: int
     apply_left: callable = field(repr=False, default=None)
-    apply_left_t: callable = field(repr=False, default=None)
     apply_right: callable = field(repr=False, default=None)
     saddle: nk.ShiftedFactorization = field(repr=False, default=None)
 
@@ -176,9 +174,7 @@ def _projectors_semi_explicit(sys):
         return _with_zeros(x[n1:], n1, 0)
 
     return ProjectorKit(
-        n=sys.n,
         apply_left=lambda v: v - A @ fac.solve(alg(v)),
-        apply_left_t=lambda v: v - alg(fac.solve(A.T @ v, trans="T")),
         apply_right=lambda v: v - fac.solve(alg(A @ v)),
         saddle=fac,
     )
@@ -192,10 +188,7 @@ def _projectors_stokes(sys):
     projector P = I - E11^-1 A12 S^-1 A21 onto ker A21.  Both P v1 and
     S^-1 A21 E11^-1 (A11 P v1) are blocks of K-solves, and so are the
     factors of Pi_l = [[E11 P E11^-1, -E11 P E11^-1 A11 E11^-1 A12 S^-1],
-    [0, 0]].  The transposed pencil is again of Stokes type, with K^T,
-    E11^T and A11^T in place of K, E11 and A11, and it swaps the roles of
-    the two projectors: Pi_l^T is its right projector and Pi_r^T its
-    left one.
+    [0, 0]].
     """
     nv, npp = sys.structure.n_v, sys.structure.n_p
     E11 = sys.E[:nv, :nv]
@@ -204,12 +197,9 @@ def _projectors_stokes(sys):
                                    [sys.A[nv:, :nv], None]]),
                          "K = [[E11, A12], [A21, 0]]")
 
-    blocks = {"N": (E11, A11), "T": (E11.T, A11.T)}
-
-    def right(v, trans):
-        e11, a11 = blocks[trans]
-        x = fac.solve(_with_zeros(e11 @ v[:nv], 0, npp), trans=trans)[:nv]
-        p = fac.solve(_with_zeros(a11 @ x, 0, npp), trans=trans)[nv:]
+    def right(v):
+        x = fac.solve(_with_zeros(E11 @ v[:nv], 0, npp))[:nv]
+        p = fac.solve(_with_zeros(A11 @ x, 0, npp))[nv:]
         return np.concatenate([x, -p])
 
     def left(v):
@@ -218,10 +208,8 @@ def _projectors_stokes(sys):
         return _with_zeros(E11 @ x, 0, npp)
 
     return ProjectorKit(
-        n=sys.n,
         apply_left=left,
-        apply_left_t=lambda v: right(v, "T"),
-        apply_right=lambda v: right(v, "N"),
+        apply_right=right,
         saddle=fac,
     )
 

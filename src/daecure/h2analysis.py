@@ -27,46 +27,42 @@ STABLE_MARGIN = 1e-10
 
 def _finite_std(obj):
     """Finite-coordinate standard realization (A1, B1, C1) of the strictly
-    proper part, plus the Gramian map-back factors (XR1, R1) with
-    X = XR1 Xff XR1_H^H and Y = R1^H Yff R1_H.
+    proper part of a DaeSystem or a RomRealization.
 
     A reduced realization is first brought to semi-explicit index-1 form:
     with Er = U diag(sv) V^T and r its numerical rank (numpy's
     ``matrix_rank`` tolerance), U^T (s Er - Ar) V has E = diag(sv_r, 0).
-    Its saddle-point LU certifies index 1, as for a system.  Only a
-    sparse system is refused above ``nk.DENSE_LIMIT``, before anything is
-    densified; a reduced realization is dense already."""
-    if not isinstance(obj, RomRealization):
-        if obj.n > nk.DENSE_LIMIT:
-            raise DeskScaleExceeded(
-                f"dense H2 analysis limited to n <= {nk.DENSE_LIMIT}, "
-                f"got {obj.n}")
-        return _finite_std_projected(obj)
-    U, sv, Vt = np.linalg.svd(obj.Er)
-    n = sv.size
-    r = int(np.count_nonzero(sv > sv.max(initial=0.0) * n
-                             * np.finfo(sv.dtype).eps))
-    sv[r:] = 0.0
-    ds = dm.DaeSystem(np.diag(sv), U.T @ obj.Ar @ Vt.T, U.T @ obj.Br,
-                      obj.Cr @ Vt.T, obj.Dr, dm.SemiExplicitIndex1(r))
-    A1, B1, C1, Z, R1 = _finite_std_projected(ds)
-    return A1, B1, C1, Vt.T @ Z, R1 @ U.T
+    With r = 0 its strictly proper part is zero, once an LU of Ar has
+    certified a regular pencil.  Only a sparse system is refused above
+    ``nk.DENSE_LIMIT``, before anything is densified; a reduced
+    realization is dense already.
 
-
-def _finite_std_projected(ds):
-    """Finite coordinates from the spectral projectors (Stykel, ETNA 30,
-    2008): Z spans range Pi_r, Y = orth(E Z) spans range Pi_l, and
-    (s E - A) Z = Y (s Ef - Af) with Ef = Y^T E Z, Af = Y^T A Z.  The
-    finite part of the resolvent is Z (s Ef - Af)^-1 Y^T Pi_l, so
-    XR1 = Z and R1 = Ef^-1 Y^T Pi_l.  The saddle-point LU behind the
-    projectors also certifies a regular pencil and deflates a DaeSystem's
-    input."""
-    n = ds.n
-    kit = dm.build_projectors(ds)
-    B, C = (dm.split_transfer(ds, kit)[0], ds.C.toarray()) \
-        if isinstance(ds, dm.DaeSystem) else (ds.B_defl, ds.C)
-    Pr = kit.apply_right(np.eye(n))
-    tag = ds.structure
+    The finite coordinates come from the spectral projectors (Stykel,
+    ETNA 30, 2008): Z spans range Pi_r, Y = orth(E Z) spans range Pi_l,
+    and (s E - A) Z = Y (s Ef - Af) with Ef = Y^T E Z, Af = Y^T A Z.  The
+    deflated input Pi_l B lies in range Y, so the strictly proper part is
+    C Z (s Ef - Af)^-1 Y^T Pi_l B.  The saddle-point LU behind the
+    projectors also certifies a regular pencil and deflates the input."""
+    if isinstance(obj, RomRealization):
+        U, sv, Vt = np.linalg.svd(obj.Er)
+        n = sv.size
+        r = int(np.count_nonzero(sv > sv.max(initial=0.0) * n
+                                 * np.finfo(sv.dtype).eps))
+        if r == 0:
+            dm._factor_saddle(obj.Ar, "Ar of a reduced model with Er = 0")
+            return np.zeros((0, 0)), np.zeros((0, obj.m)), \
+                np.zeros((obj.p, 0))
+        sv[r:] = 0.0
+        obj = dm.DaeSystem(np.diag(sv), U.T @ obj.Ar @ Vt.T, U.T @ obj.Br,
+                           obj.Cr @ Vt.T, obj.Dr, dm.SemiExplicitIndex1(r))
+    elif obj.n > nk.DENSE_LIMIT:
+        raise DeskScaleExceeded(
+            f"dense H2 analysis limited to n <= {nk.DENSE_LIMIT}, "
+            f"got {obj.n}")
+    kit = dm.build_projectors(obj)
+    B = dm.split_transfer(obj, kit)[0]
+    Pr = kit.apply_right(np.eye(obj.n))
+    tag = obj.structure
     if isinstance(tag, dm.SemiExplicitIndex1):
         nf = tag.n1
     else:
@@ -78,10 +74,10 @@ def _finite_std_projected(ds):
             f"implies {nf} finite eigenvalues"
         )
     Z = spla.qr(Pr, mode="economic", pivoting=True)[0][:, :nf]
-    Y, Ef = np.linalg.qr(ds.E @ Z)
-    R1 = np.linalg.solve(Ef, kit.apply_left_t(Y).T)
-    A1 = np.linalg.solve(Ef, Y.T @ (ds.A @ Z))
-    return A1, R1 @ B, C @ Z, Z, R1
+    Y, Ef = np.linalg.qr(obj.E @ Z)
+    A1 = np.linalg.solve(Ef, Y.T @ (obj.A @ Z))
+    B1 = np.linalg.solve(Ef, Y.T @ B)
+    return A1, B1, obj.C.toarray() @ Z
 
 
 def _check_stable(A, cplx=False):
@@ -127,6 +123,6 @@ def _lyapunov_trace(A, B, C):
 
 def h2_norm(obj) -> float:
     """H2 norm of the strictly proper part of a stable system or ROM."""
-    A1, B1, C1, _, _ = _finite_std(obj)
-    val = _lyapunov_trace(A1, B1, C1)
+    A1, B1, C1 = _finite_std(obj)
+    val = _lyapunov_trace(A1, B1, C1) if A1.size else 0.0
     return float(np.sqrt(max(val, 0.0)))

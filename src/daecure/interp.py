@@ -28,8 +28,7 @@ class DeflatedSystem:
 
     ``B_defl`` starts as Pi_l^f B and is depleted step by step during
     cumulative reduction; A, E, C never change.  ``poly`` is the
-    polynomial part split off with it, and ``structure`` the system's tag,
-    from which ``dm.build_projectors`` rebuilds the projectors of (E, A).
+    polynomial part split off with it.
     """
 
     A: sps.csc_matrix
@@ -37,7 +36,6 @@ class DeflatedSystem:
     B_defl: np.ndarray
     C: np.ndarray
     poly: dm.PolyPart
-    structure: object
 
     @classmethod
     def from_dae(cls, sys: dm.DaeSystem):
@@ -45,7 +43,7 @@ class DeflatedSystem:
         saddle-point factorization is released on return."""
         B_defl, poly = dm.split_transfer(sys, dm.build_projectors(sys))
         return cls(A=sys.A, E=sys.E, B_defl=B_defl, C=sys.C.toarray(),
-                   poly=poly, structure=sys.structure)
+                   poly=poly)
 
     @property
     def n(self):

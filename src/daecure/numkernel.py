@@ -44,8 +44,8 @@ def _pencil(A, E):
 
 class DenseLU:
     """LAPACK getrf LU of a dense square matrix, with SuperLU's
-    ``solve(b, trans)`` for trans "N" or "T".  Raises RuntimeError, as
-    ``splu`` does, on an exact zero pivot or a non-finite factor."""
+    ``solve(b)``.  Raises RuntimeError, as ``splu`` does, on an exact
+    zero pivot or a non-finite factor."""
 
     def __init__(self, M):
         getrf, self._getrs = lapack.get_lapack_funcs(("getrf", "getrs"), (M,))
@@ -53,8 +53,8 @@ class DenseLU:
         if info != 0 or not np.isfinite(self._lu).all():
             raise RuntimeError(f"dense LU failed (getrf info={info})")
 
-    def solve(self, b, trans="N"):
-        x, _ = self._getrs(self._lu, self._piv, b, trans=int(trans == "T"))
+    def solve(self, b):
+        x, _ = self._getrs(self._lu, self._piv, b)
         return x
 
 
@@ -89,8 +89,8 @@ class ShiftedFactorization:
                 f"factorization of (A - {sigma}*E) failed: {exc}"
             ) from exc
 
-    def solve(self, rhs, trans="N"):
-        """Solve (A - sigma*E) x = rhs (or the transposed system).
+    def solve(self, rhs):
+        """Solve (A - sigma*E) x = rhs.
 
         ``rhs`` is an (n,) vector or an (n, k) block.  Each column whose
         residual misses ``TOL_SOLVE`` relative to its own right-hand side
@@ -104,13 +104,12 @@ class ShiftedFactorization:
         if split:
             b = np.hstack([b.real, b.imag])
         b = b.astype(self._M.dtype, copy=False)
-        M = self._M if trans == "N" else self._M.T
-        x = self._lu.solve(b, trans=trans)
+        M = self._M
+        x = self._lu.solve(b)
         nb = np.linalg.norm(b, axis=0)
         refine = ~(np.linalg.norm(b - M @ x, axis=0) <= TOL_SOLVE * nb)
         if refine.any():
-            x[:, refine] += self._lu.solve(b[:, refine] - M @ x[:, refine],
-                                           trans=trans)
+            x[:, refine] += self._lu.solve(b[:, refine] - M @ x[:, refine])
             rel = np.linalg.norm(b[:, refine] - M @ x[:, refine], axis=0) \
                 / np.maximum(nb[refine], 1e-300)
             if not np.all(rel <= TOL_SOLVE):
@@ -135,8 +134,8 @@ class ConjugateFactorization:
         self._fac = fac
         self.sigma = fac.sigma.conjugate()
 
-    def solve(self, rhs, trans="N"):
-        return np.conj(self._fac.solve(np.conj(rhs), trans=trans))
+    def solve(self, rhs):
+        return np.conj(self._fac.solve(np.conj(rhs)))
 
 
 def solve_small_lyapunov(S, R):

@@ -185,7 +185,7 @@ class SurrogateBasis:
     def surrogate(self, ds: DeflatedSystem) -> DeflatedSystem:
         """The Galerkin surrogate of ``ds`` with its current input."""
         return DeflatedSystem(A=self.A, E=self.E, B_defl=self.W.T @ ds.B_defl,
-                              C=ds.C @ self.W, poly=None, structure=None)
+                              C=ds.C @ self.W, poly=None)
 
 
 def trust_region_step(g, H, radius):

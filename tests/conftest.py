@@ -146,9 +146,9 @@ class CountingLU:
     def __init__(self, lu, log, perturb=()):
         self._lu, self.log, self.perturb = lu, log, list(perturb)
 
-    def solve(self, b, trans="N"):
+    def solve(self, b):
         self.log.append(np.shape(b))
-        x = self._lu.solve(b, trans=trans)
+        x = self._lu.solve(b)
         if len(self.log) == 1 and self.perturb:
             x[:, self.perturb] *= 1 + 1e-6
         return x

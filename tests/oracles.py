@@ -13,6 +13,7 @@ from scipy.linalg import lapack
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
 from daecure.errors import DimensionMismatch, SpectraOverlap, UnstableSystem
+from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization
 
 #: finite/infinite classification threshold, applied after pencil scaling
@@ -88,6 +89,30 @@ class PencilDeflation:
         B1 = spla.solve(self.Ef, Bt)
         C1 = (C @ self.XR)[:, :nf]
         return A1, B1, C1
+
+
+def qz_finite_std(obj):
+    """Finite standard realization (A1, B1, C1) of the strictly proper part
+    of a DaeSystem, DeflatedSystem or RomRealization by reordered QZ of its
+    dense pencil, with the Gramian map-back factors XR[:, :nf] and
+    Ef^-1 XL[:nf].  It shares no step with the projector route of
+    ``h2analysis``; XL[:nf] B = XL[:nf] Pi_l B, so a system's raw input
+    serves."""
+    if isinstance(obj, RomRealization):
+        E, A, B, C = obj.Er, obj.Ar, obj.Br, obj.Cr
+    else:
+        E, A, C = obj.E.toarray(), obj.A.toarray(), obj.C
+        B = obj.B_defl if isinstance(obj, DeflatedSystem) else obj.B
+    defl = PencilDeflation(E, A)
+    nf = defl.nf
+    A1, B1, C1 = defl.finite_realization(B, C)
+    return A1, B1, C1, defl.XR[:, :nf], np.linalg.solve(defl.Ef,
+                                                         defl.XL[:nf])
+
+
+def qz_h2_norm(obj) -> float:
+    """H2 norm of the strictly proper part in QZ finite coordinates."""
+    return float(np.sqrt(max(h2_inner_sylvester_dense(obj, obj)[0], 0.0)))
 
 
 def solve_dense_sylvester(A, B, C):
@@ -184,13 +209,14 @@ def h2_inner_pole_residue(eval_G, gm: PoleResidueForm):
 def h2_inner_sylvester_dense(sysA, sysB):
     """<G_A, G_B> by deflated Sylvester solves; returns (value, X, Y).
 
-    X and Y are the cross-Gramians mapped back to the original
-    coordinates, so trace(C_A X C_B^H) = value = trace(B_A^H Y B_B) and X
-    satisfies the right-projector constraint of the underlying projected
-    Sylvester equation.
+    Both arguments are brought to finite coordinates by QZ.  X and Y are
+    the cross-Gramians mapped back to the original coordinates, so
+    trace(C_A X C_B^H) = value = trace(B_A^H Y B_B) and X satisfies the
+    right-projector constraint of the underlying projected Sylvester
+    equation.
     """
-    A1, B1, C1, XR1, R1 = h2._finite_std(sysA)
-    A2, B2, C2, XR2, R2 = h2._finite_std(sysB)
+    A1, B1, C1, XR1, R1 = qz_finite_std(sysA)
+    A2, B2, C2, XR2, R2 = qz_finite_std(sysB)
     h2._check_stable(A1)
     h2._check_stable(A2)
     if B1.shape[1] != B2.shape[1] or C1.shape[0] != C2.shape[0]:
@@ -214,9 +240,10 @@ def h2_inner_sylvester_dense(sysA, sysB):
 
 
 def h2_error_norm(ds, rom: RomRealization) -> float:
-    """||G - G_r|| via an augmented error realization at desk scale."""
-    A1, B1, C1, _, _ = h2._finite_std(ds)
-    A2, B2, C2, _, _ = h2._finite_std(rom)
+    """||G - G_r|| via an augmented error realization in QZ finite
+    coordinates at desk scale."""
+    A1, B1, C1, _, _ = qz_finite_std(ds)
+    A2, B2, C2, _, _ = qz_finite_std(rom)
     val = h2._lyapunov_trace(spla.block_diag(A1, A2), np.vstack([B1, B2]),
                              np.hstack([C1, -C2]))
     return float(np.sqrt(max(val, 0.0)))
@@ -233,7 +260,7 @@ def check_orthogonality(ds, rom: RomRealization, data, trials: int = 10,
     """
     rng = np.random.default_rng(seed)
     S, R = data.S, data.R
-    norm_g = h2.h2_norm(ds)
+    norm_g = qz_h2_norm(ds)
     worst = 0.0
     for _ in range(trials):
         CM = rng.standard_normal((rom.p, S.shape[0]))
@@ -242,7 +269,7 @@ def check_orthogonality(ds, rom: RomRealization, data, trials: int = 10,
         ip_err = h2_inner_pole_residue(
             lambda s: transfer(ds)(s) - rom.eval(s),
             rom_to_pole_residue(gm))
-        worst = max(worst, abs(ip_err) / max(norm_g * h2.h2_norm(gm), 1e-300))
+        worst = max(worst, abs(ip_err) / max(norm_g * qz_h2_norm(gm), 1e-300))
     return worst
 
 

@@ -93,7 +93,7 @@ def test_criterion_03_norm_decomposition():
         ds = DeflatedSystem.from_dae(sys)
         total, rep, ledger = cure.cured_spark(ds,
                                               cure.CureConfig(max_steps=6))
-        ng = h2.h2_norm(ds)
+        ng = h2.h2_norm(sys)
         nr = h2.h2_norm(total)
         ne = h2_error_norm(ds, total)
         worst = max(worst, abs(ng ** 2 - nr ** 2 - ne ** 2) / ng ** 2)

@@ -17,7 +17,6 @@ from daecure import cure
 from daecure import daemodel as dm
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
-from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization
 
 from conftest import STRUCTURE_VARIANTS
@@ -181,6 +180,23 @@ def test_h2norm_of_index2_rom_is_numerical_error(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "SingularSchurComplement"
 
 
+@pytest.mark.parametrize("ar, code, error", [
+    (-1.0, cli.EXIT_OK, None),
+    (0.0, cli.EXIT_NUMERICAL, "SingularSchurComplement"),
+], ids=["regular", "not-regular"])
+def test_h2norm_of_rom_with_zero_er(ar, code, error, tmp_path, capsys):
+    # Er = 0: the strictly proper part is zero if the pencil is regular,
+    # and Ar = 0 makes det(s Er - Ar) vanish identically
+    bio.write_rom(RomRealization(Er=[[0.0]], Ar=[[ar]], Br=[[1.0]],
+                                 Cr=[[1.0]]), tmp_path)
+    got, out, err = _h2norm(tmp_path, capsys)
+    assert got == code
+    if error is None:
+        assert out.strip() == "0.0" and err == ""
+    else:
+        assert out == "" and json.loads(err)["error"] == error
+
+
 def test_h2norm_of_rom_above_dense_limit(tmp_path, capsys):
     # the size limit guards the densification of a sparse system only
     lam = np.arange(1.0, nk.DENSE_LIMIT + 2)
@@ -199,7 +215,7 @@ def test_h2norm_of_rom_above_dense_limit(tmp_path, capsys):
 def test_h2norm_of_manifest_factors_only_saddle_points(
         fixture, request, tmp_path, capsys, monkeypatch, factor_log):
     sys = request.getfixturevalue(fixture)
-    expected = h2.h2_norm(DeflatedSystem.from_dae(sys))
+    expected = h2.h2_norm(sys)
     path = bio.write_system(sys, tmp_path)
     _refuse_qz(monkeypatch)
     del factor_log[:]
@@ -334,6 +350,37 @@ def test_bad_shifts_init_is_io_error(sysdir, tmp_path, capsys):
                 "--shifts-init", "nope",
                 "--out", str(tmp_path / "res")]) == cli.EXIT_IO
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("channel", ["1", "a,b", "0,1,0"])
+@pytest.mark.parametrize("command", ["reduce", "bode"])
+def test_bad_channel_is_io_error(sysdir, tmp_path, capsys, command,
+                                 channel):
+    out = str(tmp_path / "res")
+    flags = ["--wmin", "1e-2", "--wmax", "1e2"] if command == "bode" else []
+    assert run([command, "--manifest", _manifest(sysdir),
+                "--channel", channel, *flags, "--out", out]) == cli.EXIT_IO
+    obj = json.loads(capsys.readouterr().err.strip())
+    assert obj["error"] == "ParseError"
+    assert obj["message"] == "--channel must be 'out_idx,in_idx' (0-based)"
+    assert not os.path.exists(out)
+
+
+def test_bode_with_rom_of_other_channel_count_fails_first(
+        sysdir, tmp_path, capsys, factor_log):
+    # a 2-output ROM against a SISO system: refused before any frequency
+    # point is factored or any file is written
+    rom = tmp_path / "rom"
+    bio.write_rom(RomRealization(Er=np.eye(1), Ar=[[-1.0]], Br=[[1.0]],
+                                 Cr=[[1.0], [2.0]]), rom)
+    out = tmp_path / "bode"
+    assert run(["bode", "--manifest", _manifest(sysdir), "--rom", str(rom),
+                "--wmin", "1e-2", "--wmax", "1e2", "--out", str(out)]) \
+        == cli.EXIT_UNSUPPORTED
+    obj = json.loads(capsys.readouterr().err.strip())
+    assert obj["error"] == "UnsupportedInput"
+    assert factor_log == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,7 +23,6 @@ def check_kit_against_oracle(sys, tol=1e-10):
         nv = np.linalg.norm(v)
         assert np.linalg.norm(kit.apply_left(v) - Pl @ v) <= tol * scale * nv
         assert np.linalg.norm(kit.apply_right(v) - Pr @ v) <= tol * scale * nv
-        assert np.linalg.norm(kit.apply_left_t(v) - Pl.T @ v) <= tol * scale * nv
     return kit
 
 

@@ -77,7 +77,7 @@ def test_norm_decomposition_by_pseudo_optimality(index1_small):
     ds = DeflatedSystem.from_dae(index1_small)
     V, data = basis_at(ds, 0.9, 1.7)
     rom = pork_input(V, data, ds.C)
-    ng = h2.h2_norm(ds)
+    ng = h2.h2_norm(index1_small)
     nr = h2.h2_norm(rom)
     ne = h2_error_norm(ds, rom)
     assert abs(ng ** 2 - nr ** 2 - ne ** 2) <= 1e-10 * ng ** 2

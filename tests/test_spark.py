@@ -307,10 +307,10 @@ def test_full_pencil_solves_first_order_and_surrogate_skips_superlu(
     blocks, superlu = [], []
     solve, splu = nk.ShiftedFactorization.solve, nk.spsla.splu
 
-    def logged_solve(self, rhs, trans="N"):
+    def logged_solve(self, rhs):
         if self.n == ds.n:
             blocks.append(np.shape(rhs)[1:])
-        return solve(self, rhs, trans)
+        return solve(self, rhs)
 
     def logged_splu(M, *args, **kwargs):
         superlu.append(M.shape)
