@@ -18,10 +18,12 @@ import scipy.linalg as spla
 import scipy.sparse as sps
 
 from . import daemodel as dm
-from . import numkernel as nk
 from .errors import ParseError, StructureViolation
 
 MANIFEST_VERSION = 1
+
+#: largest order the index-1 generator densifies for its exact checks
+GEN_DENSE_LIMIT = 600
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,7 @@ def gen_semi_explicit_index1(n1, n2, seed, m=1, p=1,
     pert = _random_sparse(rng, n1, n1, density)
     # guard: keep the perturbation well inside the stability margin of A11
     margin = -float(spla.eigvalsh((A11 + A11.T).toarray() / 2).max())
-    pnorm = spla.norm(pert.toarray(), 2) if n1 <= 600 else \
+    pnorm = spla.norm(pert.toarray(), 2) if n1 <= GEN_DENSE_LIMIT else \
         np.linalg.norm(pert.toarray())
     if pnorm > 0.4 * margin:
         pert = pert * (0.4 * margin / pnorm)
@@ -80,8 +82,7 @@ def gen_semi_explicit_index1(n1, n2, seed, m=1, p=1,
                     _random_sparse(rng, p, n2, 0.3)]).tocsc()
     sys = dm.DaeSystem(E, A, B, C, np.zeros((p, m)),
                        dm.SemiExplicitIndex1(n1))
-    n = n1 + n2
-    if n <= nk.DENSE_LIMIT + 100:
+    if n1 + n2 <= GEN_DENSE_LIMIT:
         w = spla.eigvals(A.toarray(), E.toarray())
         finite = w[np.isfinite(w)]
         if finite.size and finite.real.max() >= 0:
@@ -330,18 +331,17 @@ def write_freq_response(path, omegas, values):
             w.writerow(row)
 
 
-def write_h2_history(path, norm_history):
+def write_h2_history(path, steps):
+    """One row (k, norm_total, rel_increase) per step of a CURE report."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "norm", "rel_increase"])
-        prev = 0.0
-        for k, norm in enumerate(norm_history, start=1):
-            rel = (norm - prev) / norm if norm > 0 else 0.0
-            w.writerow([k, repr(float(norm)), repr(float(rel))])
-            prev = norm
+        for st in steps:
+            w.writerow([st["k"], repr(float(st["norm_total"])),
+                        repr(float(st["rel_increase"]))])
 
 
-def write_rom(rom, outdir, name="rom"):
+def write_rom(rom, outdir):
     """ROM matrices as dense Matrix-Market arrays; returns the file map."""
     os.makedirs(outdir, exist_ok=True)
     files = {}
@@ -349,29 +349,25 @@ def write_rom(rom, outdir, name="rom"):
     if np.any(rom.Dr):
         mats["D"] = rom.Dr
     for key, mat in mats.items():
-        fn = f"{name}_{key}.mtx"
+        fn = f"rom_{key}.mtx"
         spio.mmwrite(os.path.join(outdir, fn), np.atleast_2d(mat))
         files[key] = fn
     return files
 
 
-def read_rom(romdir, name="rom"):
+def read_rom(romdir):
     """Load a reduced realization previously written by write_rom."""
     from .pork import RomRealization
 
     mats = {}
-    for key in ("E", "A", "B", "C"):
+    for key in ("E", "A", "B", "C", "D"):
+        fn = f"rom_{key}.mtx"
+        if key == "D" and not os.path.exists(os.path.join(romdir, fn)):
+            continue
         mats[key] = np.atleast_2d(np.asarray(
-            sps.csc_matrix(_read_mtx(romdir, f"{name}_{key}.mtx", key))
-            .toarray(), dtype=float))
-    dpath = os.path.join(romdir, f"{name}_D.mtx")
-    D = None
-    if os.path.exists(dpath):
-        D = np.atleast_2d(np.asarray(
-            sps.csc_matrix(_read_mtx(romdir, f"{name}_D.mtx", "D")).toarray(),
-            dtype=float))
+            sps.csc_matrix(_read_mtx(romdir, fn, key)).toarray(), dtype=float))
     return RomRealization(Er=mats["E"], Ar=mats["A"], Br=mats["B"],
-                          Cr=mats["C"], Dr=D)
+                          Cr=mats["C"], Dr=mats.get("D"))
 
 
 def write_results(report, outdir):

@@ -3,8 +3,8 @@
 Pipeline for ``reduce``: load system -> split the transfer function into
 the deflated input and the polynomial part (one saddle-point
 factorization) -> cumulative shift-pair reduction of the strictly proper
-part -> realize the constant polynomial part -> combine block-diagonally
--> write ROM files, H2 history and a JSON report.
+part -> realize the constant polynomial part -> assemble both into one
+ROM -> write ROM files, H2 history and a JSON report.
 
 Exit codes: 0 ok, 1 numerical failure, 2 unsupported input, 3 I/O error.
 """
@@ -17,7 +17,6 @@ import os
 import sys as _sys
 
 import numpy as np
-import scipy.linalg as spla
 
 from . import bench_io as bio
 from . import cure as curemod
@@ -32,7 +31,7 @@ from .errors import (
     StructureViolation,
 )
 from .interp import DeflatedSystem
-from .pork import RomRealization
+from .spark import SparkParams
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -83,18 +82,6 @@ def _load_siso(args):
     return sys
 
 
-def _combine(total: RomRealization, poly: RomRealization | None):
-    """Block-diagonal combination of the strictly proper ROM and the
-    polynomial-part realization."""
-    if poly is None or poly.order == 0:
-        return total
-    return RomRealization(Er=spla.block_diag(total.Er, poly.Er),
-                          Ar=spla.block_diag(total.Ar, poly.Ar),
-                          Br=np.vstack([total.Br, poly.Br]),
-                          Cr=np.hstack([total.Cr, poly.Cr]),
-                          Dr=total.Dr + poly.Dr)
-
-
 def _step_interpolation_residuals(ledger):
     """Per-step interpolation certificates, as made by ``cure_step``."""
     return [rec.interp_residual for rec in ledger.records]
@@ -107,10 +94,10 @@ def cmd_reduce(args):
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise UnsupportedInput(
             f"--tol must be finite and nonnegative, got {args.tol}")
-    init_a, init_b = _parse_pair(
+    init = SparkParams(*_parse_pair(
         args.shifts_init, float,
-        "--shifts-init must be two comma-separated numbers")
-    if not all(np.isfinite(x) and x > 0 for x in (init_a, init_b)):
+        "--shifts-init must be two comma-separated numbers"))
+    if not all(np.isfinite(x) and x > 0 for x in (init.a, init.b)):
         raise UnsupportedInput(
             f"--shifts-init must be two finite positive numbers, got "
             f"{args.shifts_init}")
@@ -124,17 +111,14 @@ def cmd_reduce(args):
     pp = ds.poly
     if pp.kind == "unsupported":
         raise UnsupportedInput("Unsupported polynomial part")
-    cfg = curemod.CureConfig(
-        tol_rel=args.tol, max_steps=args.max_steps,
-        init_a=init_a, init_b=init_b,
-    )
-    total, report, ledger = curemod.cured_spark(ds, cfg)
+    _, report, ledger = curemod.cured_spark(ds, curemod.CureConfig(
+        tol_rel=args.tol, max_steps=args.max_steps, init=init))
     poly_rom = None
     if pp.kind == "constant" and np.any(pp.constant):
         poly_rom = dm.realize_constant_poly(pp.constant)
-    combined = _combine(total, poly_rom)
+    rom = curemod.assemble_total(ledger.records, poly_rom)
 
-    poles = combined.poles()
+    poles = rom.poles()
     finite = poles[np.isfinite(poles)]
     invariants = {
         "interpolation_residual_max_per_step":
@@ -147,9 +131,9 @@ def cmd_reduce(args):
         ),
     }
     os.makedirs(args.out, exist_ok=True)
-    rom_files = bio.write_rom(combined, args.out, name="rom")
+    rom_files = bio.write_rom(rom, args.out)
     history = os.path.join(args.out, "h2_history.csv")
-    bio.write_h2_history(history, report["norm_history"])
+    bio.write_h2_history(history, report["steps"])
     output_files = [history] + [os.path.join(args.out, fn)
                                 for fn in rom_files.values()]
     with open(args.manifest) as fh:
@@ -162,7 +146,7 @@ def cmd_reduce(args):
         "config": {
             "manifest": os.path.abspath(args.manifest),
             "tol": args.tol, "max_steps": args.max_steps,
-            "shifts_init": [init_a, init_b],
+            "shifts_init": [init.a, init.b],
             "channel": getattr(args, "channel", None),
             "out": os.path.abspath(args.out),
         },
@@ -171,9 +155,9 @@ def cmd_reduce(args):
         "threads": {v: os.environ.get(v) for v in THREAD_VARS},
         "orders": {
             "n": sys.n,
-            "q_strictly_proper": total.order,
+            "q_strictly_proper": report["order"],
             "q_polynomial": poly_rom.order if poly_rom is not None else 0,
-            "q": combined.order,
+            "q": rom.order,
         },
         "polynomial_part": pp.kind,
         "cure": report,
@@ -181,7 +165,7 @@ def cmd_reduce(args):
         "rom_files": rom_files,
     }
     bio.write_results(full_report, args.out)
-    print(f"reduced order q = {combined.order} "
+    print(f"reduced order q = {rom.order} "
           f"({report['k']} steps, stop: {report['stop_reason']})")
     print(f"report written to {os.path.join(args.out, 'report.json')}")
     if not invariants["stable"]:
@@ -279,6 +263,8 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
+    if args.seed < 0:
+        raise UnsupportedInput(f"--seed must be nonnegative, got {args.seed}")
     if args.kind == "index1":
         if args.n1 is None or args.n2 is None:
             raise UnsupportedInput("--kind index1 needs --n1 and --n2")
@@ -306,10 +292,12 @@ def build_parser():
 
     red = sub.add_parser("reduce", help="run the full reduction pipeline")
     red.add_argument("--manifest", required=True)
-    red.add_argument("--tol", type=float, default=1e-6,
+    defaults = curemod.CureConfig()
+    red.add_argument("--tol", type=float, default=defaults.tol_rel,
                      help="relative H2-norm stagnation tolerance")
-    red.add_argument("--max-steps", type=int, default=20)
-    red.add_argument("--shifts-init", default="1e-4,1e-4",
+    red.add_argument("--max-steps", type=int, default=defaults.max_steps)
+    red.add_argument("--shifts-init",
+                     default=f"{defaults.init.a},{defaults.init.b}",
                      help="initial (a,b) shift parameters")
     red.add_argument("--channel", default=None,
                      help="out_idx,in_idx channel selection for MIMO input")

@@ -42,41 +42,44 @@ class CureLedger:
 
     ds: DeflatedSystem
     records: list = field(default_factory=list)
-    norm_history: list = field(default_factory=list)
 
     @property
     def k(self):
         return len(self.records)
 
 
-def assemble_total(records) -> RomRealization:
+def assemble_total(records, poly: RomRealization = None) -> RomRealization:
     """Block assembly of the accumulated reduced model.
 
     E_tot is block diagonal, A_tot block lower triangular with the
     couplings A_ij = Br(i) R(j) for i > j, B_tot stacks the Br blocks and
-    C_tot concatenates the Cr blocks.
+    C_tot concatenates the Cr blocks.  A realization ``poly`` of the
+    polynomial part goes last, as an uncoupled block with its own Dr.
     """
     if not records:
         raise DimensionMismatch("no records to assemble")
-    orders = [rec.rom.order for rec in records]
+    roms = [rec.rom for rec in records] + ([] if poly is None else [poly])
+    orders = [rom.order for rom in roms]
     q = sum(orders)
-    m = records[0].rom.m
-    p = records[0].rom.p
+    m = roms[0].m
+    p = roms[0].p
     E = np.zeros((q, q))
     A = np.zeros((q, q))
     B = np.zeros((q, m))
     C = np.zeros((p, q))
     offs = np.concatenate([[0], np.cumsum(orders)])
-    for i, rec in enumerate(records):
+    for i, rom in enumerate(roms):
         si, ei = offs[i], offs[i + 1]
-        E[si:ei, si:ei] = rec.rom.Er
-        A[si:ei, si:ei] = rec.rom.Ar
-        B[si:ei] = rec.rom.Br
-        C[:, si:ei] = rec.rom.Cr
+        E[si:ei, si:ei] = rom.Er
+        A[si:ei, si:ei] = rom.Ar
+        B[si:ei] = rom.Br
+        C[:, si:ei] = rom.Cr
+    for i, rec in enumerate(records):
         for j in range(i):
-            sj, ej = offs[j], offs[j + 1]
-            A[si:ei, sj:ej] = rec.rom.Br @ records[j].data.R
-    return RomRealization(Er=E, Ar=A, Br=B, Cr=C)
+            A[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
+                rec.rom.Br @ records[j].data.R
+    return RomRealization(Er=E, Ar=A, Br=B, Cr=C,
+                          Dr=None if poly is None else poly.Dr)
 
 
 def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
@@ -85,13 +88,7 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     Builds the step's ROM and certifies it, the worst per-shift
     tangential residual ||(G - G_r) r|| / ||G r|| with G(sigma) from
     ``TOL_SOLVE``-checked solves of the current deflated input with the
-    result's own LUs, then depletes that input.  The total H2 norm is
-    tracked incrementally: by the error-norm decomposition each step adds
-    exactly the captured energy -J, so
-    ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k.  This stays exact and
-    well-defined even when a late, nearly exhausted step parks its mirror
-    poles arbitrarily close to the imaginary axis (where a dense Lyapunov
-    solve on the assembled pencil would be refused).
+    result's own LUs, then depletes that input.
     """
     ds = ledger.ds
     rom = pork_input(spark_out.V, spark_out.data, ds.C)
@@ -106,8 +103,6 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     ds.B_defl = ds.B_defl - ds.E @ (spark_out.V
                                     @ np.linalg.solve(rom.Er, rom.Br))
     ledger.records.append(rec)
-    prev_sq = ledger.norm_history[-1] ** 2 if ledger.norm_history else 0.0
-    ledger.norm_history.append(float(np.sqrt(prev_sq + max(-rec.cost, 0.0))))
     return ledger
 
 
@@ -115,10 +110,8 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
 class CureConfig:
     tol_rel: float = 1e-6
     max_steps: int = 20
-    init_a: float = 1e-4
-    init_b: float = 1e-4
-    #: SPARK's stopping test ||g|| <= gtol * (1 + |J|)
-    gtol: float = sparkmod.GTOL
+    #: the start pair of every step's SPARK run
+    init: sparkmod.SparkParams = sparkmod.INIT
 
 
 def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
@@ -130,39 +123,39 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
     left as it is.  One surrogate basis serves every step's SPARK, and a
     step that returned at ``init`` hands its LUs to the next.  Returns
-    (TotalRom, report dict, ledger).
+    (TotalRom, report dict, ledger); ``max_steps`` < 1 leaves nothing to
+    assemble and raises DimensionMismatch.
     """
     if cfg is None:
         cfg = CureConfig()
     t0 = time.perf_counter()
     ledger = CureLedger(ds=replace(ds))
     report = {"steps": [], "stop_reason": None, "flagged": False}
-    init = sparkmod.SparkParams(cfg.init_a, cfg.init_b)
     basis = sparkmod.SurrogateBasis(ds.n)
     degenerate_run = 0
     res = None
     while ledger.k < cfg.max_steps:
-        res = sparkmod.spark(ledger.ds, init=init, gtol=cfg.gtol, reuse=res,
-                             basis=basis)
-        # stagnation is decided on the prospective step, before folding it
-        # in: a nearly exhausted residual drives the optimizer against the
-        # b > 0 boundary and would contribute a numerically singular block
+        res = sparkmod.spark(ledger.ds, init=cfg.init, reuse=res, basis=basis)
+        # by the error-norm decomposition each step adds exactly the
+        # captured energy -J: ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k, exact
+        # even where a dense Lyapunov solve of the assembled pencil would be
+        # refused.  Stagnation is decided on this prospective norm, before
+        # folding the step in: a nearly exhausted residual drives the
+        # optimizer against the b > 0 boundary and would contribute a
+        # numerically singular block
         captured = max(-res.cost, 0.0)
-        prev = ledger.norm_history[-1] if ledger.norm_history else 0.0
-        prospective = float(np.sqrt(prev ** 2 + captured))
-        rel_inc = (prospective - prev) / prospective if prospective > 0 \
-            else 0.0
+        prev = report["steps"][-1]["norm_total"] if report["steps"] else 0.0
+        norm = float(np.sqrt(prev ** 2 + captured))
+        rel_inc = (norm - prev) / norm if norm > 0 else 0.0
         if ledger.k >= 1 and rel_inc < cfg.tol_rel:
             report["stop_reason"] = "degenerate" if degenerate_run else \
                 "tolerance"
             break
         cure_step(ledger, res)
-        rec = ledger.records[-1]
-        norm = ledger.norm_history[-1]
         report["steps"].append({
-            "k": ledger.k, "a": rec.params.a, "b": rec.params.b,
-            "shifts": [complex(s) for s in rec.params.shifts()],
-            "J": rec.cost, "converged": res.converged,
+            "k": ledger.k, "a": res.params.a, "b": res.params.b,
+            "shifts": [complex(s) for s in res.params.shifts()],
+            "J": res.cost, "converged": res.converged,
             "reason": res.reason, "norm_total": norm, "rel_increase": rel_inc,
             "iterations": len(res.trace) - 1,
             "rejected": sum(not r["accepted"] for r in res.trace),
@@ -178,9 +171,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
             degenerate_run = 0
     if report["stop_reason"] is None:
         report["stop_reason"] = "max_steps"
-    total = assemble_total(ledger.records) if ledger.records else None
+    total = assemble_total(ledger.records)
     report["k"] = ledger.k
-    report["order"] = total.order if total is not None else 0
-    report["norm_history"] = list(ledger.norm_history)
+    report["order"] = total.order
+    report["norm_history"] = [step["norm_total"] for step in report["steps"]]
     report["runtime_s"] = time.perf_counter() - t0
     return total, report, ledger

@@ -49,7 +49,7 @@ SURROGATE_GTOL = 0.1
 BASIS_RTOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparkParams:
     """A shift pair a +- sqrt(a^2 - b); a, b > 0 is enforced where the pair
     is turned into interpolation data (``spark_params_matrices``)."""
@@ -63,6 +63,10 @@ class SparkParams:
 
     def as_array(self):
         return np.array([self.a, self.b])
+
+
+#: the start pair of a SPARK run that is given none
+INIT = SparkParams(1e-4, 1e-4)
 
 
 # reduced controllability Gramian in closed form
@@ -338,18 +342,18 @@ def _trust_region(ds, p, point, gtol, trace):
     return p, converged, reason
 
 
-def spark(ds: DeflatedSystem, init: SparkParams = None,
-          gtol: float = GTOL, reuse: SparkResult = None,
+def spark(ds: DeflatedSystem, init: SparkParams = INIT,
+          reuse: SparkResult = None,
           basis: SurrogateBasis = None) -> SparkResult:
     """Search for the locally optimal shift pair on a model function.
 
     An outer loop over full-model points: evaluate the full model at the
     current pair to first order (the exact Hessian is taken on the
-    surrogate only) and stop once ||g|| <= gtol * (1 + |J|).  Otherwise add
+    surrogate only) and stop once ||g|| <= GTOL * (1 + |J|).  Otherwise add
     the point's bases to ``basis`` (a fresh one when not given; a caller
     may keep one across calls on the same A and E), run the trust region
     on the Galerkin surrogate from the current pair down to the stricter
-    ``SURROGATE_GTOL * gtol``, and evaluate the full model at the
+    ``SURROGATE_GTOL * GTOL``, and evaluate the full model at the
     surrogate's optimum.  The optimum becomes the current pair if its full
     J does not increase; otherwise its bases enrich the surrogate, which
     is solved again from the current pair.  The loop also stops when the
@@ -362,8 +366,6 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
     on the same A and E, hands its LUs over, which serve init if that
     result returned there.
     """
-    if init is None:
-        init = SparkParams(1e-4, 1e-4)
     if basis is None:
         basis = SurrogateBasis(ds.n)
     ctx = None
@@ -377,13 +379,13 @@ def spark(ds: DeflatedSystem, init: SparkParams = None,
     evaluations = [{"a": p[0], "b": p[1], "J": point.J,
                     "gnorm": trace[0]["gnorm"], "accepted": True}]
     for _ in range(MAXITER):
-        if np.linalg.norm(point.g) <= gtol * (1.0 + abs(point.J)):
+        if np.linalg.norm(point.g) <= GTOL * (1.0 + abs(point.J)):
             converged, reason = True, "gtol"
             break
         basis.add(ds, point)
         sur = basis.surrogate(ds)
         q, converged, reason = _trust_region(
-            sur, p, evaluate(sur, *p), SURROGATE_GTOL * gtol, trace)
+            sur, p, evaluate(sur, *p), SURROGATE_GTOL * GTOL, trace)
         if q is p:
             break       # the surrogate has no step from the current pair
         point = point._replace(ctx=None)    # free p's LUs before q factors

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -34,6 +36,16 @@ def basis_at(ds, a, b):
     at the shift pair (a, b)."""
     point = sp.evaluate(ds, a, b)
     return point.V, point.data
+
+
+@contextlib.contextmanager
+def spark_gtol(value):
+    """SPARK's stopping threshold ``spark.GTOL`` set to ``value`` inside
+    the block: 0 never stops on the gradient, 1e30 stops at the start
+    pair."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sp, "GTOL", value)
+        yield
 
 
 def make_random_stable_ode(n, seed, m=1, p=1, shift=2.0):

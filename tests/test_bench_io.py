@@ -179,11 +179,15 @@ def test_freq_response_csv(tmp_path):
 
 def test_h2_history_csv(tmp_path):
     path = tmp_path / "h.csv"
-    bio.write_h2_history(path, [1.0, 1.5, 1.6])
+    steps = [{"k": 1, "norm_total": 1.0, "rel_increase": 1.0},
+             {"k": 2, "norm_total": 1.5, "rel_increase": (1.5 - 1.0) / 1.5}]
+    bio.write_h2_history(path, steps)
     rows = list(csv.reader(open(path)))
     assert rows[0] == ["k", "norm", "rel_increase"]
     assert float(rows[2][1]) == 1.5
     assert abs(float(rows[2][2]) - (1.5 - 1.0) / 1.5) <= 1e-12
+    assert rows[1:] == [[str(st["k"]), repr(st["norm_total"]),
+                         repr(st["rel_increase"])] for st in steps]
 
 
 def test_rom_roundtrip(tmp_path):

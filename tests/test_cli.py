@@ -81,6 +81,15 @@ def test_reduce_reports_same_hash_for_same_input(sysdir, tmp_path):
     assert outs[0]["output_hash"] == bio.content_hash(written)
 
 
+def test_reduce_defaults_are_the_cure_config_defaults():
+    args = cli.build_parser().parse_args(
+        ["reduce", "--manifest", "m.json", "--out", "out"])
+    cfg = cure.CureConfig()
+    assert (args.tol, args.max_steps) == (cfg.tol_rel, cfg.max_steps)
+    assert cli._parse_pair(args.shifts_init, float, "") \
+        == (cfg.init.a, cfg.init.b)
+
+
 def test_bode_row_count_and_error_column(sysdir, tmp_path):
     res = tmp_path / "res"
     assert run(["reduce", "--manifest", _manifest(sysdir),
@@ -116,6 +125,23 @@ def index1_romdir(tmp_path_factory):
     assert run(["reduce", "--manifest", _manifest(d / "sys"),
                 "--out", str(d / "rom")]) == 0
     return d / "rom"
+
+
+def test_h2_history_rows_are_the_report_steps(index1_romdir):
+    # h2_history.csv writes the norm and increase report.json records per
+    # step; the ROM adds the constant part's block to the 2k CURE states
+    report = json.load(open(index1_romdir / "report.json"))
+    steps = report["cure"]["steps"]
+    rows = list(csv.reader(open(index1_romdir / "h2_history.csv")))
+    assert rows[0] == ["k", "norm", "rel_increase"]
+    assert rows[1:] == [[str(st["k"]), repr(st["norm_total"]),
+                         repr(st["rel_increase"])] for st in steps]
+    assert [float(row[1]) for row in rows[1:]] \
+        == report["cure"]["norm_history"]
+    orders = report["orders"]
+    assert orders["q_polynomial"] == 1
+    assert orders["q"] == orders["q_strictly_proper"] + orders["q_polynomial"]
+    assert orders["q_strictly_proper"] == 2 * report["cure"]["k"]
 
 
 def _h2norm(target, capsys):
@@ -416,6 +442,24 @@ def test_bad_flags_exit2_with_one_json_object(sysdir, tmp_path, capsys,
     assert obj["error"] == "UnsupportedInput"
     assert flags[0] in obj["message"]
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("kind", [
+    ["--kind", "index1", "--n1", "5", "--n2", "2"],
+    ["--kind", "stokes2", "--m", "4"],
+], ids=["index1", "stokes2"])
+def test_gen_negative_seed_exit2_with_one_json_object(tmp_path, capsys,
+                                                      kind):
+    out = tmp_path / "sys"
+    assert run(["gen", *kind, "--seed", "-1", "--out", str(out)]) \
+        == cli.EXIT_UNSUPPORTED
+    captured = capsys.readouterr()
+    obj = json.loads(captured.err.strip())
+    assert obj["exit_code"] == cli.EXIT_UNSUPPORTED
+    assert obj["error"] == "UnsupportedInput"
+    assert "--seed" in obj["message"]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["reduce", "--help"]])

@@ -6,18 +6,19 @@ import pytest
 
 from daecure import bench_io as bio
 from daecure import cure
+from daecure import daemodel as dm
 from daecure import numkernel as nk
 from daecure import spark as sp
 from daecure.errors import DimensionMismatch
 from daecure.interp import DeflatedSystem
 from daecure.pork import pork_input
 
-from conftest import make_ode, make_random_stable_ode
+from conftest import make_ode, make_random_stable_ode, spark_gtol
 from oracles import allpass_factor, h2_error_norm, transfer
 
 
-def run_cure(sys, max_steps=4, tol=1e-12, gtol=1e-9):
-    cfg = cure.CureConfig(max_steps=max_steps, tol_rel=tol, gtol=gtol)
+def run_cure(sys, max_steps=4, tol=1e-12):
+    cfg = cure.CureConfig(max_steps=max_steps, tol_rel=tol)
     return cure.cured_spark(DeflatedSystem.from_dae(sys), cfg)
 
 
@@ -98,8 +99,9 @@ def test_stagnation_stop(index1_small):
 def test_exact_recovery_order2():
     sys = make_ode([-1.0, -2.0], [1.0, 1.0], [0.25, -0.175])
     ds0 = DeflatedSystem.from_dae(sys)
-    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14, gtol=1e-11)
-    total, report, ledger = cure.cured_spark(ds0, cfg)
+    cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14)
+    with spark_gtol(1e-11):
+        total, report, ledger = cure.cured_spark(ds0, cfg)
     assert h2_error_norm(ds0, total) <= 1e-8
 
 
@@ -125,7 +127,8 @@ def test_report_contents(index1_small):
 def _result_at(ds, a, b):
     """An unoptimized SparkResult for the shift pair (a, b): SPARK stops
     at its start pair."""
-    return sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
+    with spark_gtol(1e30):
+        return sp.spark(ds, init=sp.SparkParams(a, b))
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
@@ -174,6 +177,32 @@ def test_cured_spark_leaves_the_callers_input(index1_small):
     assert np.array_equal(ds.B_defl, B_defl)
 
 
+def test_cured_spark_without_steps_has_nothing_to_assemble(index1_small):
+    # the CLI rejects --max-steps < 1; a library caller gets the typed
+    # error of the empty assembly
+    with pytest.raises(DimensionMismatch, match="no records to assemble"):
+        cure.cured_spark(DeflatedSystem.from_dae(index1_small),
+                         cure.CureConfig(max_steps=0))
+
+
+def test_assembly_places_the_polynomial_block_last(index1_small):
+    # the polynomial part is an uncoupled last block: the assembled model
+    # is the strictly proper total plus the constant P
+    _, _, ledger = run_cure(index1_small, max_steps=3, tol=1e-6)
+    P = DeflatedSystem.from_dae(index1_small).poly.constant
+    assert np.any(P)
+    poly = dm.realize_constant_poly(P)
+    strictly = cure.assemble_total(ledger.records)
+    total = cure.assemble_total(ledger.records, poly)
+    assert total.order == sum(rec.rom.order for rec in ledger.records) \
+        + poly.order
+    assert not np.any(total.Ar[strictly.order:, :strictly.order])
+    for s in (0.3 + 2j, 1.0, 0.1 + 5j):
+        want = strictly.eval(s) + P
+        assert np.linalg.norm(total.eval(s) - want) \
+            <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+
 def test_cured_spark_rejects_multi_input():
     with pytest.raises(DimensionMismatch):
         run_cure(make_random_stable_ode(10, seed=0, m=2))
@@ -205,8 +234,8 @@ def test_one_spark_context_alive_at_a_time(fixture, gtol, request,
 
     monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked_ctx)
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", tracked_fac)
-    cure.cured_spark(ds, cure.CureConfig(max_steps=3, tol_rel=1e-6,
-                                         gtol=gtol))
+    with spark_gtol(gtol):
+        cure.cured_spark(ds, cure.CureConfig(max_steps=3, tol_rel=1e-6))
     assert alive and alive == [1] * len(alive)
     assert all(ref() is None for ref in contexts)
 
@@ -218,8 +247,9 @@ def test_steps_returned_at_the_start_share_one_factorization(
     # pair: one complex LU serves every step's evaluation and certificate
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     del factor_log[:]
-    _, report, ledger = cure.cured_spark(
-        ds, cure.CureConfig(max_steps=3, tol_rel=0.0, gtol=1e30))
+    with spark_gtol(1e30):
+        _, report, ledger = cure.cured_spark(
+            ds, cure.CureConfig(max_steps=3, tol_rel=0.0))
     assert report["k"] == 3
     assert [st["iterations"] for st in report["steps"]] == [0, 0, 0]
     assert len(factor_log) == 1 and factor_log[0].imag != 0.0

@@ -12,7 +12,7 @@ from daecure.errors import NonPositiveParams
 from daecure.interp import DeflatedSystem, spark_params_matrices
 from daecure.pork import pork_input
 
-from conftest import basis_at, make_ode, make_random_stable_ode
+from conftest import basis_at, make_ode, make_random_stable_ode, spark_gtol
 from oracles import h2_error_norm, sylvester_residual
 
 
@@ -66,7 +66,8 @@ def test_evaluate_basis_is_the_spark_basis():
     for a, b in ((0.8, 1.4), (2.0, 1.0)):
         point = sp.evaluate(ds, a, b)
         V, data = point.V, point.data
-        res = sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
+        with spark_gtol(1e30):
+            res = sp.spark(ds, init=sp.SparkParams(a, b))
         rom, residual = _certify(ds, res)
         assert np.array_equal(res.V, V)
         data0 = spark_params_matrices(a, b)
@@ -93,7 +94,8 @@ def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
     assert [shape[1] for shape in lu_solves] \
         == [width * k for k in (1, 1, 2, 2, 3, 3)]
     del lu_solves[:]
-    res = sp.spark(ds, init=sp.SparkParams(a, b), gtol=1e30)
+    with spark_gtol(1e30):
+        res = sp.spark(ds, init=sp.SparkParams(a, b))
     assert res.reason == "gtol" and res.trace[-1]["iter"] == 0
     assert [shape[1] for shape in lu_solves] \
         == [width * k for k in (1, 1, 2, 2)]
@@ -220,7 +222,8 @@ def test_spark_exact_on_order_two():
     # [DERIVED] for an order-2 target the optimizer can zero the error
     sys = make_ode([-1.0, -2.0], [1.0, 1.0], [0.25, -0.175])
     ds = DeflatedSystem.from_dae(sys)
-    res = sp.spark(ds, gtol=1e-11)
+    with spark_gtol(1e-11):
+        res = sp.spark(ds)
     err = h2_error_norm(ds, pork_input(res.V, res.data, ds.C))
     assert err <= 1e-8
 
@@ -337,7 +340,8 @@ def test_returned_point_is_certified_after_any_stop(
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     contexts, evaluated = _track_full(monkeypatch, ds.n)
     monkeypatch.setattr(sp, "MAXITER", maxiter)
-    res = sp.spark(ds, gtol=0.0)
+    with spark_gtol(0.0):
+        res = sp.spark(ds)
     assert res.reason == reason
     assert len(evaluated) == len(res.evaluations) > 1
     assert len(contexts) == len(evaluated) + refactor
