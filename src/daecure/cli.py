@@ -111,7 +111,7 @@ def cmd_reduce(args):
     pp = ds.poly
     if pp.kind == "unsupported":
         raise UnsupportedInput("Unsupported polynomial part")
-    _, report, ledger = curemod.cured_spark(ds, curemod.CureConfig(
+    report, ledger = curemod.cured_spark(ds, curemod.CureConfig(
         tol_rel=args.tol, max_steps=args.max_steps, init=init))
     poly_rom = None
     if pp.kind == "constant" and np.any(pp.constant):

@@ -9,14 +9,16 @@ triangular, so its poles are exactly the union of the per-step mirror
 poles and stability is inherited step by step.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import numkernel as nk
 from . import spark as sparkmod
 from .errors import DimensionMismatch
-from .interp import DeflatedSystem
+from .interp import DeflatedSystem, spark_params_matrices
 from .pork import RomRealization, check_interpolation, pork_input
 
 #: a step capturing at most this times max(||G_tot||^2, 1) is degenerate
@@ -42,6 +44,9 @@ class CureLedger:
 
     ds: DeflatedSystem
     records: list = field(default_factory=list)
+    #: LUs of the full pencil at the start pair, for the next step's SPARK
+    #: call to take over
+    ctx: object = None
 
     @property
     def k(self):
@@ -88,14 +93,21 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     Builds the step's ROM and certifies it, the worst per-shift
     tangential residual ||(G - G_r) r|| / ||G r|| with G(sigma) from
     ``TOL_SOLVE``-checked solves of the current deflated input with the
-    result's own LUs, then depletes that input.
+    result's own LUs, one per LU, then depletes that input.
     """
     ds = ledger.ds
     rom = pork_input(spark_out.V, spark_out.data, ds.C)
 
+    @functools.cache
+    def transfer(fac):
+        return -(ds.C @ fac.solve(ds.B_defl))
+
     def fom_eval(s):
         fac = min(spark_out.ctx.factors, key=lambda f: abs(f.sigma - s))
-        return -(ds.C @ fac.solve(ds.B_defl))
+        if isinstance(fac, nk.ConjugateFactorization):
+            # the real system has G(conj(s)) = conj(G(s))
+            return np.conj(transfer(fac.base))
+        return transfer(fac)
 
     residual = max(check_interpolation(fom_eval, rom, spark_out.data))
     rec = CureRecord(data=spark_out.data, rom=rom, params=spark_out.params,
@@ -122,20 +134,31 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     total model drops below ``tol_rel`` (or degenerate/step limits hit).
     The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
     left as it is.  One surrogate basis serves every step's SPARK, and a
-    step that returned at ``init`` hands its LUs to the next.  Returns
-    (TotalRom, report dict, ledger); ``max_steps`` < 1 leaves nothing to
+    step that returned at ``init`` hands its LUs to the next.
+
+    The first full-model point's LUs, at ``init``, are made on ``ds``'s
+    own pencil, and ``nk.cheapest_pencil`` reads off their fill whether
+    every later full-model point gets LAPACK LUs: then the ledger's copy
+    of ``ds`` holds A and E as dense arrays.  Returns
+    (report dict, ledger); ``assemble_total(ledger.records)`` is the
+    strictly proper total model.  ``max_steps`` < 1 leaves nothing to
     assemble and raises DimensionMismatch.
     """
     if cfg is None:
         cfg = CureConfig()
+    if cfg.max_steps < 1:
+        raise DimensionMismatch("no records to assemble")
     t0 = time.perf_counter()
-    ledger = CureLedger(ds=replace(ds))
+    ledger = CureLedger(ds=replace(ds), ctx=nk.SylvesterContext(
+        ds.A, ds.E, spark_params_matrices(cfg.init.a, cfg.init.b).S))
+    ledger.ds.A, ledger.ds.E = nk.cheapest_pencil(ds.A, ds.E,
+                                                  ledger.ctx.factors[0])
     report = {"steps": [], "stop_reason": None, "flagged": False}
     basis = sparkmod.SurrogateBasis(ds.n)
     degenerate_run = 0
-    res = None
     while ledger.k < cfg.max_steps:
-        res = sparkmod.spark(ledger.ds, init=cfg.init, reuse=res, basis=basis)
+        res = sparkmod.spark(ledger.ds, init=cfg.init, reuse=ledger,
+                             basis=basis)
         # by the error-norm decomposition each step adds exactly the
         # captured energy -J: ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k, exact
         # even where a dense Lyapunov solve of the assembled pencil would be
@@ -152,6 +175,8 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
                 "tolerance"
             break
         cure_step(ledger, res)
+        ledger.ctx = res.ctx if res.params == cfg.init else None
+        res.ctx = None
         report["steps"].append({
             "k": ledger.k, "a": res.params.a, "b": res.params.b,
             "shifts": [complex(s) for s in res.params.shifts()],
@@ -171,9 +196,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
             degenerate_run = 0
     if report["stop_reason"] is None:
         report["stop_reason"] = "max_steps"
-    total = assemble_total(ledger.records)
+    ledger.ctx = None
     report["k"] = ledger.k
-    report["order"] = total.order
+    report["order"] = sum(rec.rom.order for rec in ledger.records)
     report["norm_history"] = [step["norm_total"] for step in report["steps"]]
     report["runtime_s"] = time.perf_counter() - t0
-    return total, report, ledger
+    return report, ledger

@@ -4,7 +4,14 @@ and a small dense Lyapunov solver.
 Sparse matrices are held in SciPy CSC format throughout (duplicate entries
 are summed on conversion; stored shape is the declared shape).  Dense
 reduced-order quantities are plain ``numpy.ndarray``; a pencil given as
-two of them (a Galerkin surrogate) stays dense and gets LAPACK LUs.
+two of them gets LAPACK LUs.  That covers a Galerkin surrogate, and a
+full pencil of order at most ``DENSE_LIMIT`` whose SuperLU factors fill
+at least ``DENSE_FILL`` of n^2 (``cheapest_pencil``): LAPACK's dense LU
+is then the cheaper exact kernel.
+
+``SylvesterContext`` makes the fewest triangular solves its shifts
+allow: real Schur data for real shifts, one LU per conjugate pair or
+repeated shift, and one complex solve per conjugate pair of order two.
 """
 
 import numpy as np
@@ -23,8 +30,9 @@ from .errors import (
 #: relative residual guaranteed by a ShiftedFactorization solve
 TOL_SOLVE = 1e-10
 
-#: Schur diagonal entries of a real S conjugate to within this (relative
-#: to ||S||; complex Schur is off by a few ulps) share one factorization
+#: Schur diagonal entries equal, or for real data conjugate, to within
+#: this (relative to ||S||; complex Schur is off by a few ulps) share one
+#: factorization
 CONJ_TOL = 1e-12
 
 
@@ -33,6 +41,16 @@ def as_csc(M):
     M = sps.csc_matrix(M)
     M.sum_duplicates()
     return M
+
+
+def _dense_matmul(A, x):
+    """A @ x for a dense A; a complex x on a real A is one real product
+    over the interleaved real and imaginary parts, without a complex copy
+    of A."""
+    if np.iscomplexobj(x) and not np.iscomplexobj(A):
+        x = np.ascontiguousarray(x)
+        return (A @ x.view(np.float64)).view(np.complex128)
+    return A @ x
 
 
 def _pencil(A, E):
@@ -44,12 +62,13 @@ def _pencil(A, E):
 
 class DenseLU:
     """LAPACK getrf LU of a dense square matrix, with SuperLU's
-    ``solve(b)``.  Raises RuntimeError, as ``splu`` does, on an exact
-    zero pivot or a non-finite factor."""
+    ``solve(b)``; a Fortran-ordered M is factored in place.  Raises
+    RuntimeError, as ``splu`` does, on an exact zero pivot or a
+    non-finite factor."""
 
     def __init__(self, M):
         getrf, self._getrs = lapack.get_lapack_funcs(("getrf", "getrs"), (M,))
-        self._lu, self._piv, info = getrf(M)
+        self._lu, self._piv, info = getrf(M, overwrite_a=True)
         if info != 0 or not np.isfinite(self._lu).all():
             raise RuntimeError(f"dense LU failed (getrf info={info})")
 
@@ -77,17 +96,33 @@ class ShiftedFactorization:
         self.n = A.shape[0]
         self._A = A
         self._E = E
-        if self.sigma.imag == 0.0:
-            M = A - self.sigma.real * E
+        self._s = self.sigma if self.sigma.imag else self.sigma.real
+        self.dtype = np.result_type(A.dtype, E.dtype, self._s)
+        if dense:
+            # the LU overwrites M, and residuals are taken with A and E; a
+            # real E forms M with real temporaries only
+            M = np.array(A, dtype=self.dtype, order="F")
+            if np.iscomplexobj(E):
+                M -= self._s * E
+            else:
+                M.real -= self.sigma.real * E
+                if self.sigma.imag:
+                    M.imag -= self.sigma.imag * E
+            self._M = None
         else:
-            M = A.astype(complex) - self.sigma * E
-        self._M = M if dense else as_csc(M)
+            self._M = as_csc(A.astype(self.dtype, copy=False) - self._s * E)
         try:
-            self._lu = (DenseLU if dense else spsla.splu)(self._M)
+            self._lu = DenseLU(M) if dense else spsla.splu(self._M)
         except RuntimeError as exc:
             raise SingularShift(
                 f"factorization of (A - {sigma}*E) failed: {exc}"
             ) from exc
+
+    def _apply(self, x):
+        """(A - sigma*E) x."""
+        if self._M is not None:
+            return self._M @ x
+        return _dense_matmul(self._A, x) - self._s * _dense_matmul(self._E, x)
 
     def solve(self, rhs):
         """Solve (A - sigma*E) x = rhs.
@@ -100,18 +135,19 @@ class ShiftedFactorization:
         """
         rhs = np.asarray(rhs)
         b = rhs.reshape(self.n, -1)
-        split = np.iscomplexobj(b) and not np.iscomplexobj(self._M)
+        split = np.iscomplexobj(b) and self.dtype.kind != "c"
         if split:
             b = np.hstack([b.real, b.imag])
-        b = b.astype(self._M.dtype, copy=False)
-        M = self._M
+        b = b.astype(self.dtype, copy=False)
         x = self._lu.solve(b)
         nb = np.linalg.norm(b, axis=0)
-        refine = ~(np.linalg.norm(b - M @ x, axis=0) <= TOL_SOLVE * nb)
+        refine = ~(np.linalg.norm(b - self._apply(x), axis=0)
+                   <= TOL_SOLVE * nb)
         if refine.any():
-            x[:, refine] += self._lu.solve(b[:, refine] - M @ x[:, refine])
-            rel = np.linalg.norm(b[:, refine] - M @ x[:, refine], axis=0) \
-                / np.maximum(nb[refine], 1e-300)
+            x[:, refine] += self._lu.solve(b[:, refine]
+                                           - self._apply(x[:, refine]))
+            rel = np.linalg.norm(b[:, refine] - self._apply(x[:, refine]),
+                                 axis=0) / np.maximum(nb[refine], 1e-300)
             if not np.all(rel <= TOL_SOLVE):
                 raise SingularShift(
                     f"residual {np.max(rel):.2e} exceeds {TOL_SOLVE:.0e} "
@@ -131,11 +167,12 @@ class ConjugateFactorization:
     def __init__(self, fac: ShiftedFactorization):
         if np.iscomplexobj(fac._A) or np.iscomplexobj(fac._E):
             raise DimensionMismatch("conjugate sharing needs real A and E")
-        self._fac = fac
+        #: the factorization at sigma that every solve goes through
+        self.base = fac
         self.sigma = fac.sigma.conjugate()
 
     def solve(self, rhs):
-        return np.conj(self._fac.solve(np.conj(rhs)))
+        return np.conj(self.base.solve(np.conj(rhs)))
 
 
 def solve_small_lyapunov(S, R):
@@ -163,41 +200,92 @@ def solve_small_lyapunov(S, R):
     return G
 
 
-#: largest order of a sparse system that is densified (for its H2 norm)
+#: largest order of a sparse system that is densified: for its H2 norm,
+#: and for LAPACK LUs of a densely filled pencil (``cheapest_pencil``)
 DENSE_LIMIT = 500
+
+#: share of n^2 entries in the SuperLU factors of a pencil from which its
+#: LUs are dense ones.  On the benchmark systems any cut in 0.25-0.75
+#: decides alike: index-1 250/50 fills 78 % (getrf is 3-4x faster there),
+#: Stokes m=12 fills 10 % (getrf is 3.6x slower)
+DENSE_FILL = 0.5
+
+#: a conjugate pair of order two recovers the real X from Schur column 0
+#: only while [Re u0, Im u0], u0 that column's Schur vector, has at most
+#: this condition number.  The recovery amplifies the solve's rounding by
+#: about that much.  For S(a, b) it is max(d, 1/d), d = sqrt(b - a^2),
+#: so it grows toward confluence (it is 100 at the start pair (1e-4, 1e-4))
+RECOVER_COND = 1e3
+
+
+def cheapest_pencil(A, E, fac: ShiftedFactorization):
+    """(A, E) as dense arrays if LAPACK LUs are the cheaper kernel for
+    this pencil, else as given.
+
+    Decided on ``fac``, a factorization of A - sigma E for one sigma:
+    dense when n <= ``DENSE_LIMIT`` and its SuperLU factors L and U hold
+    at least ``DENSE_FILL`` n^2 entries (a dense pencil stays dense).
+    """
+    lu, n = fac._lu, fac.n
+    if isinstance(lu, DenseLU) or n > DENSE_LIMIT \
+            or lu.L.nnz + lu.U.nnz < DENSE_FILL * n * n:
+        return A, E
+    return A.toarray(), E.toarray()
 
 
 class SylvesterContext:
     """Solver for the sparse-dense Sylvester equation A*X - E*X*S = F.
 
-    S is small (q x q); a complex Schur form of S decouples the columns into
-    q shifted sparse solves, which remains well defined for defective S
-    (confluent shifts).  Factorizations are reused across right-hand sides.
-    For real A, E and S, a Schur diagonal entry within ``CONJ_TOL`` of the
-    conjugate of an earlier one becomes that exact conjugate and shares
-    its factorization, so a conjugate shift pair costs one complex LU.
+    S is small (q x q); a Schur form of S decouples the columns into q
+    shifted solves, which remains well defined for defective S (confluent
+    shifts).  Factorizations are reused across right-hand sides, and
+    Schur diagonal entries equal within ``CONJ_TOL`` (relative to ||S||)
+    share one.  For real A, E and S:
+
+    - real eigenvalues give a triangular real Schur form, and the columns
+      are solved in real arithmetic;
+    - otherwise the complex Schur form is used, and an entry within
+      ``CONJ_TOL`` of the conjugate of an earlier one becomes that exact
+      conjugate and shares its factorization, so a conjugate pair costs
+      one complex LU.  For q = 2 and a real F, Schur column 0 alone fixes
+      the real X = [Re x0, Im x0] [Re u0, Im u0]^-1: one complex solve,
+      taken while that 2 x 2 matrix is conditioned within
+      ``RECOVER_COND``.
     """
 
     def __init__(self, A, E, S):
         self.A, self.E = _pencil(A, E)
         S = np.atleast_2d(np.asarray(S))
         self.S = S
-        self.T, self.U = spla.schur(S.astype(complex), output="complex")
         real = not any(map(np.iscomplexobj, (self.A, self.E, S)))
+        if real:
+            self.T, self.U = spla.schur(S, output="real")
+        if not real or np.tril(self.T, -1).any():
+            self.T, self.U = spla.schur(S.astype(complex), output="complex")
         tol = CONJ_TOL * np.linalg.norm(S)
         self.factors = []
         for j in range(S.shape[0]):
             sigma = self.T[j, j]
             fac = next((f for f in self.factors
-                        if real and sigma.imag != 0.0
-                        and isinstance(f, ShiftedFactorization)
-                        and abs(sigma - f.sigma.conjugate()) <= tol), None)
+                        if abs(sigma - f.sigma) <= tol), None)
+            if fac is None and real and sigma.imag != 0.0:
+                fac = next((ConjugateFactorization(f) for f in self.factors
+                            if isinstance(f, ShiftedFactorization)
+                            and abs(sigma - f.sigma.conjugate()) <= tol),
+                           None)
             if fac is None:
                 fac = ShiftedFactorization(self.A, self.E, sigma)
             else:
-                fac = ConjugateFactorization(fac)
-                self.T[j, j] = fac.sigma
+                self.T[j, j] = fac.sigma if np.iscomplexobj(self.T) \
+                    else fac.sigma.real
             self.factors.append(fac)
+        self._recover = None
+        if real and S.shape[0] == 2 \
+                and isinstance(self.factors[1], ConjugateFactorization):
+            u0 = self.U[:, 0]
+            P = np.column_stack([u0.real, u0.imag])
+            if np.linalg.cond(P) <= RECOVER_COND:
+                self._recover = np.linalg.inv(P)
 
     def solve(self, F):
         """Return X with A X - E X S = F; real when the inputs are real.
@@ -211,15 +299,21 @@ class SylvesterContext:
         n, q = self.A.shape[0], self.S.shape[0]
         if Fs.shape[1:] != (n, q):
             raise DimensionMismatch(f"F must be {n} x {q} or k x {n} x {q}")
-        Ft = Fs.astype(complex) @ self.U
-        Xt = np.zeros(Ft.shape, dtype=complex)
-        for j in range(q):
-            rhs = Ft[:, :, j].T
-            if j > 0:
-                rhs = rhs + self.E @ (Xt[:, :, :j] @ self.T[:j, j]).T
-            Xt[:, :, j] = self.factors[j].solve(rhs).T
-        X = Xt @ self.U.conj().T
-        if not np.iscomplexobj(self.S) and not np.iscomplexobj(F):
+        if self._recover is not None and not np.iscomplexobj(Fs):
+            # the real X maps u0 to Schur column 0: X [Re u0, Im u0] =
+            # [Re x0, Im x0]
+            x0 = self.factors[0].solve((Fs @ self.U[:, 0]).T).T
+            X = np.stack([x0.real, x0.imag], axis=-1) @ self._recover
+        else:
+            Ft = Fs @ self.U
+            Xt = np.zeros(Ft.shape, dtype=Ft.dtype)
+            for j in range(q):
+                rhs = Ft[:, :, j].T
+                if j > 0:
+                    rhs = rhs + self.E @ (Xt[:, :, :j] @ self.T[:j, j]).T
+                Xt[:, :, j] = self.factors[j].solve(rhs).T
+            X = Xt @ self.U.conj().T
+        if not any(map(np.iscomplexobj, (self.A, self.E, self.S, F))):
             # the exact solution is real; accept the real cast only if it
             # still solves each equation (guards against genuine breakdown)
             X = np.ascontiguousarray(X.real)

@@ -342,8 +342,7 @@ def _trust_region(ds, p, point, gtol, trace):
     return p, converged, reason
 
 
-def spark(ds: DeflatedSystem, init: SparkParams = INIT,
-          reuse: SparkResult = None,
+def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
           basis: SurrogateBasis = None) -> SparkResult:
     """Search for the locally optimal shift pair on a model function.
 
@@ -362,17 +361,19 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT,
 
     One full-model point's LUs are alive at a time.  The result owns the
     LUs of the pair it returns (refactored once only if that pair's were
-    dropped for a later, rejected point).  ``reuse``, an earlier result
-    on the same A and E, hands its LUs over, which serve init if that
-    result returned there.
+    dropped for a later, rejected point).  ``reuse``, when given, is an
+    object whose ``ctx`` is None or a ``SylvesterContext`` of this pencil
+    at init, as a ``cure.CureLedger`` holds: spark takes those LUs over
+    for init and sets ``reuse.ctx`` to None.
     """
     if basis is None:
         basis = SurrogateBasis(ds.n)
     ctx = None
     if reuse is not None:
-        ctx, reuse.ctx = (reuse.ctx if reuse.params == init else None), None
+        ctx, reuse.ctx = reuse.ctx, None
     p = init.as_array()
     point = evaluate(ds, *p, ctx, hessian=False)
+    ctx = None          # the point owns them, and drops them when it moves
     trace = [{"iter": 0, "a": p[0], "b": p[1], "J": point.J,
               "gnorm": float(np.linalg.norm(point.g)), "radius": RADIUS0,
               "accepted": True}]

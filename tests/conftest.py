@@ -158,6 +158,10 @@ class CountingLU:
     def __init__(self, lu, log, perturb=()):
         self._lu, self.log, self.perturb = lu, log, list(perturb)
 
+    def __getattr__(self, name):
+        # the factors themselves (L, U) are the stood-in LU's
+        return getattr(self._lu, name)
+
     def solve(self, b):
         self.log.append(np.shape(b))
         x = self._lu.solve(b)

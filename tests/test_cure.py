@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from daecure import bench_io as bio
 from daecure import cure
@@ -33,8 +34,9 @@ def spread_pole_system(n=40, seed=0):
 def test_total_assembly_equals_cascade():
     # evaluating the assembled total model must match the telescoping sum
     # G_r,tot = sum_k G_r(k-th step applied to the depleted input)
-    total, report, ledger = run_cure(spread_pole_system(), max_steps=6,
-                                     tol=1e-30)
+    report, ledger = run_cure(spread_pole_system(), max_steps=6,
+                              tol=1e-30)
+    total = cure.assemble_total(ledger.records)
     rng = np.random.default_rng(0)
     for _ in range(10):
         s = complex(rng.uniform(0.1, 5), rng.uniform(-10, 10))
@@ -54,8 +56,9 @@ def test_total_assembly_equals_cascade():
 def test_error_factorization():
     # G - G_r,tot(k) = G_perp(k) * prod_j allpass_j
     ds0 = DeflatedSystem.from_dae(spread_pole_system())
-    total, report, ledger = cure.cured_spark(
+    report, ledger = cure.cured_spark(
         ds0, cure.CureConfig(max_steps=5, tol_rel=1e-30))
+    total = cure.assemble_total(ledger.records)
     rng = np.random.default_rng(1)
     for _ in range(5):
         s = complex(rng.uniform(0.2, 3), rng.uniform(-5, 5))
@@ -67,7 +70,7 @@ def test_error_factorization():
 
 
 def test_allpass_magnitude_constant(index1_small):
-    total, report, ledger = run_cure(index1_small, max_steps=2)
+    report, ledger = run_cure(index1_small, max_steps=2)
     gtil = allpass_factor(ledger.records[0])
     mags = [abs(gtil.eval(1j * w)[0, 0])
             for w in np.logspace(-3, 3, 50)]
@@ -75,7 +78,8 @@ def test_allpass_magnitude_constant(index1_small):
 
 
 def test_norm_history_monotone_and_stable(index1_small):
-    total, report, ledger = run_cure(index1_small, max_steps=5, tol=1e-6)
+    report, ledger = run_cure(index1_small, max_steps=5, tol=1e-6)
+    total = cure.assemble_total(ledger.records)
     hist = report["norm_history"]
     assert all(h2_ >= h1 - 1e-12 * max(h2_, 1.0)
                for h1, h2_ in zip(hist, hist[1:]))
@@ -91,7 +95,7 @@ def test_norm_history_monotone_and_stable(index1_small):
 
 
 def test_stagnation_stop(index1_small):
-    total, report, ledger = run_cure(index1_small, max_steps=20, tol=1e-6)
+    report, ledger = run_cure(index1_small, max_steps=20, tol=1e-6)
     assert report["stop_reason"] in ("tolerance", "degenerate")
     assert report["k"] < 20
 
@@ -101,20 +105,21 @@ def test_exact_recovery_order2():
     ds0 = DeflatedSystem.from_dae(sys)
     cfg = cure.CureConfig(max_steps=1, tol_rel=1e-14)
     with spark_gtol(1e-11):
-        total, report, ledger = cure.cured_spark(ds0, cfg)
+        report, ledger = cure.cured_spark(ds0, cfg)
+        total = cure.assemble_total(ledger.records)
     assert h2_error_norm(ds0, total) <= 1e-8
 
 
 def test_degenerate_input_flagged():
     # zero input residual: the very first step is degenerate
     sys = make_ode([-1.0, -2.0], [0.0, 0.0], [1.0, 1.0])
-    total, report, ledger = run_cure(sys, max_steps=5)
+    report, ledger = run_cure(sys, max_steps=5)
     assert report["flagged"]
     assert report["stop_reason"] == "degenerate"
 
 
 def test_report_contents(index1_small):
-    total, report, ledger = run_cure(index1_small, max_steps=3, tol=1e-6)
+    report, ledger = run_cure(index1_small, max_steps=3, tol=1e-6)
     assert report["order"] == 2 * report["k"]
     for step in report["steps"]:
         assert step["a"] > 0 and step["b"] > 0
@@ -156,7 +161,7 @@ def test_cure_step_makes_no_factorization(fixture, request, factor_log):
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
 def test_step_certificate_can_fail(fixture, request, monkeypatch):
     sys = request.getfixturevalue(fixture)
-    total, report, ledger = run_cure(sys, max_steps=3, tol=1e-6)
+    report, ledger = run_cure(sys, max_steps=3, tol=1e-6)
     assert all(rec.interp_residual <= 1e-10 for rec in ledger.records)
 
     def wrong_rom(V, data, C):
@@ -172,23 +177,26 @@ def test_step_certificate_can_fail(fixture, request, monkeypatch):
 def test_cured_spark_leaves_the_callers_input(index1_small):
     ds = DeflatedSystem.from_dae(index1_small)
     B_defl = ds.B_defl.copy()
-    total, report, ledger = cure.cured_spark(ds, cure.CureConfig(max_steps=2))
+    report, ledger = cure.cured_spark(ds, cure.CureConfig(max_steps=2))
     assert ledger.k >= 1 and not np.array_equal(ledger.ds.B_defl, B_defl)
     assert np.array_equal(ds.B_defl, B_defl)
 
 
-def test_cured_spark_without_steps_has_nothing_to_assemble(index1_small):
+def test_cured_spark_without_steps_has_nothing_to_assemble(index1_small,
+                                                           factor_log):
     # the CLI rejects --max-steps < 1; a library caller gets the typed
-    # error of the empty assembly
+    # error of the empty assembly before anything is factored
+    ds = DeflatedSystem.from_dae(index1_small)
+    del factor_log[:]
     with pytest.raises(DimensionMismatch, match="no records to assemble"):
-        cure.cured_spark(DeflatedSystem.from_dae(index1_small),
-                         cure.CureConfig(max_steps=0))
+        cure.cured_spark(ds, cure.CureConfig(max_steps=0))
+    assert factor_log == []
 
 
 def test_assembly_places_the_polynomial_block_last(index1_small):
     # the polynomial part is an uncoupled last block: the assembled model
     # is the strictly proper total plus the constant P
-    _, _, ledger = run_cure(index1_small, max_steps=3, tol=1e-6)
+    _, ledger = run_cure(index1_small, max_steps=3, tol=1e-6)
     P = DeflatedSystem.from_dae(index1_small).poly.constant
     assert np.any(P)
     poly = dm.realize_constant_poly(P)
@@ -248,7 +256,7 @@ def test_steps_returned_at_the_start_share_one_factorization(
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     del factor_log[:]
     with spark_gtol(1e30):
-        _, report, ledger = cure.cured_spark(
+        report, ledger = cure.cured_spark(
             ds, cure.CureConfig(max_steps=3, tol_rel=0.0))
     assert report["k"] == 3
     assert [st["iterations"] for st in report["steps"]] == [0, 0, 0]
@@ -280,8 +288,8 @@ def test_one_certificate_per_spark_call(fixture, request, monkeypatch):
     # each folded step is certified once, after its SPARK call; the call
     # whose result the stagnation stop discards is certified never
     calls = _count_certificates(monkeypatch)
-    _, report, _ = run_cure(request.getfixturevalue(fixture), max_steps=3,
-                            tol=1e-6)
+    report, _ = run_cure(request.getfixturevalue(fixture), max_steps=3,
+                         tol=1e-6)
     assert sum(st["iterations"] for st in report["steps"]) > 0
     assert report["stop_reason"] in ("tolerance", "degenerate")
     assert calls == ["spark", "certificate"] * report["k"] + ["spark"]
@@ -292,12 +300,57 @@ def test_certificates_equal_steps_on_index1_250(monkeypatch):
     # folds five steps and discards a sixth SPARK call
     calls = _count_certificates(monkeypatch)
     ds = DeflatedSystem.from_dae(bio.gen_semi_explicit_index1(250, 50, 0))
-    _, report, ledger = cure.cured_spark(ds, cure.CureConfig())
+    report, ledger = cure.cured_spark(ds, cure.CureConfig())
     assert report["k"] == 5 and report["stop_reason"] == "tolerance"
     assert calls.count("certificate") == report["k"]
     assert calls.count("spark") == report["k"] + 1
     assert max(rec.interp_residual for rec in ledger.records) <= 1e-10
     assert report["norm_history"][-1] >= 0.12634574099
+
+
+def test_dense_kernel_only_for_densely_filled_pencils():
+    # the kernel is read off the SuperLU LU at the start pair: index-1
+    # 250/50 fills 78 % of n^2 and gets LAPACK LUs, Stokes m=12 fills 10 %
+    # and stays sparse, and above DENSE_LIMIT nothing is densified, however
+    # full its factors
+    n = nk.DENSE_LIMIT + 1
+    full = sps.csc_matrix(np.random.default_rng(0).standard_normal((n, n))
+                          - 70 * np.eye(n))
+    index1 = bio.gen_semi_explicit_index1(250, 50, 0)
+    stokes = bio.gen_stokes_index2(12, 0)
+    for A, E, dense in ((index1.A, index1.E, True),
+                        (stokes.A, stokes.E, False),
+                        (full, sps.eye(n, format="csc"), False)):
+        fac = nk.ShiftedFactorization(A, E, sp.INIT.shifts()[0])
+        fill = (fac._lu.L.nnz + fac._lu.U.nnz) / fac.n ** 2
+        assert (fill >= nk.DENSE_FILL) == (dense or fac.n > nk.DENSE_LIMIT)
+        A2, E2 = nk.cheapest_pencil(A, E, fac)
+        if dense:
+            assert np.array_equal(A2, A.toarray())
+            assert np.array_equal(E2, E.toarray())
+        else:
+            assert A2 is A and E2 is E
+
+
+def test_cured_spark_densifies_only_its_copy(monkeypatch):
+    # on index-1 250/50 the start pair's LU is the one SuperLU LU of the
+    # full pencil: the ledger's copy holds A and E dense, every later
+    # point gets LAPACK LUs, and the caller's system stays sparse
+    ds = DeflatedSystem.from_dae(bio.gen_semi_explicit_index1(250, 50, 0))
+    superlu = []
+    splu = nk.spsla.splu
+
+    def logged_splu(M, *args, **kwargs):
+        superlu.append(M.shape)
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(nk.spsla, "splu", logged_splu)
+    report, ledger = cure.cured_spark(ds, cure.CureConfig(max_steps=2))
+    assert report["k"] == 2
+    assert superlu == [(ds.n, ds.n)]
+    assert isinstance(ledger.ds.A, np.ndarray)
+    assert isinstance(ledger.ds.E, np.ndarray)
+    assert sps.issparse(ds.A) and sps.issparse(ds.E)
 
 
 def test_one_surrogate_basis_serves_every_step(index1_small, monkeypatch):
@@ -313,7 +366,7 @@ def test_one_surrogate_basis_serves_every_step(index1_small, monkeypatch):
         return res
 
     monkeypatch.setattr(sp, "spark", keep_basis)
-    _, report, _ = run_cure(index1_small, max_steps=4, tol=1e-30)
+    report, _ = run_cure(index1_small, max_steps=4, tol=1e-30)
     assert report["k"] >= 2
     assert all(b is bases[0] for b in bases)
     assert widths == sorted(widths) and widths[0] > 0
@@ -334,7 +387,7 @@ def test_report_counts_iterations_and_rejections(stokes_small, monkeypatch):
         return res
 
     monkeypatch.setattr(sp, "spark", keep_result)
-    _, report, _ = run_cure(stokes_small, max_steps=3, tol=1e-6)
+    report, _ = run_cure(stokes_small, max_steps=3, tol=1e-6)
     steps = report["steps"]
     assert any(st["rejected"] > 0 for st in steps)
     assert any(st["full_evaluations"] > 1 for st in steps)

@@ -247,13 +247,14 @@ def test_stacked_sylvester_solve_shape_guard():
 @pytest.mark.parametrize("sigma", [-0.7, 0.4 + 1.3j], ids=["real", "complex"])
 def test_dense_and_sparse_factorizations_agree(sigma):
     # a pencil given as dense arrays is factored by LAPACK and solved
-    # through the same residual-gated path as its SuperLU twin
+    # through the same residual-gated path as its SuperLU twin; it keeps
+    # no dense copy of A - sigma E beside its LU
     rng, A, E = _well_posed(12, 13)
     M = (A - sigma * E).toarray()
     sparse = nk.ShiftedFactorization(A, E, sigma)
     dense = nk.ShiftedFactorization(A.toarray(), E.toarray(), sigma)
     assert isinstance(dense._lu, nk.DenseLU)
-    assert isinstance(dense._M, np.ndarray)
+    assert dense._M is None
     for b in (rng.standard_normal(12), rng.standard_normal((12, 3)),
               rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))):
         xs, xd = sparse.solve(b), dense.solve(b)
@@ -289,3 +290,65 @@ def test_dense_singular_shift_raises():
             nk.ShiftedFactorization(np.eye(3), np.eye(3), 1.0)
         with pytest.raises(SingularShift):
             nk.ShiftedFactorization(np.diag([1.0, np.inf]), np.eye(2), 0.5)
+
+
+def _kronecker_sylvester(A, E, S, F):
+    """Dense solution of A X - E X S = F through vec(X)."""
+    n, q = F.shape
+    K = np.kron(np.eye(q), A) - np.kron(S.T, E)
+    return np.linalg.solve(K, F.reshape(-1, order="F")).reshape(
+        n, q, order="F")
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-8, 1e-12, 1e-14])
+@pytest.mark.parametrize("kind", ["conjugate", "real"])
+def test_sylvester_solve_toward_confluence_matches_kronecker(
+        kind, delta, lu_solves):
+    # a^2 - b = -delta a^2 (a conjugate pair) or +delta a^2 (a real pair).
+    # A conjugate pair recovers the real X from one complex block solve
+    # while [Re u0, Im u0] is well conditioned (cond = 1 / (a sqrt(delta))
+    # here) and keeps the two-column path toward confluence; a real pair
+    # runs on real Schur data, one real block solve per shift.  Either way
+    # X is the dense Kronecker solution
+    rng, A, E = _well_posed(40, 15)
+    a = 1.3
+    sign = -1.0 if kind == "conjugate" else 1.0
+    S = np.array([[a, 1.0], [sign * delta * a * a, a]])
+    F = rng.standard_normal((3, 40, 2))
+    del lu_solves[:]
+    ctx = nk.SylvesterContext(A, E, S)
+    X = ctx.solve(F)
+    for Xi, Fi in zip(X, F):
+        want = _kronecker_sylvester(A.toarray(), E.toarray(), S, Fi)
+        assert np.linalg.norm(Xi - want) <= 1e-12 * np.linalg.norm(want)
+    if kind == "real":
+        assert not np.iscomplexobj(ctx.T) and not np.iscomplexobj(ctx.U)
+        assert lu_solves == [(40, 3), (40, 3)]
+    else:
+        recovered = ctx._recover is not None
+        assert recovered == (1 / (a * np.sqrt(delta)) <= nk.RECOVER_COND)
+        assert lu_solves == ([(40, 3)] if recovered else [(40, 3), (40, 3)])
+
+
+def test_equal_real_shifts_share_one_lu(factor_log):
+    # exact confluence a^2 = b: S(a, b) = [[a, 1], [0, a]] has the real
+    # shift a twice, and one LU serves both Schur columns
+    rng, A, E = _well_posed(40, 16)
+    a = 1.3
+    S = np.array([[a, 1.0], [0.0, a]])
+    ctx = nk.SylvesterContext(A, E, S)
+    assert factor_log == [a] and ctx.factors[1] is ctx.factors[0]
+    F = rng.standard_normal((40, 2))
+    want = _kronecker_sylvester(A.toarray(), E.toarray(), S, F)
+    assert np.linalg.norm(ctx.solve(F) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_complex_pencil_with_real_shifts_solves_complex():
+    # real S and F do not make X real when A is complex: no real cast
+    rng, A, E = _well_posed(20, 17)
+    A = A + 1j * sps.eye(20, format="csc")
+    S = np.array([[2.0, 1.0], [3.0, 2.0]])
+    F = rng.standard_normal((20, 2))
+    X = nk.SylvesterContext(A, E, S).solve(F)
+    assert np.iscomplexobj(X)
+    assert np.linalg.norm(A @ X - E @ (X @ S) - F) <= 1e-12 * np.linalg.norm(F)

@@ -81,27 +81,30 @@ def test_evaluate_basis_is_the_spark_basis():
 @pytest.mark.parametrize("a, b", [(0.8, 1.4), (2.0, 1.0)],
                          ids=["conjugate", "real"])
 def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
-    # evaluate makes one block solve per Schur column for V, (V_a, V_b)
-    # and (V_aa, V_ab, V_bb), and a certificate adds one B_defl solve per
-    # shift.  A SPARK call that returns at its start pair evaluates it to
-    # first order, without the (V_aa, V_ab, V_bb) level; then cure_step
+    # evaluate solves V, (V_a, V_b) and (V_aa, V_ab, V_bb) by level.  A
+    # conjugate pair makes one complex block solve per level (Schur
+    # column 0 fixes the real solution); a real pair one real block solve
+    # per Schur column and level.  A certificate adds one B_defl solve
+    # per LU: G at the conjugate shift is the conjugate of the first.  A
+    # SPARK call that returns at its start pair evaluates it to first
+    # order, without the (V_aa, V_ab, V_bb) level; then cure_step
     # certifies it.  No column needs refinement
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
-    # a real pair solves the complex Schur columns as [Re | Im] blocks
-    width = 1 if a * a < b else 2
+    per_level = 1 if a * a < b else 2
+    certificate = [1] * per_level
     del lu_solves[:]
     sp.evaluate(ds, a, b)
     assert [shape[1] for shape in lu_solves] \
-        == [width * k for k in (1, 1, 2, 2, 3, 3)]
+        == [k for k in (1, 2, 3) for _ in range(per_level)]
     del lu_solves[:]
     with spark_gtol(1e30):
         res = sp.spark(ds, init=sp.SparkParams(a, b))
     assert res.reason == "gtol" and res.trace[-1]["iter"] == 0
     assert [shape[1] for shape in lu_solves] \
-        == [width * k for k in (1, 1, 2, 2)]
+        == [k for k in (1, 2) for _ in range(per_level)]
     _certify(ds, res)
     assert [shape[1] for shape in lu_solves] \
-        == [width * k for k in (1, 1, 2, 2)] + [1, 1]
+        == [k for k in (1, 2) for _ in range(per_level)] + certificate
 
 
 def test_gradient_matches_central_differences():
@@ -278,13 +281,15 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
     ds = DeflatedSystem.from_dae(sys)
-    _, report, _ = cure.cured_spark(ds)
+    report, _ = cure.cured_spark(ds)
     assert report["k"] >= 2
     assert all(st["converged"] for st in report["steps"])
     assert small and len(evaluated) >= 5
     assert sum(st["full_evaluations"] for st in report["steps"]) \
         < len(evaluated)        # and the discarded stagnation call
-    assert full[0] == 0.0 and evaluated[0][3] == 1
+    # the saddle-point LU, then the start pair's LU, from whose fill
+    # cured_spark picks the kernel and which it hands to the first point
+    assert full[0] == 0.0 and evaluated[0][2] and evaluated[0][3] == 2
     ends = [k for *_, k in evaluated[1:]] + [len(full)]
     saw = set()
     for (a, b, given, start), end in zip(evaluated, ends):
@@ -321,7 +326,7 @@ def test_full_pencil_solves_first_order_and_surrogate_skips_superlu(
 
     monkeypatch.setattr(nk.ShiftedFactorization, "solve", logged_solve)
     monkeypatch.setattr(nk.spsla, "splu", logged_splu)
-    _, report, _ = cure.cured_spark(ds)
+    report, _ = cure.cured_spark(ds)
     assert sum(st["iterations"] for st in report["steps"]) > 0
     assert blocks and (3,) not in blocks
     assert superlu and set(superlu) == {(ds.n, ds.n)}
