@@ -1,5 +1,5 @@
-"""Numeric primitives: shifted solves, the sparse-dense Sylvester solver
-and a small dense Lyapunov solver.
+"""Numeric primitives: shifted solves, the Sylvester solvers and a small
+dense Lyapunov solver.
 
 Sparse matrices are held in SciPy CSC format throughout (duplicate entries
 are summed on conversion; stored shape is the declared shape).  Dense
@@ -9,9 +9,13 @@ full pencil of order at most ``DENSE_LIMIT`` whose SuperLU factors fill
 at least ``DENSE_FILL`` of n^2 (``cheapest_pencil``): LAPACK's dense LU
 is then the cheaper exact kernel.
 
-``SylvesterContext`` makes the fewest triangular solves its shifts
-allow: real Schur data for real shifts, one LU per conjugate pair or
-repeated shift, and one complex solve per conjugate pair of order two.
+``SylvesterContext`` solves A X - E X S = F through a Schur form of S
+with the fewest shifted LUs and triangular solves its shifts allow:
+real Schur data for real shifts, one LU per conjugate pair or repeated
+shift, and one complex solve per conjugate pair of order two.  Its LUs
+certify an interpolation step.  ``KroneckerSylvester`` solves the same
+equation for a small dense pencil, a Galerkin surrogate's, with one real
+LU of I kron A - S^T kron E.
 """
 
 import numpy as np
@@ -127,36 +131,44 @@ class ShiftedFactorization:
     def solve(self, rhs):
         """Solve (A - sigma*E) x = rhs.
 
-        ``rhs`` is an (n,) vector or an (n, k) block.  Each column whose
-        residual misses ``TOL_SOLVE`` relative to its own right-hand side
-        gets one step of iterative refinement; raises SingularShift if a
-        column still misses the bound.  A complex block on a real
-        factorization is solved as one real block [Re | Im].
+        ``rhs`` is an (n,) vector or an (n, k) block, solved under the
+        residual contract of ``_gated_solve``.
         """
         rhs = np.asarray(rhs)
-        b = rhs.reshape(self.n, -1)
-        split = np.iscomplexobj(b) and self.dtype.kind != "c"
-        if split:
-            b = np.hstack([b.real, b.imag])
-        b = b.astype(self.dtype, copy=False)
-        x = self._lu.solve(b)
-        nb = np.linalg.norm(b, axis=0)
-        refine = ~(np.linalg.norm(b - self._apply(x), axis=0)
-                   <= TOL_SOLVE * nb)
-        if refine.any():
-            x[:, refine] += self._lu.solve(b[:, refine]
-                                           - self._apply(x[:, refine]))
-            rel = np.linalg.norm(b[:, refine] - self._apply(x[:, refine]),
-                                 axis=0) / np.maximum(nb[refine], 1e-300)
-            if not np.all(rel <= TOL_SOLVE):
-                raise SingularShift(
-                    f"residual {np.max(rel):.2e} exceeds {TOL_SOLVE:.0e} "
-                    f"for shift {self.sigma}"
-                )
-        if split:
-            k = x.shape[1] // 2
-            x = x[:, :k] + 1j * x[:, k:]
+        x = _gated_solve(self._lu, self._apply, self.dtype,
+                         rhs.reshape(self.n, -1), f"shift {self.sigma}")
         return x.reshape(rhs.shape)
+
+
+def _gated_solve(lu, apply, dtype, b, what):
+    """x with apply(x) = b for an (N, k) block b, from the LU ``lu`` (of
+    dtype ``dtype``) of the matrix that ``apply`` multiplies by.
+
+    Each column whose residual misses ``TOL_SOLVE`` relative to its own
+    right-hand side gets one step of iterative refinement; raises
+    SingularShift, naming ``what``, if a column still misses the bound.
+    A complex block on a real LU is solved as one real block [Re | Im].
+    """
+    split = np.iscomplexobj(b) and dtype.kind != "c"
+    if split:
+        b = np.hstack([b.real, b.imag])
+    b = b.astype(dtype, copy=False)
+    x = lu.solve(b)
+    nb = np.linalg.norm(b, axis=0)
+    refine = ~(np.linalg.norm(b - apply(x), axis=0) <= TOL_SOLVE * nb)
+    if refine.any():
+        x[:, refine] += lu.solve(b[:, refine] - apply(x[:, refine]))
+        rel = np.linalg.norm(b[:, refine] - apply(x[:, refine]),
+                             axis=0) / np.maximum(nb[refine], 1e-300)
+        if not np.all(rel <= TOL_SOLVE):
+            raise SingularShift(
+                f"residual {np.max(rel):.2e} exceeds {TOL_SOLVE:.0e} "
+                f"for {what}"
+            )
+    if split:
+        k = x.shape[1] // 2
+        x = x[:, :k] + 1j * x[:, k:]
+    return x
 
 
 class ConjugateFactorization:
@@ -325,4 +337,62 @@ class SylvesterContext:
                     raise SpectraOverlap(
                         "real Sylvester problem produced a complex solution"
                     )
+        return X if F.ndim == 3 else X[0]
+
+
+class KroneckerSylvester:
+    """Solver for A X - E X S = F with a small dense pencil (A, E), n x n,
+    and S q x q: one LAPACK LU of the qn x qn matrix I kron A - S^T kron E
+    that maps vec(X) to vec(F) (columns stacked).
+
+    It needs no Schur form of S, so it stays smooth through confluent
+    shifts, and a real problem is solved in real arithmetic.  Solves keep
+    the ``TOL_SOLVE`` contract of ``ShiftedFactorization`` per right-hand
+    side; an exact zero pivot, or a residual that refinement does not
+    bring within it, raises SingularShift, as at a shift that is an
+    eigenvalue of the pencil.
+    """
+
+    def __init__(self, A, E, S):
+        A, E = np.asarray(A), np.asarray(E)
+        S = np.atleast_2d(np.asarray(S))
+        n, q = A.shape[0], S.shape[0]
+        if A.shape != (n, n) or E.shape != (n, n) or S.shape != (q, q):
+            raise DimensionMismatch(
+                f"A {A.shape} and E {E.shape} must be square and "
+                f"equal-sized, S {S.shape} square")
+        self.A, self.E, self.S = A, E, S
+        # block (i, j) of the matrix is delta_ij A - S[j, i] E; its
+        # Fortran-ordered storage is the C-ordered (q, n, q, n) array
+        # with entry [j, b, i, a] = (delta_ij A - S[j, i] E)[a, b]
+        K = (-S[:, None, :, None] * E.T[None, :, None, :]).astype(
+            np.result_type(A, E, S), copy=False)
+        for i in range(q):
+            K[i, :, i, :] += A.T
+        K = K.reshape(q * n, q * n).T
+        self._K = K.copy(order="F")
+        try:
+            self._lu = DenseLU(K)
+        except RuntimeError as exc:
+            raise SingularShift(
+                f"factorization of I kron A - S^T kron E failed: {exc}"
+            ) from exc
+
+    def solve(self, F):
+        """Return X with A X - E X S = F.
+
+        ``F`` is one n x q right-hand side or a stack of k of them, shape
+        (k, n, q), solved as one block of k columns vec(F_i); X has the
+        shape of ``F``.
+        """
+        F = np.asarray(F)
+        Fs = F if F.ndim == 3 else np.atleast_2d(F)[None]
+        n, q = self.A.shape[0], self.S.shape[0]
+        if Fs.shape[1:] != (n, q):
+            raise DimensionMismatch(f"F must be {n} x {q} or k x {n} x {q}")
+        k = Fs.shape[0]
+        b = Fs.transpose(0, 2, 1).reshape(k, q * n).T
+        x = _gated_solve(self._lu, self._K.dot, self._K.dtype, b,
+                         "the Kronecker system")
+        X = x.T.reshape(k, q, n).transpose(0, 2, 1)
         return X if F.ndim == 3 else X[0]

@@ -11,7 +11,10 @@ The trust region runs on a model function: the Galerkin projection of
 the system onto the bases (V, V_a, V_b) of the full-model points seen so
 far, which reproduces J and its gradient at each of them.  The full
 pencil is factored only at the model's optima, and evaluated there to
-first order; the model's small dense pencil gets LAPACK LUs.
+first order.  A point of the model solves its Sylvester equations with
+one LU of their Kronecker form while the model is small
+(``KRONECKER_LIMIT``); a full-model point uses per-shift LUs, which
+certify the step.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +50,11 @@ SURROGATE_GTOL = 0.1
 #: singular-value cut, relative to unit columns, below which a direction
 #: of a new basis block already lies in the surrogate basis
 BASIS_RTOL = 1e-8
+#: largest order 2 r of the Kronecker system that solves a point of an
+#: order-r surrogate with one LU (``nk.KroneckerSylvester``); a larger
+#: surrogate gets per-shift LUs (``nk.SylvesterContext``), which are then
+#: the cheaper kernel
+KRONECKER_LIMIT = 220
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,16 @@ INIT = SparkParams(1e-4, 1e-4)
 def _gramian_c(a, b):
     return np.array([[4 * a, 4 * a * a],
                      [4 * a * a, 4 * a * (a * a + b)]])
+
+
+def _gramians(a, b):
+    """The reduced Gramian and its nonzero derivatives, stacked as
+    (G, G_a, G_b, G_aa, G_ab); G_bb = 0."""
+    return np.array([_gramian_c(a, b),
+                     [[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]],
+                     [[0.0, 0.0], [0.0, 4 * a]],
+                     [[0.0, 8.0], [8.0, 24 * a]],
+                     [[0.0, 0.0], [0.0, 4.0]]])
 
 
 # derivatives of S(a, b) = [[a, 1], [a^2 - b, a]]; S_ab = S_bb = 0
@@ -106,11 +124,15 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
     E (V_i S_j + V_j S_i + V S_ij), so all six solves share the
     factorizations of the basis solve and stay smooth through the shift
     confluence a^2 = b.  They are solved by dependency level, V, then
-    (V_a, V_b), then (V_aa, V_ab, V_bb), one block solve per Schur column
-    and level; a first-order point stops after the second level.
+    (V_a, V_b), then (V_aa, V_ab, V_bb), one stacked solve per level; a
+    first-order point stops after the second level.  J and its
+    derivatives are read off one contraction of the traces
+    tr(C V_i G_m (C V_j)^T) over the solves and the Gramian's
+    derivatives.
 
-    The context is ``ctx`` when given (a ``SylvesterContext`` of this
-    pair's S), else a new one; the caller owns it.
+    The context is ``ctx`` when given (a ``SylvesterContext`` or
+    ``KroneckerSylvester`` of this pair's S), else a new
+    ``SylvesterContext``; the caller owns it.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
@@ -120,36 +142,39 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ data.R)
-    Va, Vb = ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))
-    Cr, Ca, Cb = (ds.C @ X for X in (V, Va, Vb))
-    G = _gramian_c(a, b)
-    Ga = np.array([[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]])
-    Gb = np.array([[0.0, 0.0], [0.0, 4 * a]])
+    Vs = [V, *ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))]
+    if hessian:
+        _, Va, Vb = Vs
+        Vs += list(ctx.solve(np.stack([E @ (2 * Va @ S_a + V @ _S_DAA),
+                                       E @ (Va @ _S_DB + Vb @ S_a),
+                                       E @ (2 * Vb @ _S_DB)])))
+    # T[m, i, j] = tr(C_i G_m C_j^T), C_i = C V_i for V_i in (V, V_a, V_b,
+    # V_aa, V_ab, V_bb) and G_m in (G, G_a, G_b, G_aa, G_ab); G_bb = 0
+    Cs = ds.C @ np.stack(Vs)
+    T = np.einsum("ipk,mkl,jpl->mij", Cs, _gramians(a, b), Cs)
+    J = -float(T[0, 0, 0])
+    # J_i = -2 tr(C_i G Cr^T) - tr(Cr G_i Cr^T)
+    g = -2 * T[0, 1:3, 0] - T[1:3, 0, 0]
+    H = None
+    if hessian:
+        # J_ij = -2 (tr(C_ij G Cr^T) + tr(C_i G C_j^T) + tr(C_i G_j Cr^T)
+        # + tr(C_j G_i Cr^T)) - tr(Cr G_ij Cr^T), where C_ij is entry
+        # [[3, 4], [4, 5]][i][j] of the stack and D[j, i] = tr(C_i G_j Cr^T)
+        D = T[1:3, 1:3, 0]
+        Gij = T[3:5, 0, 0]
+        H = -2 * (T[0, [[3, 4], [4, 5]], 0] + T[0, 1:3, 1:3] + D + D.T) \
+            - np.array([[Gij[0], Gij[1]], [Gij[1], 0.0]])
+        H[1, 0] = H[0, 1]
+    return Point(J, g, H, Vs[0], Vs[1], Vs[2], data, ctx)
 
-    def tr(X, M, Y):
-        return float(np.trace(X @ M @ Y.T))
 
-    J = -tr(Cr, G, Cr)
-    g = np.array([-2 * tr(Ca, G, Cr) - tr(Cr, Ga, Cr),
-                  -2 * tr(Cb, G, Cr) - tr(Cr, Gb, Cr)])
-    if not hessian:
-        return Point(J, g, None, V, Va, Vb, data, ctx)
-    Vaa, Vab, Vbb = ctx.solve(np.stack([E @ (2 * Va @ S_a + V @ _S_DAA),
-                                        E @ (Va @ _S_DB + Vb @ S_a),
-                                        E @ (2 * Vb @ _S_DB)]))
-    Caa, Cab, Cbb = (ds.C @ X for X in (Vaa, Vab, Vbb))
-    Gaa = np.array([[0.0, 8.0], [8.0, 24 * a]])
-    Gab = np.array([[0.0, 0.0], [0.0, 4.0]])
-    Gbb = np.zeros((2, 2))
-
-    def second(Cij, Ci, Cj, Gi, Gj, Gij):
-        return -2 * (tr(Cij, G, Cr) + tr(Ci, G, Cj) + tr(Ci, Gj, Cr)
-                     + tr(Cj, Gi, Cr)) - tr(Cr, Gij, Cr)
-
-    Hab = second(Cab, Ca, Cb, Ga, Gb, Gab)
-    H = np.array([[second(Caa, Ca, Ca, Ga, Ga, Gaa), Hab],
-                  [Hab, second(Cbb, Cb, Cb, Gb, Gb, Gbb)]])
-    return Point(J, g, H, V, Va, Vb, data, ctx)
+def _surrogate_point(sur: DeflatedSystem, a: float, b: float) -> Point:
+    """``evaluate`` at a trust-region point of the surrogate ``sur``, with
+    the kernel its order picks (``KRONECKER_LIMIT``)."""
+    S = spark_params_matrices(a, b).S
+    kernel = nk.KroneckerSylvester if 2 * sur.n <= KRONECKER_LIMIT \
+        else nk.SylvesterContext
+    return evaluate(sur, a, b, kernel(sur.A, sur.E, S))
 
 
 class SurrogateBasis:
@@ -269,8 +294,8 @@ class SparkResult:
 
 
 def _trust_region(ds, p, point, gtol, trace):
-    """Trust-region iterations on ``ds`` from ``p``, evaluated as ``point``,
-    until ||g|| <= gtol * (1 + |J|).
+    """Trust-region iterations on the surrogate ``ds`` from ``p``, evaluated
+    as ``point``, until ||g|| <= gtol * (1 + |J|).
 
     Iterates stay in the positive orthant (steps leaving it are rejected
     with a radius shrink) and accepted costs are monotone nonincreasing.
@@ -307,7 +332,7 @@ def _trust_region(ds, p, point, gtol, trace):
             why = "left positive orthant"
         else:
             try:
-                trial = evaluate(ds, *cand)
+                trial = _surrogate_point(ds, *cand)
             except (SingularShift, SpectraOverlap):
                 why = "singular shift"
         if why:
@@ -386,7 +411,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         basis.add(ds, point)
         sur = basis.surrogate(ds)
         q, converged, reason = _trust_region(
-            sur, p, evaluate(sur, *p), SURROGATE_GTOL * GTOL, trace)
+            sur, p, _surrogate_point(sur, *p), SURROGATE_GTOL * GTOL, trace)
         if q is p:
             break       # the surrogate has no step from the current pair
         point = point._replace(ctx=None)    # free p's LUs before q factors

@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
 from daecure.errors import DimensionMismatch, SpectraOverlap, UnstableSystem
-from daecure.interp import DeflatedSystem
+from daecure.interp import DeflatedSystem, spark_params_matrices
 from daecure.pork import RomRealization
 
 #: finite/infinite classification threshold, applied after pencil scaling
@@ -278,6 +278,51 @@ def allpass_factor(rec) -> RomRealization:
     step's record."""
     return RomRealization(Er=rec.rom.Er, Ar=rec.rom.Ar, Br=rec.rom.Br,
                           Cr=rec.data.R, Dr=np.eye(rec.rom.m))
+
+
+def trace_derivatives(ds, a, b, hessian=True):
+    """(J, gradient, Hessian) of J(a, b) = -tr(Cr G Cr^T) at the shift pair
+    (a, b), one trace product per term, from the solves of a
+    ``SylvesterContext``; the Hessian is None without ``hessian``.  These
+    are the formulas ``spark.evaluate`` contracts into one."""
+    data = spark_params_matrices(a, b)
+    ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
+    E = ds.E
+    S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
+    S_b = np.array([[0.0, 0.0], [-1.0, 0.0]])
+    S_aa = np.array([[0.0, 0.0], [2.0, 0.0]])
+    V = ctx.solve(ds.B_defl @ data.R)
+    Va = ctx.solve(E @ (V @ S_a))
+    Vb = ctx.solve(E @ (V @ S_b))
+    Cr, Ca, Cb = (ds.C @ X for X in (V, Va, Vb))
+    G = np.array([[4 * a, 4 * a * a], [4 * a * a, 4 * a * (a * a + b)]])
+    Ga = np.array([[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]])
+    Gb = np.array([[0.0, 0.0], [0.0, 4 * a]])
+
+    def tr(X, M, Y):
+        return float(np.trace(X @ M @ Y.T))
+
+    J = -tr(Cr, G, Cr)
+    g = np.array([-2 * tr(Ca, G, Cr) - tr(Cr, Ga, Cr),
+                  -2 * tr(Cb, G, Cr) - tr(Cr, Gb, Cr)])
+    if not hessian:
+        return J, g, None
+    Vaa = ctx.solve(E @ (2 * Va @ S_a + V @ S_aa))
+    Vab = ctx.solve(E @ (Va @ S_b + Vb @ S_a))
+    Vbb = ctx.solve(E @ (2 * Vb @ S_b))
+    Caa, Cab, Cbb = (ds.C @ X for X in (Vaa, Vab, Vbb))
+    Gaa = np.array([[0.0, 8.0], [8.0, 24 * a]])
+    Gab = np.array([[0.0, 0.0], [0.0, 4.0]])
+    Gbb = np.zeros((2, 2))
+
+    def second(Cij, Ci, Cj, Gi, Gj, Gij):
+        return -2 * (tr(Cij, G, Cr) + tr(Ci, G, Cj) + tr(Ci, Gj, Cr)
+                     + tr(Cj, Gi, Cr)) - tr(Cr, Gij, Cr)
+
+    Hab = second(Cab, Ca, Cb, Ga, Gb, Gab)
+    H = np.array([[second(Caa, Ca, Ca, Ga, Ga, Gaa), Hab],
+                  [Hab, second(Cbb, Cb, Cb, Gb, Gb, Gbb)]])
+    return J, g, H
 
 
 def sylvester_residual(ds, V, data) -> float:

@@ -352,3 +352,61 @@ def test_complex_pencil_with_real_shifts_solves_complex():
     X = nk.SylvesterContext(A, E, S).solve(F)
     assert np.iscomplexobj(X)
     assert np.linalg.norm(A @ X - E @ (X @ S) - F) <= 1e-12 * np.linalg.norm(F)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-8, 1e-12, 1e-14, 0.0])
+@pytest.mark.parametrize("kind", ["conjugate", "real"])
+def test_kronecker_sylvester_matches_schur_and_dense_kronecker(
+        kind, delta, factor_log):
+    # a^2 - b = -delta a^2 (a conjugate pair) or +delta a^2 (a real pair),
+    # and delta = 0 the confluent pair: one real LU of the 2n x 2n
+    # Kronecker matrix, no shifted LU, solves a stack of right-hand sides
+    # to the dense Kronecker solution and to the Schur solver's
+    rng, A, E = _well_posed(40, 18)
+    A, E = A.toarray(), E.toarray()
+    a = 1.3
+    sign = -1.0 if kind == "conjugate" else 1.0
+    S = np.array([[a, 1.0], [sign * delta * a * a, a]])
+    F = rng.standard_normal((3, 40, 2))
+    ctx = nk.KroneckerSylvester(A, E, S)
+    assert factor_log == [] and isinstance(ctx._lu, nk.DenseLU)
+    X = ctx.solve(F)
+    assert X.shape == F.shape and X.dtype == np.float64
+    schur = nk.SylvesterContext(A, E, S).solve(F)
+    for Xi, Fi, Yi in zip(X, F, schur):
+        want = _kronecker_sylvester(A, E, S, Fi)
+        assert np.linalg.norm(Xi - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(Xi - Yi) <= 1e-12 * np.linalg.norm(Yi)
+        assert np.linalg.norm(ctx.solve(Fi) - Xi) \
+            <= 1e-14 * np.linalg.norm(Xi)
+
+
+def test_kronecker_sylvester_block_layout():
+    # q = 3 and a complex right-hand side on the real LU: the blocks of
+    # I kron A - S^T kron E are placed as np.kron places them
+    rng, A, E = _well_posed(7, 19)
+    A, E = A.toarray(), E.toarray()
+    S = rng.standard_normal((3, 3)) + 4 * np.eye(3)
+    ctx = nk.KroneckerSylvester(A, E, S)
+    assert np.array_equal(ctx._K, np.kron(np.eye(3), A) - np.kron(S.T, E))
+    F = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    X = ctx.solve(F)
+    assert np.linalg.norm(A @ X - E @ X @ S - F) <= 1e-12 * np.linalg.norm(F)
+    with pytest.raises(DimensionMismatch):
+        ctx.solve(np.ones((2, 7, 2)))
+    with pytest.raises(DimensionMismatch):
+        nk.KroneckerSylvester(A, E[:6, :6], S)
+
+
+def test_kronecker_sylvester_at_a_pole_raises():
+    # a shift that is an eigenvalue of the pencil: an exact zero pivot on
+    # a diagonal pencil, and on a rotated one a residual that refinement
+    # cannot bring within TOL_SOLVE
+    lam = np.array([-1.0, -2.0, -3.5, -5.0, -8.0])
+    S = np.array([[-3.5, 1.0], [0.0, 7.7]])
+    Q = np.linalg.qr(np.random.default_rng(20).standard_normal((5, 5)))[0]
+    F = np.ones((5, 2))
+    with pytest.raises(SingularShift):
+        nk.KroneckerSylvester(np.diag(lam), np.eye(5), S).solve(F)
+    with pytest.raises(SingularShift):
+        nk.KroneckerSylvester(Q @ np.diag(lam) @ Q.T, np.eye(5), S).solve(F)

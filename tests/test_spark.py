@@ -13,7 +13,7 @@ from daecure.interp import DeflatedSystem, spark_params_matrices
 from daecure.pork import pork_input
 
 from conftest import basis_at, make_ode, make_random_stable_ode, spark_gtol
-from oracles import h2_error_norm, sylvester_residual
+from oracles import h2_error_norm, sylvester_residual, trace_derivatives
 
 
 def _certify(ds, res):
@@ -105,6 +105,34 @@ def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
     _certify(ds, res)
     assert [shape[1] for shape in lu_solves] \
         == [k for k in (1, 2) for _ in range(per_level)] + certificate
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
+                                     "ode_small"])
+def test_contracted_derivatives_match_trace_formulas(fixture, request):
+    # J, g and H read off one contraction equal the term-by-term traces:
+    # on the surrogate (Kronecker kernel) to second order, on the full
+    # model (per-shift LUs) to first order.  The pairs, a real, a
+    # conjugate and a confluent one, lie off the optimum, where g is more
+    # than rounding noise
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    basis = sp.SurrogateBasis(ds.n)
+    res = sp.spark(ds, basis=basis)
+    sur = basis.surrogate(ds)
+    a = 1.2 * res.params.a
+    for b in (0.5 * a * a, 2.0 * a * a, a * a):
+        for d, point in ((sur, sp._surrogate_point(sur, a, b)),
+                         (ds, sp.evaluate(ds, a, b, hessian=False))):
+            J, g, H = trace_derivatives(d, a, b, hessian=d is sur)
+            assert abs(point.J - J) <= 1e-12 * abs(J)
+            assert np.linalg.norm(point.g - g) <= 1e-12 * np.linalg.norm(g)
+            if d is sur:
+                assert isinstance(point.ctx, nk.KroneckerSylvester)
+                assert np.array_equal(point.H, point.H.T)
+                assert np.linalg.norm(point.H - H) \
+                    <= 1e-12 * np.linalg.norm(H)
+            else:
+                assert point.H is None
 
 
 def test_gradient_matches_central_differences():
@@ -256,27 +284,35 @@ def _track_full(monkeypatch, n):
 def test_spark_factors_once_per_evaluated_point(monkeypatch):
     # one LU set of the full pencil per full-model point: one complex LU
     # (conjugate pair) or two real LUs (real pair), none for a point that
-    # is handed the LUs of the pair the previous step returned at.  The
-    # surrogate factors only its own small pencil, and besides these a
-    # whole cumulative reduction factors only the saddle-point matrix,
-    # first: nothing is refactored once a SPARK call returns, to certify
-    # or to deplete a step.  This system's full-model points include
-    # real and conjugate pairs
+    # is handed the LUs of the pair the previous step returned at.  Each
+    # surrogate point is solved by one Kronecker LU of its own and makes
+    # no per-shift LU, and besides these a whole cumulative reduction
+    # factors only the saddle-point matrix, first: nothing is refactored
+    # once a SPARK call returns, to certify or to deplete a step.  This
+    # system's full-model points include real and conjugate pairs
     sys = make_random_stable_ode(20, seed=0)
-    full, small = [], []
+    full, small, kron = [], [], []
     fac_init = nk.ShiftedFactorization.__init__
+    kron_init = nk.KroneckerSylvester.__init__
 
     def counting(self, A, E, sigma):
         (full if A.shape[0] == sys.n else small).append(complex(sigma))
         fac_init(self, A, E, sigma)
 
+    def counting_kron(self, A, E, S):
+        kron.append(self)
+        kron_init(self, A, E, S)
+
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting)
-    evaluated = []
+    monkeypatch.setattr(nk.KroneckerSylvester, "__init__", counting_kron)
+    evaluated, surrogate = [], []
     evaluate = sp.evaluate
 
     def counting_evaluate(d, a, b, ctx=None, **kw):
         if d.n == sys.n:
             evaluated.append((a, b, ctx is not None, len(full)))
+        else:
+            surrogate.append(ctx)
         return evaluate(d, a, b, ctx, **kw)
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
@@ -284,7 +320,10 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     report, _ = cure.cured_spark(ds)
     assert report["k"] >= 2
     assert all(st["converged"] for st in report["steps"])
-    assert small and len(evaluated) >= 5
+    assert len(evaluated) >= 5
+    assert surrogate and small == []
+    assert len(kron) == len(surrogate)
+    assert all(ctx is k for ctx, k in zip(surrogate, kron))
     assert sum(st["full_evaluations"] for st in report["steps"]) \
         < len(evaluated)        # and the discarded stagnation call
     # the saddle-point LU, then the start pair's LU, from whose fill
@@ -309,8 +348,8 @@ def test_full_pencil_solves_first_order_and_surrogate_skips_superlu(
         fixture, request, monkeypatch):
     # full-model points are evaluated to first order: no factorization of
     # the full pencil solves the stacked (V_aa, V_ab, V_bb) right-hand
-    # side.  The surrogate's small dense pencils get LAPACK LUs, so
-    # SuperLU factors only full-pencil matrices
+    # side.  A surrogate point takes one LAPACK LU of its Kronecker
+    # system, so SuperLU factors only full-pencil matrices
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     blocks, superlu = [], []
     solve, splu = nk.ShiftedFactorization.solve, nk.spsla.splu
@@ -463,3 +502,47 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     assert len(contexts) == len(evaluated) + 1
     assert res.ctx is contexts[-1]()
     assert _certify(ds, res)[1] <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
+                                     "ode_small"])
+def test_surrogate_kernel_switches_at_the_limit(fixture, request,
+                                                monkeypatch):
+    # a surrogate point of order r is solved with one Kronecker LU while
+    # 2 r <= KRONECKER_LIMIT and with per-shift LUs above it; full-model
+    # points always get per-shift LUs.  With the limit below the largest
+    # surrogate one run takes both kernels, and with it at 0 the
+    # surrogate takes only per-shift LUs: the search is the same
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    kernels = []
+    evaluate = sp.evaluate
+
+    def logging_evaluate(d, a, b, ctx=None, **kw):
+        point = evaluate(d, a, b, ctx, **kw)
+        kernels.append((2 * d.n, d.n == ds.n, type(point.ctx)))
+        return point
+
+    monkeypatch.setattr(sp, "evaluate", logging_evaluate)
+    runs, kinds = [], []
+    for limit in (sp.KRONECKER_LIMIT, None, 0):
+        if limit is None:
+            limit = max(q for q, full, _ in kernels if not full) - 1
+        monkeypatch.setattr(sp, "KRONECKER_LIMIT", limit)
+        del kernels[:]
+        runs.append(sp.spark(ds))
+        assert runs[-1].reason == "gtol"
+        for q, full, kind in kernels:
+            kron = not full and q <= limit
+            assert kind is (nk.KroneckerSylvester if kron
+                            else nk.SylvesterContext)
+        kinds.append({kind for _, full, kind in kernels if not full})
+    assert kinds == [{nk.KroneckerSylvester},
+                     {nk.KroneckerSylvester, nk.SylvesterContext},
+                     {nk.SylvesterContext}]
+    first, *others = runs
+    assert len({len(res.trace) for res in runs}) == 1
+    for res in others:
+        assert [r["accepted"] for r in res.trace] \
+            == [r["accepted"] for r in first.trace]
+        assert np.allclose(res.params.as_array(), first.params.as_array(),
+                           rtol=1e-9, atol=0)
