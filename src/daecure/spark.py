@@ -12,9 +12,8 @@ the system onto the bases (V, V_a, V_b) of the full-model points seen so
 far, which reproduces J and its gradient at each of them.  The full
 pencil is factored only at the model's optima, and evaluated there to
 first order.  A point of the model solves its Sylvester equations with
-one LU of their Kronecker form while the model is small
-(``KRONECKER_LIMIT``); a full-model point uses per-shift LUs, which
-certify the step.
+one LU of their Kronecker form; a full-model point uses per-shift LUs,
+which certify the step.
 """
 
 from dataclasses import dataclass, field
@@ -50,11 +49,6 @@ SURROGATE_GTOL = 0.1
 #: singular-value cut, relative to unit columns, below which a direction
 #: of a new basis block already lies in the surrogate basis
 BASIS_RTOL = 1e-8
-#: largest order 2 r of the Kronecker system that solves a point of an
-#: order-r surrogate with one LU (``nk.KroneckerSylvester``); a larger
-#: surrogate gets per-shift LUs (``nk.SylvesterContext``), which are then
-#: the cheaper kernel
-KRONECKER_LIMIT = 220
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,7 @@ class Point(NamedTuple):
 
 
 def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
-             hessian: bool = True) -> Point:
+             hessian: bool = True, kernel=nk.SylvesterContext) -> Point:
     """The ``Point`` (J, gradient, exact Hessian, V, ...) at the shift pair
     (a, b); with ``hessian`` false, a first-order point (H is None).
 
@@ -130,15 +124,16 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
     tr(C V_i G_m (C V_j)^T) over the solves and the Gramian's
     derivatives.
 
-    The context is ``ctx`` when given (a ``SylvesterContext`` or
-    ``KroneckerSylvester`` of this pair's S), else a new
-    ``SylvesterContext``; the caller owns it.
+    The context is ``ctx`` when given (a ``SylvesterContext`` of this
+    pair's S), else ``kernel(A, E, S)``: ``nk.SylvesterContext`` for the
+    full model, ``nk.KroneckerSylvester`` for a surrogate.  The caller
+    owns it.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
     data = spark_params_matrices(a, b)
     if ctx is None:
-        ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
+        ctx = kernel(ds.A, ds.E, data.S)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ data.R)
@@ -166,15 +161,6 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
             - np.array([[Gij[0], Gij[1]], [Gij[1], 0.0]])
         H[1, 0] = H[0, 1]
     return Point(J, g, H, Vs[0], Vs[1], Vs[2], data, ctx)
-
-
-def _surrogate_point(sur: DeflatedSystem, a: float, b: float) -> Point:
-    """``evaluate`` at a trust-region point of the surrogate ``sur``, with
-    the kernel its order picks (``KRONECKER_LIMIT``)."""
-    S = spark_params_matrices(a, b).S
-    kernel = nk.KroneckerSylvester if 2 * sur.n <= KRONECKER_LIMIT \
-        else nk.SylvesterContext
-    return evaluate(sur, a, b, kernel(sur.A, sur.E, S))
 
 
 class SurrogateBasis:
@@ -332,7 +318,7 @@ def _trust_region(ds, p, point, gtol, trace):
             why = "left positive orthant"
         else:
             try:
-                trial = _surrogate_point(ds, *cand)
+                trial = evaluate(ds, *cand, kernel=nk.KroneckerSylvester)
             except (SingularShift, SpectraOverlap):
                 why = "singular shift"
         if why:
@@ -411,7 +397,8 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         basis.add(ds, point)
         sur = basis.surrogate(ds)
         q, converged, reason = _trust_region(
-            sur, p, _surrogate_point(sur, *p), SURROGATE_GTOL * GTOL, trace)
+            sur, p, evaluate(sur, *p, kernel=nk.KroneckerSylvester),
+            SURROGATE_GTOL * GTOL, trace)
         if q is p:
             break       # the surrogate has no step from the current pair
         point = point._replace(ctx=None)    # free p's LUs before q factors

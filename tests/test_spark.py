@@ -121,7 +121,8 @@ def test_contracted_derivatives_match_trace_formulas(fixture, request):
     sur = basis.surrogate(ds)
     a = 1.2 * res.params.a
     for b in (0.5 * a * a, 2.0 * a * a, a * a):
-        for d, point in ((sur, sp._surrogate_point(sur, a, b)),
+        for d, point in ((sur, sp.evaluate(sur, a, b,
+                                            kernel=nk.KroneckerSylvester)),
                          (ds, sp.evaluate(ds, a, b, hessian=False))):
             J, g, H = trace_derivatives(d, a, b, hessian=d is sur)
             assert abs(point.J - J) <= 1e-12 * abs(J)
@@ -132,6 +133,7 @@ def test_contracted_derivatives_match_trace_formulas(fixture, request):
                 assert np.linalg.norm(point.H - H) \
                     <= 1e-12 * np.linalg.norm(H)
             else:
+                assert isinstance(point.ctx, nk.SylvesterContext)
                 assert point.H is None
 
 
@@ -311,9 +313,11 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     def counting_evaluate(d, a, b, ctx=None, **kw):
         if d.n == sys.n:
             evaluated.append((a, b, ctx is not None, len(full)))
-        else:
-            surrogate.append(ctx)
-        return evaluate(d, a, b, ctx, **kw)
+            return evaluate(d, a, b, ctx, **kw)
+        assert ctx is None
+        point = evaluate(d, a, b, ctx, **kw)
+        surrogate.append(point.ctx)
+        return point
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
     ds = DeflatedSystem.from_dae(sys)
@@ -502,47 +506,3 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     assert len(contexts) == len(evaluated) + 1
     assert res.ctx is contexts[-1]()
     assert _certify(ds, res)[1] <= 1e-10
-
-
-@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
-                                     "ode_small"])
-def test_surrogate_kernel_switches_at_the_limit(fixture, request,
-                                                monkeypatch):
-    # a surrogate point of order r is solved with one Kronecker LU while
-    # 2 r <= KRONECKER_LIMIT and with per-shift LUs above it; full-model
-    # points always get per-shift LUs.  With the limit below the largest
-    # surrogate one run takes both kernels, and with it at 0 the
-    # surrogate takes only per-shift LUs: the search is the same
-    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
-    kernels = []
-    evaluate = sp.evaluate
-
-    def logging_evaluate(d, a, b, ctx=None, **kw):
-        point = evaluate(d, a, b, ctx, **kw)
-        kernels.append((2 * d.n, d.n == ds.n, type(point.ctx)))
-        return point
-
-    monkeypatch.setattr(sp, "evaluate", logging_evaluate)
-    runs, kinds = [], []
-    for limit in (sp.KRONECKER_LIMIT, None, 0):
-        if limit is None:
-            limit = max(q for q, full, _ in kernels if not full) - 1
-        monkeypatch.setattr(sp, "KRONECKER_LIMIT", limit)
-        del kernels[:]
-        runs.append(sp.spark(ds))
-        assert runs[-1].reason == "gtol"
-        for q, full, kind in kernels:
-            kron = not full and q <= limit
-            assert kind is (nk.KroneckerSylvester if kron
-                            else nk.SylvesterContext)
-        kinds.append({kind for _, full, kind in kernels if not full})
-    assert kinds == [{nk.KroneckerSylvester},
-                     {nk.KroneckerSylvester, nk.SylvesterContext},
-                     {nk.SylvesterContext}]
-    first, *others = runs
-    assert len({len(res.trace) for res in runs}) == 1
-    for res in others:
-        assert [r["accepted"] for r in res.trace] \
-            == [r["accepted"] for r in first.trace]
-        assert np.allclose(res.params.as_array(), first.params.as_array(),
-                           rtol=1e-9, atol=0)
