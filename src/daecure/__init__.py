@@ -15,7 +15,7 @@ from .daemodel import (
 )
 from .errors import DaecureError
 from .h2analysis import h2_norm
-from .interp import DeflatedSystem, InterpData
+from .interp import DeflatedSystem
 from .pork import RomRealization, check_interpolation, pork_input
 from . import spark
 from .spark import SparkParams
@@ -28,7 +28,6 @@ __all__ = [
     "DaeSystem",
     "DaecureError",
     "DeflatedSystem",
-    "InterpData",
     "ProjectorKit",
     "RomRealization",
     "SemiExplicitIndex1",

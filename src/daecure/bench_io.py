@@ -18,7 +18,7 @@ import scipy.linalg as spla
 import scipy.sparse as sps
 
 from . import daemodel as dm
-from .errors import ParseError, StructureViolation
+from .errors import InvalidEntries, ParseError, StructureViolation
 
 MANIFEST_VERSION = 1
 
@@ -213,6 +213,8 @@ def write_system(sys: dm.DaeSystem, outdir, name="system"):
 
 
 def _read_mtx(base, fn, what):
+    """The Matrix-Market matrix in ``fn``; InvalidEntries unless every
+    entry is a finite real number."""
     path = os.path.join(base, fn)
     try:
         mat = spio.mmread(path)
@@ -220,6 +222,12 @@ def _read_mtx(base, fn, what):
         raise ParseError(f"cannot read {what} file {path}: {exc}")
     except ValueError as exc:
         raise ParseError(f"malformed Matrix-Market file {path}: {exc}")
+    values = mat.data if sps.issparse(mat) else np.asarray(mat)
+    if np.iscomplexobj(values):
+        raise InvalidEntries(f"{what} file {path} holds complex entries")
+    if not np.all(np.isfinite(values)):
+        raise InvalidEntries(f"{what} file {path} holds NaN or infinite "
+                             "entries")
     return mat
 
 

@@ -27,6 +27,7 @@ from .errors import (
     DaecureError,
     DeskScaleExceeded,
     DimensionMismatch,
+    InvalidEntries,
     ParseError,
     StructureViolation,
 )
@@ -94,13 +95,13 @@ def cmd_reduce(args):
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise UnsupportedInput(
             f"--tol must be finite and nonnegative, got {args.tol}")
-    init = SparkParams(*_parse_pair(
-        args.shifts_init, float,
-        "--shifts-init must be two comma-separated numbers"))
-    if not all(np.isfinite(x) and x > 0 for x in (init.a, init.b)):
+    pair = _parse_pair(args.shifts_init, float,
+                       "--shifts-init must be two comma-separated numbers")
+    if not all(np.isfinite(x) and x > 0 for x in pair):
         raise UnsupportedInput(
             f"--shifts-init must be two finite positive numbers, got "
             f"{args.shifts_init}")
+    init = SparkParams(*pair)
     sys = _load_siso(args)
     if sys.m != 1 or sys.p != 1:
         raise UnsupportedInput(
@@ -380,7 +381,7 @@ def main(argv=None):
         print(_error_json(EXIT_IO, exc), file=_sys.stderr)
         return EXIT_IO
     except (UnsupportedInput, StructureViolation, DeskScaleExceeded,
-            DimensionMismatch) as exc:
+            DimensionMismatch, InvalidEntries) as exc:
         print(_error_json(EXIT_UNSUPPORTED, exc), file=_sys.stderr)
         return EXIT_UNSUPPORTED
     except (DaecureError, np.linalg.LinAlgError) as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from . import numkernel as nk
 from . import spark as sparkmod
 from .errors import DimensionMismatch
-from .interp import DeflatedSystem, spark_params_matrices
+from .interp import DeflatedSystem
 from .pork import RomRealization, check_interpolation, pork_input
 
 #: a step capturing at most this times max(||G_tot||^2, 1) is degenerate
@@ -29,12 +29,11 @@ DEGENERATE_TOL = 1e-14
 class CureRecord:
     """Everything kept from one cumulative step."""
 
-    data: object
     rom: RomRealization
-    params: object
+    params: sparkmod.SparkParams
     cost: float
-    #: worst per-shift tangential residual ||(G - G_r) r|| / ||G r|| of
-    #: the step's ROM against the deflated system it was made from
+    #: worst per-shift relative residual ||G - G_r|| / ||G|| of the step's
+    #: ROM against the deflated system it was made from
     interp_residual: float
 
 
@@ -82,7 +81,7 @@ def assemble_total(records, poly: RomRealization = None) -> RomRealization:
     for i, rec in enumerate(records):
         for j in range(i):
             A[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = \
-                rec.rom.Br @ records[j].data.R
+                rec.rom.Br @ records[j].params.R
     return RomRealization(Er=E, Ar=A, Br=B, Cr=C,
                           Dr=None if poly is None else poly.Dr)
 
@@ -91,12 +90,12 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     """Fold one shift-optimization result into the ledger.
 
     Builds the step's ROM and certifies it, the worst per-shift
-    tangential residual ||(G - G_r) r|| / ||G r|| with G(sigma) from
+    relative residual ||G - G_r|| / ||G|| with G(sigma) from
     ``TOL_SOLVE``-checked solves of the current deflated input with the
     result's own LUs, one per LU, then depletes that input.
     """
     ds = ledger.ds
-    rom = pork_input(spark_out.V, spark_out.data, ds.C)
+    rom = pork_input(spark_out.V, spark_out.params, ds.C)
 
     @functools.cache
     def transfer(fac):
@@ -109,9 +108,9 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
             return np.conj(transfer(fac.base))
         return transfer(fac)
 
-    residual = max(check_interpolation(fom_eval, rom, spark_out.data))
-    rec = CureRecord(data=spark_out.data, rom=rom, params=spark_out.params,
-                     cost=spark_out.cost, interp_residual=residual)
+    residual = max(check_interpolation(fom_eval, rom, spark_out.params))
+    rec = CureRecord(rom=rom, params=spark_out.params, cost=spark_out.cost,
+                     interp_residual=residual)
     ds.B_defl = ds.B_defl - ds.E @ (spark_out.V
                                     @ np.linalg.solve(rom.Er, rom.Br))
     ledger.records.append(rec)
@@ -150,7 +149,7 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
         raise DimensionMismatch("no records to assemble")
     t0 = time.perf_counter()
     ledger = CureLedger(ds=replace(ds), ctx=nk.SylvesterContext(
-        ds.A, ds.E, spark_params_matrices(cfg.init.a, cfg.init.b).S))
+        ds.A, ds.E, cfg.init.S))
     ledger.ds.A, ledger.ds.E = nk.cheapest_pencil(ds.A, ds.E,
                                                   ledger.ctx.factors[0])
     report = {"steps": [], "stop_reason": None, "flagged": False}

@@ -17,10 +17,6 @@ class SpectraOverlap(DaecureError):
     """Sylvester operator is singular: the two spectra are not disjoint."""
 
 
-class NotAntistable(DaecureError):
-    """A matrix required to have all eigenvalues in the open RHP does not."""
-
-
 class StructureViolation(DaecureError):
     """Declared structural zero blocks are not zero, or block sizes disagree."""
 
@@ -35,12 +31,20 @@ class NonPositiveParams(DaecureError):
     """SPARK parameters (a, b) must be strictly positive."""
 
 
+class NonFiniteDerivatives(DaecureError):
+    """The gradient or Hessian of the shift-pair cost is NaN or infinite."""
+
+
 class UnstableSystem(DaecureError):
     """An operation requiring asymptotic stability got an unstable model."""
 
 
 class DeskScaleExceeded(DaecureError):
     """A sparse system is too large to densify for a dense analysis."""
+
+
+class InvalidEntries(DaecureError):
+    """A matrix file holds a NaN, an infinite or a complex entry."""
 
 
 class ParseError(DaecureError):

@@ -1,25 +1,21 @@
-"""Rational interpolation bases for descriptor systems.
+"""The deflated system that the reduction works on.
 
-A reduction basis V is characterized as the solution of the sparse-dense
-Sylvester equation
+A reduction basis V of a shift pair solves the sparse-dense Sylvester
+equation
 
     A V - E V S = B R
 
-whose pair (S, R) encodes the shifts (eigenvalues of S) and tangential
-directions (columns of R mapped through the eigenvectors of S).  Carrying
-(S, R) along with V is what lets the downstream projection step place the
-reduced poles at the mirror images of the shifts without ever forming an
-explicit test basis.
+with the pair's closed-form (S, R) (``spark.SparkParams``); B is the
+input deflated onto the proper subspace, which ``DeflatedSystem`` carries
+along with A, E, C and the polynomial part split off with it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as spla
 import scipy.sparse as sps
 
 from . import daemodel as dm
-from .errors import DimensionMismatch, NonPositiveParams
 
 
 @dataclass
@@ -52,52 +48,3 @@ class DeflatedSystem:
     @property
     def m(self):
         return self.B_defl.shape[1]
-
-
-@dataclass
-class InterpData:
-    """Interpolation data in Sylvester form: S (q x q) and R (m x q).
-
-    The shifts are the eigenvalues of S; for an eigenpair (sigma, x) the
-    tangential direction is R x.
-    """
-
-    S: np.ndarray
-    R: np.ndarray
-
-    def __post_init__(self):
-        self.S = np.atleast_2d(np.asarray(self.S))
-        self.R = np.atleast_2d(np.asarray(self.R))
-        if self.S.shape[0] != self.S.shape[1]:
-            raise DimensionMismatch("S must be square")
-        if self.R.shape[1] != self.S.shape[0]:
-            raise DimensionMismatch("R must have one column per shift")
-
-    @property
-    def q(self):
-        return self.S.shape[0]
-
-    @property
-    def m(self):
-        return self.R.shape[0]
-
-    def shift_directions(self):
-        """List of (shift, direction) pairs from the eigenstructure of S."""
-        w, X = spla.eig(self.S)
-        out = []
-        for i in range(self.q):
-            x = X[:, i]
-            r = self.R @ x
-            nrm = np.linalg.norm(r)
-            out.append((w[i], r / nrm if nrm > 0 else r))
-        return out
-
-
-def spark_params_matrices(a: float, b: float) -> InterpData:
-    """The 2x2 (S, R) pair encoding the shift pair a +- sqrt(a^2 - b)."""
-    if not (a > 0 and b > 0):
-        raise NonPositiveParams(f"need a > 0 and b > 0, got a={a}, b={b}")
-    S = np.array([[a, 1.0], [a * a - b, a]])
-    R = np.array([[1.0, 0.0]])
-    return InterpData(S=S, R=R)
-

@@ -1,5 +1,4 @@
-"""Numeric primitives: shifted solves, the Sylvester solvers and a small
-dense Lyapunov solver.
+"""Numeric primitives: shifted solves and the Sylvester solvers.
 
 Sparse matrices are held in SciPy CSC format throughout (duplicate entries
 are summed on conversion; stored shape is the declared shape).  Dense
@@ -24,12 +23,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
 
-from .errors import (
-    DimensionMismatch,
-    NotAntistable,
-    SingularShift,
-    SpectraOverlap,
-)
+from .errors import DimensionMismatch, SingularShift, SpectraOverlap
 
 #: relative residual guaranteed by a ShiftedFactorization solve
 TOL_SOLVE = 1e-10
@@ -185,31 +179,6 @@ class ConjugateFactorization:
 
     def solve(self, rhs):
         return np.conj(self.base.solve(np.conj(rhs)))
-
-
-def solve_small_lyapunov(S, R):
-    """Solve S* Gamma + Gamma S - R* R = 0 for antistable S.
-
-    Returns the Hermitian positive definite solution, symmetrized by
-    averaging.  Raises NotAntistable if an eigenvalue of S has nonpositive
-    real part.
-    """
-    S = np.atleast_2d(np.asarray(S))
-    R = np.atleast_2d(np.asarray(R))
-    if R.shape[1] != S.shape[0]:
-        raise DimensionMismatch("R must have as many columns as S")
-    ev = spla.eigvals(S)
-    if np.any(ev.real <= 0):
-        raise NotAntistable(f"eigenvalues of S not in open RHP: {ev}")
-    Q = R.conj().T @ R
-    G = spla.solve_sylvester(S.conj().T, S, Q)
-    G = 0.5 * (G + G.conj().T)
-    if not np.iscomplexobj(S) and not np.iscomplexobj(R):
-        G = G.real
-    res = np.linalg.norm(S.conj().T @ G + G @ S - Q, "fro")
-    if res > 1e-12 * max(np.linalg.norm(Q, "fro"), np.linalg.norm(G, "fro"), 1e-300):
-        raise SpectraOverlap(f"Lyapunov residual {res:.2e} exceeds contract")
-    return G
 
 
 #: largest order of a sparse system that is densified: for its H2 norm,

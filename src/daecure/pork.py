@@ -1,15 +1,15 @@
 """Reduced-order realizations from certified interpolation bases.
 
-Given a basis V with A V - E V S = B R and shifts (eigenvalues of S) in
-the open right half-plane, the reduced model
+Given the basis V of a shift pair, A V - E V S = B R with the pair's
+closed-form (S, R) (``spark.SparkParams``), the reduced model
 
-    Er = Gamma,  Ar = -S^H Gamma,  Br = -R^H,  Cr = C V,
+    Er = Gamma,  Ar = -S^T Gamma,  Br = -R^T,  Cr = C V,
 
-with Gamma solving S^H Gamma + Gamma S = R^H R, matches the full model
-tangentially at the shifts and places its own poles at their mirror
-images in the left half-plane.  Keeping Er equal to Gamma (instead of
-normalizing) is deliberate: the cumulative-reduction bookkeeping uses
-these blocks verbatim.
+with Gamma the closed-form solution of S^T Gamma + Gamma S = R^T R,
+matches the full model at both shifts and places its own poles at their
+mirror images in the left half-plane.  Keeping Er equal to Gamma
+(instead of normalizing) is deliberate: the cumulative-reduction
+bookkeeping uses these blocks verbatim.
 """
 
 from dataclasses import dataclass
@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as spla
 
-from . import numkernel as nk
 from .errors import DimensionMismatch
-from .interp import InterpData
+from .spark import SparkParams
 
 
 @dataclass
@@ -67,35 +66,33 @@ class RomRealization:
         return spla.eigvals(self.Ar, self.Er)
 
 
-def pork_input(V: np.ndarray, data: InterpData,
+def pork_input(V: np.ndarray, pair: SparkParams,
                C: np.ndarray) -> RomRealization:
-    """Project onto V in the pole-mirroring frame fixed by (S, R).
+    """Project onto V, the basis of ``pair``, in the pole-mirroring frame
+    fixed by its (S, R).
 
     The reduced controllability Gramian is Er^-1 = Gamma^-1.
     """
-    S, R = data.S, data.R
-    Gamma = nk.solve_small_lyapunov(S, R)
+    Gamma = pair.gamma()
     return RomRealization(
         Er=Gamma,
-        Ar=-S.conj().T @ Gamma,
-        Br=-R.conj().T,
+        Ar=-pair.S.T @ Gamma,
+        Br=-pair.R.T,
         Cr=np.atleast_2d(C) @ V,
     )
 
 
 def check_interpolation(fom_eval, rom: RomRealization,
-                        data: InterpData) -> list:
-    """Per-shift relative tangential residuals.
+                        pair: SparkParams) -> list:
+    """Per-shift relative residuals ||G(sigma) - G_r(sigma)|| / ||G(sigma)||
+    at the shifts of ``pair``.
 
-    ``fom_eval(s)`` must evaluate the (deflated, strictly proper) target;
-    for each shift sigma with direction r the residual is
-    ||(G(sigma) - G_r(sigma)) r|| / ||G(sigma) r||.
+    ``fom_eval(s)`` must evaluate the (deflated, strictly proper) target.
+    The input is scalar, so every tangential direction is 1.
     """
     out = []
-    for s, r in data.shift_directions():
-        full = np.atleast_2d(fom_eval(s)) @ r
-        red = rom.eval(s) @ r
+    for s in pair.shifts():
+        full = np.atleast_2d(fom_eval(s))
         denom = max(np.linalg.norm(full), 1e-300)
-        out.append(float(np.linalg.norm(full - red) / denom))
+        out.append(float(np.linalg.norm(full - rom.eval(s)) / denom))
     return out
-

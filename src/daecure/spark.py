@@ -23,8 +23,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import numkernel as nk
-from .errors import DimensionMismatch, SingularShift, SpectraOverlap
-from .interp import DeflatedSystem, spark_params_matrices
+from .errors import (DimensionMismatch, NonFiniteDerivatives,
+                     NonPositiveParams, SingularShift, SpectraOverlap)
+from .interp import DeflatedSystem
 
 
 #: trust-region radius rules and stopping thresholds
@@ -53,15 +54,39 @@ BASIS_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class SparkParams:
-    """A shift pair a +- sqrt(a^2 - b); a, b > 0 is enforced where the pair
-    is turned into interpolation data (``spark_params_matrices``)."""
+    """A shift pair a +- sqrt(a^2 - b), a, b > 0, and its interpolation
+    data in closed form: the basis solves A V - E V S = B R with
+    S = [[a, 1], [a^2 - b, a]] and R = [1, 0], and the pseudo-optimal
+    ROM has Er = ``gamma()``, the solution of S^T Gamma + Gamma S = R^T R
+    (Panzer, Jaensch, Wolf & Lohmann, ACC 2013).  Raises
+    NonPositiveParams unless a > 0 and b > 0."""
 
     a: float
     b: float
 
+    def __post_init__(self):
+        if not (self.a > 0 and self.b > 0):
+            raise NonPositiveParams(
+                f"need a > 0 and b > 0, got a={self.a}, b={self.b}")
+
+    @property
+    def S(self):
+        return np.array([[self.a, 1.0], [self.a * self.a - self.b, self.a]])
+
+    @property
+    def R(self):
+        return np.array([[1.0, 0.0]])
+
     def shifts(self):
+        """The eigenvalues of S."""
         d = np.lib.scimath.sqrt(self.a ** 2 - self.b)
         return np.array([self.a + d, self.a - d])
+
+    def gamma(self):
+        """Gamma = [[a^2 + b, -a], [-a, 1]] / (4ab); its inverse is the
+        reduced controllability Gramian ``_gramian_c``."""
+        a, b = self.a, self.b
+        return np.array([[a * a + b, -a], [-a, 1.0]]) / (4 * a * b)
 
     def as_array(self):
         return np.array([self.a, self.b])
@@ -95,7 +120,7 @@ _S_DAA = np.array([[0.0, 0.0], [2.0, 0.0]])
 class Point(NamedTuple):
     """One evaluated shift pair: the cost, its exact derivatives (the
     Hessian ``None`` on a first-order point), the basis V with its first
-    derivatives, the data (S, R) and the LUs."""
+    derivatives, the pair and the LUs."""
 
     J: float
     g: np.ndarray
@@ -103,7 +128,7 @@ class Point(NamedTuple):
     V: np.ndarray
     Va: np.ndarray
     Vb: np.ndarray
-    data: object
+    params: SparkParams
     ctx: object
 
 
@@ -131,12 +156,12 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
-    data = spark_params_matrices(a, b)
+    pair = SparkParams(a, b)
     if ctx is None:
-        ctx = kernel(ds.A, ds.E, data.S)
+        ctx = kernel(ds.A, ds.E, pair.S)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
-    V = ctx.solve(ds.B_defl @ data.R)
+    V = ctx.solve(ds.B_defl @ pair.R)
     Vs = [V, *ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))]
     if hessian:
         _, Va, Vb = Vs
@@ -160,7 +185,7 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
         H = -2 * (T[0, [[3, 4], [4, 5]], 0] + T[0, 1:3, 1:3] + D + D.T) \
             - np.array([[Gij[0], Gij[1]], [Gij[1], 0.0]])
         H[1, 0] = H[0, 1]
-    return Point(J, g, H, Vs[0], Vs[1], Vs[2], data, ctx)
+    return Point(J, g, H, Vs[0], Vs[1], Vs[2], pair, ctx)
 
 
 class SurrogateBasis:
@@ -209,10 +234,14 @@ def trust_region_step(g, H, radius):
     Works on the eigendecomposition of the (symmetrized) 2x2 Hessian and
     solves the secular equation on the boundary, including the hard case.
     Every threshold is relative to the problem's scale, so the step does
-    not change when g and H are scaled by a common factor.
+    not change when g and H are scaled by a common factor.  Raises
+    NonFiniteDerivatives if g or H has a NaN or infinite entry.
     """
     g = np.asarray(g, dtype=float)
     H = 0.5 * (np.asarray(H, dtype=float) + np.asarray(H, dtype=float).T)
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+        raise NonFiniteDerivatives(f"gradient {g} or Hessian {H.tolist()} "
+                                   "is not finite")
     w, Q = np.linalg.eigh(H)
     gt = Q.T @ g
     if w.min() > 0:
@@ -248,8 +277,9 @@ def trust_region_step(g, H, radius):
     if w.min() > 0:
         lo = 0.0        # the Newton step left the region: f(0) > 0
     else:
-        # step off the pole at lam0 by a shift relative to hi
-        eps = 1e-16 * hi
+        # step off the pole at lam0 by a shift relative to hi; eps > 0,
+        # so the loop ends at the latest where f(lam0 + inf) = 0
+        eps = max(1e-16 * hi, np.finfo(float).tiny)
         while not np.isfinite(f(lam0 + eps)):
             eps *= 10
         lo = lam0 + eps
@@ -266,7 +296,6 @@ class SparkResult:
 
     params: SparkParams
     V: np.ndarray
-    data: object
     cost: float
     grad: np.ndarray
     converged: bool
@@ -419,8 +448,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         converged, reason = False, "maxiter"
     if point.ctx is None:
         point = point._replace(
-            ctx=nk.SylvesterContext(ds.A, ds.E, point.data.S))
-    return SparkResult(params=SparkParams(*p), V=point.V, data=point.data,
-                       cost=point.J, grad=point.g, converged=converged,
-                       reason=reason, trace=trace, evaluations=evaluations,
-                       ctx=point.ctx)
+            ctx=nk.SylvesterContext(ds.A, ds.E, point.params.S))
+    return SparkResult(params=point.params, V=point.V, cost=point.J,
+                       grad=point.g, converged=converged, reason=reason,
+                       trace=trace, evaluations=evaluations, ctx=point.ctx)

@@ -32,10 +32,10 @@ def make_ode(lam, b, c, T=None):
 
 
 def basis_at(ds, a, b):
-    """The order-2 basis V and its data (S, R) that spark.evaluate makes
-    at the shift pair (a, b)."""
+    """The order-2 basis V that spark.evaluate makes at the shift pair
+    (a, b), and the pair."""
     point = sp.evaluate(ds, a, b)
-    return point.V, point.data
+    return point.V, point.params
 
 
 @contextlib.contextmanager

@@ -13,8 +13,9 @@ from scipy.linalg import lapack
 from daecure import h2analysis as h2
 from daecure import numkernel as nk
 from daecure.errors import DimensionMismatch, SpectraOverlap, UnstableSystem
-from daecure.interp import DeflatedSystem, spark_params_matrices
+from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization
+from daecure.spark import SparkParams
 
 #: finite/infinite classification threshold, applied after pencil scaling
 EIG_INFINITE_CUTOFF = 1.0 / np.sqrt(np.finfo(float).eps)
@@ -249,7 +250,7 @@ def h2_error_norm(ds, rom: RomRealization) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def check_orthogonality(ds, rom: RomRealization, data, trials: int = 10,
+def check_orthogonality(ds, rom: RomRealization, pair, trials: int = 10,
                         seed: int = 0) -> float:
     """Max normalized |<G - G_r, G_M>| over random test models G_M.
 
@@ -259,7 +260,7 @@ def check_orthogonality(ds, rom: RomRealization, data, trials: int = 10,
     normalized by ||G|| * ||G_M||.
     """
     rng = np.random.default_rng(seed)
-    S, R = data.S, data.R
+    S, R = pair.S, pair.R
     norm_g = qz_h2_norm(ds)
     worst = 0.0
     for _ in range(trials):
@@ -277,7 +278,7 @@ def allpass_factor(rec) -> RomRealization:
     """The unit-feedthrough error factor (Er, Ar, Br, R, I) of one CURE
     step's record."""
     return RomRealization(Er=rec.rom.Er, Ar=rec.rom.Ar, Br=rec.rom.Br,
-                          Cr=rec.data.R, Dr=np.eye(rec.rom.m))
+                          Cr=rec.params.R, Dr=np.eye(rec.rom.m))
 
 
 def trace_derivatives(ds, a, b, hessian=True):
@@ -285,13 +286,13 @@ def trace_derivatives(ds, a, b, hessian=True):
     (a, b), one trace product per term, from the solves of a
     ``SylvesterContext``; the Hessian is None without ``hessian``.  These
     are the formulas ``spark.evaluate`` contracts into one."""
-    data = spark_params_matrices(a, b)
-    ctx = nk.SylvesterContext(ds.A, ds.E, data.S)
+    pair = SparkParams(a, b)
+    ctx = nk.SylvesterContext(ds.A, ds.E, pair.S)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     S_b = np.array([[0.0, 0.0], [-1.0, 0.0]])
     S_aa = np.array([[0.0, 0.0], [2.0, 0.0]])
-    V = ctx.solve(ds.B_defl @ data.R)
+    V = ctx.solve(ds.B_defl @ pair.R)
     Va = ctx.solve(E @ (V @ S_a))
     Vb = ctx.solve(E @ (V @ S_b))
     Cr, Ca, Cb = (ds.C @ X for X in (V, Va, Vb))
@@ -325,11 +326,12 @@ def trace_derivatives(ds, a, b, hessian=True):
     return J, g, H
 
 
-def sylvester_residual(ds, V, data) -> float:
-    """Relative residual of A V - E V S = B R for a candidate basis."""
-    S, R = data.S, data.R
-    if V.shape != (ds.n, data.q) or R.shape[0] != ds.m:
-        raise DimensionMismatch("basis/data shapes inconsistent with system")
+def sylvester_residual(ds, V, pair) -> float:
+    """Relative residual of A V - E V S = B R for a candidate basis of the
+    shift pair ``pair``."""
+    S, R = pair.S, pair.R
+    if V.shape != (ds.n, S.shape[0]) or R.shape[0] != ds.m:
+        raise DimensionMismatch("basis/pair shapes inconsistent with system")
     res = ds.A @ V - ds.E @ (V @ S) - ds.B_defl @ R
     nV = np.linalg.norm(V)
     scale = (

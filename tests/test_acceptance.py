@@ -105,9 +105,9 @@ def test_criterion_03_norm_decomposition():
 def test_criterion_04_orthogonality():
     sys = bio.gen_semi_explicit_index1(120, 25, seed=4)
     ds = DeflatedSystem.from_dae(sys)
-    V, data = basis_at(ds, 0.9, 1.8)
-    rom = pork_input(V, data, ds.C)
-    worst = check_orthogonality(ds, rom, data, trials=10, seed=0)
+    V, pair = basis_at(ds, 0.9, 1.8)
+    rom = pork_input(V, pair, ds.C)
+    worst = check_orthogonality(ds, rom, pair, trials=10, seed=0)
     report(4, "orthogonality", worst <= 1e-8,
            f"max normalized inner product {worst:.2e}")
 
@@ -146,21 +146,23 @@ def test_criterion_06_closed_form_objects():
     worst = 0.0
     for _ in range(100):
         a, b = rng.uniform(np.nextafter(0, 1), 10.0, 2)
-        V, data = basis_at(ds, a, b)
-        rom = pork_input(V, data, ds.C)
-        Er = np.array([[a * a + b, -a], [-a, 1.0]]) / (4 * a * b)
+        V, pair = basis_at(ds, a, b)
+        rom = pork_input(V, pair, ds.C)
+        S, R = pair.S, pair.R
+        # Er solves S^T Er + Er S = R^T R, and Ar = -S^T Er
+        lyap = S.T @ rom.Er + rom.Er @ S - R.T @ R
         Ar = np.array([[-2 * a, 1.0], [-1.0, 0.0]]) / (4 * a)
         br = np.array([[-1.0], [0.0]])
         Gc = sp._gramian_c(a, b)
-        gramian = np.linalg.inv(rom.Er)
         worst = max(
             worst,
-            np.abs(rom.Er - Er).max() / max(np.abs(Er).max(), 1.0),
+            np.abs(lyap).max()
+            / max(np.abs(S).max() * np.abs(rom.Er).max(), 1.0),
+            np.abs(rom.Ar + S.T @ rom.Er).max()
+            / max(np.abs(rom.Ar).max(), 1.0),
             np.abs(rom.Ar - Ar).max() / max(np.abs(Ar).max(), 1.0),
             np.abs(rom.Br - br).max(),
-            np.abs(np.linalg.inv(gramian) - Er).max()
-            / max(np.abs(Er).max(), 1.0),
-            np.abs(gramian - Gc).max()
+            np.abs(np.linalg.inv(rom.Er) - Gc).max()
             / max(np.abs(Gc).max(), 1.0),
         )
     report(6, "closed-form shift objects", worst <= 1e-12,

@@ -356,6 +356,57 @@ def test_general_dense_manifest_is_parse_error(sysdir, tmp_path, capsys):
     assert "general_dense" in err["message"]
 
 
+def _spoil(mat, value):
+    """``mat`` as a CSC matrix whose first stored entry is ``value``."""
+    mat = sps.csc_matrix(mat, dtype=type(value))
+    mat.data[0] = value
+    return mat
+
+
+@pytest.mark.parametrize("key, value", [
+    ("C", np.nan), ("A", np.inf), ("A", -1.0 + 1j),
+], ids=["nan-in-C", "inf-in-A", "complex-A"])
+@pytest.mark.parametrize("command", ["reduce", "h2norm", "bode", "validate"])
+def test_invalid_matrix_entries_exit2_before_factoring(
+        tmp_path, capsys, factor_log, command, key, value):
+    sys = bio.gen_semi_explicit_index1(20, 5, seed=0)
+    mp = bio.write_system(sys, tmp_path / "sys")
+    spio.mmwrite(str(tmp_path / "sys" / f"system_{key}.mtx"),
+                 _spoil(getattr(sys, key), value))
+    out = str(tmp_path / "out")
+    argv = {"reduce": ["reduce", "--manifest", mp, "--out", out],
+            "h2norm": ["h2norm", mp],
+            "bode": ["bode", "--manifest", mp, "--wmin", "1e-2",
+                     "--wmax", "1e2", "--out", out],
+            "validate": ["validate", mp]}[command]
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_UNSUPPORTED
+    std = capsys.readouterr()
+    obj = json.loads(std.err)          # exactly one JSON object
+    assert obj["error"] == "InvalidEntries"
+    assert obj["exit_code"] == cli.EXIT_UNSUPPORTED
+    assert std.out == "" and factor_log == []
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["h2norm", "bode"])
+def test_complex_rom_entry_exit2(sysdir, tmp_path, capsys, command):
+    rom = RomRealization(Er=[[1.0]], Ar=[[-1.0]], Br=[[1.0]], Cr=[[1.0]])
+    bio.write_rom(rom, tmp_path / "rom")
+    spio.mmwrite(str(tmp_path / "rom" / "rom_C.mtx"), np.array([[1.0 + 2j]]))
+    out = str(tmp_path / "out")
+    argv = {"h2norm": ["h2norm", str(tmp_path / "rom")],
+            "bode": ["bode", "--manifest", _manifest(sysdir), "--rom",
+                     str(tmp_path / "rom"), "--wmin", "1e-2", "--wmax",
+                     "1e2", "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_UNSUPPORTED
+    obj = json.loads(capsys.readouterr().err)
+    assert obj["error"] == "InvalidEntries"
+    assert "complex" in obj["message"]
+    assert not os.path.exists(out)
+
+
 def test_mimo_without_channel_exit2(tmp_path, capsys):
     sys = bio.gen_semi_explicit_index1(10, 3, seed=0, m=2, p=2)
     mp = bio.write_system(sys, tmp_path)

@@ -6,12 +6,7 @@ import scipy.linalg as spla
 import scipy.sparse as sps
 
 from daecure import numkernel as nk
-from daecure.errors import (
-    DimensionMismatch,
-    NotAntistable,
-    SingularShift,
-    SpectraOverlap,
-)
+from daecure.errors import DimensionMismatch, SingularShift, SpectraOverlap
 
 from conftest import CountingLU
 from oracles import PencilDeflation, solve_dense_sylvester
@@ -50,17 +45,6 @@ def test_dense_sylvester_spectra_overlap_raises():
     B = np.diag([1.0, 5.0])  # -(-1) = 1 in spectrum of B
     with pytest.raises(SpectraOverlap):
         solve_dense_sylvester(A, B, np.ones((2, 2)))
-
-
-def test_small_lyapunov_identity_and_antistable_guard():
-    rng = np.random.default_rng(3)
-    S = rng.standard_normal((4, 4)) + 5 * np.eye(4)
-    R = rng.standard_normal((2, 4))
-    G = nk.solve_small_lyapunov(S, R)
-    assert np.allclose(S.conj().T @ G + G @ S, R.conj().T @ R, atol=1e-10)
-    assert np.all(np.linalg.eigvalsh(G) > 0)
-    with pytest.raises(NotAntistable):
-        nk.solve_small_lyapunov(-S, R)
 
 
 def test_sparse_dense_sylvester_residual():

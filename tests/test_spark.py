@@ -8,8 +8,8 @@ import scipy.linalg as spla
 from daecure import cure
 from daecure import numkernel as nk
 from daecure import spark as sp
-from daecure.errors import NonPositiveParams
-from daecure.interp import DeflatedSystem, spark_params_matrices
+from daecure.errors import NonFiniteDerivatives, NonPositiveParams
+from daecure.interp import DeflatedSystem
 from daecure.pork import pork_input
 
 from conftest import basis_at, make_ode, make_random_stable_ode, spark_gtol
@@ -65,15 +65,13 @@ def test_evaluate_basis_is_the_spark_basis():
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     for a, b in ((0.8, 1.4), (2.0, 1.0)):
         point = sp.evaluate(ds, a, b)
-        V, data = point.V, point.data
+        V, pair = point.V, point.params
         with spark_gtol(1e30):
             res = sp.spark(ds, init=sp.SparkParams(a, b))
         rom, residual = _certify(ds, res)
         assert np.array_equal(res.V, V)
-        data0 = spark_params_matrices(a, b)
-        assert sylvester_residual(ds, V, data) <= 1e-12
-        assert np.array_equal(data.S, data0.S)
-        assert np.array_equal(data.R, data0.R)
+        assert sylvester_residual(ds, V, pair) <= 1e-12
+        assert pair == res.params == sp.SparkParams(a, b)
         assert np.array_equal(rom.Cr, ds.C @ V)
         assert residual <= 1e-10
 
@@ -223,6 +221,23 @@ def test_trust_region_step_negative_curvature():
     assert model(s) <= best + 1e-6
 
 
+@pytest.mark.parametrize("g, H", [
+    ([np.nan, 1.0], np.diag([1.0, -1.0])),
+    ([1.0, 0.5], [[np.inf, 0.0], [0.0, -1.0]]),
+], ids=["nan-gradient", "inf-hessian"])
+def test_trust_region_step_rejects_non_finite_input(g, H):
+    # a NaN gradient once made the search for the pole offset run forever
+    with pytest.raises(NonFiniteDerivatives):
+        sp.trust_region_step(np.array(g), np.array(H), radius=1.0)
+
+
+def test_trust_region_step_ends_on_an_underflowing_gradient():
+    # 1e-16 * hi underflows to 0 here, so the pole offset must not start
+    # at 0: the offset search would never leave f(0) = inf
+    s = sp.trust_region_step(np.array([1e-310, 0.0]), np.zeros((2, 2)), 1.0)
+    assert np.all(np.isfinite(s)) and np.linalg.norm(s) <= 1.0
+
+
 def test_trust_region_hard_case():
     # gradient orthogonal to the negative-curvature direction
     g = np.array([0.5, 0.0])
@@ -233,9 +248,12 @@ def test_trust_region_hard_case():
 
 def test_positive_params_required():
     with pytest.raises(NonPositiveParams):
-        spark_params_matrices(-1.0, 1.0)
+        sp.SparkParams(-1.0, 1.0)
     with pytest.raises(NonPositiveParams):
-        spark_params_matrices(1.0, 0.0)
+        sp.SparkParams(1.0, 0.0)
+    ds = DeflatedSystem.from_dae(make_random_stable_ode(6, seed=0))
+    with pytest.raises(NonPositiveParams):
+        sp.evaluate(ds, 1.0, float("nan"))
 
 
 def test_spark_drives_gradient_down():
@@ -257,7 +275,7 @@ def test_spark_exact_on_order_two():
     ds = DeflatedSystem.from_dae(sys)
     with spark_gtol(1e-11):
         res = sp.spark(ds)
-    err = h2_error_norm(ds, pork_input(res.V, res.data, ds.C))
+    err = h2_error_norm(ds, pork_input(res.V, res.params, ds.C))
     assert err <= 1e-8
 
 
@@ -394,7 +412,7 @@ def test_returned_point_is_certified_after_any_stop(
     assert len(evaluated) == len(res.evaluations) > 1
     assert len(contexts) == len(evaluated) + refactor
     assert res.ctx is contexts[-1]()
-    assert np.array_equal(res.ctx.S, res.data.S)
+    assert np.array_equal(res.ctx.S, res.params.S)
     assert _certify(ds, res)[1] <= 1e-10
 
 
@@ -455,9 +473,7 @@ def test_surrogate_is_exact_at_full_model_points(fixture, request,
     assert sur.n == basis.W.shape[1] < ds.n
     assert np.allclose(basis.W.T @ basis.W, np.eye(sur.n), atol=1e-12)
     for point in added:
-        a = point.data.S[0, 0]
-        b = a * a - point.data.S[1, 0]
-        model = sp.evaluate(sur, a, b)
+        model = sp.evaluate(sur, point.params.a, point.params.b)
         assert abs(model.J - point.J) <= 1e-10 * abs(point.J)
         assert np.linalg.norm(model.g - point.g) <= 1e-10 * (1 + abs(point.J))
 
