@@ -132,8 +132,12 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     each result in, and stops once the relative H2-norm increase of the
     total model drops below ``tol_rel`` (or degenerate/step limits hit).
     The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
-    left as it is.  One surrogate basis serves every step's SPARK, and a
-    step that returned at ``init`` hands its LUs to the next.
+    left as it is.  One surrogate basis serves every step's SPARK, and
+    each folded step adds its returned bases (V, V_a, V_b) to it, which
+    needs no LU.  A step that returned at ``init`` hands its LUs to the
+    next; any other step after the first starts its search on that
+    surrogate, and the full model is first evaluated at the surrogate's
+    optimum.
 
     The first full-model point's LUs, at ``init``, are made on ``ds``'s
     own pencil, and ``nk.cheapest_pencil`` reads off their fill whether
@@ -174,6 +178,7 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
                 "tolerance"
             break
         cure_step(ledger, res)
+        basis.add(ledger.ds, res)
         ledger.ctx = res.ctx if res.params == cfg.init else None
         res.ctx = None
         report["steps"].append({

@@ -14,6 +14,7 @@ from scipy.linalg import lapack
 from . import daemodel as dm
 from . import numkernel as nk
 from .errors import (
+    DaecureError,
     DeskScaleExceeded,
     SpectraOverlap,
     StructureViolation,
@@ -122,7 +123,19 @@ def _lyapunov_trace(A, B, C):
 
 
 def h2_norm(obj) -> float:
-    """H2 norm of the strictly proper part of a stable system or ROM."""
+    """H2 norm of the strictly proper part of a stable system or ROM.
+
+    The scales of B1 and C1 (their largest entries) are taken out before
+    the Lyapunov trace and multiplied back after its root, so a norm that
+    is representable is not lost to overflow or underflow of its square.
+    Raises DaecureError if the norm itself is not finite."""
     A1, B1, C1 = _finite_std(obj)
-    val = _lyapunov_trace(A1, B1, C1) if A1.size else 0.0
-    return float(np.sqrt(max(val, 0.0)))
+    if not A1.size:
+        return 0.0
+    nb = float(np.abs(B1).max()) or 1.0
+    nc = float(np.abs(C1).max()) or 1.0
+    val = _lyapunov_trace(A1, B1 / nb, C1 / nc)
+    norm = nb * nc * float(np.sqrt(max(val, 0.0)))
+    if not np.isfinite(norm):
+        raise DaecureError(f"H2 norm is not finite: {norm}")
+    return norm

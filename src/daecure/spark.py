@@ -9,11 +9,12 @@ decomposition is the same as minimizing the reduction error.
 
 The trust region runs on a model function: the Galerkin projection of
 the system onto the bases (V, V_a, V_b) of the full-model points seen so
-far, which reproduces J and its gradient at each of them.  The full
-pencil is factored only at the model's optima, and evaluated there to
-first order.  A point of the model solves its Sylvester equations with
-one LU of their Kronecker form; a full-model point uses per-shift LUs,
-which certify the step.
+far, which reproduces J and its gradient at each of them.  Besides the
+start pair of a search that has no model yet, or whose model finds no
+step from it, the full pencil is factored only at the model's optima,
+and evaluated there to first order.  A point of the model solves its
+Sylvester equations with one LU of their Kronecker form; a full-model
+point uses per-shift LUs, which certify the step.
 """
 
 from dataclasses import dataclass, field
@@ -203,7 +204,8 @@ class SurrogateBasis:
         self.A = self.E = np.zeros((0, 0))
 
     def add(self, ds: DeflatedSystem, point: Point) -> int:
-        """Extend W by the point's bases; returns the number of new columns.
+        """Extend W by the bases (V, V_a, V_b) of ``point``, a ``Point`` or
+        a ``SparkResult``; returns the number of new columns.
 
         The blocks are column-normalized and orthogonalized against W
         twice, and their range is rank-truncated at ``BASIS_RTOL`` by an
@@ -291,19 +293,26 @@ def trust_region_step(g, H, radius):
 
 @dataclass
 class SparkResult:
-    """The returned shift pair with its full-model evaluation and LUs,
-    which certify it (``ctx``, owned by the result)."""
+    """The returned shift pair with its full-model evaluation: the basis
+    V with its first derivatives (V_a, V_b), which ``SurrogateBasis.add``
+    takes like a ``Point``, and the LUs that certify it (``ctx``, owned by
+    the result)."""
 
     params: SparkParams
     V: np.ndarray
+    Va: np.ndarray
+    Vb: np.ndarray
     cost: float
     grad: np.ndarray
     converged: bool
     reason: str
     #: iteration 0 is the start pair, every later record one trust-region
-    #: iteration on the surrogate
+    #: iteration on the surrogate.  Record 0 holds the full model's J at
+    #: the start pair, or the surrogate's in a surrogate-first search
     trace: list = field(default_factory=list)
-    #: one record per full-model point, the start pair first
+    #: one record per full-model point, the first full-model point first:
+    #: the start pair, or the surrogate's optimum in a surrogate-first
+    #: search
     evaluations: list = field(default_factory=list)
     ctx: object = None
 
@@ -382,6 +391,13 @@ def _trust_region(ds, p, point, gtol, trace):
     return p, converged, reason
 
 
+def _start_record(p, point):
+    """Trace record 0: the start pair ``p`` evaluated as ``point``."""
+    return {"iter": 0, "a": p[0], "b": p[1], "J": point.J,
+            "gnorm": float(np.linalg.norm(point.g)), "radius": RADIUS0,
+            "accepted": True}
+
+
 def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
           basis: SurrogateBasis = None) -> SparkResult:
     """Search for the locally optimal shift pair on a model function.
@@ -399,6 +415,13 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     surrogate finds no step from the current pair, when a rejected optimum
     adds nothing to it, or after ``MAXITER`` full-model points.
 
+    Surrogate first: when ``basis`` already has columns and no LUs are
+    handed over, the trust region runs on the surrogate from ``init``
+    before the full model is evaluated anywhere, and the first full-model
+    point is the surrogate's optimum.  The full model is evaluated at
+    ``init`` only when the surrogate finds no step from there or ``init``
+    is one of its poles.
+
     One full-model point's LUs are alive at a time.  The result owns the
     LUs of the pair it returns (refactored once only if that pair's were
     dropped for a later, rejected point).  ``reuse``, when given, is an
@@ -412,13 +435,27 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     if reuse is not None:
         ctx, reuse.ctx = reuse.ctx, None
     p = init.as_array()
-    point = evaluate(ds, *p, ctx, hessian=False)
-    ctx = None          # the point owns them, and drops them when it moves
-    trace = [{"iter": 0, "a": p[0], "b": p[1], "J": point.J,
-              "gnorm": float(np.linalg.norm(point.g)), "radius": RADIUS0,
-              "accepted": True}]
+    point, trace = None, []
+    if ctx is None and basis.W.shape[1]:
+        sur = basis.surrogate(ds)
+        try:
+            start = evaluate(sur, *p, kernel=nk.KroneckerSylvester)
+        except (SingularShift, SpectraOverlap):
+            start = None
+        if start is not None:
+            trace.append(_start_record(p, start))
+            q, _, _ = _trust_region(sur, p, start, SURROGATE_GTOL * GTOL,
+                                    trace)
+            if q is not p:
+                p, point = q, evaluate(ds, *q, hessian=False)
+    if point is None:
+        point = evaluate(ds, *p, ctx, hessian=False)
+        ctx = None      # the point owns them, and drops them when it moves
+        # record 0 takes the full J, also after a surrogate with no step
+        trace[:1] = [_start_record(p, point)]
     evaluations = [{"a": p[0], "b": p[1], "J": point.J,
-                    "gnorm": trace[0]["gnorm"], "accepted": True}]
+                    "gnorm": float(np.linalg.norm(point.g)),
+                    "accepted": True}]
     for _ in range(MAXITER):
         if np.linalg.norm(point.g) <= GTOL * (1.0 + abs(point.J)):
             converged, reason = True, "gtol"
@@ -449,6 +486,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     if point.ctx is None:
         point = point._replace(
             ctx=nk.SylvesterContext(ds.A, ds.E, point.params.S))
-    return SparkResult(params=point.params, V=point.V, cost=point.J,
+    return SparkResult(params=point.params, V=point.V, Va=point.Va,
+                       Vb=point.Vb, cost=point.J,
                        grad=point.g, converged=converged, reason=reason,
                        trace=trace, evaluations=evaluations, ctx=point.ctx)

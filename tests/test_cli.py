@@ -206,6 +206,33 @@ def test_h2norm_of_index2_rom_is_numerical_error(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "SingularSchurComplement"
 
 
+#: ||G|| of gen_semi_explicit_index1(20, 5, 0)
+INDEX1_20_NORM = 0.22774946165352922
+
+
+@pytest.mark.parametrize("scales, code", [
+    ({"C": 1e200}, cli.EXIT_OK),
+    ({"B": 1e-200}, cli.EXIT_OK),
+    ({"C": 1e200, "B": 1e150}, cli.EXIT_NUMERICAL),
+], ids=["C-1e200", "B-1e-200", "norm-overflows"])
+def test_h2norm_of_a_scaled_manifest(scales, code, tmp_path, capsys):
+    # ||G|| is printed whenever it is representable, though its square
+    # overflows or underflows; a norm that is not finite is an error
+    sys = bio.gen_semi_explicit_index1(20, 5, 0)
+    bio.write_system(dm.DaeSystem(
+        sys.E, sys.A, sys.B * scales.get("B", 1.0),
+        sys.C * scales.get("C", 1.0), sys.D, sys.structure), tmp_path)
+    got, out, err = _h2norm(_manifest(tmp_path), capsys)
+    assert got == code
+    if code == cli.EXIT_OK:
+        want = INDEX1_20_NORM * scales.get("B", 1.0) * scales.get("C", 1.0)
+        assert abs(float(out) - want) <= 1e-12 * want and err == ""
+    else:
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DaecureError"
+
+
 @pytest.mark.parametrize("ar, code, error", [
     (-1.0, cli.EXIT_OK, None),
     (0.0, cli.EXIT_NUMERICAL, "SingularSchurComplement"),

@@ -10,7 +10,7 @@ from daecure import cure
 from daecure import daemodel as dm
 from daecure import numkernel as nk
 from daecure import spark as sp
-from daecure.errors import DimensionMismatch
+from daecure.errors import DimensionMismatch, SingularShift
 from daecure.interp import DeflatedSystem
 from daecure.pork import pork_input
 
@@ -306,6 +306,87 @@ def test_certificates_equal_steps_on_index1_250(monkeypatch):
     assert calls.count("spark") == report["k"] + 1
     assert max(rec.interp_residual for rec in ledger.records) <= 1e-10
     assert report["norm_history"][-1] >= 0.12634574099
+    # every step after the first starts on the surrogate, and its optimum
+    # is the one full-model point the step needs
+    assert [st["full_evaluations"] for st in report["steps"][1:]] \
+        == [1] * (report["k"] - 1)
+
+
+def _log_spark_calls(monkeypatch):
+    """(LUs handed over, surrogate basis width, result) of every SPARK
+    call cured_spark makes during the test, the width taken at the call."""
+    calls = []
+    spark = sp.spark
+
+    def logged(d, init, reuse, basis):
+        handed, width = reuse.ctx is not None, basis.W.shape[1]
+        res = spark(d, init=init, reuse=reuse, basis=basis)
+        calls.append((handed, width, res))
+        return res
+
+    monkeypatch.setattr(sp, "spark", logged)
+    return calls
+
+
+def _at_start(shifts):
+    """The shifts that are the start pair's."""
+    start = sp.INIT.shifts()
+    return [s for s in shifts
+            if np.min(np.abs(start - s)) <= 1e-12 * abs(start[0])]
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_later_steps_start_on_the_surrogate(fixture, request, monkeypatch,
+                                            factor_log):
+    # the full pencil is factored at the start pair once, before the
+    # first step: a later SPARK call that is handed no LUs runs the
+    # surrogate from the start pair first, and its first full-model
+    # point is the surrogate's optimum
+    calls = _log_spark_calls(monkeypatch)
+    report, ledger = run_cure(request.getfixturevalue(fixture),
+                              max_steps=3, tol=1e-12)
+    assert report["k"] == 3
+    assert len(_at_start(factor_log)) == 1
+    later = [res for handed, width, res in calls if width and not handed]
+    assert later
+    for res in later:
+        first = res.evaluations[0]
+        assert (first["a"], first["b"]) != (sp.INIT.a, sp.INIT.b)
+        assert (res.trace[0]["a"], res.trace[0]["b"]) \
+            == (sp.INIT.a, sp.INIT.b)
+    assert all(rec.interp_residual <= 1e-10 for rec in ledger.records)
+
+
+def test_surrogate_singular_at_the_start_falls_back_to_the_full_model(
+        index1_small, monkeypatch):
+    # a surrogate with a pole at the start pair cannot start the search:
+    # the full model is evaluated there, as in the first step, and the
+    # step still certifies
+    calls = _log_spark_calls(monkeypatch)
+    armed = []
+    spark, kron_init = sp.spark, nk.KroneckerSylvester.__init__
+
+    def arm(*args, **kwargs):
+        # the first surrogate point of a call on a kept basis is singular
+        armed[:] = [kwargs["basis"].W.shape[1] > 0]
+        return spark(*args, **kwargs)
+
+    def singular_at_start(self, A, E, S):
+        if armed and armed.pop():
+            assert np.array_equal(S, sp.INIT.S)
+            raise SingularShift("the start pair is a pole of the surrogate")
+        kron_init(self, A, E, S)
+
+    monkeypatch.setattr(sp, "spark", arm)
+    monkeypatch.setattr(nk.KroneckerSylvester, "__init__", singular_at_start)
+    report, ledger = run_cure(index1_small, max_steps=3, tol=1e-12)
+    later = [res for handed, width, res in calls if width and not handed]
+    assert report["k"] >= 2 and later
+    for res in later:
+        first = res.evaluations[0]
+        assert (first["a"], first["b"]) == (sp.INIT.a, sp.INIT.b)
+        assert res.trace[0]["J"] == first["J"]
+    assert all(rec.interp_residual <= 1e-10 for rec in ledger.records)
 
 
 def test_dense_kernel_only_for_densely_filled_pencils():
@@ -376,8 +457,7 @@ def test_report_counts_iterations_and_rejections(stokes_small, monkeypatch):
     # the SPARK trace behind each step's counters: iteration 0 is the
     # start pair, every later record one trust-region iteration on the
     # surrogate, so `iterations` and `rejected` count those; every
-    # full-model point, the start pair included, is one of
-    # `full_evaluations`
+    # full-model point is one of `full_evaluations`
     results = []
     spark = sp.spark
 
