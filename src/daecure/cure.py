@@ -133,8 +133,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     total model drops below ``tol_rel`` (or degenerate/step limits hit).
     The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
     left as it is.  One surrogate basis serves every step's SPARK, and
-    each folded step adds its returned bases (V, V_a, V_b) to it, which
-    needs no LU.  A step that returned at ``init`` hands its LUs to the
+    each folded step queues its returned bases (V, V_a, V_b) for it,
+    which needs no LU; they are orthogonalized only if a later search
+    reads the basis.  A step that returned at ``init`` hands its LUs to the
     next; any other step after the first starts its search on that
     surrogate, and the full model is first evaluated at the surrogate's
     optimum.

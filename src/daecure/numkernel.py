@@ -141,6 +141,7 @@ def _gated_solve(lu, apply, dtype, b, what):
     Each column whose residual misses ``TOL_SOLVE`` relative to its own
     right-hand side gets one step of iterative refinement; raises
     SingularShift, naming ``what``, if a column still misses the bound.
+    A solve or residual that overflows or is NaN misses it too, silently.
     A complex block on a real LU is solved as one real block [Re | Im].
     """
     split = np.iscomplexobj(b) and dtype.kind != "c"
@@ -149,16 +150,17 @@ def _gated_solve(lu, apply, dtype, b, what):
     b = b.astype(dtype, copy=False)
     x = lu.solve(b)
     nb = np.linalg.norm(b, axis=0)
-    refine = ~(np.linalg.norm(b - apply(x), axis=0) <= TOL_SOLVE * nb)
-    if refine.any():
-        x[:, refine] += lu.solve(b[:, refine] - apply(x[:, refine]))
-        rel = np.linalg.norm(b[:, refine] - apply(x[:, refine]),
-                             axis=0) / np.maximum(nb[refine], 1e-300)
-        if not np.all(rel <= TOL_SOLVE):
-            raise SingularShift(
-                f"residual {np.max(rel):.2e} exceeds {TOL_SOLVE:.0e} "
-                f"for {what}"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        refine = ~(np.linalg.norm(b - apply(x), axis=0) <= TOL_SOLVE * nb)
+        if refine.any():
+            x[:, refine] += lu.solve(b[:, refine] - apply(x[:, refine]))
+            rel = np.linalg.norm(b[:, refine] - apply(x[:, refine]),
+                                 axis=0) / np.maximum(nb[refine], 1e-300)
+            if not np.all(rel <= TOL_SOLVE):
+                raise SingularShift(
+                    f"residual {np.max(rel):.2e} exceeds {TOL_SOLVE:.0e} "
+                    f"for {what}"
+                )
     if split:
         k = x.shape[1] // 2
         x = x[:, :k] + 1j * x[:, k:]
@@ -187,8 +189,8 @@ DENSE_LIMIT = 500
 
 #: share of n^2 entries in the SuperLU factors of a pencil from which its
 #: LUs are dense ones.  On the benchmark systems any cut in 0.25-0.75
-#: decides alike: index-1 250/50 fills 78 % (getrf is 3-4x faster there),
-#: Stokes m=12 fills 10 % (getrf is 3.6x slower)
+#: decides alike: index-1 250/50 fills 83 % (getrf is 3-4x faster there),
+#: Stokes m=12 fills 11 % (getrf is 3.6x slower)
 DENSE_FILL = 0.5
 
 #: a conjugate pair of order two recovers the real X from Schur column 0
@@ -204,12 +206,13 @@ def cheapest_pencil(A, E, fac: ShiftedFactorization):
     this pencil, else as given.
 
     Decided on ``fac``, a factorization of A - sigma E for one sigma:
-    dense when n <= ``DENSE_LIMIT`` and its SuperLU factors L and U hold
-    at least ``DENSE_FILL`` n^2 entries (a dense pencil stays dense).
+    dense when n <= ``DENSE_LIMIT`` and its SuperLU factors hold at least
+    ``DENSE_FILL`` n^2 entries, as SuperLU counts them (``nnz``, without
+    copying L and U out).  A dense pencil stays dense.
     """
     lu, n = fac._lu, fac.n
     if isinstance(lu, DenseLU) or n > DENSE_LIMIT \
-            or lu.L.nnz + lu.U.nnz < DENSE_FILL * n * n:
+            or lu.nnz < DENSE_FILL * n * n:
         return A, E
     return A.toarray(), E.toarray()
 

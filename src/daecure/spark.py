@@ -17,11 +17,11 @@ Sylvester equations with one LU of their Kronecker form; a full-model
 point uses per-shift LUs, which certify the step.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import numkernel as nk
 from .errors import (DimensionMismatch, NonFiniteDerivatives,
@@ -197,44 +197,79 @@ class SurrogateBasis:
     point (up to the rank truncation), the surrogate (W^T A W, W^T E W,
     W^T B_defl, C W) has the full model's J and gradient there.  A and E
     never change during a reduction, so one basis serves every CURE step.
+    Added blocks wait in a queue and are folded in, in order, when W, A,
+    E or the surrogate is next read, or by ``fold``: a block that no
+    later search reads costs no orthogonalization.
     """
 
     def __init__(self, n):
-        self.W = np.zeros((n, 0))
-        self.A = self.E = np.zeros((0, 0))
+        self._W = np.zeros((n, 0))
+        self._A = self._E = np.zeros((0, 0))
+        self._queue = []
 
-    def add(self, ds: DeflatedSystem, point: Point) -> int:
-        """Extend W by the bases (V, V_a, V_b) of ``point``, a ``Point`` or
-        a ``SparkResult``; returns the number of new columns.
+    def add(self, ds: DeflatedSystem, point: Point):
+        """Queue the bases (V, V_a, V_b) of ``point``, a ``Point`` or a
+        ``SparkResult``, for W."""
+        self._queue.append((ds, (point.V, point.Va, point.Vb)))
 
-        The blocks are column-normalized and orthogonalized against W
-        twice, and their range is rank-truncated at ``BASIS_RTOL`` by an
+    def fold(self) -> int:
+        """Extend W by the queued blocks, in order; returns the number of
+        new columns.
+
+        Each block is column-normalized and orthogonalized against W
+        twice, and its range is rank-truncated at ``BASIS_RTOL`` by an
         SVD: bases of nearby points are nearly dependent, and a plain QR
         of them is ill-conditioned.
         """
-        X = np.hstack([point.V, point.Va, point.Vb])
-        X = X / np.maximum(np.linalg.norm(X, axis=0), 1e-300)
-        for _ in range(2):
-            X = X - self.W @ (self.W.T @ X)
-        U, s, _ = np.linalg.svd(X, full_matrices=False)
-        U = U[:, s > BASIS_RTOL]
-        if U.shape[1]:
-            self.W = np.hstack([self.W, U])
-            self.A = self.W.T @ (ds.A @ self.W)
-            self.E = self.W.T @ (ds.E @ self.W)
-        return U.shape[1]
+        queue, self._queue = self._queue, []
+        new, last = 0, None
+        for ds, blocks in queue:
+            X = np.hstack(blocks)
+            X = X / np.maximum(np.linalg.norm(X, axis=0), 1e-300)
+            for _ in range(2):
+                X = X - self._W @ (self._W.T @ X)
+            U, s, _ = np.linalg.svd(X, full_matrices=False)
+            U = U[:, s > BASIS_RTOL]
+            if U.shape[1]:
+                self._W = np.hstack([self._W, U])
+                new, last = new + U.shape[1], ds
+        if last is not None:
+            self._A = self._W.T @ (last.A @ self._W)
+            self._E = self._W.T @ (last.E @ self._W)
+        return new
+
+    @property
+    def W(self):
+        self.fold()
+        return self._W
+
+    @property
+    def A(self):
+        self.fold()
+        return self._A
+
+    @property
+    def E(self):
+        self.fold()
+        return self._E
 
     def surrogate(self, ds: DeflatedSystem) -> DeflatedSystem:
         """The Galerkin surrogate of ``ds`` with its current input."""
-        return DeflatedSystem(A=self.A, E=self.E, B_defl=self.W.T @ ds.B_defl,
-                              C=ds.C @ self.W, poly=None)
+        W = self.W
+        return DeflatedSystem(A=self._A, E=self._E, B_defl=W.T @ ds.B_defl,
+                              C=ds.C @ W, poly=None)
 
 
 def trust_region_step(g, H, radius):
     """Exact solution of min gᵀs + ½ sᵀHs subject to ||s|| <= radius.
 
-    Works on the eigendecomposition of the (symmetrized) 2x2 Hessian and
-    solves the secular equation on the boundary, including the hard case.
+    Works on the eigendecomposition H = Q diag(w) Qᵀ of the (symmetrized)
+    2x2 Hessian, including the hard case.  A boundary step is
+    s = -Q (Qᵀg / (e + mu)), e = w + lam0 and lam0 = max(0, -min w), and
+    its offset mu from the pole solves 1/||s(mu)|| = 1/radius by Newton's
+    method (Moré & Sorensen 1983), safeguarded by bisection, to a few
+    ulps of mu.  The small denominators e + mu keep full relative
+    precision, so a step never exceeds the radius by more than rounding.
     Every threshold is relative to the problem's scale, so the step does
     not change when g and H are scaled by a common factor.  Raises
     NonFiniteDerivatives if g or H has a NaN or infinite entry.
@@ -250,11 +285,6 @@ def trust_region_step(g, H, radius):
         s = -Q @ (gt / w)
         if np.linalg.norm(s) <= radius:
             return s
-
-    def boundary_norm(lam):
-        denom = w + lam
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.linalg.norm(gt / denom)
 
     lam0 = max(0.0, -w.min())
     gnorm = np.linalg.norm(gt)
@@ -272,23 +302,54 @@ def trust_region_step(g, H, radius):
         free = Q[:, ~active][:, 0]
         tau = np.sqrt(max(radius ** 2 - gnorm_floor ** 2, 0.0))
         return Q @ s_part + tau * free
-    # regular boundary case: ||s(lam)|| decreases in lam, and at hi every
-    # w + hi >= 2 ||g|| / radius, so ||s(hi)|| <= radius / 2
-    hi = lam0 + 2 * gnorm / radius
-    f = lambda lam: boundary_norm(lam) - radius
+    # regular boundary case in the offset mu = lam - lam0 from the pole:
+    # e >= 0, ||s(mu)|| decreases in mu, and at hi every e + hi >=
+    # 2 ||g|| / radius, so ||s(hi)|| <= radius / 2
+    e = w + lam0
+    (g0, g1), (e0, e1) = gt.tolist(), e.tolist()
+
+    def step_norm(mu):
+        return math.hypot(g0 / (e0 + mu), g1 / (e1 + mu))
+
+    hi = 2 * float(gnorm) / radius
     if w.min() > 0:
-        lo = 0.0        # the Newton step left the region: f(0) > 0
+        lo = 0.0        # the Newton step left the region: ||s(0)|| > radius
     else:
-        # step off the pole at lam0 by a shift relative to hi; eps > 0,
-        # so the loop ends at the latest where f(lam0 + inf) = 0
-        eps = max(1e-16 * hi, np.finfo(float).tiny)
-        while not np.isfinite(f(lam0 + eps)):
+        # step off the pole by a shift relative to lam0 + hi; eps > 0, so
+        # the loop ends at the latest where ||s(inf)|| = 0
+        eps = max(1e-16 * (lam0 + hi), np.finfo(float).tiny)
+        while not math.isfinite(step_norm(eps)):
             eps *= 10
-        lo = lam0 + eps
-        if f(lo) <= 0:
-            return -Q @ (gt / (w + lo))
-    lam = brentq(f, lo, hi, xtol=1e-15 * hi, rtol=1e-14)
-    return -Q @ (gt / (w + lam))
+        lo = eps
+        if step_norm(lo) <= radius:
+            return -Q @ (gt / (e + lo))
+    # phi(mu) = 1/||s(mu)|| - 1/radius is increasing and concave, so Newton
+    # steps from lo, where phi < 0, stay left of the root; a step that
+    # leaves the bracket [lo, hi] all the same is replaced by bisection
+    mu = lo
+    while True:
+        d0, d1 = e0 + mu, e1 + mu
+        t0, t1 = g0 / d0, g1 / d1
+        snorm = math.hypot(t0, t1)
+        if snorm == radius:
+            break
+        if snorm > radius:
+            lo = mu
+        else:
+            hi = mu
+        nxt = 0.5 * (lo + hi)
+        if 0 < snorm < math.inf:
+            # phi / phi' = (1/||s|| - 1/radius) ||s||^3 / sum t_i^2 / d_i
+            u0, u1 = t0 / snorm, t1 / snorm
+            curv = u0 * u0 / d0 + u1 * u1 / d1
+            if curv > 0:
+                newton = mu + (snorm - radius) / (radius * curv)
+                if lo < newton < hi:
+                    nxt = newton
+        if abs(nxt - mu) <= 4 * math.ulp(nxt):
+            break
+        mu = nxt
+    return -(Q @ (t0, t1))
 
 
 @dataclass
@@ -476,10 +537,12 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
                             "accepted": accepted})
         if accepted:
             p, point = q, trial
-        elif not basis.add(ds, trial):
-            # the surrogate is exact at q already and cannot improve
-            converged, reason = False, "surrogate stalled"
-            break
+        else:
+            basis.add(ds, trial)
+            if not basis.fold():
+                # the surrogate is exact at q already and cannot improve
+                converged, reason = False, "surrogate stalled"
+                break
         trial = None
     else:
         converged, reason = False, "maxiter"

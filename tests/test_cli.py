@@ -666,3 +666,16 @@ def test_pinned_malloc_maps_large_blocks_after_a_larger_free():
 def test_malloc_threshold_from_environment_is_kept():
     pinned, _ = _mapped_probe(MALLOC_MMAP_THRESHOLD_=str(64 << 20))
     assert not pinned
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 17 MB to the peak RSS of every command;
+    # no daecure module needs it
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, daecure, daecure.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

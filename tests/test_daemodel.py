@@ -148,10 +148,13 @@ def test_strictly_proper_part_decays(index1_small):
     assert g1 <= 1e-4 * g0
 
 
+@pytest.mark.filterwarnings("error")
 def test_near_singular_saddle_matrix_is_reported(index1_small):
     # algebraic row n1 + 1 repeats row n1 up to 1e-300 on the diagonal:
     # M = [[E11, E12], [A21, A22]] factors (no pivot is exactly zero),
-    # but no solve with it meets the residual bound
+    # but no solve with it meets the residual bound.  The solve's entries
+    # reach 1e300, and the norm of its residual fails the gate without an
+    # overflow warning
     n1 = index1_small.structure.n1
     A = index1_small.A.tolil()
     A[n1 + 1, :] = A[n1, :]

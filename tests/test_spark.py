@@ -431,6 +431,38 @@ def test_trust_region_step_tiny_curvature():
     assert model(s) <= best + 1e-8 * abs(best)
 
 
+def test_trust_region_step_meets_the_radius_to_rounding():
+    # seeded problems over 24 decades of scale and 12 of radius, one in
+    # four with a diagonal Hessian: no step is longer than the radius, a
+    # boundary step lies on it to rounding, and on a subset the model
+    # value is the least of a boundary scan and the interior Newton step
+    rng = np.random.default_rng(0)
+    angles = np.linspace(0, 2 * np.pi, 20000)
+    circle = np.stack([np.cos(angles), np.sin(angles)])
+    for i in range(10000):
+        scale = 10.0 ** rng.uniform(-12, 12)
+        radius = 10.0 ** rng.uniform(-6, 6)
+        g = scale * rng.standard_normal(2)
+        M = rng.standard_normal((2, 2))
+        H = scale * (np.diag(np.diag(M)) if i % 4 == 0 else 0.5 * (M + M.T))
+        s = sp.trust_region_step(g, H, radius)
+        ratio = np.linalg.norm(s) / radius
+        assert ratio <= 1 + 1e-12
+        newton = np.linalg.solve(H, -g)
+        interior = np.linalg.eigvalsh(H).min() > 0 \
+            and np.linalg.norm(newton) <= radius
+        if not interior:
+            assert abs(ratio - 1) <= 1e-12
+        if i % 50 == 0:
+            edge = radius * circle
+            values = g @ edge + 0.5 * np.einsum("ik,ij,jk->k", edge, H, edge)
+            best = values.min()
+            if interior:
+                best = min(best, g @ newton + 0.5 * newton @ H @ newton)
+            size = np.linalg.norm(g) * radius + np.linalg.norm(H) * radius ** 2
+            assert g @ s + 0.5 * s @ H @ s <= best + 1e-12 * size
+
+
 @pytest.mark.parametrize("g, H, radius", [
     ([1.0, -2.0], [[2.0, 0.0], [0.0, 4.0]], 10.0),
     ([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], 0.25),
@@ -476,6 +508,37 @@ def test_surrogate_is_exact_at_full_model_points(fixture, request,
         model = sp.evaluate(sur, point.params.a, point.params.b)
         assert abs(model.J - point.J) <= 1e-10 * abs(point.J)
         assert np.linalg.norm(model.g - point.g) <= 1e-10 * (1 + abs(point.J))
+
+
+def test_surrogate_basis_folds_queued_blocks_when_read(index1_small,
+                                                      monkeypatch):
+    # an add only queues a point's bases; the first read of W folds them
+    # in, in order, to the bits that folding after every add gives.  A
+    # repeated point adds no column
+    ds = DeflatedSystem.from_dae(index1_small)
+    points = [sp.evaluate(ds, a, b, hessian=False)
+              for a, b in ((1e-2, 2e-4), (0.5, 0.3), (0.5, 0.3), (2.0, 1.0))]
+    eager = sp.SurrogateBasis(ds.n)
+    counts = []
+    for point in points:
+        eager.add(ds, point)
+        counts.append(eager.fold())
+    assert counts[0] > 0 and counts[2] == 0
+    lazy = sp.SurrogateBasis(ds.n)
+    svd, svds = np.linalg.svd, []
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for point in points:
+        lazy.add(ds, point)
+    assert svds == []
+    for got, want in ((lazy.W, eager.W), (lazy.A, eager.A),
+                      (lazy.E, eager.E)):
+        assert np.array_equal(got, want)
+    assert len(svds) == len(points) and lazy.fold() == 0
 
 
 def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
