@@ -277,12 +277,14 @@ def read_system(manifest_path) -> dm.DaeSystem:
         B = B[rp].tocsc()
         C = C[:, cp].tocsc()
     tag = _tag_from_json(man.get("structure"))
-    n_decl = man.get("n")
-    if n_decl is not None and _integer(n_decl, "n") != E.shape[0]:
-        raise StructureViolation(
-            f"manifest declares n = {n_decl} but E is {E.shape[0]} x "
-            f"{E.shape[1]}"
-        )
+    sizes = {"n": (E.shape[0], f"E is {E.shape[0]} x {E.shape[1]}"),
+             "m": (B.shape[1], f"B has {B.shape[1]} columns"),
+             "p": (C.shape[0], f"C has {C.shape[0]} rows")}
+    for key, (size, what) in sizes.items():
+        decl = man.get(key)
+        if decl is not None and _integer(decl, key) != size:
+            raise StructureViolation(
+                f"manifest declares {key} = {decl} but {what}")
     return dm.DaeSystem(E, A, B, C, D, tag)
 
 

@@ -28,6 +28,7 @@ from .errors import (
     DeskScaleExceeded,
     DimensionMismatch,
     InvalidEntries,
+    NonPositiveParams,
     ParseError,
     StructureViolation,
 )
@@ -97,11 +98,10 @@ def cmd_reduce(args):
             f"--tol must be finite and nonnegative, got {args.tol}")
     pair = _parse_pair(args.shifts_init, float,
                        "--shifts-init must be two comma-separated numbers")
-    if not all(np.isfinite(x) and x > 0 for x in pair):
-        raise UnsupportedInput(
-            f"--shifts-init must be two finite positive numbers, got "
-            f"{args.shifts_init}")
-    init = SparkParams(*pair)
+    try:
+        init = SparkParams(*pair)
+    except NonPositiveParams as exc:
+        raise UnsupportedInput(f"--shifts-init: {exc}") from exc
     sys = _load_siso(args)
     if sys.m != 1 or sys.p != 1:
         raise UnsupportedInput(

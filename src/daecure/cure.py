@@ -101,8 +101,11 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     def transfer(fac):
         return -(ds.C @ fac.solve(ds.B_defl))
 
+    # the context's factors[j] is the LU at shifts()[j]
+    factors = dict(zip(spark_out.params.shifts(), spark_out.ctx.factors))
+
     def fom_eval(s):
-        fac = min(spark_out.ctx.factors, key=lambda f: abs(f.sigma - s))
+        fac = factors[s]
         if isinstance(fac, nk.ConjugateFactorization):
             # the real system has G(conj(s)) = conj(G(s))
             return np.conj(transfer(fac.base))
@@ -154,11 +157,11 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
         raise DimensionMismatch("no records to assemble")
     t0 = time.perf_counter()
     ledger = CureLedger(ds=replace(ds), ctx=nk.SylvesterContext(
-        ds.A, ds.E, cfg.init.S))
+        ds.A, ds.E, cfg.init))
     ledger.ds.A, ledger.ds.E = nk.cheapest_pencil(ds.A, ds.E,
                                                   ledger.ctx.factors[0])
     report = {"steps": [], "stop_reason": None, "flagged": False}
-    basis = sparkmod.SurrogateBasis(ds.n)
+    basis = sparkmod.SurrogateBasis(ledger.ds.A, ledger.ds.E)
     degenerate_run = 0
     while ledger.k < cfg.max_steps:
         res = sparkmod.spark(ledger.ds, init=cfg.init, reuse=ledger,
@@ -179,7 +182,7 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
                 "tolerance"
             break
         cure_step(ledger, res)
-        basis.add(ledger.ds, res)
+        basis.add(res)
         ledger.ctx = res.ctx if res.params == cfg.init else None
         res.ctx = None
         report["steps"].append({

@@ -28,7 +28,8 @@ class SingularSchurComplement(DaecureError):
 
 
 class NonPositiveParams(DaecureError):
-    """SPARK parameters (a, b) must be strictly positive."""
+    """SPARK parameters (a, b) must be strictly positive, with S and Gamma
+    representable as finite nonzero floats."""
 
 
 class NonFiniteDerivatives(DaecureError):

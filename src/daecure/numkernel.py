@@ -8,17 +8,17 @@ full pencil of order at most ``DENSE_LIMIT`` whose SuperLU factors fill
 at least ``DENSE_FILL`` of n^2 (``cheapest_pencil``): LAPACK's dense LU
 is then the cheaper exact kernel.
 
-``SylvesterContext`` solves A X - E X S = F through a Schur form of S
-with the fewest shifted LUs and triangular solves its shifts allow:
-real Schur data for real shifts, one LU per conjugate pair or repeated
-shift, and one complex solve per conjugate pair of order two.  Its LUs
-certify an interpolation step.  ``KroneckerSylvester`` solves the same
-equation for a small dense pencil, a Galerkin surrogate's, with one real
-LU of I kron A - S^T kron E.
+Both Sylvester solvers take a shift pair (``spark.SparkParams``) and
+solve A X - E X S = F for its S = S(a, b).  ``SylvesterContext`` does so
+through the pair's closed-form Schur data with the fewest shifted LUs
+and triangular solves the pair allows: two real LUs for a real pair, one
+for a confluent one, and one complex LU and solve for a conjugate pair.
+Its LUs certify an interpolation step.  ``KroneckerSylvester`` solves the
+same equation for a small dense pencil, a Galerkin surrogate's, with one
+real LU of I kron A - S^T kron E.
 """
 
 import numpy as np
-import scipy.linalg as spla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
 from scipy.linalg import lapack
@@ -27,11 +27,6 @@ from .errors import DimensionMismatch, SingularShift, SpectraOverlap
 
 #: relative residual guaranteed by a ShiftedFactorization solve
 TOL_SOLVE = 1e-10
-
-#: Schur diagonal entries equal, or for real data conjugate, to within
-#: this (relative to ||S||; complex Schur is off by a few ulps) share one
-#: factorization
-CONJ_TOL = 1e-12
 
 
 def as_csc(M):
@@ -193,11 +188,11 @@ DENSE_LIMIT = 500
 #: Stokes m=12 fills 11 % (getrf is 3.6x slower)
 DENSE_FILL = 0.5
 
-#: a conjugate pair of order two recovers the real X from Schur column 0
-#: only while [Re u0, Im u0], u0 that column's Schur vector, has at most
-#: this condition number.  The recovery amplifies the solve's rounding by
-#: about that much.  For S(a, b) it is max(d, 1/d), d = sqrt(b - a^2),
-#: so it grows toward confluence (it is 100 at the start pair (1e-4, 1e-4))
+#: a conjugate pair recovers the real X from Schur column 0 only while
+#: max(|d|, 1/|d|), d = sqrt(a^2 - b), is at most this: the condition
+#: number of [Re u0, Im u0] for that column's Schur vector u0 = (1, d) / c.
+#: The recovery amplifies the solve's rounding by about that much, so it
+#: grows toward confluence (it is 100 at the start pair (1e-4, 1e-4))
 RECOVER_COND = 1e3
 
 
@@ -218,86 +213,61 @@ def cheapest_pencil(A, E, fac: ShiftedFactorization):
 
 
 class SylvesterContext:
-    """Solver for the sparse-dense Sylvester equation A*X - E*X*S = F.
+    """Solver for the sparse-dense Sylvester equation A X - E X S = F,
+    S = S(a, b) of a shift pair ``pair`` (``spark.SparkParams``).
 
-    S is small (q x q); a Schur form of S decouples the columns into q
-    shifted solves, which remains well defined for defective S (confluent
-    shifts).  Factorizations are reused across right-hand sides, and
-    Schur diagonal entries equal within ``CONJ_TOL`` (relative to ||S||)
-    share one.  For real A, E and S:
-
-    - real eigenvalues give a triangular real Schur form, and the columns
-      are solved in real arithmetic;
-    - otherwise the complex Schur form is used, and an entry within
-      ``CONJ_TOL`` of the conjugate of an earlier one becomes that exact
-      conjugate and shares its factorization, so a conjugate pair costs
-      one complex LU.  For q = 2 and a real F, Schur column 0 alone fixes
-      the real X = [Re x0, Im x0] [Re u0, Im u0]^-1: one complex solve,
-      taken while that 2 x 2 matrix is conditioned within
-      ``RECOVER_COND``.
+    The pair's closed-form Schur data S = U T U^H decouple the two
+    columns of Y = X U into shifted solves: column j with ``factors[j]``,
+    the LU at ``pair.shifts()[j]``, reused across right-hand sides.
+    A conjugate pair gets one complex LU, shared with its partner shift
+    through ``ConjugateFactorization``; a real pair gets two real LUs and
+    is solved in real arithmetic; a confluent pair, b = a^2, gets one LU
+    for both columns.  For a conjugate pair and a real F, column 0 alone
+    gives the real X = [Re y, Im y / |d|], where d = sqrt(a^2 - b) and
+    (A - (a + d) E) y = F (1, d)^T: one complex solve, taken while
+    max(|d|, 1/|d|) <= ``RECOVER_COND``.
     """
 
-    def __init__(self, A, E, S):
+    def __init__(self, A, E, pair):
         self.A, self.E = _pencil(A, E)
-        S = np.atleast_2d(np.asarray(S))
-        self.S = S
-        real = not any(map(np.iscomplexobj, (self.A, self.E, S)))
-        if real:
-            self.T, self.U = spla.schur(S, output="real")
-        if not real or np.tril(self.T, -1).any():
-            self.T, self.U = spla.schur(S.astype(complex), output="complex")
-        tol = CONJ_TOL * np.linalg.norm(S)
-        self.factors = []
-        for j in range(S.shape[0]):
-            sigma = self.T[j, j]
-            fac = next((f for f in self.factors
-                        if abs(sigma - f.sigma) <= tol), None)
-            if fac is None and real and sigma.imag != 0.0:
-                fac = next((ConjugateFactorization(f) for f in self.factors
-                            if isinstance(f, ShiftedFactorization)
-                            and abs(sigma - f.sigma.conjugate()) <= tol),
-                           None)
-            if fac is None:
-                fac = ShiftedFactorization(self.A, self.E, sigma)
-            else:
-                self.T[j, j] = fac.sigma if np.iscomplexobj(self.T) \
-                    else fac.sigma.real
-            self.factors.append(fac)
-        self._recover = None
-        if real and S.shape[0] == 2 \
-                and isinstance(self.factors[1], ConjugateFactorization):
-            u0 = self.U[:, 0]
-            P = np.column_stack([u0.real, u0.imag])
-            if np.linalg.cond(P) <= RECOVER_COND:
-                self._recover = np.linalg.inv(P)
+        self.S = pair.S
+        self.T, self.U = pair.schur()
+        s0, s1 = pair.shifts()
+        conjugate = np.iscomplexobj(s0)
+        fac = ShiftedFactorization(self.A, self.E, s0)
+        if s1 == s0:
+            self.factors = [fac, fac]
+        elif conjugate:
+            self.factors = [fac, ConjugateFactorization(fac)]
+        else:
+            self.factors = [fac, ShiftedFactorization(self.A, self.E, s1)]
+        d = abs(s0.imag)
+        self._recover = d if conjugate and max(d, 1 / d) <= RECOVER_COND \
+            else None
 
     def solve(self, F):
-        """Return X with A X - E X S = F; real when the inputs are real.
+        """Return X with A X - E X S = F; real when F is real.
 
-        ``F`` is one n x q right-hand side or a stack of k of them, shape
-        (k, n, q); X has the shape of ``F``.  Schur column j of all k
-        equations is one block solve with ``factors[j]``.
+        ``F`` is one n x 2 right-hand side or a stack of k of them, shape
+        (k, n, 2); X has the shape of ``F``.  Column j of all k equations
+        is one block solve with ``factors[j]``.
         """
         F = np.asarray(F)
-        Fs = F if F.ndim == 3 else np.atleast_2d(F)[None]
-        n, q = self.A.shape[0], self.S.shape[0]
-        if Fs.shape[1:] != (n, q):
-            raise DimensionMismatch(f"F must be {n} x {q} or k x {n} x {q}")
-        if self._recover is not None and not np.iscomplexobj(Fs):
-            # the real X maps u0 to Schur column 0: X [Re u0, Im u0] =
-            # [Re x0, Im x0]
-            x0 = self.factors[0].solve((Fs @ self.U[:, 0]).T).T
-            X = np.stack([x0.real, x0.imag], axis=-1) @ self._recover
+        Fs = F if F.ndim == 3 else F[None]
+        real = not np.iscomplexobj(Fs)
+        if self._recover is not None and real:
+            # y = X (1, d)^T = X[:, 0] + i |d| X[:, 1]
+            d = self._recover
+            y = self.factors[0].solve(
+                (Fs[:, :, 0] + 1j * d * Fs[:, :, 1]).T).T
+            X = np.stack([y.real, y.imag / d], axis=-1)
         else:
             Ft = Fs @ self.U
-            Xt = np.zeros(Ft.shape, dtype=Ft.dtype)
-            for j in range(q):
-                rhs = Ft[:, :, j].T
-                if j > 0:
-                    rhs = rhs + self.E @ (Xt[:, :, :j] @ self.T[:j, j]).T
-                Xt[:, :, j] = self.factors[j].solve(rhs).T
-            X = Xt @ self.U.conj().T
-        if not any(map(np.iscomplexobj, (self.A, self.E, self.S, F))):
+            y0 = self.factors[0].solve(Ft[:, :, 0].T)
+            y1 = self.factors[1].solve(
+                Ft[:, :, 1].T + self.T[0, 1] * (self.E @ y0))
+            X = np.stack([y0.T, y1.T], axis=-1) @ self.U.conj().T
+        if real:
             # the exact solution is real; accept the real cast only if it
             # still solves each equation (guards against genuine breakdown)
             X = np.ascontiguousarray(X.real)
@@ -314,8 +284,9 @@ class SylvesterContext:
 
 class KroneckerSylvester:
     """Solver for A X - E X S = F with a small dense pencil (A, E), n x n,
-    and S q x q: one LAPACK LU of the qn x qn matrix I kron A - S^T kron E
-    that maps vec(X) to vec(F) (columns stacked).
+    and S = S(a, b) of a shift pair ``pair`` (``spark.SparkParams``): one
+    LAPACK LU of the 2n x 2n matrix I kron A - S^T kron E that maps vec(X)
+    to vec(F) (columns stacked).
 
     It needs no Schur form of S, so it stays smooth through confluent
     shifts, and a real problem is solved in real arithmetic.  Solves keep
@@ -325,23 +296,16 @@ class KroneckerSylvester:
     eigenvalue of the pencil.
     """
 
-    def __init__(self, A, E, S):
-        A, E = np.asarray(A), np.asarray(E)
-        S = np.atleast_2d(np.asarray(S))
-        n, q = A.shape[0], S.shape[0]
-        if A.shape != (n, n) or E.shape != (n, n) or S.shape != (q, q):
-            raise DimensionMismatch(
-                f"A {A.shape} and E {E.shape} must be square and "
-                f"equal-sized, S {S.shape} square")
-        self.A, self.E, self.S = A, E, S
+    def __init__(self, A, E, pair):
+        A, E, S = np.asarray(A), np.asarray(E), pair.S
+        self.n = n = A.shape[0]
         # block (i, j) of the matrix is delta_ij A - S[j, i] E; its
-        # Fortran-ordered storage is the C-ordered (q, n, q, n) array
+        # Fortran-ordered storage is the C-ordered (2, n, 2, n) array
         # with entry [j, b, i, a] = (delta_ij A - S[j, i] E)[a, b]
-        K = (-S[:, None, :, None] * E.T[None, :, None, :]).astype(
-            np.result_type(A, E, S), copy=False)
-        for i in range(q):
+        K = -S[:, None, :, None] * E.T[None, :, None, :]
+        for i in range(2):
             K[i, :, i, :] += A.T
-        K = K.reshape(q * n, q * n).T
+        K = K.reshape(2 * n, 2 * n).T
         self._K = K.copy(order="F")
         try:
             self._lu = DenseLU(K)
@@ -353,18 +317,18 @@ class KroneckerSylvester:
     def solve(self, F):
         """Return X with A X - E X S = F.
 
-        ``F`` is one n x q right-hand side or a stack of k of them, shape
-        (k, n, q), solved as one block of k columns vec(F_i); X has the
+        ``F`` is one n x 2 right-hand side or a stack of k of them, shape
+        (k, n, 2), solved as one block of k columns vec(F_i); X has the
         shape of ``F``.
         """
         F = np.asarray(F)
-        Fs = F if F.ndim == 3 else np.atleast_2d(F)[None]
-        n, q = self.A.shape[0], self.S.shape[0]
-        if Fs.shape[1:] != (n, q):
-            raise DimensionMismatch(f"F must be {n} x {q} or k x {n} x {q}")
+        Fs = F if F.ndim == 3 else F[None]
+        n = self.n
+        if Fs.shape[1:] != (n, 2):
+            raise DimensionMismatch(f"F must be {n} x 2 or k x {n} x 2")
         k = Fs.shape[0]
-        b = Fs.transpose(0, 2, 1).reshape(k, q * n).T
+        b = Fs.transpose(0, 2, 1).reshape(k, 2 * n).T
         x = _gated_solve(self._lu, self._K.dot, self._K.dtype, b,
                          "the Kronecker system")
-        X = x.T.reshape(k, q, n).transpose(0, 2, 1)
+        X = x.T.reshape(k, 2, n).transpose(0, 2, 1)
         return X if F.ndim == 3 else X[0]

@@ -60,15 +60,21 @@ class SparkParams:
     S = [[a, 1], [a^2 - b, a]] and R = [1, 0], and the pseudo-optimal
     ROM has Er = ``gamma()``, the solution of S^T Gamma + Gamma S = R^T R
     (Panzer, Jaensch, Wolf & Lohmann, ACC 2013).  Raises
-    NonPositiveParams unless a > 0 and b > 0."""
+    NonPositiveParams unless a > 0 and b > 0 and a^2, 4ab and the entries
+    of Gamma are finite and nonzero floats."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
+        a, b = float(self.a), float(self.b)
+        ok = a > 0 and b > 0 and 0 < a * a < math.inf \
+            and 0 < 4 * a * b < math.inf
+        if not (ok and all(0 < x / (4 * a * b) < math.inf
+                           for x in (a * a + b, a, 1.0))):
             raise NonPositiveParams(
-                f"need a > 0 and b > 0, got a={self.a}, b={self.b}")
+                f"need a > 0 and b > 0 with a^2, 4ab and Gamma finite and "
+                f"nonzero, got a={self.a}, b={self.b}")
 
     @property
     def S(self):
@@ -79,9 +85,20 @@ class SparkParams:
         return np.array([[1.0, 0.0]])
 
     def shifts(self):
-        """The eigenvalues of S."""
+        """The eigenvalues of S, a + d and a - d with d = sqrt(a^2 - b)
+        (imaginary when b > a^2)."""
         d = np.lib.scimath.sqrt(self.a ** 2 - self.b)
         return np.array([self.a + d, self.a - d])
+
+    def schur(self):
+        """(T, U) with S = U T U^H, U unitary and T upper triangular with
+        diagonal ``shifts()``: U = [[1, -conj(d)], [d, 1]] / c and
+        T = [[a + d, 1 - |d|^2], [0, a - d]], c = sqrt(1 + |d|^2).  Both
+        are real for a real pair and U = I at confluence, b = a^2."""
+        d2 = self.a ** 2 - self.b
+        d = np.lib.scimath.sqrt(d2)
+        U = np.array([[1.0, -np.conj(d)], [d, 1.0]]) / math.sqrt(1 + abs(d2))
+        return np.array([[self.a + d, 1 - abs(d2)], [0.0, self.a - d]]), U
 
     def gamma(self):
         """Gamma = [[a^2 + b, -a], [-a, 1]] / (4ab); its inverse is the
@@ -151,15 +168,15 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
     derivatives.
 
     The context is ``ctx`` when given (a ``SylvesterContext`` of this
-    pair's S), else ``kernel(A, E, S)``: ``nk.SylvesterContext`` for the
-    full model, ``nk.KroneckerSylvester`` for a surrogate.  The caller
-    owns it.
+    pair), else ``kernel(A, E, pair)`` built from the pair:
+    ``nk.SylvesterContext`` for the full model, ``nk.KroneckerSylvester``
+    for a surrogate.  The caller owns it.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
     pair = SparkParams(a, b)
     if ctx is None:
-        ctx = kernel(ds.A, ds.E, pair.S)
+        ctx = kernel(ds.A, ds.E, pair)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ pair.R)
@@ -191,26 +208,29 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
 
 class SurrogateBasis:
     """Orthonormal basis W of the bases (V, V_a, V_b) of full-model
-    points, and the Galerkin projection (W^T A W, W^T E W) of the pencil.
+    points, and the Galerkin projection (W^T A W, W^T E W) of the pencil
+    (A, E) that it holds.
 
     Since V(a, b) and its first derivatives lie in range W at each added
     point (up to the rank truncation), the surrogate (W^T A W, W^T E W,
     W^T B_defl, C W) has the full model's J and gradient there.  A and E
-    never change during a reduction, so one basis serves every CURE step.
+    never change during a reduction, so one basis serves every CURE step,
+    and ``surrogate`` reads only B_defl and C off the system it is given.
     Added blocks wait in a queue and are folded in, in order, when W, A,
     E or the surrogate is next read, or by ``fold``: a block that no
     later search reads costs no orthogonalization.
     """
 
-    def __init__(self, n):
-        self._W = np.zeros((n, 0))
+    def __init__(self, A, E):
+        self._pencil = (A, E)
+        self._W = np.zeros((A.shape[0], 0))
         self._A = self._E = np.zeros((0, 0))
         self._queue = []
 
-    def add(self, ds: DeflatedSystem, point: Point):
+    def add(self, point: Point):
         """Queue the bases (V, V_a, V_b) of ``point``, a ``Point`` or a
         ``SparkResult``, for W."""
-        self._queue.append((ds, (point.V, point.Va, point.Vb)))
+        self._queue.append((point.V, point.Va, point.Vb))
 
     def fold(self) -> int:
         """Extend W by the queued blocks, in order; returns the number of
@@ -222,8 +242,8 @@ class SurrogateBasis:
         of them is ill-conditioned.
         """
         queue, self._queue = self._queue, []
-        new, last = 0, None
-        for ds, blocks in queue:
+        new = 0
+        for blocks in queue:
             X = np.hstack(blocks)
             X = X / np.maximum(np.linalg.norm(X, axis=0), 1e-300)
             for _ in range(2):
@@ -232,10 +252,11 @@ class SurrogateBasis:
             U = U[:, s > BASIS_RTOL]
             if U.shape[1]:
                 self._W = np.hstack([self._W, U])
-                new, last = new + U.shape[1], ds
-        if last is not None:
-            self._A = self._W.T @ (last.A @ self._W)
-            self._E = self._W.T @ (last.E @ self._W)
+                new += U.shape[1]
+        if new:
+            A, E = self._pencil
+            self._A = self._W.T @ (A @ self._W)
+            self._E = self._W.T @ (E @ self._W)
         return new
 
     @property
@@ -466,15 +487,16 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     An outer loop over full-model points: evaluate the full model at the
     current pair to first order (the exact Hessian is taken on the
     surrogate only) and stop once ||g|| <= GTOL * (1 + |J|).  Otherwise add
-    the point's bases to ``basis`` (a fresh one when not given; a caller
-    may keep one across calls on the same A and E), run the trust region
-    on the Galerkin surrogate from the current pair down to the stricter
-    ``SURROGATE_GTOL * GTOL``, and evaluate the full model at the
-    surrogate's optimum.  The optimum becomes the current pair if its full
-    J does not increase; otherwise its bases enrich the surrogate, which
-    is solved again from the current pair.  The loop also stops when the
-    surrogate finds no step from the current pair, when a rejected optimum
-    adds nothing to it, or after ``MAXITER`` full-model points.
+    the point's bases to ``basis`` (a fresh one of ``ds``'s pencil when
+    not given; a caller may keep one across calls on the same A and E),
+    run the trust region on the Galerkin surrogate from the current pair
+    down to the stricter ``SURROGATE_GTOL * GTOL``, and evaluate the full
+    model at the surrogate's optimum.  The optimum becomes the current
+    pair if its full J does not increase; otherwise its bases enrich the
+    surrogate, which is solved again from the current pair.  The loop
+    also stops when the surrogate finds no step from the current pair,
+    when a rejected optimum adds nothing to it, or after ``MAXITER``
+    full-model points.
 
     Surrogate first: when ``basis`` already has columns and no LUs are
     handed over, the trust region runs on the surrogate from ``init``
@@ -483,15 +505,17 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     ``init`` only when the surrogate finds no step from there or ``init``
     is one of its poles.
 
-    One full-model point's LUs are alive at a time.  The result owns the
-    LUs of the pair it returns (refactored once only if that pair's were
-    dropped for a later, rejected point).  ``reuse``, when given, is an
-    object whose ``ctx`` is None or a ``SylvesterContext`` of this pencil
-    at init, as a ``cure.CureLedger`` holds: spark takes those LUs over
-    for init and sets ``reuse.ctx`` to None.
+    Every full-model point's kernel is a ``nk.SylvesterContext`` built
+    from its pair, and one full-model point's LUs are alive at a time.
+    The result owns the LUs of the pair it returns (refactored once only
+    if that pair's were dropped for a later, rejected point).  ``reuse``,
+    when given, is an object whose ``ctx`` is None or a
+    ``SylvesterContext`` of this pencil and ``init``, as a
+    ``cure.CureLedger`` holds: spark takes those LUs over for init and
+    sets ``reuse.ctx`` to None.
     """
     if basis is None:
-        basis = SurrogateBasis(ds.n)
+        basis = SurrogateBasis(ds.A, ds.E)
     ctx = None
     if reuse is not None:
         ctx, reuse.ctx = reuse.ctx, None
@@ -521,7 +545,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         if np.linalg.norm(point.g) <= GTOL * (1.0 + abs(point.J)):
             converged, reason = True, "gtol"
             break
-        basis.add(ds, point)
+        basis.add(point)
         sur = basis.surrogate(ds)
         q, converged, reason = _trust_region(
             sur, p, evaluate(sur, *p, kernel=nk.KroneckerSylvester),
@@ -538,7 +562,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         if accepted:
             p, point = q, trial
         else:
-            basis.add(ds, trial)
+            basis.add(trial)
             if not basis.fold():
                 # the surrogate is exact at q already and cannot improve
                 converged, reason = False, "surrogate stalled"
@@ -548,7 +572,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         converged, reason = False, "maxiter"
     if point.ctx is None:
         point = point._replace(
-            ctx=nk.SylvesterContext(ds.A, ds.E, point.params.S))
+            ctx=nk.SylvesterContext(ds.A, ds.E, point.params))
     return SparkResult(params=point.params, V=point.V, Va=point.Va,
                        Vb=point.Vb, cost=point.J,
                        grad=point.g, converged=converged, reason=reason,

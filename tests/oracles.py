@@ -287,7 +287,7 @@ def trace_derivatives(ds, a, b, hessian=True):
     ``SylvesterContext``; the Hessian is None without ``hessian``.  These
     are the formulas ``spark.evaluate`` contracts into one."""
     pair = SparkParams(a, b)
-    ctx = nk.SylvesterContext(ds.A, ds.E, pair.S)
+    ctx = nk.SylvesterContext(ds.A, ds.E, pair)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     S_b = np.array([[0.0, 0.0], [-1.0, 0.0]])

@@ -310,6 +310,27 @@ def test_unsupported_polynomial_part_exit2(tmp_path, capsys):
     assert err["message"] == "Unsupported polynomial part"
 
 
+@pytest.mark.parametrize("sizes", [{"n": 26}, {"m": 3}, {"p": 7},
+                                   {"m": 3, "p": 7}])
+@pytest.mark.parametrize("command", ["h2norm", "reduce"])
+def test_declared_size_mismatch_exit2(tmp_path, capsys, command, sizes):
+    # the manifest declares more states, inputs or outputs than E, B and C
+    # hold
+    mp = bio.write_system(bio.gen_semi_explicit_index1(20, 5, seed=0),
+                          tmp_path / "sys")
+    json.dump({**json.load(open(mp)), **sizes}, open(mp, "w"))
+    out = str(tmp_path / "out")
+    argv = {"h2norm": ["h2norm", mp],
+            "reduce": ["reduce", "--manifest", mp, "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_UNSUPPORTED
+    std = capsys.readouterr()
+    obj = json.loads(std.err)          # exactly one JSON object
+    assert obj["error"] == "StructureViolation"
+    assert f"declares {next(iter(sizes))} = " in obj["message"]
+    assert std.out == "" and not os.path.exists(out)
+
+
 def test_index2_pencil_tagged_index1_is_numerical_error(tmp_path, capsys):
     mp = bio.write_system(bio.gen_stokes_index2(3, seed=0), tmp_path)
     man = json.load(open(mp))
@@ -506,6 +527,8 @@ def test_bode_with_rom_of_other_channel_count_fails_first(
     ["reduce", "--shifts-init", "-1,1"],
     ["reduce", "--no-such-flag"],
     [],
+    ["reduce", "--shifts-init", "1e300,1e300"],
+    ["reduce", "--shifts-init", "1e-300,1e-300"],
 ])
 def test_bad_flags_exit2_with_one_json_object(sysdir, tmp_path, capsys,
                                               argv):

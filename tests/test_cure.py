@@ -230,10 +230,10 @@ def test_one_spark_context_alive_at_a_time(fixture, gtol, request,
     ctx_init = nk.SylvesterContext.__init__
     fac_init = nk.ShiftedFactorization.__init__
 
-    def tracked_ctx(self, A, E, S):
+    def tracked_ctx(self, A, E, pair):
         if A.shape[0] == ds.n:
             contexts.append(weakref.ref(self))
-        ctx_init(self, A, E, S)
+        ctx_init(self, A, E, pair)
 
     def tracked_fac(self, A, E, sigma):
         if A.shape[0] == ds.n:
@@ -371,11 +371,11 @@ def test_surrogate_singular_at_the_start_falls_back_to_the_full_model(
         armed[:] = [kwargs["basis"].W.shape[1] > 0]
         return spark(*args, **kwargs)
 
-    def singular_at_start(self, A, E, S):
+    def singular_at_start(self, A, E, pair):
         if armed and armed.pop():
-            assert np.array_equal(S, sp.INIT.S)
+            assert pair == sp.INIT
             raise SingularShift("the start pair is a pole of the surrogate")
-        kron_init(self, A, E, S)
+        kron_init(self, A, E, pair)
 
     monkeypatch.setattr(sp, "spark", arm)
     monkeypatch.setattr(nk.KroneckerSylvester, "__init__", singular_at_start)

@@ -7,6 +7,7 @@ import scipy.sparse as sps
 
 from daecure import numkernel as nk
 from daecure.errors import DimensionMismatch, SingularShift, SpectraOverlap
+from daecure.spark import SparkParams
 
 from conftest import CountingLU
 from oracles import PencilDeflation, solve_dense_sylvester
@@ -49,12 +50,13 @@ def test_dense_sylvester_spectra_overlap_raises():
 
 def test_sparse_dense_sylvester_residual():
     rng = np.random.default_rng(4)
-    n, q = 40, 3
+    n = 40
     A = sps.csc_matrix(rng.standard_normal((n, n)) - 8 * np.eye(n))
     E = sps.csc_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
-    S = rng.standard_normal((q, q)) + 4 * np.eye(q)
-    F = rng.standard_normal((n, q))
-    V = nk.SylvesterContext(A, E, S).solve(F)
+    pair = SparkParams(4.0, 2.0)        # a real pair, 4 +- sqrt(14)
+    S = pair.S
+    F = rng.standard_normal((n, 2))
+    V = nk.SylvesterContext(A, E, pair).solve(F)
     res = A @ V - E @ (V @ S) - F
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(F)
     assert not np.iscomplexobj(V)
@@ -65,10 +67,11 @@ def test_sylvester_context_complex_pair():
     n = 25
     A = sps.csc_matrix(rng.standard_normal((n, n)) - 8 * np.eye(n))
     E = sps.eye(n, format="csc")
-    # S with a complex conjugate eigenvalue pair
-    S = np.array([[1.0, 2.0], [-2.0, 1.0]])
+    # the conjugate pair 1 +- 2i
+    pair = SparkParams(1.0, 5.0)
+    S = pair.S
     F = rng.standard_normal((n, 2))
-    V = nk.SylvesterContext(A, E, S).solve(F)
+    V = nk.SylvesterContext(A, E, pair).solve(F)
     assert np.linalg.norm(A @ V - E @ (V @ S) - F) <= 1e-9 * np.linalg.norm(F)
 
 
@@ -120,9 +123,10 @@ def test_sylvester_context_conjugate_pair_shares_one_lu(factor_log):
     F = rng.standard_normal((n, 2))
     made = factor_log
     for a, b in rng.uniform(0.1, 5.0, (20, 2)):
-        S = np.array([[a, 1.0], [a * a - b, a]])
+        pair = SparkParams(a, b)
+        S = pair.S
         del made[:]
-        ctx = nk.SylvesterContext(A, E, S)
+        ctx = nk.SylvesterContext(A, E, pair)
         if a * a < b:
             assert len(made) == 1 and made[0].imag != 0.0
             assert ctx.factors[1].sigma == np.conj(ctx.factors[0].sigma)
@@ -209,8 +213,9 @@ def test_refinement_only_for_columns_that_miss_the_bound():
                          ids=["real", "conjugate", "confluent"])
 def test_stacked_sylvester_solve_equals_single_solves(a, b):
     rng, A, E = _well_posed(40, 11)
-    S = np.array([[a, 1.0], [a * a - b, a]])
-    ctx = nk.SylvesterContext(A, E, S)
+    pair = SparkParams(a, b)
+    S = pair.S
+    ctx = nk.SylvesterContext(A, E, pair)
     F = rng.standard_normal((3, 40, 2))
     X = ctx.solve(F)
     assert X.shape == F.shape and not np.iscomplexobj(X)
@@ -219,13 +224,6 @@ def test_stacked_sylvester_solve_equals_single_solves(a, b):
         assert np.linalg.norm(Xi - single) <= 1e-12 * np.linalg.norm(single)
         assert np.linalg.norm(A @ Xi - E @ (Xi @ S) - Fi) \
             <= 1e-9 * np.linalg.norm(Fi)
-
-
-def test_stacked_sylvester_solve_shape_guard():
-    _, A, E = _well_posed(10, 12)
-    ctx = nk.SylvesterContext(A, E, np.array([[2.0, 1.0], [3.0, 2.0]]))
-    with pytest.raises(DimensionMismatch):
-        ctx.solve(np.ones((2, 10, 3)))
 
 
 @pytest.mark.parametrize("sigma", [-0.7, 0.4 + 1.3j], ids=["real", "complex"])
@@ -254,8 +252,9 @@ def test_dense_and_sparse_factorizations_agree(sigma):
 def test_sylvester_context_on_dense_pencil_shares_one_lu(factor_log):
     rng, A, E = _well_posed(10, 14)
     A, E = A.toarray(), E.toarray()
-    S = np.array([[0.8, 1.0], [0.8 ** 2 - 1.4, 0.8]])     # conjugate pair
-    ctx = nk.SylvesterContext(A, E, S)
+    pair = SparkParams(0.8, 1.4)                        # conjugate pair
+    S = pair.S
+    ctx = nk.SylvesterContext(A, E, pair)
     assert ctx.A is A and ctx.E is E
     assert len(factor_log) == 1 and factor_log[0].imag != 0.0
     assert isinstance(ctx.factors[1], nk.ConjugateFactorization)
@@ -284,23 +283,30 @@ def _kronecker_sylvester(A, E, S, F):
         n, q, order="F")
 
 
+def _toward_confluence(kind, a, delta):
+    """The pair with b = a^2 (1 + delta), a conjugate one, or
+    b = a^2 / (1 + delta), a real one: |a^2 - b| is about delta a^2 for a
+    small delta, and delta = 0 is the confluent pair."""
+    return SparkParams(a, a * a * (1 + delta) if kind == "conjugate"
+                       else a * a / (1 + delta))
+
+
 @pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-8, 1e-12, 1e-14])
 @pytest.mark.parametrize("kind", ["conjugate", "real"])
 def test_sylvester_solve_toward_confluence_matches_kronecker(
         kind, delta, lu_solves):
-    # a^2 - b = -delta a^2 (a conjugate pair) or +delta a^2 (a real pair).
     # A conjugate pair recovers the real X from one complex block solve
-    # while [Re u0, Im u0] is well conditioned (cond = 1 / (a sqrt(delta))
-    # here) and keeps the two-column path toward confluence; a real pair
-    # runs on real Schur data, one real block solve per shift.  Either way
-    # X is the dense Kronecker solution
+    # while [Re u0, Im u0] is well conditioned (cond = max(|d|, 1/|d|),
+    # d = sqrt(a^2 - b)) and keeps the two-column path toward confluence;
+    # a real pair runs on real Schur data, one real block solve per shift.
+    # Either way X is the dense Kronecker solution
     rng, A, E = _well_posed(40, 15)
     a = 1.3
-    sign = -1.0 if kind == "conjugate" else 1.0
-    S = np.array([[a, 1.0], [sign * delta * a * a, a]])
+    pair = _toward_confluence(kind, a, delta)
+    S = pair.S
     F = rng.standard_normal((3, 40, 2))
     del lu_solves[:]
-    ctx = nk.SylvesterContext(A, E, S)
+    ctx = nk.SylvesterContext(A, E, pair)
     X = ctx.solve(F)
     for Xi, Fi in zip(X, F):
         want = _kronecker_sylvester(A.toarray(), E.toarray(), S, Fi)
@@ -309,8 +315,10 @@ def test_sylvester_solve_toward_confluence_matches_kronecker(
         assert not np.iscomplexobj(ctx.T) and not np.iscomplexobj(ctx.U)
         assert lu_solves == [(40, 3), (40, 3)]
     else:
+        d = np.sqrt(pair.b - a * a)
         recovered = ctx._recover is not None
-        assert recovered == (1 / (a * np.sqrt(delta)) <= nk.RECOVER_COND)
+        assert recovered == (max(d, 1 / d) <= nk.RECOVER_COND)
+        assert recovered == (delta >= 1e-4)
         assert lu_solves == ([(40, 3)] if recovered else [(40, 3), (40, 3)])
 
 
@@ -319,44 +327,34 @@ def test_equal_real_shifts_share_one_lu(factor_log):
     # shift a twice, and one LU serves both Schur columns
     rng, A, E = _well_posed(40, 16)
     a = 1.3
-    S = np.array([[a, 1.0], [0.0, a]])
-    ctx = nk.SylvesterContext(A, E, S)
+    pair = SparkParams(a, a * a)
+    S = pair.S
+    assert S[1, 0] == 0.0
+    ctx = nk.SylvesterContext(A, E, pair)
     assert factor_log == [a] and ctx.factors[1] is ctx.factors[0]
     F = rng.standard_normal((40, 2))
     want = _kronecker_sylvester(A.toarray(), E.toarray(), S, F)
     assert np.linalg.norm(ctx.solve(F) - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_complex_pencil_with_real_shifts_solves_complex():
-    # real S and F do not make X real when A is complex: no real cast
-    rng, A, E = _well_posed(20, 17)
-    A = A + 1j * sps.eye(20, format="csc")
-    S = np.array([[2.0, 1.0], [3.0, 2.0]])
-    F = rng.standard_normal((20, 2))
-    X = nk.SylvesterContext(A, E, S).solve(F)
-    assert np.iscomplexobj(X)
-    assert np.linalg.norm(A @ X - E @ (X @ S) - F) <= 1e-12 * np.linalg.norm(F)
-
-
 @pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-8, 1e-12, 1e-14, 0.0])
 @pytest.mark.parametrize("kind", ["conjugate", "real"])
 def test_kronecker_sylvester_matches_schur_and_dense_kronecker(
         kind, delta, factor_log):
-    # a^2 - b = -delta a^2 (a conjugate pair) or +delta a^2 (a real pair),
-    # and delta = 0 the confluent pair: one real LU of the 2n x 2n
-    # Kronecker matrix, no shifted LU, solves a stack of right-hand sides
-    # to the dense Kronecker solution and to the Schur solver's
+    # pairs toward confluence, and delta = 0 the confluent pair: one real
+    # LU of the 2n x 2n Kronecker matrix, no shifted LU, solves a stack of
+    # right-hand sides to the dense Kronecker solution and to the Schur
+    # solver's
     rng, A, E = _well_posed(40, 18)
     A, E = A.toarray(), E.toarray()
-    a = 1.3
-    sign = -1.0 if kind == "conjugate" else 1.0
-    S = np.array([[a, 1.0], [sign * delta * a * a, a]])
+    pair = _toward_confluence(kind, 1.3, delta)
+    S = pair.S
     F = rng.standard_normal((3, 40, 2))
-    ctx = nk.KroneckerSylvester(A, E, S)
+    ctx = nk.KroneckerSylvester(A, E, pair)
     assert factor_log == [] and isinstance(ctx._lu, nk.DenseLU)
     X = ctx.solve(F)
     assert X.shape == F.shape and X.dtype == np.float64
-    schur = nk.SylvesterContext(A, E, S).solve(F)
+    schur = nk.SylvesterContext(A, E, pair).solve(F)
     for Xi, Fi, Yi in zip(X, F, schur):
         want = _kronecker_sylvester(A, E, S, Fi)
         assert np.linalg.norm(Xi - want) <= 1e-12 * np.linalg.norm(want)
@@ -366,31 +364,33 @@ def test_kronecker_sylvester_matches_schur_and_dense_kronecker(
 
 
 def test_kronecker_sylvester_block_layout():
-    # q = 3 and a complex right-hand side on the real LU: the blocks of
-    # I kron A - S^T kron E are placed as np.kron places them
+    # a conjugate pair, whose S has four distinct entries, and a complex
+    # right-hand side on the real LU: the blocks of I kron A - S^T kron E
+    # are placed as np.kron places them
     rng, A, E = _well_posed(7, 19)
     A, E = A.toarray(), E.toarray()
-    S = rng.standard_normal((3, 3)) + 4 * np.eye(3)
-    ctx = nk.KroneckerSylvester(A, E, S)
-    assert np.array_equal(ctx._K, np.kron(np.eye(3), A) - np.kron(S.T, E))
-    F = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    pair = SparkParams(0.7, 2.3)
+    S = pair.S
+    ctx = nk.KroneckerSylvester(A, E, pair)
+    assert np.array_equal(ctx._K, np.kron(np.eye(2), A) - np.kron(S.T, E))
+    F = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
     X = ctx.solve(F)
     assert np.linalg.norm(A @ X - E @ X @ S - F) <= 1e-12 * np.linalg.norm(F)
     with pytest.raises(DimensionMismatch):
-        ctx.solve(np.ones((2, 7, 2)))
-    with pytest.raises(DimensionMismatch):
-        nk.KroneckerSylvester(A, E[:6, :6], S)
+        ctx.solve(np.ones((2, 7, 3)))
 
 
 def test_kronecker_sylvester_at_a_pole_raises():
-    # a shift that is an eigenvalue of the pencil: an exact zero pivot on
-    # a diagonal pencil, and on a rotated one a residual that refinement
-    # cannot bring within TOL_SOLVE
-    lam = np.array([-1.0, -2.0, -3.5, -5.0, -8.0])
-    S = np.array([[-3.5, 1.0], [0.0, 7.7]])
+    # a shift that is an eigenvalue of the pencil: the pair 2 +- 1.5 has
+    # the shift 3.5.  An exact zero pivot on a diagonal pencil, and on a
+    # rotated one a residual that refinement cannot bring within TOL_SOLVE
+    lam = np.array([1.0, 2.0, 3.5, 5.0, 8.0])
+    pair = SparkParams(2.0, 1.75)
+    assert pair.shifts()[0] == 3.5
     Q = np.linalg.qr(np.random.default_rng(20).standard_normal((5, 5)))[0]
     F = np.ones((5, 2))
     with pytest.raises(SingularShift):
-        nk.KroneckerSylvester(np.diag(lam), np.eye(5), S).solve(F)
+        nk.KroneckerSylvester(np.diag(lam), np.eye(5), pair).solve(F)
     with pytest.raises(SingularShift):
-        nk.KroneckerSylvester(Q @ np.diag(lam) @ Q.T, np.eye(5), S).solve(F)
+        nk.KroneckerSylvester(Q @ np.diag(lam) @ Q.T, np.eye(5),
+                              pair).solve(F)

@@ -114,7 +114,7 @@ def test_contracted_derivatives_match_trace_formulas(fixture, request):
     # conjugate and a confluent one, lie off the optimum, where g is more
     # than rounding noise
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
-    basis = sp.SurrogateBasis(ds.n)
+    basis = sp.SurrogateBasis(ds.A, ds.E)
     res = sp.spark(ds, basis=basis)
     sur = basis.surrogate(ds)
     a = 1.2 * res.params.a
@@ -251,9 +251,33 @@ def test_positive_params_required():
         sp.SparkParams(-1.0, 1.0)
     with pytest.raises(NonPositiveParams):
         sp.SparkParams(1.0, 0.0)
+    # S holds a^2 and Gamma divides by 4ab: both must be finite and nonzero
+    for a, b in ((1e300, 1e300), (1e-300, 1e-300), (1e10, 1e-320)):
+        with pytest.raises(NonPositiveParams):
+            sp.SparkParams(a, b)
     ds = DeflatedSystem.from_dae(make_random_stable_ode(6, seed=0))
     with pytest.raises(NonPositiveParams):
         sp.evaluate(ds, 1.0, float("nan"))
+
+
+@pytest.mark.parametrize("a, b", [
+    (2.0, 1.0), (0.8, 1.4), (1.3, 1.3 * 1.3),
+    (1.3, 1.3 * 1.3 * (1 - 1e-14)), (1.3, 1.3 * 1.3 * (1 + 1e-14)),
+], ids=["real", "conjugate", "confluent", "real-1e-14", "conjugate-1e-14"])
+def test_schur_data_in_closed_form(a, b):
+    # U is unitary and U^H S U = T is upper triangular with the shifts on
+    # its diagonal, to 1e-15, also 1e-14 either side of confluence; a real
+    # pair has real Schur data, and U = I at confluence
+    pair = sp.SparkParams(a, b)
+    T, U = pair.schur()
+    S = pair.S
+    assert np.linalg.norm(U.conj().T @ U - np.eye(2)) <= 1e-15
+    assert T[1, 0] == 0 and np.array_equal(np.diag(T), pair.shifts())
+    assert np.linalg.norm(U.conj().T @ S @ U - T) \
+        <= 1e-15 * np.linalg.norm(S)
+    assert np.iscomplexobj(T) == np.iscomplexobj(U) == (a * a < b)
+    if a * a == b:
+        assert np.array_equal(U, np.eye(2))
 
 
 def test_spark_drives_gradient_down():
@@ -286,10 +310,10 @@ def _track_full(monkeypatch, n):
     contexts, evaluated = [], []
     ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
 
-    def tracked(self, A, E, S):
+    def tracked(self, A, E, pair):
         if A.shape[0] == n:
             contexts.append(weakref.ref(self))
-        ctx_init(self, A, E, S)
+        ctx_init(self, A, E, pair)
 
     def counting_evaluate(ds, a, b, ctx=None, **kw):
         if ds.n == n:
@@ -319,9 +343,9 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
         (full if A.shape[0] == sys.n else small).append(complex(sigma))
         fac_init(self, A, E, sigma)
 
-    def counting_kron(self, A, E, S):
+    def counting_kron(self, A, E, pair):
         kron.append(self)
-        kron_init(self, A, E, S)
+        kron_init(self, A, E, pair)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting)
     monkeypatch.setattr(nk.KroneckerSylvester, "__init__", counting_kron)
@@ -492,12 +516,12 @@ def test_surrogate_is_exact_at_full_model_points(fixture, request,
     added = []
     add = sp.SurrogateBasis.add
 
-    def keep(self, d, point):
+    def keep(self, point):
         added.append(point)
-        return add(self, d, point)
+        return add(self, point)
 
     monkeypatch.setattr(sp.SurrogateBasis, "add", keep)
-    basis = sp.SurrogateBasis(ds.n)
+    basis = sp.SurrogateBasis(ds.A, ds.E)
     res = sp.spark(ds, basis=basis)
     assert res.reason == "gtol" and len(res.evaluations) >= 2
     assert len(added) >= 2
@@ -518,13 +542,13 @@ def test_surrogate_basis_folds_queued_blocks_when_read(index1_small,
     ds = DeflatedSystem.from_dae(index1_small)
     points = [sp.evaluate(ds, a, b, hessian=False)
               for a, b in ((1e-2, 2e-4), (0.5, 0.3), (0.5, 0.3), (2.0, 1.0))]
-    eager = sp.SurrogateBasis(ds.n)
+    eager = sp.SurrogateBasis(ds.A, ds.E)
     counts = []
     for point in points:
-        eager.add(ds, point)
+        eager.add(point)
         counts.append(eager.fold())
     assert counts[0] > 0 and counts[2] == 0
-    lazy = sp.SurrogateBasis(ds.n)
+    lazy = sp.SurrogateBasis(ds.A, ds.E)
     svd, svds = np.linalg.svd, []
 
     def counted_svd(*args, **kwargs):
@@ -533,7 +557,7 @@ def test_surrogate_basis_folds_queued_blocks_when_read(index1_small,
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     for point in points:
-        lazy.add(ds, point)
+        lazy.add(point)
     assert svds == []
     for got, want in ((lazy.W, eager.W), (lazy.A, eager.A),
                       (lazy.E, eager.E)):
