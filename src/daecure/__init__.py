@@ -19,8 +19,6 @@ from .interp import DeflatedSystem
 from .pork import RomRealization, check_interpolation, pork_input
 from . import spark
 from .spark import SparkParams
-from .spark import evaluate as spark_evaluate
-from .spark import spark as run_spark
 
 __all__ = [
     "CureConfig",
@@ -41,9 +39,7 @@ __all__ = [
     "h2_norm",
     "pork_input",
     "realize_constant_poly",
-    "run_spark",
     "spark",
-    "spark_evaluate",
     "split_transfer",
 ]
 

@@ -234,7 +234,8 @@ def _read_mtx(base, fn, what):
 def read_system(manifest_path) -> dm.DaeSystem:
     """Parse a manifest, load the Matrix-Market matrices and validate the
     declared structure.  Optional 'row_perm'/'col_perm' entries reorder the
-    loaded matrices (0-based index lists)."""
+    loaded matrices (0-based index lists); they need a square E and A
+    that B and C fit, else StructureViolation."""
     try:
         with open(manifest_path) as fh:
             man = json.load(fh)
@@ -270,6 +271,12 @@ def read_system(manifest_path) -> dm.DaeSystem:
         D = np.zeros((C.shape[0], B.shape[1]))
     if man.get("row_perm") is not None or man.get("col_perm") is not None:
         n = E.shape[0]
+        # indexing by a permutation of range(n) would cut a longer side
+        if E.shape != (n, n) or A.shape != (n, n) or B.shape[0] != n \
+                or C.shape[1] != n:
+            raise StructureViolation(
+                f"E {E.shape}, A {A.shape}, B {B.shape} and C {C.shape} "
+                "do not share one state dimension")
         rp = _permutation(man.get("row_perm"), n, "row_perm")
         cp = _permutation(man.get("col_perm"), n, "col_perm")
         E = E[rp][:, cp].tocsc()
@@ -320,8 +327,6 @@ def write_freq_response(path, omegas, values):
     ``values`` is an array of shape (len(omegas), p, m).
     """
     values = np.asarray(values)
-    if values.ndim == 1:
-        values = values[:, None, None]
     _, p, m = values.shape
     header = ["omega"]
     for i in range(p):

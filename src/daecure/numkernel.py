@@ -13,9 +13,9 @@ solve A X - E X S = F for its S = S(a, b).  ``SylvesterContext`` does so
 through the pair's closed-form Schur data with the fewest shifted LUs
 and triangular solves the pair allows: two real LUs for a real pair, one
 for a confluent one, and one complex LU and solve for a conjugate pair.
-Its LUs certify an interpolation step.  ``KroneckerSylvester`` solves the
-same equation for a small dense pencil, a Galerkin surrogate's, with one
-real LU of I kron A - S^T kron E.
+Its LUs, one per shift up to conjugation, certify an interpolation step.
+``KroneckerSylvester`` solves the same equation for a small dense pencil,
+a Galerkin surrogate's, with one real LU of I kron A - S^T kron E.
 """
 
 import numpy as np
@@ -162,22 +162,6 @@ def _gated_solve(lu, apply, dtype, b, what):
     return x
 
 
-class ConjugateFactorization:
-    """(A - conj(sigma) E) for real A, E, solved through the factorization
-    at sigma: its solution is conj of (A - sigma E)^-1 conj(b), which
-    meets the same ``TOL_SOLVE`` contract without a second LU."""
-
-    def __init__(self, fac: ShiftedFactorization):
-        if np.iscomplexobj(fac._A) or np.iscomplexobj(fac._E):
-            raise DimensionMismatch("conjugate sharing needs real A and E")
-        #: the factorization at sigma that every solve goes through
-        self.base = fac
-        self.sigma = fac.sigma.conjugate()
-
-    def solve(self, rhs):
-        return np.conj(self.base.solve(np.conj(rhs)))
-
-
 #: largest order of a sparse system that is densified: for its H2 norm,
 #: and for LAPACK LUs of a densely filled pencil (``cheapest_pencil``)
 DENSE_LIMIT = 500
@@ -217,13 +201,15 @@ class SylvesterContext:
     S = S(a, b) of a shift pair ``pair`` (``spark.SparkParams``).
 
     The pair's closed-form Schur data S = U T U^H decouple the two
-    columns of Y = X U into shifted solves: column j with ``factors[j]``,
-    the LU at ``pair.shifts()[j]``, reused across right-hand sides.
-    A conjugate pair gets one complex LU, shared with its partner shift
-    through ``ConjugateFactorization``; a real pair gets two real LUs and
-    is solved in real arithmetic; a confluent pair, b = a^2, gets one LU
-    for both columns.  For a conjugate pair and a real F, column 0 alone
-    gives the real X = [Re y, Im y / |d|], where d = sqrt(a^2 - b) and
+    columns of Y = X U into shifted solves, column j at
+    ``pair.shifts()[j]``.  ``factors`` holds one LU per shift up to
+    conjugation, reused across right-hand sides: two real LUs for a real
+    pair, in ``shifts()`` order, solved in real arithmetic; one LU for a
+    confluent pair, b = a^2, whose shifts are equal; one complex LU at
+    the first shift for a conjugate pair, which needs real A and E: the
+    second column's solve is conj((A - sigma E)^-1 conj(r)).  For a
+    conjugate pair and a real F, column 0 alone gives the real
+    X = [Re y, Im y / |d|], where d = sqrt(a^2 - b) and
     (A - (a + d) E) y = F (1, d)^T: one complex solve, taken while
     max(|d|, 1/|d|) <= ``RECOVER_COND``.
     """
@@ -234,13 +220,12 @@ class SylvesterContext:
         self.T, self.U = pair.schur()
         s0, s1 = pair.shifts()
         conjugate = np.iscomplexobj(s0)
-        fac = ShiftedFactorization(self.A, self.E, s0)
-        if s1 == s0:
-            self.factors = [fac, fac]
-        elif conjugate:
-            self.factors = [fac, ConjugateFactorization(fac)]
-        else:
-            self.factors = [fac, ShiftedFactorization(self.A, self.E, s1)]
+        if conjugate and (np.iscomplexobj(self.A)
+                          or np.iscomplexobj(self.E)):
+            raise DimensionMismatch("a conjugate pair needs real A and E")
+        self.factors = [ShiftedFactorization(self.A, self.E, s0)]
+        if not conjugate and s1 != s0:
+            self.factors.append(ShiftedFactorization(self.A, self.E, s1))
         d = abs(s0.imag)
         self._recover = d if conjugate and max(d, 1 / d) <= RECOVER_COND \
             else None
@@ -250,22 +235,25 @@ class SylvesterContext:
 
         ``F`` is one n x 2 right-hand side or a stack of k of them, shape
         (k, n, 2); X has the shape of ``F``.  Column j of all k equations
-        is one block solve with ``factors[j]``.
+        is one block solve.
         """
         F = np.asarray(F)
         Fs = F if F.ndim == 3 else F[None]
         real = not np.iscomplexobj(Fs)
+        fac = self.factors[0]
         if self._recover is not None and real:
             # y = X (1, d)^T = X[:, 0] + i |d| X[:, 1]
             d = self._recover
-            y = self.factors[0].solve(
-                (Fs[:, :, 0] + 1j * d * Fs[:, :, 1]).T).T
+            y = fac.solve((Fs[:, :, 0] + 1j * d * Fs[:, :, 1]).T).T
             X = np.stack([y.real, y.imag / d], axis=-1)
         else:
             Ft = Fs @ self.U
-            y0 = self.factors[0].solve(Ft[:, :, 0].T)
-            y1 = self.factors[1].solve(
-                Ft[:, :, 1].T + self.T[0, 1] * (self.E @ y0))
+            y0 = fac.solve(Ft[:, :, 0].T)
+            r1 = Ft[:, :, 1].T + self.T[0, 1] * (self.E @ y0)
+            if fac.sigma.imag:
+                y1 = np.conj(fac.solve(np.conj(r1)))
+            else:
+                y1 = self.factors[-1].solve(r1)
             X = np.stack([y0.T, y1.T], axis=-1) @ self.U.conj().T
         if real:
             # the exact solution is real; accept the real cast only if it

@@ -23,7 +23,9 @@ from .spark import SparkParams
 
 @dataclass
 class RomRealization:
-    """Dense reduced realization (Er, Ar, Br, Cr, Dr)."""
+    """Dense reduced realization (Er, Ar, Br, Cr, Dr): Er and Ar r x r,
+    Br r x m, Cr p x r and Dr p x m, zero when not given; other shapes
+    raise DimensionMismatch."""
 
     Er: np.ndarray
     Ar: np.ndarray
@@ -37,12 +39,16 @@ class RomRealization:
         self.Br = np.atleast_2d(np.asarray(self.Br))
         self.Cr = np.atleast_2d(np.asarray(self.Cr))
         r = self.Er.shape[0]
-        if self.Ar.shape != (r, r) or self.Br.shape[0] != r \
-                or self.Cr.shape[1] != r:
+        if self.Er.shape != (r, r) or self.Ar.shape != (r, r) \
+                or self.Br.shape[0] != r or self.Cr.shape[1] != r:
             raise DimensionMismatch("inconsistent reduced realization blocks")
         if self.Dr is None:
-            self.Dr = np.zeros((self.Cr.shape[0], self.Br.shape[1]))
+            self.Dr = np.zeros((self.p, self.m))
         self.Dr = np.atleast_2d(np.asarray(self.Dr, dtype=float))
+        if self.Dr.shape != (self.p, self.m):
+            raise DimensionMismatch(
+                f"Dr is {self.Dr.shape[0]} x {self.Dr.shape[1]}, not "
+                f"p x m = {self.p} x {self.m}")
 
     @property
     def order(self):
@@ -82,16 +88,15 @@ def pork_input(V: np.ndarray, pair: SparkParams,
     )
 
 
-def check_interpolation(fom_eval, rom: RomRealization,
-                        pair: SparkParams) -> list:
+def check_interpolation(fom_eval, rom: RomRealization, shifts) -> list:
     """Per-shift relative residuals ||G(sigma) - G_r(sigma)|| / ||G(sigma)||
-    at the shifts of ``pair``.
+    at each sigma of ``shifts``.
 
     ``fom_eval(s)`` must evaluate the (deflated, strictly proper) target.
     The input is scalar, so every tangential direction is 1.
     """
     out = []
-    for s in pair.shifts():
+    for s in shifts:
         full = np.atleast_2d(fom_eval(s))
         denom = max(np.linalg.norm(full), 1e-300)
         out.append(float(np.linalg.norm(full - rom.eval(s)) / denom))

@@ -216,9 +216,9 @@ class SurrogateBasis:
     W^T B_defl, C W) has the full model's J and gradient there.  A and E
     never change during a reduction, so one basis serves every CURE step,
     and ``surrogate`` reads only B_defl and C off the system it is given.
-    Added blocks wait in a queue and are folded in, in order, when W, A,
-    E or the surrogate is next read, or by ``fold``: a block that no
-    later search reads costs no orthogonalization.
+    Added blocks wait in a queue and are folded in, in order, when W or
+    the surrogate is next read, or by ``fold``: a block that no later
+    search reads costs no orthogonalization.
     """
 
     def __init__(self, A, E):
@@ -263,16 +263,6 @@ class SurrogateBasis:
     def W(self):
         self.fold()
         return self._W
-
-    @property
-    def A(self):
-        self.fold()
-        return self._A
-
-    @property
-    def E(self):
-        self.fold()
-        return self._E
 
     def surrogate(self, ds: DeflatedSystem) -> DeflatedSystem:
         """The Galerkin surrogate of ``ds`` with its current input."""

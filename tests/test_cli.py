@@ -331,6 +331,37 @@ def test_declared_size_mismatch_exit2(tmp_path, capsys, command, sizes):
     assert std.out == "" and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("perm", [None, "row_perm", "col_perm"])
+@pytest.mark.parametrize("shapes", [{"E": (8, 9), "A": (8, 9)},
+                                    {"B": (9, 1)}],
+                         ids=["pencil-8x9", "B-9-rows"])
+@pytest.mark.parametrize("command", ["h2norm", "reduce"])
+def test_nonconformal_blocks_exit2_whether_or_not_permuted(
+        tmp_path, capsys, command, shapes, perm):
+    # a permutation of the 8 states must not cut a ninth column or row
+    # off; without one, the shape check of the system refuses them too
+    sys = bio.gen_semi_explicit_index1(6, 2, seed=0)
+    mp = bio.write_system(sys, tmp_path / "sys")
+    for key, shape in shapes.items():
+        mat, block = sps.lil_matrix(shape), getattr(sys, key)
+        mat[:block.shape[0], :block.shape[1]] = block
+        spio.mmwrite(str(tmp_path / "sys" / f"system_{key}.mtx"),
+                     mat.tocsc())
+    if perm is not None:
+        # swap two differential states: the structure stays valid
+        json.dump({**json.load(open(mp)), perm: [1, 0] + list(range(2, 8))},
+                  open(mp, "w"))
+    out = str(tmp_path / "out")
+    argv = {"h2norm": ["h2norm", mp],
+            "reduce": ["reduce", "--manifest", mp, "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_UNSUPPORTED
+    std = capsys.readouterr()
+    obj = json.loads(std.err)          # exactly one JSON object
+    assert obj["error"] == "StructureViolation"
+    assert std.out == "" and not os.path.exists(out)
+
+
 def test_index2_pencil_tagged_index1_is_numerical_error(tmp_path, capsys):
     mp = bio.write_system(bio.gen_stokes_index2(3, seed=0), tmp_path)
     man = json.load(open(mp))
@@ -453,6 +484,29 @@ def test_complex_rom_entry_exit2(sysdir, tmp_path, capsys, command):
     assert obj["error"] == "InvalidEntries"
     assert "complex" in obj["message"]
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, shape", [("E", (3, 4)), ("D", (2, 3))],
+                         ids=["Er-3x4", "Dr-2x3"])
+@pytest.mark.parametrize("command", ["h2norm", "bode"])
+def test_rom_block_of_wrong_shape_exit2(sysdir, tmp_path, capsys, command,
+                                        key, shape):
+    # Er must be square and Dr p x m, here 1 x 1
+    rom = RomRealization(Er=np.eye(3), Ar=-np.diag([1.0, 2.0, 3.0]),
+                         Br=np.ones((3, 1)), Cr=np.ones((1, 3)))
+    bio.write_rom(rom, tmp_path / "rom")
+    spio.mmwrite(str(tmp_path / "rom" / f"rom_{key}.mtx"), np.ones(shape))
+    out = str(tmp_path / "out")
+    argv = {"h2norm": ["h2norm", str(tmp_path / "rom")],
+            "bode": ["bode", "--manifest", _manifest(sysdir), "--rom",
+                     str(tmp_path / "rom"), "--wmin", "1e-2", "--wmax",
+                     "1e2", "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_UNSUPPORTED
+    std = capsys.readouterr()
+    obj = json.loads(std.err)          # exactly one JSON object
+    assert obj["error"] == "DimensionMismatch"
+    assert std.out == "" and not os.path.exists(out)
 
 
 def test_mimo_without_channel_exit2(tmp_path, capsys):

@@ -159,6 +159,46 @@ def test_cure_step_makes_no_factorization(fixture, request, factor_log):
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_step_certificate_checks_each_shift_that_owns_an_lu(
+        fixture, request, monkeypatch):
+    # a conjugate pair is certified once, at its first shift: for the
+    # real system and its real ROM, G(conj s) = conj G(s) and
+    # G_r(conj s) = conj G_r(s), so the residual at the partner shift,
+    # taken with a fresh LU there, is the certificate up to rounding.  A
+    # real pair certifies both shifts, a confluent pair its double shift
+    # once
+    checked, check = [], cure.check_interpolation
+
+    def logged_check(fom_eval, rom, shifts):
+        checked.append(list(shifts))
+        return check(fom_eval, rom, shifts)
+
+    monkeypatch.setattr(cure, "check_interpolation", logged_check)
+    ledger = cure.CureLedger(
+        DeflatedSystem.from_dae(request.getfixturevalue(fixture)))
+    for a, b in ((0.5, 4.0), (2.0, 3.0), (1.5, 2.25)):
+        s0, s1 = sp.SparkParams(a, b).shifts()
+        res = _result_at(ledger.ds, a, b)
+        before = dataclasses.replace(ledger.ds)
+        del checked[:]
+        cure.cure_step(ledger, res)
+        rec = ledger.records[-1]
+        assert rec.interp_residual <= 1e-10
+        if b > a * a:
+            assert checked == [[s0]] and s1 == np.conj(s0)
+            G, G_r = transfer(before), rec.rom.eval
+            full, red = G(s1), G_r(s1)
+            assert np.allclose(full, np.conj(G(s0)), rtol=1e-13, atol=0)
+            assert np.allclose(red, np.conj(G_r(s0)), rtol=1e-13, atol=0)
+            partner = np.linalg.norm(full - red) / np.linalg.norm(full)
+            assert abs(partner - rec.interp_residual) <= 1e-14
+        elif b < a * a:
+            assert checked == [[s0, s1]] and s0 != s1
+        else:
+            assert checked == [[s0]] and s1 == s0
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
 def test_step_certificate_can_fail(fixture, request, monkeypatch):
     sys = request.getfixturevalue(fixture)
     report, ledger = run_cure(sys, max_steps=3, tol=1e-6)

@@ -29,7 +29,8 @@ def test_interpolation_at_distinct_real_shifts(index1_small):
     V, pair = basis_at(ds, 2.0, 3.0)  # a^2 > b: real shifts
     from daecure.pork import check_interpolation, pork_input
     rom = pork_input(V, pair, ds.C)
-    assert max(check_interpolation(transfer(ds), rom, pair)) <= 1e-10
+    assert max(check_interpolation(transfer(ds), rom,
+                                   pair.shifts())) <= 1e-10
 
 
 def test_interpolation_at_complex_pair(stokes_small):
@@ -37,7 +38,8 @@ def test_interpolation_at_complex_pair(stokes_small):
     V, pair = basis_at(ds, 0.5, 4.0)  # a^2 < b: complex pair
     from daecure.pork import check_interpolation, pork_input
     rom = pork_input(V, pair, ds.C)
-    assert max(check_interpolation(transfer(ds), rom, pair)) <= 1e-10
+    assert max(check_interpolation(transfer(ds), rom,
+                                   pair.shifts())) <= 1e-10
 
 
 def test_basis_smooth_through_confluence(index1_small):

@@ -54,7 +54,8 @@ def test_interpolation_order_two_anchor():
     assert np.allclose(np.sort(pair.shifts().real), [1.0, 2.0], atol=1e-15)
     assert abs(rom.eval(1.0)[0, 0] - 1 / 6) <= 1e-13
     assert abs(rom.eval(0.0)[0, 0] - 1 / 2) <= 1e-13
-    assert max(check_interpolation(transfer(ds), rom, pair)) <= 1e-13
+    assert max(check_interpolation(transfer(ds), rom,
+                                   pair.shifts())) <= 1e-13
 
 
 def test_orthogonality_of_pseudo_optimal_error(index1_small):
