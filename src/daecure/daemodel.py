@@ -2,10 +2,11 @@
 transfer function evaluation.
 
 Two structures are supported: semi-explicit index-1 and Stokes-type
-index-2.  For each, one sparse LU of a saddle-point matrix (M for index 1,
-K for Stokes) applies the finite spectral projectors implicitly and
-extracts the polynomial part; no projector or block inverse is ever
-materialized.
+index-2.  For each, one sparse LU behind a saddle-point matrix (M for
+index 1, K for Stokes) applies the finite spectral projectors implicitly
+and extracts the polynomial part; no projector or block inverse is ever
+materialized.  With a diagonal E11 that LU is of the Schur complement of
+E11 (order n2 for M, n_p for K), otherwise of M or K itself.
 """
 
 from dataclasses import dataclass, field
@@ -89,15 +90,16 @@ def _validate_structure(sys):
         n1 = tag.n1
         if not 1 <= n1 <= n:
             raise StructureViolation(f"n1={n1} out of range for n={n}")
-        if sys.E[n1:, :].nnz:
+        if sys.E[n1:, :].count_nonzero():
             raise StructureViolation("semi-explicit tag: E rows below n1 not zero")
     elif isinstance(tag, StokesIndex2):
         nv, npp = tag.n_v, tag.n_p
         if nv + npp != n:
             raise StructureViolation(f"n_v + n_p = {nv + npp} != n = {n}")
-        if sys.E[nv:, :].nnz or sys.E[:nv, nv:].nnz:
+        if (sys.E[nv:, :].count_nonzero()
+                or sys.E[:nv, nv:].count_nonzero()):
             raise StructureViolation("Stokes tag: E must be [[E11,0],[0,0]]")
-        if sys.A[nv:, nv:].nnz:
+        if sys.A[nv:, nv:].count_nonzero():
             raise StructureViolation("Stokes tag: A22 block must be zero")
     else:
         raise StructureViolation(f"unknown structure tag {tag!r}")
@@ -118,14 +120,15 @@ class ProjectorKit:
     """Implicit applications of the finite spectral projectors.
 
     Each map takes and returns an (n,) vector or (n, k) block, real or
-    complex.  ``saddle`` is the one sparse factorization every map solves
-    with, of M = [[E11, E12], [A21, A22]] (index 1) or
-    K = [[E11, A12], [A21, 0]] (Stokes); ``split_transfer`` reuses it.
+    complex.  ``saddle`` is the one factorization every map solves with,
+    of M = [[E11, E12], [A21, A22]] (index 1) or K = [[E11, A12], [A21, 0]]
+    (Stokes); ``split_transfer`` reuses it.
     """
 
     apply_left: callable = field(repr=False, default=None)
     apply_right: callable = field(repr=False, default=None)
-    saddle: nk.ShiftedFactorization = field(repr=False, default=None)
+    saddle: "nk.ShiftedFactorization | SchurSaddle" = field(repr=False,
+                                                           default=None)
 
 
 def build_projectors(sys: DaeSystem) -> ProjectorKit:
@@ -137,22 +140,98 @@ def build_projectors(sys: DaeSystem) -> ProjectorKit:
     scaling sE - A by diag(s^-1 I, I) on the left (and, for Stokes, by
     diag(I, s I) on the right) gives a matrix whose determinant tends to
     +-det M or +-det K as s -> oo, so det(sE - A) is not identically
-    zero.  Constructing a DaeSystem therefore checks only shapes and
-    structural zeros.
+    zero.  With a diagonal E11 the LU is of the Schur complement S of E11
+    in M or K, and det M (or det K) = det E11 det S, so either LU
+    certifies it.  Constructing a DaeSystem therefore checks only shapes
+    and structural zeros.
     """
     if isinstance(sys.structure, SemiExplicitIndex1):
         return _projectors_semi_explicit(sys)
     return _projectors_stokes(sys)
 
 
-def _factor_saddle(M, what):
-    """LU of M; one residual-checked solve also rejects a near-singular M
-    whose factorization succeeds."""
+class SchurSaddle:
+    """Solves with a saddle-point matrix [[D, X], [Y, Z]] whose D = diag(d)
+    has no zero entry, through an LU of its Schur complement
+    S = Z - Y D^-1 X: S x2 = b2 - Y D^-1 b1, then x1 = D^-1 (b1 - X x2).
+
+    ``solve`` keeps the ``TOL_SOLVE`` contract of
+    ``nk.ShiftedFactorization`` against the whole matrix.  Raises
+    SingularShift, as that LU does, when S is exactly singular.
+    """
+
+    def __init__(self, d, X, Y, Z, what):
+        self._d, self._dinv = d, 1.0 / d
+        self._X, self._Y, self._Z = X, Y, Z
+        S = nk.as_csc(Z - Y @ (sps.diags(self._dinv) @ X))
+        self._schur = nk.ShiftedFactorization(S, sps.csc_matrix(S.shape), 0.0)
+        self.n = d.size + S.shape[0]
+        self.dtype = np.result_type(self._dinv, self._schur.dtype)
+        self._what = what
+
+    def _solve_blocks(self, b):
+        """The block solve of an (n, k) block b, without a residual check;
+        overflow and NaN are left to the check."""
+        nd = self._d.size
+        dinv = self._dinv[:, None]
+        x = np.empty_like(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(dinv, b[:nd], out=x[:nd])
+            x[nd:] = self._schur._lu.solve(b[nd:] - self._Y @ x[:nd])
+            x[:nd] -= dinv * (self._X @ x[nd:])
+        return x
+
+    def _apply(self, x):
+        """[[D, X], [Y, Z]] x for an (n, k) block x."""
+        nd = self._d.size
+        y = np.empty_like(x)
+        y[:nd] = self._X @ x[nd:]
+        y[:nd] += self._d[:, None] * x[:nd]
+        y[nd:] = self._Y @ x[:nd]
+        y[nd:] += self._Z @ x[nd:]
+        return y
+
+    def solve(self, rhs):
+        """Solve [[D, X], [Y, Z]] x = rhs for an (n,) vector or an (n, k)
+        block."""
+        rhs = np.asarray(rhs)
+        x = nk._gated_solve(self._solve_blocks, self._apply, self.dtype,
+                            rhs.reshape(self.n, -1), self._what)
+        return x.reshape(rhs.shape)
+
+
+def _probed(fac):
+    """``fac`` after one residual-checked solve, which also rejects a
+    near-singular matrix whose factorization succeeds."""
+    fac.solve(np.random.default_rng(0).standard_normal(fac.n))
+    return fac
+
+
+def _factor_saddle(D, X, Y, Z, what):
+    """Factorization of the saddle-point matrix [[D, X], [Y, Z]], named
+    ``what``.
+
+    A diagonal D with no zero entry (by value) and a Z of positive order
+    get a ``SchurSaddle``.  Any other D, an exactly singular Schur
+    complement, or a probe solve that misses the residual bound (a badly
+    scaled D) gets the LU of the assembled matrix instead, which alone
+    raises SingularSchurComplement.
+    """
+    d = D.diagonal()
+    if Z.shape[0] and np.all(d != 0) and D.count_nonzero() == d.size:
+        try:
+            return _probed(SchurSaddle(d, X, Y, Z, what))
+        except SingularShift:
+            pass
+    return _factor_assembled(sps.bmat([[D, X], [Y, Z]]), what)
+
+
+def _factor_assembled(M, what):
+    """LU of the saddle-point matrix M, probed."""
     M = nk.as_csc(M)
     try:
-        fac = nk.ShiftedFactorization(M, sps.csc_matrix(M.shape), 0.0)
-        fac.solve(np.random.default_rng(0).standard_normal(M.shape[0]))
-        return fac
+        return _probed(nk.ShiftedFactorization(M, sps.csc_matrix(M.shape),
+                                               0.0))
     except SingularShift as exc:
         raise SingularSchurComplement(f"{what} is singular: {exc}") from exc
 
@@ -167,8 +246,8 @@ def _projectors_semi_explicit(sys):
     """
     n1 = sys.structure.n1
     A = sys.A
-    fac = _factor_saddle(sps.vstack([sys.E[:n1], A[n1:]]),
-                         "M = [[E11, E12], [A21, A22]]")
+    fac = _factor_saddle(sys.E[:n1, :n1], sys.E[:n1, n1:], A[n1:, :n1],
+                         A[n1:, n1:], "M = [[E11, E12], [A21, A22]]")
 
     def alg(x):  # W x
         return _with_zeros(x[n1:], n1, 0)
@@ -193,9 +272,8 @@ def _projectors_stokes(sys):
     nv, npp = sys.structure.n_v, sys.structure.n_p
     E11 = sys.E[:nv, :nv]
     A11 = sys.A[:nv, :nv]
-    fac = _factor_saddle(sps.bmat([[E11, sys.A[:nv, nv:]],
-                                   [sys.A[nv:, :nv], None]]),
-                         "K = [[E11, A12], [A21, 0]]")
+    fac = _factor_saddle(E11, sys.A[:nv, nv:], sys.A[nv:, :nv],
+                         sys.A[nv:, nv:], "K = [[E11, A12], [A21, 0]]")
 
     def right(v):
         x = fac.solve(_with_zeros(E11 @ v[:nv], 0, npp))[:nv]

@@ -24,7 +24,9 @@ class StructureViolation(DaecureError):
 class SingularSchurComplement(DaecureError):
     """The saddle-point matrix that defines the structured projectors (M
     for index 1, K for Stokes) is singular: the pencil does not have the
-    declared structure."""
+    declared structure.  Raised by the LU of the assembled M or K, which
+    also serves where the Schur complement of a diagonal E11 is singular
+    or fails the residual check."""
 
 
 class NonPositiveParams(DaecureError):

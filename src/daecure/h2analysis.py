@@ -50,7 +50,7 @@ def _finite_std(obj):
         r = int(np.count_nonzero(sv > sv.max(initial=0.0) * n
                                  * np.finfo(sv.dtype).eps))
         if r == 0:
-            dm._factor_saddle(obj.Ar, "Ar of a reduced model with Er = 0")
+            dm._factor_assembled(obj.Ar, "Ar of a reduced model with Er = 0")
             return np.zeros((0, 0)), np.zeros((0, obj.m)), \
                 np.zeros((obj.p, 0))
         sv[r:] = 0.0

@@ -124,14 +124,15 @@ class ShiftedFactorization:
         residual contract of ``_gated_solve``.
         """
         rhs = np.asarray(rhs)
-        x = _gated_solve(self._lu, self._apply, self.dtype,
+        x = _gated_solve(self._lu.solve, self._apply, self.dtype,
                          rhs.reshape(self.n, -1), f"shift {self.sigma}")
         return x.reshape(rhs.shape)
 
 
-def _gated_solve(lu, apply, dtype, b, what):
-    """x with apply(x) = b for an (N, k) block b, from the LU ``lu`` (of
-    dtype ``dtype``) of the matrix that ``apply`` multiplies by.
+def _gated_solve(solve, apply, dtype, b, what):
+    """x with apply(x) = b for an (N, k) block b, from ``solve``, an LU
+    solve (in dtype ``dtype``) with the matrix that ``apply`` multiplies
+    by.
 
     Each column whose residual misses ``TOL_SOLVE`` relative to its own
     right-hand side gets one step of iterative refinement; raises
@@ -143,12 +144,12 @@ def _gated_solve(lu, apply, dtype, b, what):
     if split:
         b = np.hstack([b.real, b.imag])
     b = b.astype(dtype, copy=False)
-    x = lu.solve(b)
+    x = solve(b)
     nb = np.linalg.norm(b, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         refine = ~(np.linalg.norm(b - apply(x), axis=0) <= TOL_SOLVE * nb)
         if refine.any():
-            x[:, refine] += lu.solve(b[:, refine] - apply(x[:, refine]))
+            x[:, refine] += solve(b[:, refine] - apply(x[:, refine]))
             rel = np.linalg.norm(b[:, refine] - apply(x[:, refine]),
                                  axis=0) / np.maximum(nb[refine], 1e-300)
             if not np.all(rel <= TOL_SOLVE):
@@ -316,7 +317,7 @@ class KroneckerSylvester:
             raise DimensionMismatch(f"F must be {n} x 2 or k x {n} x 2")
         k = Fs.shape[0]
         b = Fs.transpose(0, 2, 1).reshape(k, 2 * n).T
-        x = _gated_solve(self._lu, self._K.dot, self._K.dtype, b,
+        x = _gated_solve(self._lu.solve, self._K.dot, self._K.dtype, b,
                          "the Kronecker system")
         X = x.T.reshape(k, 2, n).transpose(0, 2, 1)
         return X if F.ndim == 3 else X[0]

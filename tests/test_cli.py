@@ -279,6 +279,44 @@ def test_h2norm_of_manifest_factors_only_saddle_points(
     assert factor_log == [0.0]
 
 
+#: an entry of a block the structure tag declares zero: the generator,
+#: the matrix, and the entry's place relative to (n_v or n1, n_v or n1)
+ZERO_BLOCK_ENTRIES = {
+    "stokes-E-pressure-row": (lambda: bio.gen_stokes_index2(4, 1), "E",
+                              (0, -1)),
+    "index1-E-algebraic-row": (lambda: bio.gen_semi_explicit_index1(
+        20, 5, 0), "E", (0, -1)),
+    "stokes-A22": (lambda: bio.gen_stokes_index2(4, 1), "A", (0, 0)),
+}
+
+
+@pytest.mark.parametrize("value, code", [(0.0, cli.EXIT_OK),
+                                         (1.0, cli.EXIT_UNSUPPORTED)])
+@pytest.mark.parametrize("block", sorted(ZERO_BLOCK_ENTRIES))
+def test_structural_zero_blocks_are_checked_by_value(block, value, code,
+                                                     tmp_path, capsys):
+    # a zero block may store explicit zeros; a stored nonzero breaks it
+    gen, key, (di, dj) = ZERO_BLOCK_ENTRIES[block]
+    sys = gen()
+    tag = sys.structure
+    k = tag.n1 if isinstance(tag, dm.SemiExplicitIndex1) else tag.n_v
+    path = bio.write_system(sys, tmp_path)
+    _, plain, _ = _h2norm(path, capsys)
+    mat = getattr(sys, key).tocoo()
+    stored = sps.coo_matrix((np.append(mat.data, value),
+                             (np.append(mat.row, k + di),
+                              np.append(mat.col, k + dj))), shape=mat.shape)
+    name = json.load(open(path))["files"][key]
+    spio.mmwrite(str(tmp_path / name), stored, symmetry="general")
+    assert spio.mmread(str(tmp_path / name)).nnz == mat.nnz + 1
+    got, out, err = _h2norm(path, capsys)
+    assert got == code
+    if code == cli.EXIT_OK:
+        assert float(out) == float(plain)
+    else:
+        assert json.loads(err)["error"] == "StructureViolation"
+
+
 def test_refused_h2norm_of_manifest_factors_nothing(tmp_path, capsys,
                                                     factor_log):
     path = bio.write_system(bio.gen_stokes_index2(60, seed=0), tmp_path)
@@ -680,8 +718,8 @@ def test_saddle_factorization_freed_before_cure(sysdir, tmp_path,
     factor_saddle = dm._factor_saddle
     cured_spark = cure.cured_spark
 
-    def tracked(M, what):
-        fac = factor_saddle(M, what)
+    def tracked(*blocks):
+        fac = factor_saddle(*blocks)
         refs.append(weakref.ref(fac))
         return fac
 
@@ -743,6 +781,13 @@ def test_pinned_malloc_maps_large_blocks_after_a_larger_free():
 def test_malloc_threshold_from_environment_is_kept():
     pinned, _ = _mapped_probe(MALLOC_MMAP_THRESHOLD_=str(64 << 20))
     assert not pinned
+
+
+def test_main_reads_matrix_market_with_one_thread(sysdir, monkeypatch):
+    fmm = pytest.importorskip("scipy.io._fast_matrix_market")
+    monkeypatch.setattr(fmm, "PARALLELISM", 0)     # scipy's default: all
+    assert run(["validate", _manifest(sysdir)]) == 0
+    assert fmm.PARALLELISM == 1
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -1,11 +1,16 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from daecure import cure
 from daecure import daemodel as dm
 from daecure import numkernel as nk
 from daecure.errors import SingularSchurComplement, StructureViolation
+from daecure.interp import DeflatedSystem
 
+from conftest import STRUCTURE_VARIANTS
 from oracles import PencilDeflation
 
 
@@ -46,6 +51,125 @@ def test_projectors_and_transfer_split_share_one_factorization(
     kit = dm.build_projectors(sys)
     dm.split_transfer(sys, kit)
     assert len(factor_log) == 1
+
+
+#: the fixtures whose E11 is diagonal with no zero entry
+DIAGONAL_E11 = ["index1_small", "stokes_small"]
+
+
+def _e11_order(sys):
+    tag = sys.structure
+    return tag.n1 if isinstance(tag, dm.SemiExplicitIndex1) else tag.n_v
+
+
+@contextlib.contextmanager
+def assembled_saddle():
+    """Inside the block, every saddle-point matrix gets the LU of the
+    assembled M or K."""
+    def assembled(D, X, Y, Z, what):
+        return dm._factor_assembled(sps.bmat([[D, X], [Y, Z]]), what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dm, "_factor_saddle", assembled)
+        yield
+
+
+@pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS)
+def test_saddle_lu_is_of_the_schur_complement_of_a_diagonal_e11(
+        fixture, request, monkeypatch):
+    # order n2 (index 1) or n_p (Stokes) for a diagonal E11, else the
+    # order n of M or K
+    sys = request.getfixturevalue(fixture)
+    orders = []
+    init = nk.ShiftedFactorization.__init__
+
+    def logged(self, A, E, sigma):
+        init(self, A, E, sigma)
+        orders.append(self.n)
+
+    monkeypatch.setattr(nk.ShiftedFactorization, "__init__", logged)
+    dm.build_projectors(sys)
+    want = sys.n - _e11_order(sys) if fixture in DIAGONAL_E11 else sys.n
+    assert orders == [want]
+
+
+@pytest.mark.parametrize("fixture", DIAGONAL_E11)
+def test_schur_saddle_agrees_with_the_assembled_lu(fixture, request):
+    sys = request.getfixturevalue(fixture)
+    kit = dm.build_projectors(sys)
+    assert isinstance(kit.saddle, dm.SchurSaddle)
+    with assembled_saddle():
+        ref = dm.build_projectors(sys)
+    assert isinstance(ref.saddle, nk.ShiftedFactorization)
+
+    def close(x, y):
+        return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    (B, pp), (B_ref, pp_ref) = (dm.split_transfer(sys, k) for k in (kit, ref))
+    assert close(B, B_ref) and pp.kind == pp_ref.kind
+    if pp.kind == "constant":
+        assert close(pp.constant, pp_ref.constant)
+    V = np.random.default_rng(3).standard_normal((sys.n, 3))
+    assert close(kit.apply_left(V), ref.apply_left(V))
+    assert close(kit.apply_right(V), ref.apply_right(V))
+
+
+@pytest.mark.parametrize("fixture", DIAGONAL_E11)
+def test_widely_spread_diagonal_e11_reduces_as_the_assembled_lu(
+        fixture, request):
+    # scaling the differential (velocity) columns by 1e-12 ... 1 spreads
+    # E11 over that range and keeps the transfer function
+    sys = request.getfixturevalue(fixture)
+    k = _e11_order(sys)
+    R = sps.diags(np.concatenate([np.logspace(-12, 0, k),
+                                  np.ones(sys.n - k)]))
+    sys = dm.DaeSystem(sys.E @ R, sys.A @ R, sys.B, sys.C @ R, sys.D,
+                       sys.structure)
+    assert isinstance(dm.build_projectors(sys).saddle, dm.SchurSaddle)
+
+    def reduced_norm():
+        report, _ = cure.cured_spark(DeflatedSystem.from_dae(sys))
+        return report["norm_history"][-1]
+
+    norm = reduced_norm()
+    with assembled_saddle():
+        ref = reduced_norm()
+    assert abs(norm - ref) <= 1e-10 * ref
+
+
+def _index1_with_blocks(d, E12, A21, A22):
+    """Index-1 system with E11 = diag(d), A11 = -I and the given blocks."""
+    n1, n2 = len(d), len(A22)
+    E = sps.bmat([[sps.diags(d), E12], [None, sps.csc_matrix((n2, n2))]])
+    A = sps.bmat([[-sps.eye(n1), None], [A21, A22]])
+    return dm.DaeSystem(E, A, np.ones((n1 + n2, 1)), np.ones((1, n1 + n2)),
+                        np.zeros((1, 1)), dm.SemiExplicitIndex1(n1))
+
+
+def _rounds_singular():
+    # S = I - 1e17 [[1, 1], [1, 1]] rounds to an exactly singular matrix
+    return _index1_with_blocks([1e-17], np.ones((1, 2)), np.ones((2, 1)),
+                               np.eye(2))
+
+
+def _misses_the_probe():
+    # S = diag(0.3, 0.7) - 1e12 [[1, 1], [1, 1]] keeps A22 only to about
+    # 1e-4, so even a refined block solve misses the residual bound
+    return _index1_with_blocks([1e-12], np.ones((1, 2)), np.ones((2, 1)),
+                               np.diag([0.3, 0.7]))
+
+
+@pytest.mark.parametrize("make", [_rounds_singular, _misses_the_probe])
+def test_failed_schur_saddle_falls_back_to_the_assembled_lu(make):
+    sys = make()
+    kit = dm.build_projectors(sys)
+    assert isinstance(kit.saddle, nk.ShiftedFactorization)
+    assert kit.saddle.n == sys.n
+    with assembled_saddle():
+        ref = dm.build_projectors(sys)
+    v = np.random.default_rng(4).standard_normal(sys.n)
+    assert np.array_equal(kit.apply_left(v), ref.apply_left(v))
+    assert np.array_equal(kit.apply_right(v), ref.apply_right(v))
 
 
 def test_split_transfer_deflates_like_the_left_projector(
