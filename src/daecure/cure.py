@@ -133,7 +133,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     optimum.
 
     The first full-model point's LUs, at ``init``, are made on ``ds``'s
-    own pencil, and ``nk.cheapest_pencil`` reads off their fill whether
+    own pencil, with its ``nk.elimination_order``, computed here once for
+    every full-model LU of the run (the ledger's copy of ``ds`` carries
+    it).  ``nk.cheapest_pencil`` reads off their fill whether
     every later full-model point gets LAPACK LUs: then the ledger's copy
     of ``ds`` holds A and E as dense arrays.  Returns
     (report dict, ledger); ``assemble_total(ledger.records)`` is the
@@ -145,8 +147,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     if cfg.max_steps < 1:
         raise DimensionMismatch("no records to assemble")
     t0 = time.perf_counter()
-    ledger = CureLedger(ds=replace(ds), ctx=nk.SylvesterContext(
-        ds.A, ds.E, cfg.init))
+    ledger = CureLedger(ds=replace(
+        ds, order=nk.elimination_order(ds.A, ds.E)))
+    ledger.ctx = nk.SylvesterContext(ds.A, ds.E, cfg.init, ledger.ds.order)
     ledger.ds.A, ledger.ds.E = nk.cheapest_pencil(ds.A, ds.E,
                                                   ledger.ctx.factors[0])
     report = {"steps": [], "stop_reason": None, "flagged": False}

@@ -154,6 +154,8 @@ class SchurSaddle:
     """Solves with a saddle-point matrix [[D, X], [Y, Z]] whose D = diag(d)
     has no zero entry, through an LU of its Schur complement
     S = Z - Y D^-1 X: S x2 = b2 - Y D^-1 b1, then x1 = D^-1 (b1 - X x2).
+    The LU of S uses its ``nk.elimination_order`` when it has one (a
+    pressure Schur complement A21 D^-1 A12 does).
 
     ``solve`` keeps the ``TOL_SOLVE`` contract of
     ``nk.ShiftedFactorization`` against the whole matrix.  Raises
@@ -164,7 +166,9 @@ class SchurSaddle:
         self._d, self._dinv = d, 1.0 / d
         self._X, self._Y, self._Z = X, Y, Z
         S = nk.as_csc(Z - Y @ (sps.diags(self._dinv) @ X))
-        self._schur = nk.ShiftedFactorization(S, sps.csc_matrix(S.shape), 0.0)
+        zero = sps.csc_matrix(S.shape)
+        self._schur = nk.ShiftedFactorization(
+            S, zero, 0.0, nk.elimination_order(S, zero))
         self.n = d.size + S.shape[0]
         self.dtype = np.result_type(self._dinv, self._schur.dtype)
         self._what = what
@@ -292,9 +296,10 @@ def _projectors_stokes(sys):
     )
 
 
-def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
-    """G(s) = C (sE - A)^-1 B + D via m sparse solves."""
-    fac = nk.ShiftedFactorization(sys.A, sys.E, s)
+def eval_transfer(sys: DaeSystem, s, order=None) -> np.ndarray:
+    """G(s) = C (sE - A)^-1 B + D via m sparse solves, with the pencil's
+    elimination ``order`` (``nk.elimination_order``) when given."""
+    fac = nk.ShiftedFactorization(sys.A, sys.E, s, order)
     X = fac.solve(sys.B.toarray())
     G = -(sys.C @ X) + sys.D
     return np.asarray(G)

@@ -24,7 +24,9 @@ class DeflatedSystem:
 
     ``B_defl`` starts as Pi_l^f B and is depleted step by step during
     cumulative reduction; A, E, C never change.  ``poly`` is the
-    polynomial part split off with it.
+    polynomial part split off with it.  ``order`` is the pencil's
+    ``nk.elimination_order`` once a reduction has computed it, for every
+    full-model LU; None factors with COLAMD.
     """
 
     A: sps.csc_matrix
@@ -32,6 +34,7 @@ class DeflatedSystem:
     B_defl: np.ndarray
     C: np.ndarray
     poly: dm.PolyPart
+    order: np.ndarray | None = None
 
     @classmethod
     def from_dae(cls, sys: dm.DaeSystem):

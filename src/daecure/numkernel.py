@@ -16,6 +16,21 @@ for a confluent one, and one complex LU and solve for a conjugate pair.
 Its LUs, one per shift up to conjugation, certify an interpolation step.
 ``KroneckerSylvester`` solves the same equation for a small dense pencil,
 a Galerkin surrogate's, with one real LU of I kron A - S^T kron E.
+
+A sparse pencil whose pattern of |A| + |E| is structurally symmetric, a
+Stokes saddle-point pencil or a pressure Schur complement, has an
+``elimination_order``: each row with a structurally zero diagonal (a
+pressure row) is matched to a distinct partner, the matched pairs are
+merged and the merged graph is ordered by SuperLU's MMD on A^T + A.  Its
+callers compute it once per pencil and hand it to every
+``ShiftedFactorization`` of that pencil, which then factors the
+symmetrically permuted A - sigma E with diagonal pivots
+(``SymmetricMode``, ``diag_pivot_thresh`` 0; ``OrderedLU``).  Any other
+pattern, every index-1 pencil here among them, gets no order and keeps
+SuperLU's COLAMD LU with partial pivoting.  If the ordered LU fails, or a
+solve on it misses ``TOL_SOLVE`` after refinement, it is replaced by the
+COLAMD LU of the same matrix; only a failure of that LU raises
+SingularShift.
 """
 
 import numpy as np
@@ -53,6 +68,166 @@ def _pencil(A, E):
     return as_csc(A), as_csc(E)
 
 
+def _match(G, diag):
+    """A maximum matching of the rows of the symmetric pattern ``G`` (CSC)
+    that have no diagonal (``diag`` false) to distinct columns j with
+    G[i, j] != 0 and a diagonal: ``partner[i]`` is row i's column, -1 for
+    a row left unmatched or with a diagonal.
+
+    A greedy pass gives each such row, in index order, its free candidate
+    with the most neighbours in G (the lowest index among equals): such a
+    partner already holds most of the row's neighbours, so the merged pair
+    adds the fewest new edges.  Then one search for an augmenting path
+    from each row still unmatched makes the matching maximum (Kuhn).
+    """
+    n = G.shape[0]
+    zero = np.flatnonzero(~diag)
+    rows = G[:, zero]       # row i of G is its column i
+    cand, ptr = rows.indices.tolist(), rows.indptr.tolist()
+    # a column without a diagonal is never a partner
+    deg = np.where(diag, np.diff(G.indptr), -1).tolist()
+    owner = [-1] * n
+    free = []
+    for r in range(zero.size):
+        best, most = -1, -1
+        for c in cand[ptr[r]:ptr[r + 1]]:
+            if owner[c] < 0 and deg[c] > most:
+                best, most = c, deg[c]
+        if best < 0:
+            free.append(r)
+        else:
+            owner[best] = r
+    for r in free:
+        # depth-first search over alternating paths; stack[i] reaches
+        # stack[i + 1] through its matched column path[i]
+        stack, path, pos, seen = [r], [], [ptr[r]], set()
+        while stack:
+            k = pos[-1]
+            if k == ptr[stack[-1] + 1]:
+                stack.pop()
+                pos.pop()
+                if path:
+                    path.pop()
+                continue
+            pos[-1] = k + 1
+            c = cand[k]
+            if c in seen or deg[c] < 0:
+                continue
+            seen.add(c)
+            if owner[c] < 0:
+                for row, col in zip(stack, path + [c]):
+                    owner[col] = row
+                break
+            stack.append(owner[c])
+            pos.append(ptr[owner[c]])
+            path.append(c)
+    partner = np.full(n, -1)
+    owner = np.array(owner)
+    taken = np.flatnonzero(owner >= 0)
+    partner[zero[owner[taken]]] = taken
+    return partner
+
+
+def elimination_order(A, E):
+    """A symmetric elimination order of the sparse pencil (A, E), or None
+    when the pattern G of |A| + |E| is not structurally symmetric (or the
+    pencil is dense).
+
+    Each row of G without a diagonal (a pressure row of a saddle-point
+    pencil) is matched to a distinct partner column with one (``_match``);
+    for a Stokes pencil the candidates are pattern(A21) and
+    pattern(A12^T), which agree.  Each matched pair is merged into one
+    node, the merged graph is ordered by SuperLU's ``MMD_AT_PLUS_A``, and
+    each node is expanded partner first: eliminating the partner fills the
+    pressure row's diagonal, so every pivot of the order can be a diagonal
+    one.  The order is independent of sigma, computed once per pencil.
+
+    When every row of G has a diagonal there is nothing to merge, and the
+    order is empty: SuperLU then computes the same MMD order inside the
+    factorization (``OrderedLU``), which costs less than computing it
+    apart.
+    """
+    if isinstance(A, np.ndarray) or isinstance(E, np.ndarray):
+        return None
+    A, E = as_csc(A), as_csc(E)
+    G = abs(A) + abs(E) if E.nnz else abs(A)
+    G.eliminate_zeros()
+    G.sort_indices()
+    Gt = G.T.tocsc()
+    # compared as bytes: numpy's integer comparison would page in 128 kB
+    # of its machine code for this one use
+    if (G.indptr.tobytes() != Gt.indptr.tobytes()
+            or G.indices.tobytes() != Gt.indices.tobytes()):
+        return None
+    n = G.shape[0]
+    diag = G.diagonal() != 0
+    if diag.all():
+        return np.empty(0, dtype=np.intp)
+    partner = _match(G, diag)
+    follower = np.full(n, -1)
+    paired = np.flatnonzero(partner >= 0)
+    follower[partner[paired]] = paired
+    # node ids: one per index that no partner absorbs
+    lead = np.ones(n, dtype=bool)
+    lead[paired] = False
+    node = np.full(n, -1)
+    node[lead] = np.arange(np.count_nonzero(lead))
+    node[paired] = node[partner[paired]]
+    Q = sps.csr_matrix((np.ones(n), node, np.arange(n + 1)),
+                       shape=(n, np.count_nonzero(lead)))
+    merged = (Q.T @ G @ Q).tocsc()
+    # MMD reads the pattern only; an incomplete LU of a diagonally dominant
+    # matrix with that pattern computes it without a full factorization
+    merged.data[:] = 1.0
+    merged = (merged + sps.diags(np.diff(merged.indptr) + 1.0)).tocsc()
+    perm = spsla.spilu(merged, drop_tol=0.9, fill_factor=1,
+                       drop_rule="basic", permc_spec="MMD_AT_PLUS_A",
+                       relax=1, panel_size=1,
+                       options={"SymmetricMode": True}).perm_c
+    leads = np.flatnonzero(lead)[_inverse(perm)]
+    order = np.stack([leads, follower[leads]], axis=1).ravel()
+    return order[order >= 0]
+
+
+def _inverse(perm):
+    """The inverse permutation, by a scatter: numpy's sorts would page in
+    hundreds of kB of their machine code for this one use (640 kB in a
+    Stokes m=12 reduction)."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return inv
+
+
+class OrderedLU:
+    """SuperLU LU of P M P^T for an ``elimination_order`` P of M, with the
+    diagonal pivot wherever it is nonzero (``SymmetricMode``,
+    ``diag_pivot_thresh`` 0) and no column reordering (``NATURAL``); an
+    empty order is SuperLU's ``MMD_AT_PLUS_A`` of M itself.  ``solve(b)``
+    solves with M, and ``nnz`` counts the entries of the factors."""
+
+    def __init__(self, M, order):
+        self._order = order if order.size else None
+        if self._order is not None:
+            # gather the columns, then renumber the rows: row fancy
+            # indexing of a CSC matrix would argsort
+            M = M[:, order]
+            M = sps.csc_matrix((M.data, _inverse(order)[M.indices],
+                                M.indptr), shape=M.shape)
+        self._lu = spsla.splu(
+            M, permc_spec="MMD_AT_PLUS_A" if self._order is None
+            else "NATURAL", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
+        self.nnz = self._lu.nnz
+
+    def solve(self, b):
+        if self._order is None:
+            return self._lu.solve(b)
+        y = self._lu.solve(b[self._order])
+        x = np.empty_like(y)
+        x[self._order] = y
+        return x
+
+
 class DenseLU:
     """LAPACK getrf LU of a dense square matrix, with SuperLU's
     ``solve(b)``; a Fortran-ordered M is factored in place.  Raises
@@ -74,11 +249,17 @@ class ShiftedFactorization:
     """Direct factorization of (A - sigma*E) with residual-checked solves:
     SuperLU for a sparse pencil, LAPACK for a dense one (see ``_pencil``).
 
+    ``order``, the pencil's ``elimination_order`` when it has one, makes
+    the SuperLU LU an ``OrderedLU``; if that LU fails, or a solve on it
+    misses the residual bound after refinement, it is replaced by the
+    COLAMD LU of the same matrix and the solve is retried.  A dense pencil
+    ignores ``order``.
+
     A factorization may be used from one execution context at a time;
     distinct factorizations are independent.
     """
 
-    def __init__(self, A, E, sigma):
+    def __init__(self, A, E, sigma, order=None):
         A, E = _pencil(A, E)
         dense = isinstance(A, np.ndarray)
         if A.shape != E.shape or A.shape[0] != A.shape[1]:
@@ -104,11 +285,25 @@ class ShiftedFactorization:
             self._M = None
         else:
             self._M = as_csc(A.astype(self.dtype, copy=False) - self._s * E)
+        self._ordered = False
+        if dense:
+            self._lu = self._factor(DenseLU, M)
+        elif order is not None:
+            try:
+                self._lu = OrderedLU(self._M, order)
+                self._ordered = True
+            except RuntimeError:
+                self._lu = self._factor(spsla.splu, self._M)
+        else:
+            self._lu = self._factor(spsla.splu, self._M)
+
+    def _factor(self, lu, M):
+        """``lu(M)``; SingularShift when it fails."""
         try:
-            self._lu = DenseLU(M) if dense else spsla.splu(self._M)
+            return lu(M)
         except RuntimeError as exc:
             raise SingularShift(
-                f"factorization of (A - {sigma}*E) failed: {exc}"
+                f"factorization of (A - {self._s}*E) failed: {exc}"
             ) from exc
 
     def _apply(self, x):
@@ -124,8 +319,18 @@ class ShiftedFactorization:
         residual contract of ``_gated_solve``.
         """
         rhs = np.asarray(rhs)
-        x = _gated_solve(self._lu.solve, self._apply, self.dtype,
-                         rhs.reshape(self.n, -1), f"shift {self.sigma}")
+        b = rhs.reshape(self.n, -1)
+        what = f"shift {self.sigma}"
+        try:
+            x = _gated_solve(self._lu.solve, self._apply, self.dtype, b,
+                             what)
+        except SingularShift:
+            if not self._ordered:
+                raise
+            self._lu = self._factor(spsla.splu, self._M)
+            self._ordered = False
+            x = _gated_solve(self._lu.solve, self._apply, self.dtype, b,
+                             what)
         return x.reshape(rhs.shape)
 
 
@@ -204,18 +409,19 @@ class SylvesterContext:
     The pair's closed-form Schur data S = U T U^H decouple the two
     columns of Y = X U into shifted solves, column j at
     ``pair.shifts()[j]``.  ``factors`` holds one LU per shift up to
-    conjugation, reused across right-hand sides: two real LUs for a real
-    pair, in ``shifts()`` order, solved in real arithmetic; one LU for a
-    confluent pair, b = a^2, whose shifts are equal; one complex LU at
-    the first shift for a conjugate pair, which needs real A and E: the
-    second column's solve is conj((A - sigma E)^-1 conj(r)).  For a
-    conjugate pair and a real F, column 0 alone gives the real
-    X = [Re y, Im y / |d|], where d = sqrt(a^2 - b) and
-    (A - (a + d) E) y = F (1, d)^T: one complex solve, taken while
-    max(|d|, 1/|d|) <= ``RECOVER_COND``.
+    conjugation, made with the pencil's elimination ``order`` (see
+    ``ShiftedFactorization``) and reused across right-hand sides: two
+    real LUs for a real pair, in ``shifts()`` order, solved in real
+    arithmetic; one LU for a confluent pair, b = a^2, whose shifts are
+    equal; one complex LU at the first shift for a conjugate pair, which
+    needs real A and E: the second column's solve is
+    conj((A - sigma E)^-1 conj(r)).  For a conjugate pair and a real F,
+    column 0 alone gives the real X = [Re y, Im y / |d|], where
+    d = sqrt(a^2 - b) and (A - (a + d) E) y = F (1, d)^T: one complex
+    solve, taken while max(|d|, 1/|d|) <= ``RECOVER_COND``.
     """
 
-    def __init__(self, A, E, pair):
+    def __init__(self, A, E, pair, order=None):
         self.A, self.E = _pencil(A, E)
         self.S = pair.S
         self.T, self.U = pair.schur()
@@ -224,9 +430,10 @@ class SylvesterContext:
         if conjugate and (np.iscomplexobj(self.A)
                           or np.iscomplexobj(self.E)):
             raise DimensionMismatch("a conjugate pair needs real A and E")
-        self.factors = [ShiftedFactorization(self.A, self.E, s0)]
+        self.factors = [ShiftedFactorization(self.A, self.E, s0, order)]
         if not conjugate and s1 != s0:
-            self.factors.append(ShiftedFactorization(self.A, self.E, s1))
+            self.factors.append(ShiftedFactorization(self.A, self.E, s1,
+                                                     order))
         d = abs(s0.imag)
         self._recover = d if conjugate and max(d, 1 / d) <= RECOVER_COND \
             else None

@@ -151,7 +151,7 @@ class Point(NamedTuple):
 
 
 def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
-             hessian: bool = True, kernel=nk.SylvesterContext) -> Point:
+             hessian: bool = True, kernel=None) -> Point:
     """The ``Point`` (J, gradient, exact Hessian, V, ...) at the shift pair
     (a, b); with ``hessian`` false, a first-order point (H is None).
 
@@ -168,15 +168,17 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
     derivatives.
 
     The context is ``ctx`` when given (a ``SylvesterContext`` of this
-    pair), else ``kernel(A, E, pair)`` built from the pair:
-    ``nk.SylvesterContext`` for the full model, ``nk.KroneckerSylvester``
-    for a surrogate.  The caller owns it.
+    pair), else one built from the pair: ``kernel(A, E, pair)`` when a
+    kernel is given, ``nk.KroneckerSylvester`` for a surrogate, and else
+    the full model's ``nk.SylvesterContext`` with the elimination order
+    ``ds.order``.  The caller owns it.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
     pair = SparkParams(a, b)
     if ctx is None:
-        ctx = kernel(ds.A, ds.E, pair)
+        ctx = nk.SylvesterContext(ds.A, ds.E, pair, ds.order) \
+            if kernel is None else kernel(ds.A, ds.E, pair)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ pair.R)
@@ -496,7 +498,8 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     is one of its poles.
 
     Every full-model point's kernel is a ``nk.SylvesterContext`` built
-    from its pair, and one full-model point's LUs are alive at a time.
+    from its pair with ``ds.order``, and one full-model point's LUs are
+    alive at a time.
     The result owns the LUs of the pair it returns (refactored once only
     if that pair's were dropped for a later, rejected point).  ``reuse``,
     when given, is an object whose ``ctx`` is None or a
@@ -562,7 +565,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         converged, reason = False, "maxiter"
     if point.ctx is None:
         point = point._replace(
-            ctx=nk.SylvesterContext(ds.A, ds.E, point.params))
+            ctx=nk.SylvesterContext(ds.A, ds.E, point.params, ds.order))
     return SparkResult(params=point.params, V=point.V, Va=point.Va,
                        Vb=point.Vb, cost=point.J,
                        grad=point.g, converged=converged, reason=reason,

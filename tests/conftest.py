@@ -142,9 +142,9 @@ def factor_log(monkeypatch):
     made = []
     init = nk.ShiftedFactorization.__init__
 
-    def counting_init(self, A, E, sigma):
+    def counting_init(self, A, E, sigma, order=None):
         made.append(complex(sigma))
-        init(self, A, E, sigma)
+        init(self, A, E, sigma, order)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)
     return made
@@ -177,8 +177,8 @@ def lu_solves(monkeypatch):
     log = []
     init = nk.ShiftedFactorization.__init__
 
-    def counting_init(self, A, E, sigma):
-        init(self, A, E, sigma)
+    def counting_init(self, A, E, sigma, order=None):
+        init(self, A, E, sigma, order)
         self._lu = CountingLU(self._lu, log)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)

@@ -698,8 +698,8 @@ def test_reduce_solves_each_saddle_rhs_once(fixture, split_solves, request,
     saddle = []
     init = nk.ShiftedFactorization.__init__
 
-    def log_saddle_apart(self, A, E, sigma):
-        init(self, A, E, sigma)
+    def log_saddle_apart(self, A, E, sigma, order=None):
+        init(self, A, E, sigma, order)
         # only the saddle-point LU has E = 0; a surrogate's E is dense
         if sps.issparse(self._E) and self._E.nnz == 0:
             self._lu.log = saddle

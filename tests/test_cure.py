@@ -270,15 +270,15 @@ def test_one_spark_context_alive_at_a_time(fixture, gtol, request,
     ctx_init = nk.SylvesterContext.__init__
     fac_init = nk.ShiftedFactorization.__init__
 
-    def tracked_ctx(self, A, E, pair):
+    def tracked_ctx(self, A, E, pair, order=None):
         if A.shape[0] == ds.n:
             contexts.append(weakref.ref(self))
-        ctx_init(self, A, E, pair)
+        ctx_init(self, A, E, pair, order)
 
-    def tracked_fac(self, A, E, sigma):
+    def tracked_fac(self, A, E, sigma, order=None):
         if A.shape[0] == ds.n:
             alive.append(sum(ref() is not None for ref in contexts))
-        fac_init(self, A, E, sigma)
+        fac_init(self, A, E, sigma, order)
 
     monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked_ctx)
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", tracked_fac)

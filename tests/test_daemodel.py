@@ -83,8 +83,8 @@ def test_saddle_lu_is_of_the_schur_complement_of_a_diagonal_e11(
     orders = []
     init = nk.ShiftedFactorization.__init__
 
-    def logged(self, A, E, sigma):
-        init(self, A, E, sigma)
+    def logged(self, A, E, sigma, order=None):
+        init(self, A, E, sigma, order)
         orders.append(self.n)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", logged)

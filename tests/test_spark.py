@@ -310,10 +310,10 @@ def _track_full(monkeypatch, n):
     contexts, evaluated = [], []
     ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
 
-    def tracked(self, A, E, pair):
+    def tracked(self, A, E, pair, order=None):
         if A.shape[0] == n:
             contexts.append(weakref.ref(self))
-        ctx_init(self, A, E, pair)
+        ctx_init(self, A, E, pair, order)
 
     def counting_evaluate(ds, a, b, ctx=None, **kw):
         if ds.n == n:
@@ -339,9 +339,9 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     fac_init = nk.ShiftedFactorization.__init__
     kron_init = nk.KroneckerSylvester.__init__
 
-    def counting(self, A, E, sigma):
+    def counting(self, A, E, sigma, order=None):
         (full if A.shape[0] == sys.n else small).append(complex(sigma))
-        fac_init(self, A, E, sigma)
+        fac_init(self, A, E, sigma, order)
 
     def counting_kron(self, A, E, pair):
         kron.append(self)
