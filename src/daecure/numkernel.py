@@ -1,35 +1,25 @@
-"""Numeric primitives: shifted solves and the Sylvester solvers.
+"""Numeric primitives: shifted solves and the Sylvester solver.
 
 Sparse matrices are held in SciPy CSC format throughout (duplicate entries
-are summed on conversion; stored shape is the declared shape).  Dense
-reduced-order quantities are plain ``numpy.ndarray``; a pencil given as
-two of them gets LAPACK LUs.  That covers a Galerkin surrogate, and a
-full pencil of order at most ``DENSE_LIMIT`` whose SuperLU factors fill
-at least ``DENSE_FILL`` of n^2 (``cheapest_pencil``): LAPACK's dense LU
-is then the cheaper exact kernel.
+are summed on conversion; stored shape is the declared shape).  A pencil
+given as two ``numpy.ndarray`` gets LAPACK LUs: a full pencil of order at
+most ``DENSE_LIMIT`` whose SuperLU factors fill at least ``DENSE_FILL``
+of n^2 is densified (``cheapest_pencil``), as the cheaper exact kernel.
 
-Both Sylvester solvers take a shift pair (``spark.SparkParams``) and
-solve A X - E X S = F for its S = S(a, b).  ``SylvesterContext`` does so
+The Sylvester solver ``SylvesterContext`` takes a shift pair
+(``spark.SparkParams``) and solves A X - E X S = F for its S = S(a, b)
 through the pair's closed-form Schur data with the fewest shifted LUs
 and triangular solves the pair allows: two real LUs for a real pair, one
 for a confluent one, and one complex LU and solve for a conjugate pair.
 Its LUs, one per shift up to conjugation, certify an interpolation step.
-``KroneckerSylvester`` solves the same equation for a small dense pencil,
-a Galerkin surrogate's, with one real LU of I kron A - S^T kron E.
 
 A sparse pencil whose pattern of |A| + |E| is structurally symmetric, a
 Stokes saddle-point pencil or a pressure Schur complement, has an
-``elimination_order``: each row with a structurally zero diagonal (a
-pressure row) is matched to a distinct partner, the matched pairs are
-merged and the merged graph is ordered by SuperLU's MMD on A^T + A.  Its
-callers compute it once per pencil and hand it to every
-``ShiftedFactorization`` of that pencil, which then factors the
-symmetrically permuted A - sigma E with diagonal pivots
-(``SymmetricMode``, ``diag_pivot_thresh`` 0; ``OrderedLU``).  Any other
-pattern, every index-1 pencil here among them, gets no order and keeps
-SuperLU's COLAMD LU with partial pivoting.  If the ordered LU fails, or a
-solve on it misses ``TOL_SOLVE`` after refinement, it is replaced by the
-COLAMD LU of the same matrix; only a failure of that LU raises
+``elimination_order`` of matched velocity-pressure pairs, computed once
+per pencil; every ``ShiftedFactorization`` of it is then an
+``OrderedLU`` with diagonal pivots.  Any other pattern, every index-1
+pencil here among them, keeps SuperLU's COLAMD LU with partial pivoting,
+which also replaces a failed ordered LU; only its failure raises
 SingularShift.
 """
 
@@ -475,56 +465,4 @@ class SylvesterContext:
                     raise SpectraOverlap(
                         "real Sylvester problem produced a complex solution"
                     )
-        return X if F.ndim == 3 else X[0]
-
-
-class KroneckerSylvester:
-    """Solver for A X - E X S = F with a small dense pencil (A, E), n x n,
-    and S = S(a, b) of a shift pair ``pair`` (``spark.SparkParams``): one
-    LAPACK LU of the 2n x 2n matrix I kron A - S^T kron E that maps vec(X)
-    to vec(F) (columns stacked).
-
-    It needs no Schur form of S, so it stays smooth through confluent
-    shifts, and a real problem is solved in real arithmetic.  Solves keep
-    the ``TOL_SOLVE`` contract of ``ShiftedFactorization`` per right-hand
-    side; an exact zero pivot, or a residual that refinement does not
-    bring within it, raises SingularShift, as at a shift that is an
-    eigenvalue of the pencil.
-    """
-
-    def __init__(self, A, E, pair):
-        A, E, S = np.asarray(A), np.asarray(E), pair.S
-        self.n = n = A.shape[0]
-        # block (i, j) of the matrix is delta_ij A - S[j, i] E; its
-        # Fortran-ordered storage is the C-ordered (2, n, 2, n) array
-        # with entry [j, b, i, a] = (delta_ij A - S[j, i] E)[a, b]
-        K = -S[:, None, :, None] * E.T[None, :, None, :]
-        for i in range(2):
-            K[i, :, i, :] += A.T
-        K = K.reshape(2 * n, 2 * n).T
-        self._K = K.copy(order="F")
-        try:
-            self._lu = DenseLU(K)
-        except RuntimeError as exc:
-            raise SingularShift(
-                f"factorization of I kron A - S^T kron E failed: {exc}"
-            ) from exc
-
-    def solve(self, F):
-        """Return X with A X - E X S = F.
-
-        ``F`` is one n x 2 right-hand side or a stack of k of them, shape
-        (k, n, 2), solved as one block of k columns vec(F_i); X has the
-        shape of ``F``.
-        """
-        F = np.asarray(F)
-        Fs = F if F.ndim == 3 else F[None]
-        n = self.n
-        if Fs.shape[1:] != (n, 2):
-            raise DimensionMismatch(f"F must be {n} x 2 or k x {n} x 2")
-        k = Fs.shape[0]
-        b = Fs.transpose(0, 2, 1).reshape(k, 2 * n).T
-        x = _gated_solve(self._lu.solve, self._K.dot, self._K.dtype, b,
-                         "the Kronecker system")
-        X = x.T.reshape(k, 2, n).transpose(0, 2, 1)
         return X if F.ndim == 3 else X[0]

@@ -12,9 +12,10 @@ the system onto the bases (V, V_a, V_b) of the full-model points seen so
 far, which reproduces J and its gradient at each of them.  Besides the
 start pair of a search that has no model yet, or whose model finds no
 step from it, the full pencil is factored only at the model's optima,
-and evaluated there to first order.  A point of the model solves its
-Sylvester equations with one LU of their Kronecker form; a full-model
-point uses per-shift LUs, which certify the step.
+and evaluated there to first order.  The model is kept in pole-residue
+form, one eigendecomposition per basis change, and its points are closed
+forms that factor nothing; full-model points take per-shift LUs, which
+certify the step.  Both read J and its derivatives off one contraction.
 """
 
 import math
@@ -22,10 +23,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as spla
 
 from . import numkernel as nk
 from .errors import (DimensionMismatch, NonFiniteDerivatives,
-                     NonPositiveParams, SingularShift, SpectraOverlap)
+                     NonPositiveParams, SingularShift)
 from .interp import DeflatedSystem
 
 
@@ -138,7 +140,7 @@ _S_DAA = np.array([[0.0, 0.0], [2.0, 0.0]])
 class Point(NamedTuple):
     """One evaluated shift pair: the cost, its exact derivatives (the
     Hessian ``None`` on a first-order point), the basis V with its first
-    derivatives, the pair and the LUs."""
+    derivatives, the pair and the LUs (``None`` on a surrogate point)."""
 
     J: float
     g: np.ndarray
@@ -150,35 +152,80 @@ class Point(NamedTuple):
     ctx: object
 
 
-def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
-             hessian: bool = True, kernel=None) -> Point:
+def _contract(Cs, a, b):
+    """(J, gradient, Hessian) of J(a, b) = -tr(Cr G Cr^T), Cr = C V, off
+    one contraction of the traces tr(C V_i G_m (C V_j)^T) over the stack
+    ``Cs`` of C V_i and the closed-form Gramian's derivatives G_m; the
+    Hessian needs V_i in (V, V_a, V_b, V_aa, V_ab, V_bb), else is None."""
+    # T[m, i, j] = tr(C_i G_m C_j^T), C_i = Cs[i] and G_m in (G, G_a, G_b,
+    # G_aa, G_ab); G_bb = 0
+    T = np.einsum("ipk,mkl,jpl->mij", Cs, _gramians(a, b), Cs)
+    J = -float(T[0, 0, 0])
+    # J_i = -2 tr(C_i G Cr^T) - tr(Cr G_i Cr^T)
+    g = -2 * T[0, 1:3, 0] - T[1:3, 0, 0]
+    H = None
+    if len(Cs) == 6:
+        # J_ij = -2 (tr(C_ij G Cr^T) + tr(C_i G C_j^T) + tr(C_i G_j Cr^T)
+        # + tr(C_j G_i Cr^T)) - tr(Cr G_ij Cr^T), where C_ij is entry
+        # [[3, 4], [4, 5]][i][j] of the stack and D[j, i] = tr(C_i G_j Cr^T)
+        D = T[1:3, 1:3, 0]
+        Gij = T[3:5, 0, 0]
+        H = -2 * (T[0, [[3, 4], [4, 5]], 0] + T[0, 1:3, 1:3] + D + D.T) \
+            - np.array([[Gij[0], Gij[1]], [Gij[1], 0.0]])
+        H[1, 0] = H[0, 1]
+    return J, g, H
+
+
+@dataclass(frozen=True)
+class Surrogate:
+    """The Galerkin surrogate in pole-residue form, G_sur(s) = sum_i
+    residues[:, i] / (s - poles[i]).  With R = [1, 0] its basis solve is
+    C V(a, b) = sum_i residues[:, i] [poles[i] - a, 1] / q_i, q_i =
+    poles[i]^2 - 2 a poles[i] + b: smooth through confluence, without
+    Schur data of S, and differentiated by dq/da = -2 poles, dq/db = 1."""
+
+    poles: np.ndarray
+    residues: np.ndarray
+
+    def outputs(self, a, b):
+        """The stack C V_i of ``_contract``; SingularShift if q_i = 0."""
+        lam, rho = self.poles, self.residues
+        q = lam * (lam - 2 * a) + b
+        if not np.all(q):
+            raise SingularShift(f"a shift of ({a}, {b}) is a surrogate pole")
+        # column 1: the derivatives of u = 1/q; column 0: (poles - a) times
+        # them, plus the terms of d(poles - a)/da = -1
+        u = 1 / q
+        f = np.array([u, 2 * lam * u**2, -u**2, 8 * lam**2 * u**3,
+                      -4 * lam * u**3, 2 * u**3])
+        c1 = f @ rho.T
+        c0 = ((lam - a) * f) @ rho.T
+        c0[[1, 3, 4]] -= c1[:3] * [[1], [2], [1]]
+        return np.stack([c0, c1], axis=-1).real
+
+
+def evaluate(ds, a: float, b: float, ctx=None,
+             hessian: bool = True) -> Point:
     """The ``Point`` (J, gradient, exact Hessian, V, ...) at the shift pair
-    (a, b); with ``hessian`` false, a first-order point (H is None).
+    (a, b) of ``ds``, a ``DeflatedSystem`` or a ``Surrogate``, read off
+    ``_contract``; with ``hessian`` false, a first-order point (H None).
 
-    J(a, b) = -||G_r||^2 = -tr(Cr G Cr^T) with Cr = C V and the closed-form
-    reduced Gramian G(a, b).  Differentiating A V - E V S = B R once gives
-    A V_i - E V_i S = E V S_i and twice A V_ij - E V_ij S =
-    E (V_i S_j + V_j S_i + V S_ij), so all six solves share the
-    factorizations of the basis solve and stay smooth through the shift
-    confluence a^2 = b.  They are solved by dependency level, V, then
-    (V_a, V_b), then (V_aa, V_ab, V_bb), one stacked solve per level; a
-    first-order point stops after the second level.  J and its
-    derivatives are read off one contraction of the traces
-    tr(C V_i G_m (C V_j)^T) over the solves and the Gramian's
-    derivatives.
-
-    The context is ``ctx`` when given (a ``SylvesterContext`` of this
-    pair), else one built from the pair: ``kernel(A, E, pair)`` when a
-    kernel is given, ``nk.KroneckerSylvester`` for a surrogate, and else
-    the full model's ``nk.SylvesterContext`` with the elimination order
-    ``ds.order``.  The caller owns it.
+    A surrogate point takes ``Surrogate.outputs``, with no basis and no
+    LUs; a pole at a shift, or a J, g or H that is not finite, raises
+    SingularShift.  A full-model point solves A V - E V S = B R, and
+    A V_i - E V_i S = E V S_i and A V_ij - E V_ij S = E (V_i S_j + V_j S_i
+    + V S_ij) for its derivatives, one stacked solve per level (V, then
+    V_a, V_b, then V_aa, V_ab, V_bb) on ``ctx`` when given, else on a new
+    ``SylvesterContext`` of the pair with ``ds.order``; the caller owns it.
     """
-    if ds.m != 1:
-        raise DimensionMismatch("shift-pair optimization requires SISO input")
     pair = SparkParams(a, b)
+    if isinstance(ds, Surrogate):
+        J, g, H = _contract(ds.outputs(a, b)[:6 if hessian else 3], a, b)
+        if not all(np.isfinite(x).all() for x in (J, g, H) if x is not None):
+            raise SingularShift(f"the surrogate is not finite at ({a}, {b})")
+        return Point(J, g, H, None, None, None, pair, None)
     if ctx is None:
-        ctx = nk.SylvesterContext(ds.A, ds.E, pair, ds.order) \
-            if kernel is None else kernel(ds.A, ds.E, pair)
+        ctx = nk.SylvesterContext(ds.A, ds.E, pair, ds.order)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ pair.R)
@@ -188,30 +235,28 @@ def evaluate(ds: DeflatedSystem, a: float, b: float, ctx=None,
         Vs += list(ctx.solve(np.stack([E @ (2 * Va @ S_a + V @ _S_DAA),
                                        E @ (Va @ _S_DB + Vb @ S_a),
                                        E @ (2 * Vb @ _S_DB)])))
-    # T[m, i, j] = tr(C_i G_m C_j^T), C_i = C V_i for V_i in (V, V_a, V_b,
-    # V_aa, V_ab, V_bb) and G_m in (G, G_a, G_b, G_aa, G_ab); G_bb = 0
-    Cs = ds.C @ np.stack(Vs)
-    T = np.einsum("ipk,mkl,jpl->mij", Cs, _gramians(a, b), Cs)
-    J = -float(T[0, 0, 0])
-    # J_i = -2 tr(C_i G Cr^T) - tr(Cr G_i Cr^T)
-    g = -2 * T[0, 1:3, 0] - T[1:3, 0, 0]
-    H = None
-    if hessian:
-        # J_ij = -2 (tr(C_ij G Cr^T) + tr(C_i G C_j^T) + tr(C_i G_j Cr^T)
-        # + tr(C_j G_i Cr^T)) - tr(Cr G_ij Cr^T), where C_ij is entry
-        # [[3, 4], [4, 5]][i][j] of the stack and D[j, i] = tr(C_i G_j Cr^T)
-        D = T[1:3, 1:3, 0]
-        Gij = T[3:5, 0, 0]
-        H = -2 * (T[0, [[3, 4], [4, 5]], 0] + T[0, 1:3, 1:3] + D + D.T) \
-            - np.array([[Gij[0], Gij[1]], [Gij[1], 0.0]])
-        H[1, 0] = H[0, 1]
-    return Point(J, g, H, Vs[0], Vs[1], Vs[2], pair, ctx)
+    return Point(*_contract(ds.C @ np.stack(Vs), a, b), *Vs[:3], pair, ctx)
+
+
+def _eigen(A, E):
+    """(poles, X, E X) of A X = E X diag(poles), or None unless it is finite
+    and ||A x - lam E x|| <= TOL_SOLVE (||A|| + |lam| ||E||) ||x|| each."""
+    try:
+        lam, X = spla.eig(A, E)
+    except np.linalg.LinAlgError:
+        return None
+    EX = E @ X
+    with np.errstate(all="ignore"):
+        ok = np.linalg.norm(A @ X - EX * lam, axis=0) <= nk.TOL_SOLVE * (
+            np.linalg.norm(A) + abs(lam) * np.linalg.norm(E)) \
+            * np.linalg.norm(X, axis=0)
+    return (lam, X, EX) if ok.all() and np.isfinite(lam).all() else None
 
 
 class SurrogateBasis:
     """Orthonormal basis W of the bases (V, V_a, V_b) of full-model
-    points, and the Galerkin projection (W^T A W, W^T E W) of the pencil
-    (A, E) that it holds.
+    points, and the eigendecomposition of the Galerkin projection
+    (W^T A W, W^T E W) of the pencil (A, E) that it holds.
 
     Since V(a, b) and its first derivatives lie in range W at each added
     point (up to the rank truncation), the surrogate (W^T A W, W^T E W,
@@ -226,7 +271,7 @@ class SurrogateBasis:
     def __init__(self, A, E):
         self._pencil = (A, E)
         self._W = np.zeros((A.shape[0], 0))
-        self._A = self._E = np.zeros((0, 0))
+        self._eig = None
         self._queue = []
 
     def add(self, point: Point):
@@ -238,27 +283,27 @@ class SurrogateBasis:
         """Extend W by the queued blocks, in order; returns the number of
         new columns.
 
-        Each block is column-normalized and orthogonalized against W
-        twice, and its range is rank-truncated at ``BASIS_RTOL`` by an
-        SVD: bases of nearby points are nearly dependent, and a plain QR
-        of them is ill-conditioned.
+        Each block is column-normalized, orthogonalized against W and
+        rank-truncated at ``BASIS_RTOL`` by an SVD (bases of nearby points
+        are nearly dependent, and a plain QR of them is ill-conditioned);
+        the kept directions are orthogonalized again, as the SVD scales
+        what rounding left of W by 1/s.  New columns mean one ``_eigen``.
         """
         queue, self._queue = self._queue, []
         new = 0
         for blocks in queue:
             X = np.hstack(blocks)
             X = X / np.maximum(np.linalg.norm(X, axis=0), 1e-300)
-            for _ in range(2):
-                X = X - self._W @ (self._W.T @ X)
-            U, s, _ = np.linalg.svd(X, full_matrices=False)
+            U, s, _ = np.linalg.svd(X - self._W @ (self._W.T @ X),
+                                    full_matrices=False)
             U = U[:, s > BASIS_RTOL]
+            U = U - self._W @ (self._W.T @ U)
             if U.shape[1]:
                 self._W = np.hstack([self._W, U])
                 new += U.shape[1]
         if new:
-            A, E = self._pencil
-            self._A = self._W.T @ (A @ self._W)
-            self._E = self._W.T @ (E @ self._W)
+            W = self._W
+            self._eig = _eigen(*(W.T @ (M @ W) for M in self._pencil))
         return new
 
     @property
@@ -266,11 +311,21 @@ class SurrogateBasis:
         self.fold()
         return self._W
 
-    def surrogate(self, ds: DeflatedSystem) -> DeflatedSystem:
-        """The Galerkin surrogate of ``ds`` with its current input."""
+    def surrogate(self, ds: DeflatedSystem) -> Surrogate:
+        """The Galerkin surrogate of ``ds`` with its current input, its
+        residues from one ``nk._gated_solve`` with E X; SingularShift when
+        the eigendecomposition or that solve misses its gate."""
         W = self.W
-        return DeflatedSystem(A=self._A, E=self._E, B_defl=W.T @ ds.B_defl,
-                              C=ds.C @ W, poly=None)
+        if self._eig is None:
+            raise SingularShift("the surrogate has no certified poles")
+        lam, X, EX = self._eig
+        try:
+            beta = nk._gated_solve(lambda r: np.linalg.solve(EX, r), EX.dot,
+                                   EX.dtype, W.T @ ds.B_defl,
+                                   "the surrogate's residues")
+        except np.linalg.LinAlgError as exc:
+            raise SingularShift(f"the surrogate's E X: {exc}") from exc
+        return Surrogate(poles=lam, residues=(ds.C @ W @ X) * beta.T)
 
 
 def trust_region_step(g, H, radius):
@@ -401,7 +456,7 @@ def _trust_region(ds, p, point, gtol, trace):
     is not stable by construction, and the full model judges its optimum.
     Appends one record per iteration to ``trace``, numbered on from its
     last, and returns (p, converged, reason), p the very array passed in
-    if no step was accepted.  No point's LUs are kept.
+    if no step was accepted.
     """
     radius = RADIUS0
     J, g, H = point.J, point.g, point.H
@@ -430,8 +485,8 @@ def _trust_region(ds, p, point, gtol, trace):
             why = "left positive orthant"
         else:
             try:
-                trial = evaluate(ds, *cand, kernel=nk.KroneckerSylvester)
-            except (SingularShift, SpectraOverlap):
+                trial = evaluate(ds, *cand)
+            except SingularShift:
                 why = "singular shift"
         if why:
             radius *= SHRINK
@@ -474,7 +529,8 @@ def _start_record(p, point):
 
 def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
           basis: SurrogateBasis = None) -> SparkResult:
-    """Search for the locally optimal shift pair on a model function.
+    """Search for the locally optimal shift pair of a SISO ``ds`` on a
+    model function (DimensionMismatch for more inputs).
 
     An outer loop over full-model points: evaluate the full model at the
     current pair to first order (the exact Hessian is taken on the
@@ -486,27 +542,29 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     model at the surrogate's optimum.  The optimum becomes the current
     pair if its full J does not increase; otherwise its bases enrich the
     surrogate, which is solved again from the current pair.  The loop
-    also stops when the surrogate finds no step from the current pair,
-    when a rejected optimum adds nothing to it, or after ``MAXITER``
-    full-model points.
+    also stops when the surrogate finds no step from the current pair
+    (reason "surrogate singular" when the surrogate has no certified
+    decomposition or the pair is one of its poles), when a rejected
+    optimum adds nothing to it, or after ``MAXITER`` full-model points.
 
     Surrogate first: when ``basis`` already has columns and no LUs are
     handed over, the trust region runs on the surrogate from ``init``
     before the full model is evaluated anywhere, and the first full-model
     point is the surrogate's optimum.  The full model is evaluated at
-    ``init`` only when the surrogate finds no step from there or ``init``
-    is one of its poles.
+    ``init`` only when the surrogate finds no step from there, has no
+    certified decomposition or has ``init`` as one of its poles.
 
     Every full-model point's kernel is a ``nk.SylvesterContext`` built
-    from its pair with ``ds.order``, and one full-model point's LUs are
-    alive at a time.
-    The result owns the LUs of the pair it returns (refactored once only
-    if that pair's were dropped for a later, rejected point).  ``reuse``,
-    when given, is an object whose ``ctx`` is None or a
+    from its pair with ``ds.order``, and one such point's LUs are alive at
+    a time.  The result owns the LUs of the pair it returns (refactored
+    once only if that pair's were dropped for a later, rejected point).
+    ``reuse``, when given, is an object whose ``ctx`` is None or a
     ``SylvesterContext`` of this pencil and ``init``, as a
     ``cure.CureLedger`` holds: spark takes those LUs over for init and
     sets ``reuse.ctx`` to None.
     """
+    if ds.m != 1:
+        raise DimensionMismatch("shift-pair optimization requires SISO input")
     if basis is None:
         basis = SurrogateBasis(ds.A, ds.E)
     ctx = None
@@ -515,10 +573,10 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     p = init.as_array()
     point, trace = None, []
     if ctx is None and basis.W.shape[1]:
-        sur = basis.surrogate(ds)
         try:
-            start = evaluate(sur, *p, kernel=nk.KroneckerSylvester)
-        except (SingularShift, SpectraOverlap):
+            sur = basis.surrogate(ds)
+            start = evaluate(sur, *p)
+        except SingularShift:
             start = None
         if start is not None:
             trace.append(_start_record(p, start))
@@ -539,10 +597,14 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
             converged, reason = True, "gtol"
             break
         basis.add(point)
-        sur = basis.surrogate(ds)
-        q, converged, reason = _trust_region(
-            sur, p, evaluate(sur, *p, kernel=nk.KroneckerSylvester),
-            SURROGATE_GTOL * GTOL, trace)
+        try:
+            sur = basis.surrogate(ds)
+            start = evaluate(sur, *p)
+        except SingularShift:
+            converged, reason = False, "surrogate singular"
+            break       # the surrogate has no step from the current pair
+        q, converged, reason = _trust_region(sur, p, start,
+                                             SURROGATE_GTOL * GTOL, trace)
         if q is p:
             break       # the surrogate has no step from the current pair
         point = point._replace(ctx=None)    # free p's LUs before q factors

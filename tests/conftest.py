@@ -38,6 +38,16 @@ def basis_at(ds, a, b):
     return point.V, point.params
 
 
+def pole_residue_surrogate(ds):
+    """The ``spark.Surrogate`` of a DeflatedSystem with dense A and E on a
+    basis of all of R^n: its own pencil, decomposed by ``SurrogateBasis``."""
+    n = ds.n
+    basis = sp.SurrogateBasis(ds.A, ds.E)
+    basis.add(sp.Point(None, None, None, np.eye(n), np.zeros((n, 0)),
+                       np.zeros((n, 0)), None, None))
+    return basis.surrogate(ds)
+
+
 @contextlib.contextmanager
 def spark_gtol(value):
     """SPARK's stopping threshold ``spark.GTOL`` set to ``value`` inside

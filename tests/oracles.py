@@ -281,21 +281,54 @@ def allpass_factor(rec) -> RomRealization:
                           Cr=rec.params.R, Dr=np.eye(rec.rom.m))
 
 
-def trace_derivatives(ds, a, b, hessian=True):
-    """(J, gradient, Hessian) of J(a, b) = -tr(Cr G Cr^T) at the shift pair
-    (a, b), one trace product per term, from the solves of a
-    ``SylvesterContext``; the Hessian is None without ``hessian``.  These
-    are the formulas ``spark.evaluate`` contracts into one."""
+def kronecker_sylvester(A, E, S, F):
+    """Dense solution of A X - E X S = F through vec(X), for dense A and
+    E: one solve with I kron A - S^T kron E."""
+    n, q = F.shape
+    K = np.kron(np.eye(q), A) - np.kron(S.T, E)
+    return np.linalg.solve(K, F.reshape(-1, order="F")).reshape(
+        n, q, order="F")
+
+
+def galerkin_system(basis, ds):
+    """The Galerkin surrogate of ``ds`` on a ``spark.SurrogateBasis`` as a
+    dense DeflatedSystem (W^T A W, W^T E W, W^T B_defl, C W)."""
+    W = basis.W
+    return DeflatedSystem(A=W.T @ (ds.A @ W), E=W.T @ (ds.E @ W),
+                          B_defl=W.T @ ds.B_defl, C=ds.C @ W, poly=None)
+
+
+def basis_solves(ds, a, b, kronecker=False):
+    """(V, V_a, V_b, V_aa, V_ab, V_bb) at the shift pair (a, b), one
+    Sylvester solve each: with a ``SylvesterContext``, or with
+    ``kronecker`` by ``kronecker_sylvester`` on the dense pencil."""
     pair = SparkParams(a, b)
-    ctx = nk.SylvesterContext(ds.A, ds.E, pair)
+    if kronecker:
+        A, E = (M.toarray() if sps.issparse(M) else M for M in (ds.A, ds.E))
+
+        def solve(F):
+            return kronecker_sylvester(A, E, pair.S, F)
+    else:
+        solve = nk.SylvesterContext(ds.A, ds.E, pair).solve
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     S_b = np.array([[0.0, 0.0], [-1.0, 0.0]])
     S_aa = np.array([[0.0, 0.0], [2.0, 0.0]])
-    V = ctx.solve(ds.B_defl @ pair.R)
-    Va = ctx.solve(E @ (V @ S_a))
-    Vb = ctx.solve(E @ (V @ S_b))
-    Cr, Ca, Cb = (ds.C @ X for X in (V, Va, Vb))
+    V = solve(ds.B_defl @ pair.R)
+    Va = solve(E @ (V @ S_a))
+    Vb = solve(E @ (V @ S_b))
+    return (V, Va, Vb, solve(E @ (2 * Va @ S_a + V @ S_aa)),
+            solve(E @ (Va @ S_b + Vb @ S_a)), solve(E @ (2 * Vb @ S_b)))
+
+
+def trace_derivatives(ds, a, b, hessian=True, kronecker=False):
+    """(J, gradient, Hessian) of J(a, b) = -tr(Cr G Cr^T) at the shift pair
+    (a, b), one trace product per term, from ``basis_solves`` (with
+    ``kronecker``, the dense Kronecker ones); the Hessian is None without
+    ``hessian``.  These are the formulas ``spark.evaluate`` contracts
+    into one."""
+    Cr, Ca, Cb, Caa, Cab, Cbb = (ds.C @ X for X in
+                                 basis_solves(ds, a, b, kronecker))
     G = np.array([[4 * a, 4 * a * a], [4 * a * a, 4 * a * (a * a + b)]])
     Ga = np.array([[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]])
     Gb = np.array([[0.0, 0.0], [0.0, 4 * a]])
@@ -308,10 +341,6 @@ def trace_derivatives(ds, a, b, hessian=True):
                   -2 * tr(Cb, G, Cr) - tr(Cr, Gb, Cr)])
     if not hessian:
         return J, g, None
-    Vaa = ctx.solve(E @ (2 * Va @ S_a + V @ S_aa))
-    Vab = ctx.solve(E @ (Va @ S_b + Vb @ S_a))
-    Vbb = ctx.solve(E @ (2 * Vb @ S_b))
-    Caa, Cab, Cbb = (ds.C @ X for X in (Vaa, Vab, Vbb))
     Gaa = np.array([[0.0, 8.0], [8.0, 24 * a]])
     Gab = np.array([[0.0, 0.0], [0.0, 4.0]])
     Gbb = np.zeros((2, 2))

@@ -262,9 +262,8 @@ def test_one_spark_context_alive_at_a_time(fixture, gtol, request,
                                            monkeypatch):
     # every factorization of the full pencil is made for the context
     # under construction while no other full-model context is alive, and
-    # none outlives cured_spark; the surrogate's contexts factor its own
-    # small pencil.  gtol = 1e30 hands each step's context to the next
-    # step
+    # none outlives cured_spark; the surrogate's points factor nothing.
+    # gtol = 1e30 hands each step's context to the next step
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     contexts, alive = [], []
     ctx_init = nk.SylvesterContext.__init__
@@ -404,21 +403,21 @@ def test_surrogate_singular_at_the_start_falls_back_to_the_full_model(
     # step still certifies
     calls = _log_spark_calls(monkeypatch)
     armed = []
-    spark, kron_init = sp.spark, nk.KroneckerSylvester.__init__
+    spark, evaluate = sp.spark, sp.evaluate
 
     def arm(*args, **kwargs):
         # the first surrogate point of a call on a kept basis is singular
         armed[:] = [kwargs["basis"].W.shape[1] > 0]
         return spark(*args, **kwargs)
 
-    def singular_at_start(self, A, E, pair):
-        if armed and armed.pop():
-            assert pair == sp.INIT
+    def singular_at_start(model, a, b, ctx=None, **kwargs):
+        if isinstance(model, sp.Surrogate) and armed and armed.pop():
+            assert (a, b) == (sp.INIT.a, sp.INIT.b)
             raise SingularShift("the start pair is a pole of the surrogate")
-        kron_init(self, A, E, pair)
+        return evaluate(model, a, b, ctx, **kwargs)
 
     monkeypatch.setattr(sp, "spark", arm)
-    monkeypatch.setattr(nk.KroneckerSylvester, "__init__", singular_at_start)
+    monkeypatch.setattr(sp, "evaluate", singular_at_start)
     report, ledger = run_cure(index1_small, max_steps=3, tol=1e-12)
     later = [res for handed, width, res in calls if width and not handed]
     assert report["k"] >= 2 and later

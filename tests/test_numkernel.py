@@ -7,10 +7,12 @@ import scipy.sparse as sps
 
 from daecure import numkernel as nk
 from daecure.errors import DimensionMismatch, SingularShift, SpectraOverlap
-from daecure.spark import SparkParams
+from daecure.interp import DeflatedSystem
+from daecure.spark import SparkParams, evaluate
 
-from conftest import CountingLU
-from oracles import PencilDeflation, solve_dense_sylvester
+from conftest import CountingLU, pole_residue_surrogate
+from oracles import (PencilDeflation, basis_solves, kronecker_sylvester,
+                     solve_dense_sylvester)
 
 
 def test_factor_shifted_solves_shifted_system():
@@ -270,14 +272,6 @@ def test_dense_singular_shift_raises():
             nk.ShiftedFactorization(np.diag([1.0, np.inf]), np.eye(2), 0.5)
 
 
-def _kronecker_sylvester(A, E, S, F):
-    """Dense solution of A X - E X S = F through vec(X)."""
-    n, q = F.shape
-    K = np.kron(np.eye(q), A) - np.kron(S.T, E)
-    return np.linalg.solve(K, F.reshape(-1, order="F")).reshape(
-        n, q, order="F")
-
-
 def _toward_confluence(kind, a, delta):
     """The pair with b = a^2 (1 + delta), a conjugate one, or
     b = a^2 / (1 + delta), a real one: |a^2 - b| is about delta a^2 for a
@@ -304,7 +298,7 @@ def test_sylvester_solve_toward_confluence_matches_kronecker(
     ctx = nk.SylvesterContext(A, E, pair)
     X = ctx.solve(F)
     for Xi, Fi in zip(X, F):
-        want = _kronecker_sylvester(A.toarray(), E.toarray(), S, Fi)
+        want = kronecker_sylvester(A.toarray(), E.toarray(), S, Fi)
         assert np.linalg.norm(Xi - want) <= 1e-12 * np.linalg.norm(want)
     if kind == "real":
         assert not np.iscomplexobj(ctx.T) and not np.iscomplexobj(ctx.U)
@@ -328,64 +322,69 @@ def test_equal_real_shifts_share_one_lu(factor_log):
     ctx = nk.SylvesterContext(A, E, pair)
     assert factor_log == [a] and len(ctx.factors) == 1
     F = rng.standard_normal((40, 2))
-    want = _kronecker_sylvester(A.toarray(), E.toarray(), S, F)
+    want = kronecker_sylvester(A.toarray(), E.toarray(), S, F)
     assert np.linalg.norm(ctx.solve(F) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _pole_residue_surrogate(A, E, B, C):
+    """The surrogate of the dense system (A, E, B, C) on a basis of all of
+    R^n, and that system."""
+    ds = DeflatedSystem(A=A, E=E, B_defl=B, C=C, poly=None)
+    return pole_residue_surrogate(ds), ds
 
 
 @pytest.mark.parametrize("delta", [1.0, 1e-4, 1e-8, 1e-12, 1e-14, 0.0])
 @pytest.mark.parametrize("kind", ["conjugate", "real"])
 def test_kronecker_sylvester_matches_schur_and_dense_kronecker(
-        kind, delta, factor_log):
-    # pairs toward confluence, and delta = 0 the confluent pair: one real
-    # LU of the 2n x 2n Kronecker matrix, no shifted LU, solves a stack of
-    # right-hand sides to the dense Kronecker solution and to the Schur
-    # solver's
+        kind, delta, factor_log, monkeypatch):
+    # pairs toward confluence, and delta = 0 the confluent pair: the
+    # surrogate's pole-residue closed form, from one eigendecomposition
+    # and no LU at all, gives C X for the basis solve and its first and
+    # second (a, b)-derivatives, to the dense Kronecker solution of each
+    # Sylvester equation and to the Schur solver's
     rng, A, E = _well_posed(40, 18)
     A, E = A.toarray(), E.toarray()
+    lus, lu_init = [], nk.DenseLU.__init__
+
+    def counting_lu(self, M):
+        lus.append(M.shape)
+        lu_init(self, M)
+
+    monkeypatch.setattr(nk.DenseLU, "__init__", counting_lu)
+    sur, ds = _pole_residue_surrogate(A, E, rng.standard_normal((40, 1)),
+                                      rng.standard_normal((2, 40)))
     pair = _toward_confluence(kind, 1.3, delta)
-    S = pair.S
-    F = rng.standard_normal((3, 40, 2))
-    ctx = nk.KroneckerSylvester(A, E, pair)
-    assert factor_log == [] and isinstance(ctx._lu, nk.DenseLU)
-    X = ctx.solve(F)
-    assert X.shape == F.shape and X.dtype == np.float64
-    schur = nk.SylvesterContext(A, E, pair).solve(F)
-    for Xi, Fi, Yi in zip(X, F, schur):
-        want = _kronecker_sylvester(A, E, S, Fi)
-        assert np.linalg.norm(Xi - want) <= 1e-12 * np.linalg.norm(want)
-        assert np.linalg.norm(Xi - Yi) <= 1e-12 * np.linalg.norm(Yi)
-        assert np.linalg.norm(ctx.solve(Fi) - Xi) \
-            <= 1e-14 * np.linalg.norm(Xi)
-
-
-def test_kronecker_sylvester_block_layout():
-    # a conjugate pair, whose S has four distinct entries, and a complex
-    # right-hand side on the real LU: the blocks of I kron A - S^T kron E
-    # are placed as np.kron places them
-    rng, A, E = _well_posed(7, 19)
-    A, E = A.toarray(), E.toarray()
-    pair = SparkParams(0.7, 2.3)
-    S = pair.S
-    ctx = nk.KroneckerSylvester(A, E, pair)
-    assert np.array_equal(ctx._K, np.kron(np.eye(2), A) - np.kron(S.T, E))
-    F = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
-    X = ctx.solve(F)
-    assert np.linalg.norm(A @ X - E @ X @ S - F) <= 1e-12 * np.linalg.norm(F)
-    with pytest.raises(DimensionMismatch):
-        ctx.solve(np.ones((2, 7, 3)))
+    Cs = sur.outputs(pair.a, pair.b)
+    assert factor_log == [] and lus == []
+    assert Cs.shape == (6, 2, 2) and Cs.dtype == np.float64
+    for kronecker in (True, False):
+        want = basis_solves(ds, pair.a, pair.b, kronecker)
+        for Ci, Vi in zip(Cs, want):
+            Wi = ds.C @ Vi
+            assert np.linalg.norm(Ci - Wi) <= 1e-12 * np.linalg.norm(Wi)
+    point = evaluate(sur, pair.a, pair.b)
+    first = evaluate(sur, pair.a, pair.b, hessian=False)
+    assert first.H is None and abs(first.J - point.J) <= 1e-15 * abs(point.J)
+    assert np.linalg.norm(first.g - point.g) <= 1e-15 * np.linalg.norm(point.g)
 
 
 def test_kronecker_sylvester_at_a_pole_raises():
     # a shift that is an eigenvalue of the pencil: the pair 2 +- 1.5 has
-    # the shift 3.5.  An exact zero pivot on a diagonal pencil, and on a
-    # rotated one a residual that refinement cannot bring within TOL_SOLVE
+    # the shift 3.5.  On a diagonal pencil the surrogate's pole is exact,
+    # q = 0, and its point raises SingularShift.  On a rotated one the
+    # computed pole misses the shift by rounding, and J has no lower
+    # bound there: a trust region on it takes the step, and the full
+    # model judges it
     lam = np.array([1.0, 2.0, 3.5, 5.0, 8.0])
     pair = SparkParams(2.0, 1.75)
     assert pair.shifts()[0] == 3.5
     Q = np.linalg.qr(np.random.default_rng(20).standard_normal((5, 5)))[0]
-    F = np.ones((5, 2))
+    B, C = np.ones((5, 1)), np.ones((1, 5))
+    sur, _ = _pole_residue_surrogate(np.diag(lam), np.eye(5), B, C)
     with pytest.raises(SingularShift):
-        nk.KroneckerSylvester(np.diag(lam), np.eye(5), pair).solve(F)
+        sur.outputs(pair.a, pair.b)
     with pytest.raises(SingularShift):
-        nk.KroneckerSylvester(Q @ np.diag(lam) @ Q.T, np.eye(5),
-                              pair).solve(F)
+        evaluate(sur, pair.a, pair.b)
+    sur, _ = _pole_residue_surrogate(Q @ np.diag(lam) @ Q.T, np.eye(5), B, C)
+    far = evaluate(sur, 2.0, 1.0).J
+    assert -evaluate(sur, pair.a, pair.b).J >= 1e20 * abs(far)

@@ -8,12 +8,15 @@ import scipy.linalg as spla
 from daecure import cure
 from daecure import numkernel as nk
 from daecure import spark as sp
-from daecure.errors import NonFiniteDerivatives, NonPositiveParams
+from daecure.errors import (NonFiniteDerivatives, NonPositiveParams,
+                            SingularShift)
 from daecure.interp import DeflatedSystem
 from daecure.pork import pork_input
 
-from conftest import basis_at, make_ode, make_random_stable_ode, spark_gtol
-from oracles import h2_error_norm, sylvester_residual, trace_derivatives
+from conftest import (basis_at, make_ode, make_random_stable_ode,
+                      pole_residue_surrogate, spark_gtol)
+from oracles import (galerkin_system, h2_error_norm, sylvester_residual,
+                     trace_derivatives)
 
 
 def _certify(ds, res):
@@ -109,24 +112,24 @@ def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
                                      "ode_small"])
 def test_contracted_derivatives_match_trace_formulas(fixture, request):
     # J, g and H read off one contraction equal the term-by-term traces:
-    # on the surrogate (Kronecker kernel) to second order, on the full
-    # model (per-shift LUs) to first order.  The pairs, a real, a
-    # conjugate and a confluent one, lie off the optimum, where g is more
-    # than rounding noise
+    # on the surrogate (pole-residue closed form, no basis and no LUs) to
+    # second order against its dense Galerkin pencil, on the full model
+    # (per-shift LUs) to first order.  The pairs, a real, a conjugate and
+    # a confluent one, lie off the optimum, where g is more than rounding
+    # noise
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     basis = sp.SurrogateBasis(ds.A, ds.E)
     res = sp.spark(ds, basis=basis)
-    sur = basis.surrogate(ds)
+    sur, dense = basis.surrogate(ds), galerkin_system(basis, ds)
     a = 1.2 * res.params.a
     for b in (0.5 * a * a, 2.0 * a * a, a * a):
-        for d, point in ((sur, sp.evaluate(sur, a, b,
-                                            kernel=nk.KroneckerSylvester)),
+        for d, point in ((dense, sp.evaluate(sur, a, b)),
                          (ds, sp.evaluate(ds, a, b, hessian=False))):
-            J, g, H = trace_derivatives(d, a, b, hessian=d is sur)
+            J, g, H = trace_derivatives(d, a, b, hessian=d is dense)
             assert abs(point.J - J) <= 1e-12 * abs(J)
             assert np.linalg.norm(point.g - g) <= 1e-12 * np.linalg.norm(g)
-            if d is sur:
-                assert isinstance(point.ctx, nk.KroneckerSylvester)
+            if d is dense:
+                assert point.ctx is None and point.V is None
                 assert np.array_equal(point.H, point.H.T)
                 assert np.linalg.norm(point.H - H) \
                     <= 1e-12 * np.linalg.norm(H)
@@ -135,6 +138,142 @@ def test_contracted_derivatives_match_trace_formulas(fixture, request):
                 assert point.H is None
 
 
+def _toward(pole, delta):
+    """A pair with the shift pole * (1 + delta) and, for a complex pole,
+    its conjugate, else the real shift 2 pole: a = (s0 + s1) / 2 and
+    b = s0 s1."""
+    s0 = pole * (1 + delta)
+    s1 = np.conj(s0) if pole.imag else 2 * pole
+    return float((s0 + s1).real / 2), float((s0 * s1).real)
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
+                                     "ode_small"])
+def test_surrogate_points_match_the_kronecker_oracle(fixture, request):
+    # the closed-form J, gradient and Hessian of a surrogate point equal
+    # the trace formulas over dense Kronecker solves of its Galerkin
+    # pencil and over Schur solves, at real, conjugate, confluent and
+    # near-confluent pairs, b = a^2 (1 +- 1e-8), and at a pair whose shift
+    # is 1e-3 off a pole of the surrogate pencil moved into the right
+    # half-plane, W^T A W + mu W^T E W
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    basis = sp.SurrogateBasis(ds.A, ds.E)
+    res = sp.spark(ds, basis=basis)
+    sur, dense = basis.surrogate(ds), galerkin_system(basis, ds)
+    a = 1.2 * res.params.a
+    pairs = [(sur, dense, a, a * a * c)
+             for c in (0.5, 2.0, 1.0, 1 + 1e-8, 1 - 1e-8)]
+    near = dataclasses.replace(dense, A=dense.A + (a - sur.poles.real.max())
+                               * dense.E)
+    moved = pole_residue_surrogate(near)
+    pole = moved.poles[np.argmax(moved.poles.real)]
+    assert pole.real > 0
+    pairs.append((moved, near, *_toward(pole, 1e-3)))
+    for model, system, a, b in pairs:
+        point = sp.evaluate(model, a, b)
+        for kronecker in (True, False):
+            J, g, H = trace_derivatives(system, a, b, kronecker=kronecker)
+            assert abs(point.J - J) <= 1e-10 * abs(J)
+            assert np.linalg.norm(point.g - g) <= 1e-10 * np.linalg.norm(g)
+            assert np.linalg.norm(point.H - H) <= 1e-10 * np.linalg.norm(H)
+
+
+def test_surrogate_decomposition_gate(index1_small, monkeypatch):
+    # a Galerkin pencil whose eigendecomposition misses its residual gate
+    # (here one eigenvector is perturbed by 1e-6) or is not finite (an
+    # infinite pole of a singular W^T E W) has no surrogate: the search
+    # takes the full model at its start pair, as for a surrogate with a
+    # pole there.  Nor has one whose eigenvectors each pass the gate but
+    # leave E X singular, where the residue solve fails
+    A, E = np.diag([-1.0, -2.0, -3.0]), np.diag([1.0, 1.0, 0.0])
+    assert sp._eigen(A, E) is None
+    assert sp._eigen(A, np.eye(3)) is not None
+    ds = DeflatedSystem.from_dae(index1_small)
+    basis = sp.SurrogateBasis(ds.A, ds.E)
+    first = sp.spark(ds, basis=basis)
+    eig = spla.eig
+
+    def perturbed(*args, **kwargs):
+        lam, X = eig(*args, **kwargs)
+        X[:, 0] += 1e-6 * np.linalg.norm(X[:, 0])
+        return lam, X
+
+    monkeypatch.setattr(spla, "eig", perturbed)
+    basis.add(sp.evaluate(ds, 2 * first.params.a, first.params.b,
+                          hessian=False))
+    assert basis.fold() > 0
+    with pytest.raises(SingularShift):
+        basis.surrogate(ds)
+    res = sp.spark(ds, basis=basis)
+    assert res.evaluations[0]["a"] == sp.INIT.a
+    assert res.evaluations[0]["b"] == sp.INIT.b
+    assert res.reason == "surrogate singular" and not res.converged
+    assert _certify(ds, res)[1] <= 1e-10
+
+    def dependent(*args, **kwargs):
+        lam, X = eig(*args, **kwargs)
+        lam[1], X[:, 1] = lam[0], X[:, 0]
+        return lam, X
+
+    monkeypatch.setattr(spla, "eig", dependent)
+    with pytest.raises(SingularShift):
+        pole_residue_surrogate(DeflatedSystem(
+            A=A, E=np.eye(3), B_defl=np.ones((3, 1)), C=np.ones((1, 3)),
+            poly=None))
+
+
+def test_surrogate_singular_at_the_current_pair_ends_the_search(
+        stokes_small, monkeypatch):
+    # a surrogate with a pole at the current pair ends the search there,
+    # as one that finds no step from it: spark returns the pair with its
+    # LUs and certificate instead of raising from the optimizer.  Here
+    # the surrogate fails at the pair of the second full-model point
+    ds = DeflatedSystem.from_dae(stokes_small)
+    evaluate, full = sp.evaluate, []
+
+    def failing(model, a, b, ctx=None, **kw):
+        if isinstance(model, DeflatedSystem):
+            full.append((a, b))
+        elif len(full) == 2 and (a, b) == full[-1]:
+            raise SingularShift("the current pair is a surrogate pole")
+        return evaluate(model, a, b, ctx, **kw)
+
+    monkeypatch.setattr(sp, "evaluate", failing)
+    res = sp.spark(ds)
+    assert len(full) == len(res.evaluations) == 2
+    assert res.evaluations[1]["accepted"]
+    assert (res.params.a, res.params.b) == full[1]
+    assert res.reason == "surrogate singular" and not res.converged
+    assert _certify(ds, res)[1] <= 1e-10
+
+
+def test_one_eigendecomposition_per_basis_change(index1_small, monkeypatch):
+    # the surrogate pencil is decomposed once per fold that adds columns,
+    # not once per surrogate point or per trust-region call
+    folds, eigs, calls = [], [], []
+    fold, eig, trust_region = (sp.SurrogateBasis.fold, spla.eig,
+                               sp._trust_region)
+
+    def counted_fold(self):
+        folds.append(fold(self))
+        return folds[-1]
+
+    def counted_eig(*args, **kwargs):
+        eigs.append(args[0].shape)
+        return eig(*args, **kwargs)
+
+    def counted_trust_region(*args):
+        calls.append(args[0])
+        return trust_region(*args)
+
+    monkeypatch.setattr(sp.SurrogateBasis, "fold", counted_fold)
+    monkeypatch.setattr(spla, "eig", counted_eig)
+    monkeypatch.setattr(sp, "_trust_region", counted_trust_region)
+    ds = DeflatedSystem.from_dae(index1_small)
+    res = sp.spark(ds)
+    assert res.reason == "gtol" and len(calls) > 1
+    assert len(eigs) == sum(n > 0 for n in folds) >= 1
+    assert len(eigs) < len(res.trace) - 1 and eigs[-1][0] < ds.n
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
     for seed in (0, 1):
@@ -306,7 +445,7 @@ def test_spark_exact_on_order_two():
 def _track_full(monkeypatch, n):
     """Weak references to the contexts and the (a, b, context given) of the
     evaluations made of a system of size n, the full model; a surrogate's
-    are smaller."""
+    contexts are smaller, and its points are no DeflatedSystem's."""
     contexts, evaluated = [], []
     ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
 
@@ -316,7 +455,7 @@ def _track_full(monkeypatch, n):
         ctx_init(self, A, E, pair, order)
 
     def counting_evaluate(ds, a, b, ctx=None, **kw):
-        if ds.n == n:
+        if isinstance(ds, DeflatedSystem) and ds.n == n:
             evaluated.append((a, b, ctx is not None))
         return evaluate(ds, a, b, ctx, **kw)
 
@@ -328,37 +467,38 @@ def _track_full(monkeypatch, n):
 def test_spark_factors_once_per_evaluated_point(monkeypatch):
     # one LU set of the full pencil per full-model point: one complex LU
     # (conjugate pair) or two real LUs (real pair), none for a point that
-    # is handed the LUs of the pair the previous step returned at.  Each
-    # surrogate point is solved by one Kronecker LU of its own and makes
-    # no per-shift LU, and besides these a whole cumulative reduction
-    # factors only the saddle-point matrix, first: nothing is refactored
-    # once a SPARK call returns, to certify or to deplete a step.  This
-    # system's full-model points include real and conjugate pairs
+    # is handed the LUs of the pair the previous step returned at.  A
+    # surrogate point factors nothing, no per-shift LU and no LAPACK LU,
+    # and besides these a whole cumulative reduction factors only the
+    # saddle-point matrix, first: nothing is refactored once a SPARK call
+    # returns, to certify or to deplete a step.  This system's full-model
+    # points include real and conjugate pairs
     sys = make_random_stable_ode(20, seed=0)
-    full, small, kron = [], [], []
-    fac_init = nk.ShiftedFactorization.__init__
-    kron_init = nk.KroneckerSylvester.__init__
+    full, small, dense = [], [], []
+    fac_init, lu_init = nk.ShiftedFactorization.__init__, nk.DenseLU.__init__
 
     def counting(self, A, E, sigma, order=None):
         (full if A.shape[0] == sys.n else small).append(complex(sigma))
         fac_init(self, A, E, sigma, order)
 
-    def counting_kron(self, A, E, pair):
-        kron.append(self)
-        kron_init(self, A, E, pair)
+    def counting_lu(self, M):
+        dense.append(M.shape[0])
+        lu_init(self, M)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting)
-    monkeypatch.setattr(nk.KroneckerSylvester, "__init__", counting_kron)
+    monkeypatch.setattr(nk.DenseLU, "__init__", counting_lu)
     evaluated, surrogate = [], []
     evaluate = sp.evaluate
 
     def counting_evaluate(d, a, b, ctx=None, **kw):
-        if d.n == sys.n:
+        if isinstance(d, DeflatedSystem):
+            assert d.n == sys.n
             evaluated.append((a, b, ctx is not None, len(full)))
             return evaluate(d, a, b, ctx, **kw)
         assert ctx is None
+        made = len(full) + len(dense)
         point = evaluate(d, a, b, ctx, **kw)
-        surrogate.append(point.ctx)
+        surrogate.append((point.ctx, len(full) + len(dense) - made))
         return point
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
@@ -368,8 +508,8 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     assert all(st["converged"] for st in report["steps"])
     assert len(evaluated) >= 5
     assert surrogate and small == []
-    assert len(kron) == len(surrogate)
-    assert all(ctx is k for ctx, k in zip(surrogate, kron))
+    assert surrogate == [(None, 0)] * len(surrogate)
+    assert all(n == sys.n for n in dense)
     assert sum(st["full_evaluations"] for st in report["steps"]) \
         < len(evaluated)        # and the discarded stagnation call
     # the saddle-point LU, then the start pair's LU, from whose fill
@@ -394,8 +534,8 @@ def test_full_pencil_solves_first_order_and_surrogate_skips_superlu(
         fixture, request, monkeypatch):
     # full-model points are evaluated to first order: no factorization of
     # the full pencil solves the stacked (V_aa, V_ab, V_bb) right-hand
-    # side.  A surrogate point takes one LAPACK LU of its Kronecker
-    # system, so SuperLU factors only full-pencil matrices
+    # side.  A surrogate point is a closed form in its poles and residues
+    # and factors nothing, so SuperLU factors only full-pencil matrices
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     blocks, superlu = [], []
     solve, splu = nk.ShiftedFactorization.solve, nk.spsla.splu
@@ -526,8 +666,9 @@ def test_surrogate_is_exact_at_full_model_points(fixture, request,
     assert res.reason == "gtol" and len(res.evaluations) >= 2
     assert len(added) >= 2
     sur = basis.surrogate(ds)
-    assert sur.n == basis.W.shape[1] < ds.n
-    assert np.allclose(basis.W.T @ basis.W, np.eye(sur.n), atol=1e-12)
+    assert sur.poles.size == basis.W.shape[1] < ds.n
+    assert np.allclose(basis.W.T @ basis.W, np.eye(sur.poles.size),
+                       atol=1e-12)
     for point in added:
         model = sp.evaluate(sur, point.params.a, point.params.b)
         assert abs(model.J - point.J) <= 1e-10 * abs(point.J)
@@ -560,7 +701,8 @@ def test_surrogate_basis_folds_queued_blocks_when_read(index1_small,
         lazy.add(point)
     assert svds == []
     got, want = lazy.surrogate(ds), eager.surrogate(ds)
-    for x, y in ((lazy.W, eager.W), (got.A, want.A), (got.E, want.E)):
+    for x, y in ((lazy.W, eager.W), (got.poles, want.poles),
+                 (got.residues, want.residues)):
         assert np.array_equal(x, y)
     assert len(svds) == len(points) and lazy.fold() == 0
 
@@ -581,10 +723,9 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
             sur = surrogate(self, d)
             if once and crossed:
                 return sur
-            w = spla.eigvals(sur.A, sur.E)
-            mu = 1.0 - w[np.isfinite(w)].real.max()
+            mu = 1.0 - sur.poles.real.max()
             crossed.append(mu)
-            return dataclasses.replace(sur, A=sur.A + mu * sur.E)
+            return dataclasses.replace(sur, poles=sur.poles + mu)
         return make
 
     # a surrogate that crosses once: the step then converges as before
