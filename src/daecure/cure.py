@@ -30,7 +30,6 @@ class CureRecord:
 
     rom: RomRealization
     params: sparkmod.SparkParams
-    cost: float
     #: worst per-shift relative residual ||G - G_r|| / ||G|| of the step's
     #: ROM against the deflated system it was made from
     interp_residual: float
@@ -101,7 +100,7 @@ def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
     factors = dict(zip(spark_out.params.shifts(), spark_out.ctx.factors))
     residual = max(check_interpolation(
         lambda s: -(ds.C @ factors[s].solve(ds.B_defl)), rom, factors))
-    rec = CureRecord(rom=rom, params=spark_out.params, cost=spark_out.cost,
+    rec = CureRecord(rom=rom, params=spark_out.params,
                      interp_residual=residual)
     ds.B_defl = ds.B_defl - ds.E @ (spark_out.V
                                     @ np.linalg.solve(rom.Er, rom.Br))

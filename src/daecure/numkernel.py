@@ -394,7 +394,8 @@ def cheapest_pencil(A, E, fac: ShiftedFactorization):
 
 class SylvesterContext:
     """Solver for the sparse-dense Sylvester equation A X - E X S = F,
-    S = S(a, b) of a shift pair ``pair`` (``spark.SparkParams``).
+    S = S(a, b) of a shift pair ``pair`` (``spark.SparkParams``), with
+    real A, E and F, and so a real X.
 
     The pair's closed-form Schur data S = U T U^H decouple the two
     columns of Y = X U into shifted solves, column j at
@@ -403,23 +404,21 @@ class SylvesterContext:
     ``ShiftedFactorization``) and reused across right-hand sides: two
     real LUs for a real pair, in ``shifts()`` order, solved in real
     arithmetic; one LU for a confluent pair, b = a^2, whose shifts are
-    equal; one complex LU at the first shift for a conjugate pair, which
-    needs real A and E: the second column's solve is
-    conj((A - sigma E)^-1 conj(r)).  For a conjugate pair and a real F,
-    column 0 alone gives the real X = [Re y, Im y / |d|], where
+    equal; one complex LU at the first shift for a conjugate pair: the
+    second column's solve is conj((A - sigma E)^-1 conj(r)).  For a
+    conjugate pair, column 0 alone gives X = [Re y, Im y / |d|], where
     d = sqrt(a^2 - b) and (A - (a + d) E) y = F (1, d)^T: one complex
     solve, taken while max(|d|, 1/|d|) <= ``RECOVER_COND``.
     """
 
     def __init__(self, A, E, pair, order=None):
         self.A, self.E = _pencil(A, E)
+        if np.iscomplexobj(self.A) or np.iscomplexobj(self.E):
+            raise DimensionMismatch("a Sylvester context needs real A and E")
         self.S = pair.S
         self.T, self.U = pair.schur()
         s0, s1 = pair.shifts()
         conjugate = np.iscomplexobj(s0)
-        if conjugate and (np.iscomplexobj(self.A)
-                          or np.iscomplexobj(self.E)):
-            raise DimensionMismatch("a conjugate pair needs real A and E")
         self.factors = [ShiftedFactorization(self.A, self.E, s0, order)]
         if not conjugate and s1 != s0:
             self.factors.append(ShiftedFactorization(self.A, self.E, s1,
@@ -429,17 +428,16 @@ class SylvesterContext:
             else None
 
     def solve(self, F):
-        """Return X with A X - E X S = F; real when F is real.
+        """Return the real X with A X - E X S = F.
 
-        ``F`` is one n x 2 right-hand side or a stack of k of them, shape
-        (k, n, 2); X has the shape of ``F``.  Column j of all k equations
-        is one block solve.
+        ``F`` is one real n x 2 right-hand side or a stack of k of them,
+        shape (k, n, 2); X has the shape of ``F``.  Column j of all k
+        equations is one block solve.
         """
         F = np.asarray(F)
         Fs = F if F.ndim == 3 else F[None]
-        real = not np.iscomplexobj(Fs)
         fac = self.factors[0]
-        if self._recover is not None and real:
+        if self._recover is not None:
             # y = X (1, d)^T = X[:, 0] + i |d| X[:, 1]
             d = self._recover
             y = fac.solve((Fs[:, :, 0] + 1j * d * Fs[:, :, 1]).T).T
@@ -453,16 +451,15 @@ class SylvesterContext:
             else:
                 y1 = self.factors[-1].solve(r1)
             X = np.stack([y0.T, y1.T], axis=-1) @ self.U.conj().T
-        if real:
-            # the exact solution is real; accept the real cast only if it
-            # still solves each equation (guards against genuine breakdown)
-            X = np.ascontiguousarray(X.real)
-            for Xi, Fi in zip(X, Fs):
-                AX = self.A @ Xi
-                res = AX - self.E @ (Xi @ self.S) - Fi
-                if np.abs(res).max() > 1e-8 * (np.abs(AX).max()
-                                               + np.abs(Fi).max() + 1e-300):
-                    raise SpectraOverlap(
-                        "real Sylvester problem produced a complex solution"
-                    )
+        # the exact solution is real; accept the real cast only if it
+        # still solves each equation (guards against genuine breakdown)
+        X = np.ascontiguousarray(X.real)
+        for Xi, Fi in zip(X, Fs):
+            AX = self.A @ Xi
+            res = AX - self.E @ (Xi @ self.S) - Fi
+            if np.abs(res).max() > 1e-8 * (np.abs(AX).max()
+                                           + np.abs(Fi).max() + 1e-300):
+                raise SpectraOverlap(
+                    "real Sylvester problem produced a complex solution"
+                )
         return X if F.ndim == 3 else X[0]

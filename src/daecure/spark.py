@@ -11,11 +11,12 @@ The trust region runs on a model function: the Galerkin projection of
 the system onto the bases (V, V_a, V_b) of the full-model points seen so
 far, which reproduces J and its gradient at each of them.  Besides the
 start pair of a search that has no model yet, or whose model finds no
-step from it, the full pencil is factored only at the model's optima,
-and evaluated there to first order.  The model is kept in pole-residue
-form, one eigendecomposition per basis change, and its points are closed
-forms that factor nothing; full-model points take per-shift LUs, which
-certify the step.  Both read J and its derivatives off one contraction.
+step from it, the full pencil is factored only at the model's optima.
+The model is kept in pole-residue form, one eigendecomposition per basis
+change, and its points are closed forms that factor nothing and carry
+the exact Hessian; full-model points take per-shift LUs, which certify
+the step, and are first order.  Both read J and its derivatives off one
+contraction.
 """
 
 import math
@@ -132,15 +133,15 @@ def _gramians(a, b):
                      [[0.0, 0.0], [0.0, 4.0]]])
 
 
-# derivatives of S(a, b) = [[a, 1], [a^2 - b, a]]; S_ab = S_bb = 0
+# the b-derivative of S(a, b) = [[a, 1], [a^2 - b, a]]
 _S_DB = np.array([[0.0, 0.0], [-1.0, 0.0]])
-_S_DAA = np.array([[0.0, 0.0], [2.0, 0.0]])
 
 
 class Point(NamedTuple):
     """One evaluated shift pair: the cost, its exact derivatives (the
-    Hessian ``None`` on a first-order point), the basis V with its first
-    derivatives, the pair and the LUs (``None`` on a surrogate point)."""
+    Hessian ``None`` on a full-model point), the basis V with its first
+    derivatives, the pair and the LUs (basis and LUs ``None`` on a
+    surrogate point)."""
 
     J: float
     g: np.ndarray
@@ -204,24 +205,22 @@ class Surrogate:
         return np.stack([c0, c1], axis=-1).real
 
 
-def evaluate(ds, a: float, b: float, ctx=None,
-             hessian: bool = True) -> Point:
-    """The ``Point`` (J, gradient, exact Hessian, V, ...) at the shift pair
-    (a, b) of ``ds``, a ``DeflatedSystem`` or a ``Surrogate``, read off
-    ``_contract``; with ``hessian`` false, a first-order point (H None).
+def evaluate(ds, a: float, b: float, ctx=None) -> Point:
+    """The ``Point`` at the shift pair (a, b) of ``ds``, a
+    ``DeflatedSystem`` or a ``Surrogate``, read off ``_contract``.
 
     A surrogate point takes ``Surrogate.outputs``, with no basis and no
-    LUs; a pole at a shift, or a J, g or H that is not finite, raises
-    SingularShift.  A full-model point solves A V - E V S = B R, and
-    A V_i - E V_i S = E V S_i and A V_ij - E V_ij S = E (V_i S_j + V_j S_i
-    + V S_ij) for its derivatives, one stacked solve per level (V, then
-    V_a, V_b, then V_aa, V_ab, V_bb) on ``ctx`` when given, else on a new
-    ``SylvesterContext`` of the pair with ``ds.order``; the caller owns it.
+    LUs, and has the exact Hessian; a pole at a shift, or a J, g or H that
+    is not finite, raises SingularShift.  A full-model point is first
+    order (H None): it solves A V - E V S = B R and A V_i - E V_i S =
+    E V S_i for the derivatives, one stacked solve per level (V, then V_a,
+    V_b) on ``ctx`` when given, else on a new ``SylvesterContext`` of the
+    pair with ``ds.order``; the caller owns it.
     """
     pair = SparkParams(a, b)
     if isinstance(ds, Surrogate):
-        J, g, H = _contract(ds.outputs(a, b)[:6 if hessian else 3], a, b)
-        if not all(np.isfinite(x).all() for x in (J, g, H) if x is not None):
+        J, g, H = _contract(ds.outputs(a, b), a, b)
+        if not all(np.isfinite(x).all() for x in (J, g, H)):
             raise SingularShift(f"the surrogate is not finite at ({a}, {b})")
         return Point(J, g, H, None, None, None, pair, None)
     if ctx is None:
@@ -230,12 +229,7 @@ def evaluate(ds, a: float, b: float, ctx=None,
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ pair.R)
     Vs = [V, *ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))]
-    if hessian:
-        _, Va, Vb = Vs
-        Vs += list(ctx.solve(np.stack([E @ (2 * Va @ S_a + V @ _S_DAA),
-                                       E @ (Va @ _S_DB + Vb @ S_a),
-                                       E @ (2 * Vb @ _S_DB)])))
-    return Point(*_contract(ds.C @ np.stack(Vs), a, b), *Vs[:3], pair, ctx)
+    return Point(*_contract(ds.C @ np.stack(Vs), a, b), *Vs, pair, ctx)
 
 
 def _eigen(A, E):
@@ -583,9 +577,9 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
             q, _, _ = _trust_region(sur, p, start, SURROGATE_GTOL * GTOL,
                                     trace)
             if q is not p:
-                p, point = q, evaluate(ds, *q, hessian=False)
+                p, point = q, evaluate(ds, *q)
     if point is None:
-        point = evaluate(ds, *p, ctx, hessian=False)
+        point = evaluate(ds, *p, ctx)
         ctx = None      # the point owns them, and drops them when it moves
         # record 0 takes the full J, also after a surrogate with no step
         trace[:1] = [_start_record(p, point)]
@@ -608,7 +602,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
         if q is p:
             break       # the surrogate has no step from the current pair
         point = point._replace(ctx=None)    # free p's LUs before q factors
-        trial = evaluate(ds, *q, hessian=False)
+        trial = evaluate(ds, *q)
         noise = 1e-13 * (1.0 + abs(point.J))
         accepted = trial.J <= point.J + noise
         evaluations.append({"a": q[0], "b": q[1], "J": trial.J,

@@ -252,12 +252,17 @@ def test_sylvester_context_on_dense_pencil_shares_one_lu(factor_log):
     assert np.linalg.norm(A @ V - E @ (V @ S) - F) <= 1e-9 * np.linalg.norm(F)
 
 
-def test_conjugate_pair_on_a_complex_pencil_is_refused(factor_log):
-    # the one LU of a conjugate pair solves at its partner shift as
-    # conj((A - s E)^-1 conj(r)), which holds only for real A and E
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (1.5, 2.25), (0.8, 1.4)],
+                         ids=["real", "confluent", "conjugate"])
+def test_complex_pencil_is_refused(factor_log, a, b):
+    # a Sylvester context takes real A and E (the one LU of a conjugate
+    # pair solves at its partner shift as conj((A - s E)^-1 conj(r)), and
+    # every pair's X is cast to real), and refuses a complex one for any
+    # pair before it factors anything
     rng, A, E = _well_posed(10, 17)
-    with pytest.raises(DimensionMismatch):
-        nk.SylvesterContext(A * (1 + 1j), E, SparkParams(0.8, 1.4))
+    for M, N in ((A * (1 + 1j), E), (A, E * (1 + 1j))):
+        with pytest.raises(DimensionMismatch):
+            nk.SylvesterContext(M, N, SparkParams(a, b))
     assert factor_log == []
 
 
@@ -362,10 +367,6 @@ def test_kronecker_sylvester_matches_schur_and_dense_kronecker(
         for Ci, Vi in zip(Cs, want):
             Wi = ds.C @ Vi
             assert np.linalg.norm(Ci - Wi) <= 1e-12 * np.linalg.norm(Wi)
-    point = evaluate(sur, pair.a, pair.b)
-    first = evaluate(sur, pair.a, pair.b, hessian=False)
-    assert first.H is None and abs(first.J - point.J) <= 1e-15 * abs(point.J)
-    assert np.linalg.norm(first.g - point.g) <= 1e-15 * np.linalg.norm(point.g)
 
 
 def test_kronecker_sylvester_at_a_pole_raises():

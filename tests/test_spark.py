@@ -81,31 +81,28 @@ def test_evaluate_basis_is_the_spark_basis():
 
 @pytest.mark.parametrize("a, b", [(0.8, 1.4), (2.0, 1.0)],
                          ids=["conjugate", "real"])
-def test_evaluate_makes_eight_triangular_solves(lu_solves, a, b):
-    # evaluate solves V, (V_a, V_b) and (V_aa, V_ab, V_bb) by level.  A
-    # conjugate pair makes one complex block solve per level (Schur
-    # column 0 fixes the real solution); a real pair one real block solve
-    # per Schur column and level.  A certificate adds one B_defl solve
-    # per LU: G at the conjugate shift is the conjugate of the first.  A
-    # SPARK call that returns at its start pair evaluates it to first
-    # order, without the (V_aa, V_ab, V_bb) level; then cure_step
-    # certifies it.  No column needs refinement
+def test_evaluate_makes_two_solve_levels(lu_solves, a, b):
+    # a full-model point is first order: evaluate solves V, then
+    # (V_a, V_b), and no third level.  A conjugate pair makes one complex
+    # block solve per level (Schur column 0 fixes the real solution); a
+    # real pair one real block solve per Schur column and level.  A SPARK
+    # call that returns at its start pair makes the same solves; then a
+    # certificate adds one B_defl solve per LU: G at the conjugate shift
+    # is the conjugate of the first.  No column needs refinement
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
     per_level = 1 if a * a < b else 2
-    certificate = [1] * per_level
+    levels = [k for k in (1, 2) for _ in range(per_level)]
     del lu_solves[:]
-    sp.evaluate(ds, a, b)
-    assert [shape[1] for shape in lu_solves] \
-        == [k for k in (1, 2, 3) for _ in range(per_level)]
+    point = sp.evaluate(ds, a, b)
+    assert point.H is None
+    assert [shape[1] for shape in lu_solves] == levels
     del lu_solves[:]
     with spark_gtol(1e30):
         res = sp.spark(ds, init=sp.SparkParams(a, b))
     assert res.reason == "gtol" and res.trace[-1]["iter"] == 0
-    assert [shape[1] for shape in lu_solves] \
-        == [k for k in (1, 2) for _ in range(per_level)]
+    assert [shape[1] for shape in lu_solves] == levels
     _certify(ds, res)
-    assert [shape[1] for shape in lu_solves] \
-        == [k for k in (1, 2) for _ in range(per_level)] + certificate
+    assert [shape[1] for shape in lu_solves] == levels + [1] * per_level
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
@@ -124,7 +121,7 @@ def test_contracted_derivatives_match_trace_formulas(fixture, request):
     a = 1.2 * res.params.a
     for b in (0.5 * a * a, 2.0 * a * a, a * a):
         for d, point in ((dense, sp.evaluate(sur, a, b)),
-                         (ds, sp.evaluate(ds, a, b, hessian=False))):
+                         (ds, sp.evaluate(ds, a, b))):
             J, g, H = trace_derivatives(d, a, b, hessian=d is dense)
             assert abs(point.J - J) <= 1e-12 * abs(J)
             assert np.linalg.norm(point.g - g) <= 1e-12 * np.linalg.norm(g)
@@ -199,8 +196,7 @@ def test_surrogate_decomposition_gate(index1_small, monkeypatch):
         return lam, X
 
     monkeypatch.setattr(spla, "eig", perturbed)
-    basis.add(sp.evaluate(ds, 2 * first.params.a, first.params.b,
-                          hessian=False))
+    basis.add(sp.evaluate(ds, 2 * first.params.a, first.params.b))
     assert basis.fold() > 0
     with pytest.raises(SingularShift):
         basis.surrogate(ds)
@@ -292,19 +288,22 @@ def test_gradient_matches_central_differences():
 
 
 def test_hessian_matches_central_differences_of_gradient():
+    # the Hessian the trust region uses is the surrogate's; on a basis of
+    # all of R^n the surrogate has the system's transfer function
     rng = np.random.default_rng(11)
     for seed in (0, 1, 2):
-        ds = DeflatedSystem.from_dae(make_random_stable_ode(15, seed=seed))
+        sur = pole_residue_surrogate(
+            DeflatedSystem.from_dae(make_random_stable_ode(15, seed=seed)))
         for _ in range(6):
             a, b = rng.uniform(0.1, 5.0, 2)
-            H = sp.evaluate(ds, a, b)[2]
+            H = sp.evaluate(sur, a, b).H
             assert np.array_equal(H, H.T)
             fd = np.empty((2, 2))
             for i in range(2):
                 step = np.zeros(2)
                 step[i] = 1e-5 * max(1.0, (a, b)[i])
-                gp = sp.evaluate(ds, *(np.array([a, b]) + step))[1]
-                gm = sp.evaluate(ds, *(np.array([a, b]) - step))[1]
+                gp = sp.evaluate(sur, *(np.array([a, b]) + step)).g
+                gm = sp.evaluate(sur, *(np.array([a, b]) - step)).g
                 fd[:, i] = (gp - gm) / (2 * step[i])
             assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -319,12 +318,12 @@ def test_gradient_continuous_through_confluence():
 
 
 def test_hessian_continuous_through_confluence():
-    sys = make_random_stable_ode(12, seed=9)
-    ds = DeflatedSystem.from_dae(sys)
+    sur = pole_residue_surrogate(
+        DeflatedSystem.from_dae(make_random_stable_ode(12, seed=9)))
     a = 1.1
-    H0 = sp.evaluate(ds, a, a * a * (1 - 1e-8))[2]
-    H1 = sp.evaluate(ds, a, a * a * (1 + 1e-8))[2]
-    Hc = sp.evaluate(ds, a, a * a)[2]
+    H0 = sp.evaluate(sur, a, a * a * (1 - 1e-8)).H
+    H1 = sp.evaluate(sur, a, a * a * (1 + 1e-8)).H
+    Hc = sp.evaluate(sur, a, a * a).H
     for H in (H1, Hc):
         assert np.linalg.norm(H0 - H) <= 1e-5 * max(np.linalg.norm(H0), 1e-8)
 
@@ -681,7 +680,7 @@ def test_surrogate_basis_folds_queued_blocks_when_read(index1_small,
     # in, in order, to the bits that folding after every add gives.  A
     # repeated point adds no column
     ds = DeflatedSystem.from_dae(index1_small)
-    points = [sp.evaluate(ds, a, b, hessian=False)
+    points = [sp.evaluate(ds, a, b)
               for a, b in ((1e-2, 2e-4), (0.5, 0.3), (0.5, 0.3), (2.0, 1.0))]
     eager = sp.SurrogateBasis(ds.A, ds.E)
     counts = []
