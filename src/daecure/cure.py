@@ -41,9 +41,6 @@ class CureLedger:
 
     ds: DeflatedSystem
     records: list = field(default_factory=list)
-    #: LUs of the full pencil at the start pair, for the next step's SPARK
-    #: call to take over
-    ctx: object = None
 
     @property
     def k(self):
@@ -84,25 +81,27 @@ def assemble_total(records, poly: RomRealization = None) -> RomRealization:
                           Dr=None if poly is None else poly.Dr)
 
 
-def cure_step(ledger: CureLedger, spark_out) -> CureLedger:
-    """Fold one shift-optimization result into the ledger.
+def cure_step(ledger: CureLedger, point) -> CureLedger:
+    """Fold one full-model point, a ``spark.Point`` or a
+    ``spark.SparkResult``, into the ledger.
 
     Builds the step's ROM and certifies it, the worst per-shift
     relative residual ||G - G_r|| / ||G|| with G(sigma) from
     ``TOL_SOLVE``-checked solves of the current deflated input with the
-    result's own LUs, then depletes that input.  The LUs are one per
-    shift up to conjugation, and so are the shifts checked: the real
-    system and its real ROM match at conj(sigma) exactly when they match
-    at sigma.
+    LUs ``ledger.ds.sylvester`` keeps for the point's pair, then depletes
+    that input.  They were made for the point itself unless a later
+    full-model point was evaluated.  The LUs are one per shift up to
+    conjugation, and so are the shifts checked: the real system and its
+    real ROM match at conj(sigma) exactly when they match at sigma.
     """
     ds = ledger.ds
-    rom = pork_input(spark_out.V, spark_out.params, ds.C)
-    factors = dict(zip(spark_out.params.shifts(), spark_out.ctx.factors))
+    rom = pork_input(point.V, point.params, ds.C)
+    factors = dict(zip(point.params.shifts(),
+                       ds.sylvester(point.params).factors))
     residual = max(check_interpolation(
         lambda s: -(ds.C @ factors[s].solve(ds.B_defl)), rom, factors))
-    rec = CureRecord(rom=rom, params=spark_out.params,
-                     interp_residual=residual)
-    ds.B_defl = ds.B_defl - ds.E @ (spark_out.V
+    rec = CureRecord(rom=rom, params=point.params, interp_residual=residual)
+    ds.B_defl = ds.B_defl - ds.E @ (point.V
                                     @ np.linalg.solve(rom.Er, rom.Br))
     ledger.records.append(rec)
     return ledger
@@ -126,17 +125,20 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     left as it is.  One surrogate basis serves every step's SPARK, and
     each folded step queues its returned bases (V, V_a, V_b) for it,
     which needs no LU; they are orthogonalized only if a later search
-    reads the basis.  A step that returned at ``init`` hands its LUs to the
-    next; any other step after the first starts its search on that
-    surrogate, and the full model is first evaluated at the surrogate's
-    optimum.
+    reads the basis.  The ledger's copy of ``ds`` keeps the LUs of one
+    pair (``DeflatedSystem.sylvester``), which SPARK and ``cure_step``
+    share: a step after one that returned at ``init`` evaluates the full
+    model there on the kept LUs; any other step after the first starts
+    its search on that surrogate, and the full model is first evaluated
+    at the surrogate's optimum.
 
-    The first full-model point's LUs, at ``init``, are made on ``ds``'s
-    own pencil, with its ``nk.elimination_order``, computed here once for
-    every full-model LU of the run (the ledger's copy of ``ds`` carries
-    it).  ``nk.cheapest_pencil`` reads off their fill whether
-    every later full-model point gets LAPACK LUs: then the ledger's copy
-    of ``ds`` holds A and E as dense arrays.  Returns
+    The first LUs, at ``init``, are made on ``ds``'s own pencil, with its
+    ``nk.elimination_order``, computed here once for every full-model LU
+    of the run (the ledger's copy of ``ds`` carries it).
+    ``nk.cheapest_pencil`` reads off their fill whether every later
+    full-model point gets LAPACK LUs: then the ledger's copy of ``ds``
+    holds A and E as dense arrays.  The kept LUs are dropped before
+    return.  Returns
     (report dict, ledger); ``assemble_total(ledger.records)`` is the
     strictly proper total model.  ``max_steps`` < 1 leaves nothing to
     assemble and raises DimensionMismatch.
@@ -148,15 +150,13 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     t0 = time.perf_counter()
     ledger = CureLedger(ds=replace(
         ds, order=nk.elimination_order(ds.A, ds.E)))
-    ledger.ctx = nk.SylvesterContext(ds.A, ds.E, cfg.init, ledger.ds.order)
-    ledger.ds.A, ledger.ds.E = nk.cheapest_pencil(ds.A, ds.E,
-                                                  ledger.ctx.factors[0])
+    ledger.ds.A, ledger.ds.E = nk.cheapest_pencil(
+        ds.A, ds.E, ledger.ds.sylvester(cfg.init).factors[0])
     report = {"steps": [], "stop_reason": None, "flagged": False}
     basis = sparkmod.SurrogateBasis(ledger.ds.A, ledger.ds.E)
     degenerate_run = 0
     while ledger.k < cfg.max_steps:
-        res = sparkmod.spark(ledger.ds, init=cfg.init, reuse=ledger,
-                             basis=basis)
+        res = sparkmod.spark(ledger.ds, init=cfg.init, basis=basis)
         # by the error-norm decomposition each step adds exactly the
         # captured energy -J: ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k, exact
         # even where a dense Lyapunov solve of the assembled pencil would be
@@ -174,8 +174,6 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
             break
         cure_step(ledger, res)
         basis.add(res)
-        ledger.ctx = res.ctx if res.params == cfg.init else None
-        res.ctx = None
         report["steps"].append({
             "k": ledger.k, "a": res.params.a, "b": res.params.b,
             "shifts": [complex(s) for s in res.params.shifts()],
@@ -195,7 +193,7 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
             degenerate_run = 0
     if report["stop_reason"] is None:
         report["stop_reason"] = "max_steps"
-    ledger.ctx = None
+    ledger.ds.kept = None
     report["k"] = ledger.k
     report["order"] = sum(rec.rom.order for rec in ledger.records)
     report["norm_history"] = [step["norm_total"] for step in report["steps"]]

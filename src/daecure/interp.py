@@ -7,15 +7,19 @@ equation
 
 with the pair's closed-form (S, R) (``spark.SparkParams``); B is the
 input deflated onto the proper subspace, which ``DeflatedSystem`` carries
-along with A, E, C and the polynomial part split off with it.
+along with A, E, C and the polynomial part split off with it.  The
+system also owns the LUs of its pencil: it keeps one pair's
+``nk.SylvesterContext``, so every full-model point and certificate at
+that pair shares one factorization, and no other pair's LUs are alive.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
 
 from . import daemodel as dm
+from . import numkernel as nk
 
 
 @dataclass
@@ -26,7 +30,9 @@ class DeflatedSystem:
     cumulative reduction; A, E, C never change.  ``poly`` is the
     polynomial part split off with it.  ``order`` is the pencil's
     ``nk.elimination_order`` once a reduction has computed it, for every
-    full-model LU; None factors with COLAMD.
+    full-model LU; None factors with COLAMD.  ``kept`` is the
+    ``nk.SylvesterContext`` that ``sylvester`` made last, or None; a
+    ``dataclasses.replace`` copy starts without one.
     """
 
     A: sps.csc_matrix
@@ -35,6 +41,8 @@ class DeflatedSystem:
     C: np.ndarray
     poly: dm.PolyPart
     order: np.ndarray | None = None
+    kept: nk.SylvesterContext | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     @classmethod
     def from_dae(cls, sys: dm.DaeSystem):
@@ -43,6 +51,16 @@ class DeflatedSystem:
         B_defl, poly = dm.split_transfer(sys, dm.build_projectors(sys))
         return cls(A=sys.A, E=sys.E, B_defl=B_defl, C=sys.C.toarray(),
                    poly=poly)
+
+    def sylvester(self, pair) -> nk.SylvesterContext:
+        """The Sylvester context of the pencil at ``pair``, factored with
+        ``order``: the kept one if it is ``pair``'s, else a new one, made
+        after the kept one is dropped and then kept in its place.  Its LUs
+        stay valid while A and E hold the same pencil."""
+        if self.kept is None or self.kept.pair != pair:
+            self.kept = None
+            self.kept = nk.SylvesterContext(self.A, self.E, pair, self.order)
+        return self.kept
 
     @property
     def n(self):

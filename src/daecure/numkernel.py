@@ -415,7 +415,7 @@ class SylvesterContext:
         self.A, self.E = _pencil(A, E)
         if np.iscomplexobj(self.A) or np.iscomplexobj(self.E):
             raise DimensionMismatch("a Sylvester context needs real A and E")
-        self.S = pair.S
+        self.pair, self.S = pair, pair.S
         self.T, self.U = pair.schur()
         s0, s1 = pair.shifts()
         conjugate = np.iscomplexobj(s0)

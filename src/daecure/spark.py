@@ -14,9 +14,9 @@ start pair of a search that has no model yet, or whose model finds no
 step from it, the full pencil is factored only at the model's optima.
 The model is kept in pole-residue form, one eigendecomposition per basis
 change, and its points are closed forms that factor nothing and carry
-the exact Hessian; full-model points take per-shift LUs, which certify
-the step, and are first order.  Both read J and its derivatives off one
-contraction.
+the exact Hessian; full-model points take the per-shift LUs that the
+``DeflatedSystem`` keeps for their pair, which certify the step, and are
+first order.  Both read J and its derivatives off one contraction.
 """
 
 import math
@@ -140,8 +140,7 @@ _S_DB = np.array([[0.0, 0.0], [-1.0, 0.0]])
 class Point(NamedTuple):
     """One evaluated shift pair: the cost, its exact derivatives (the
     Hessian ``None`` on a full-model point), the basis V with its first
-    derivatives, the pair and the LUs (basis and LUs ``None`` on a
-    surrogate point)."""
+    derivatives (``None`` on a surrogate point) and the pair."""
 
     J: float
     g: np.ndarray
@@ -150,7 +149,6 @@ class Point(NamedTuple):
     Va: np.ndarray
     Vb: np.ndarray
     params: SparkParams
-    ctx: object
 
 
 def _contract(Cs, a, b):
@@ -205,31 +203,29 @@ class Surrogate:
         return np.stack([c0, c1], axis=-1).real
 
 
-def evaluate(ds, a: float, b: float, ctx=None) -> Point:
+def evaluate(ds, a: float, b: float) -> Point:
     """The ``Point`` at the shift pair (a, b) of ``ds``, a
     ``DeflatedSystem`` or a ``Surrogate``, read off ``_contract``.
 
-    A surrogate point takes ``Surrogate.outputs``, with no basis and no
-    LUs, and has the exact Hessian; a pole at a shift, or a J, g or H that
-    is not finite, raises SingularShift.  A full-model point is first
+    A surrogate point takes ``Surrogate.outputs``, with no basis, factors
+    nothing and has the exact Hessian; a pole at a shift, or a J, g or H
+    that is not finite, raises SingularShift.  A full-model point is first
     order (H None): it solves A V - E V S = B R and A V_i - E V_i S =
     E V S_i for the derivatives, one stacked solve per level (V, then V_a,
-    V_b) on ``ctx`` when given, else on a new ``SylvesterContext`` of the
-    pair with ``ds.order``; the caller owns it.
+    V_b) on ``ds.sylvester(pair)``, which ``ds`` keeps.
     """
     pair = SparkParams(a, b)
     if isinstance(ds, Surrogate):
         J, g, H = _contract(ds.outputs(a, b), a, b)
         if not all(np.isfinite(x).all() for x in (J, g, H)):
             raise SingularShift(f"the surrogate is not finite at ({a}, {b})")
-        return Point(J, g, H, None, None, None, pair, None)
-    if ctx is None:
-        ctx = nk.SylvesterContext(ds.A, ds.E, pair, ds.order)
+        return Point(J, g, H, None, None, None, pair)
+    ctx = ds.sylvester(pair)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     V = ctx.solve(ds.B_defl @ pair.R)
     Vs = [V, *ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))]
-    return Point(*_contract(ds.C @ np.stack(Vs), a, b), *Vs, pair, ctx)
+    return Point(*_contract(ds.C @ np.stack(Vs), a, b), *Vs, pair)
 
 
 def _eigen(A, E):
@@ -418,8 +414,7 @@ def trust_region_step(g, H, radius):
 class SparkResult:
     """The returned shift pair with its full-model evaluation: the basis
     V with its first derivatives (V_a, V_b), which ``SurrogateBasis.add``
-    takes like a ``Point``, and the LUs that certify it (``ctx``, owned by
-    the result)."""
+    takes like a ``Point``."""
 
     params: SparkParams
     V: np.ndarray
@@ -437,7 +432,6 @@ class SparkResult:
     #: the start pair, or the surrogate's optimum in a surrogate-first
     #: search
     evaluations: list = field(default_factory=list)
-    ctx: object = None
 
 
 def _trust_region(ds, p, point, gtol, trace):
@@ -502,7 +496,6 @@ def _trust_region(ds, p, point, gtol, trace):
                            gnorm=float(np.linalg.norm(g)))
             else:
                 rec.update(accepted=False)
-            trial = None
             if rho < ETA1 and not polish:
                 radius *= SHRINK
             elif rho > ETA2 and snorm >= 0.99 * radius:
@@ -521,7 +514,7 @@ def _start_record(p, point):
             "accepted": True}
 
 
-def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
+def spark(ds: DeflatedSystem, init: SparkParams = INIT,
           basis: SurrogateBasis = None) -> SparkResult:
     """Search for the locally optimal shift pair of a SISO ``ds`` on a
     model function (DimensionMismatch for more inputs).
@@ -541,32 +534,26 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
     decomposition or the pair is one of its poles), when a rejected
     optimum adds nothing to it, or after ``MAXITER`` full-model points.
 
-    Surrogate first: when ``basis`` already has columns and no LUs are
-    handed over, the trust region runs on the surrogate from ``init``
-    before the full model is evaluated anywhere, and the first full-model
-    point is the surrogate's optimum.  The full model is evaluated at
-    ``init`` only when the surrogate finds no step from there, has no
-    certified decomposition or has ``init`` as one of its poles.
+    Surrogate first: when ``ds`` does not keep ``init``'s LUs and
+    ``basis`` already has columns, the trust region runs on the surrogate
+    from ``init`` before the full model is evaluated anywhere, and the
+    first full-model point is the surrogate's optimum.  The full model is
+    evaluated at ``init`` only when ``ds`` keeps its LUs, which then
+    factors nothing, or when the surrogate finds no step from there, has
+    no certified decomposition or has ``init`` as one of its poles.
 
-    Every full-model point's kernel is a ``nk.SylvesterContext`` built
-    from its pair with ``ds.order``, and one such point's LUs are alive at
-    a time.  The result owns the LUs of the pair it returns (refactored
-    once only if that pair's were dropped for a later, rejected point).
-    ``reuse``, when given, is an object whose ``ctx`` is None or a
-    ``SylvesterContext`` of this pencil and ``init``, as a
-    ``cure.CureLedger`` holds: spark takes those LUs over for init and
-    sets ``reuse.ctx`` to None.
+    Every full-model point takes its LUs from ``ds.sylvester``, so one
+    pair's LUs are alive at a time: on return ``ds`` keeps those of the
+    last full-model point, the returned pair unless a later point was
+    rejected.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")
     if basis is None:
         basis = SurrogateBasis(ds.A, ds.E)
-    ctx = None
-    if reuse is not None:
-        ctx, reuse.ctx = reuse.ctx, None
     p = init.as_array()
     point, trace = None, []
-    if ctx is None and basis.W.shape[1]:
+    if getattr(ds.kept, "pair", None) != init and basis.W.shape[1]:
         try:
             sur = basis.surrogate(ds)
             start = evaluate(sur, *p)
@@ -579,8 +566,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
             if q is not p:
                 p, point = q, evaluate(ds, *q)
     if point is None:
-        point = evaluate(ds, *p, ctx)
-        ctx = None      # the point owns them, and drops them when it moves
+        point = evaluate(ds, *p)
         # record 0 takes the full J, also after a surrogate with no step
         trace[:1] = [_start_record(p, point)]
     evaluations = [{"a": p[0], "b": p[1], "J": point.J,
@@ -601,7 +587,6 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
                                              SURROGATE_GTOL * GTOL, trace)
         if q is p:
             break       # the surrogate has no step from the current pair
-        point = point._replace(ctx=None)    # free p's LUs before q factors
         trial = evaluate(ds, *q)
         noise = 1e-13 * (1.0 + abs(point.J))
         accepted = trial.J <= point.J + noise
@@ -616,13 +601,9 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT, reuse=None,
                 # the surrogate is exact at q already and cannot improve
                 converged, reason = False, "surrogate stalled"
                 break
-        trial = None
     else:
         converged, reason = False, "maxiter"
-    if point.ctx is None:
-        point = point._replace(
-            ctx=nk.SylvesterContext(ds.A, ds.E, point.params, ds.order))
     return SparkResult(params=point.params, V=point.V, Va=point.Va,
                        Vb=point.Vb, cost=point.J,
                        grad=point.g, converged=converged, reason=reason,
-                       trace=trace, evaluations=evaluations, ctx=point.ctx)
+                       trace=trace, evaluations=evaluations)

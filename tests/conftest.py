@@ -44,7 +44,7 @@ def pole_residue_surrogate(ds):
     n = ds.n
     basis = sp.SurrogateBasis(ds.A, ds.E)
     basis.add(sp.Point(None, None, None, np.eye(n), np.zeros((n, 0)),
-                       np.zeros((n, 0)), None, None))
+                       np.zeros((n, 0)), None))
     return basis.surrogate(ds)
 
 

@@ -118,6 +118,19 @@ def test_degenerate_input_flagged():
     assert report["stop_reason"] == "degenerate"
 
 
+def test_two_degenerate_steps_stop(monkeypatch):
+    # a nearly zero input (1e-8) leaves each step's captured energy under
+    # DEGENERATE_TOL: the first step is flagged, the second is folded too
+    # (its relative increase still passes tol_rel) and ends the run as
+    # the second degenerate step in a row.  No SPARK call is discarded
+    calls = _count_certificates(monkeypatch)
+    report, ledger = run_cure(make_ode([-1.0, -2.0], [1e-8, 1e-8],
+                                       [1.0, 1.0]), max_steps=5, tol=1e-6)
+    assert report["k"] == ledger.k == 2
+    assert report["stop_reason"] == "degenerate" and report["flagged"]
+    assert calls == ["spark", "certificate"] * 2
+
+
 def test_report_contents(index1_small):
     report, ledger = run_cure(index1_small, max_steps=3, tol=1e-6)
     assert report["order"] == 2 * report["k"]
@@ -156,6 +169,24 @@ def test_cure_step_makes_no_factorization(fixture, request, factor_log):
         cure.cure_step(ledger, res)
         assert factor_log == []
         assert ledger.records[-1].interp_residual <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_cure_step_folds_a_bare_point(fixture, request, factor_log):
+    # a full-model point is certified with the LUs its evaluation left
+    # with the system, and it depletes the input to the bits of a SPARK
+    # result stopped at the same pair
+    sys = request.getfixturevalue(fixture)
+    ledger = cure.CureLedger(DeflatedSystem.from_dae(sys))
+    via_spark = cure.CureLedger(DeflatedSystem.from_dae(sys))
+    for a, b in ((0.5, 4.0), (2.0, 3.0)):     # conjugate pair, real pair
+        point = sp.evaluate(ledger.ds, a, b)
+        del factor_log[:]
+        cure.cure_step(ledger, point)
+        assert factor_log == []
+        assert ledger.records[-1].interp_residual <= 1e-10
+        cure.cure_step(via_spark, _result_at(via_spark.ds, a, b))
+        assert np.array_equal(ledger.ds.B_defl, via_spark.ds.B_defl)
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
@@ -352,15 +383,16 @@ def test_certificates_equal_steps_on_index1_250(monkeypatch):
 
 
 def _log_spark_calls(monkeypatch):
-    """(LUs handed over, surrogate basis width, result) of every SPARK
-    call cured_spark makes during the test, the width taken at the call."""
+    """(start pair's LUs kept, surrogate basis width, result) of every
+    SPARK call cured_spark makes during the test, both taken at the call."""
     calls = []
     spark = sp.spark
 
-    def logged(d, init, reuse, basis):
-        handed, width = reuse.ctx is not None, basis.W.shape[1]
-        res = spark(d, init=init, reuse=reuse, basis=basis)
-        calls.append((handed, width, res))
+    def logged(d, init, basis):
+        kept = d.kept is not None and d.kept.pair == init
+        width = basis.W.shape[1]
+        res = spark(d, init=init, basis=basis)
+        calls.append((kept, width, res))
         return res
 
     monkeypatch.setattr(sp, "spark", logged)
@@ -378,15 +410,15 @@ def _at_start(shifts):
 def test_later_steps_start_on_the_surrogate(fixture, request, monkeypatch,
                                             factor_log):
     # the full pencil is factored at the start pair once, before the
-    # first step: a later SPARK call that is handed no LUs runs the
-    # surrogate from the start pair first, and its first full-model
-    # point is the surrogate's optimum
+    # first step: a later SPARK call on a system that keeps no LUs of the
+    # start pair runs the surrogate from the start pair first, and its
+    # first full-model point is the surrogate's optimum
     calls = _log_spark_calls(monkeypatch)
     report, ledger = run_cure(request.getfixturevalue(fixture),
                               max_steps=3, tol=1e-12)
     assert report["k"] == 3
     assert len(_at_start(factor_log)) == 1
-    later = [res for handed, width, res in calls if width and not handed]
+    later = [res for kept, width, res in calls if width and not kept]
     assert later
     for res in later:
         first = res.evaluations[0]
@@ -410,16 +442,16 @@ def test_surrogate_singular_at_the_start_falls_back_to_the_full_model(
         armed[:] = [kwargs["basis"].W.shape[1] > 0]
         return spark(*args, **kwargs)
 
-    def singular_at_start(model, a, b, ctx=None, **kwargs):
+    def singular_at_start(model, a, b):
         if isinstance(model, sp.Surrogate) and armed and armed.pop():
             assert (a, b) == (sp.INIT.a, sp.INIT.b)
             raise SingularShift("the start pair is a pole of the surrogate")
-        return evaluate(model, a, b, ctx, **kwargs)
+        return evaluate(model, a, b)
 
     monkeypatch.setattr(sp, "spark", arm)
     monkeypatch.setattr(sp, "evaluate", singular_at_start)
     report, ledger = run_cure(index1_small, max_steps=3, tol=1e-12)
-    later = [res for handed, width, res in calls if width and not handed]
+    later = [res for kept, width, res in calls if width and not kept]
     assert report["k"] >= 2 and later
     for res in later:
         first = res.evaluations[0]

@@ -20,10 +20,17 @@ from oracles import (galerkin_system, h2_error_norm, sylvester_residual,
 
 
 def _certify(ds, res):
-    """The ROM and certificate ``cure_step`` makes of a SPARK result."""
-    ledger = cure.CureLedger(dataclasses.replace(ds))
-    rec = cure.cure_step(ledger, res).records[-1]
+    """The ROM and certificate ``cure_step`` makes of a SPARK result on
+    ``ds``, with the LUs ``ds`` keeps; the input of ``ds`` is restored."""
+    B_defl = ds.B_defl
+    rec = cure.cure_step(cure.CureLedger(ds), res).records[-1]
+    ds.B_defl = B_defl
     return rec.rom, rec.interp_residual
+
+
+def _kept(ds, a, b):
+    """Whether ``ds`` keeps the LUs of the pair (a, b)."""
+    return ds.kept is not None and ds.kept.pair == sp.SparkParams(a, b)
 
 
 def test_closed_form_reduced_matrices():
@@ -109,9 +116,10 @@ def test_evaluate_makes_two_solve_levels(lu_solves, a, b):
                                      "ode_small"])
 def test_contracted_derivatives_match_trace_formulas(fixture, request):
     # J, g and H read off one contraction equal the term-by-term traces:
-    # on the surrogate (pole-residue closed form, no basis and no LUs) to
-    # second order against its dense Galerkin pencil, on the full model
-    # (per-shift LUs) to first order.  The pairs, a real, a conjugate and
+    # on the surrogate (pole-residue closed form, no basis, and the LUs
+    # the system keeps are not its pair's) to second order against its
+    # dense Galerkin pencil, on the full model (per-shift LUs, which the
+    # system keeps) to first order.  The pairs, a real, a conjugate and
     # a confluent one, lie off the optimum, where g is more than rounding
     # noise
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
@@ -120,18 +128,20 @@ def test_contracted_derivatives_match_trace_formulas(fixture, request):
     sur, dense = basis.surrogate(ds), galerkin_system(basis, ds)
     a = 1.2 * res.params.a
     for b in (0.5 * a * a, 2.0 * a * a, a * a):
-        for d, point in ((dense, sp.evaluate(sur, a, b)),
-                         (ds, sp.evaluate(ds, a, b))):
+        points = [(dense, sp.evaluate(sur, a, b))]
+        assert not _kept(ds, a, b)
+        points.append((ds, sp.evaluate(ds, a, b)))
+        for d, point in points:
             J, g, H = trace_derivatives(d, a, b, hessian=d is dense)
             assert abs(point.J - J) <= 1e-12 * abs(J)
             assert np.linalg.norm(point.g - g) <= 1e-12 * np.linalg.norm(g)
             if d is dense:
-                assert point.ctx is None and point.V is None
+                assert point.V is None
                 assert np.array_equal(point.H, point.H.T)
                 assert np.linalg.norm(point.H - H) \
                     <= 1e-12 * np.linalg.norm(H)
             else:
-                assert isinstance(point.ctx, nk.SylvesterContext)
+                assert _kept(ds, a, b)
                 assert point.H is None
 
 
@@ -221,18 +231,19 @@ def test_surrogate_decomposition_gate(index1_small, monkeypatch):
 def test_surrogate_singular_at_the_current_pair_ends_the_search(
         stokes_small, monkeypatch):
     # a surrogate with a pole at the current pair ends the search there,
-    # as one that finds no step from it: spark returns the pair with its
-    # LUs and certificate instead of raising from the optimizer.  Here
-    # the surrogate fails at the pair of the second full-model point
+    # as one that finds no step from it: spark returns the pair, whose
+    # LUs the system keeps, and its certificate instead of raising from
+    # the optimizer.  Here the surrogate fails at the pair of the second
+    # full-model point
     ds = DeflatedSystem.from_dae(stokes_small)
     evaluate, full = sp.evaluate, []
 
-    def failing(model, a, b, ctx=None, **kw):
+    def failing(model, a, b):
         if isinstance(model, DeflatedSystem):
             full.append((a, b))
         elif len(full) == 2 and (a, b) == full[-1]:
             raise SingularShift("the current pair is a surrogate pole")
-        return evaluate(model, a, b, ctx, **kw)
+        return evaluate(model, a, b)
 
     monkeypatch.setattr(sp, "evaluate", failing)
     res = sp.spark(ds)
@@ -240,6 +251,7 @@ def test_surrogate_singular_at_the_current_pair_ends_the_search(
     assert res.evaluations[1]["accepted"]
     assert (res.params.a, res.params.b) == full[1]
     assert res.reason == "surrogate singular" and not res.converged
+    assert _kept(ds, *full[1])
     assert _certify(ds, res)[1] <= 1e-10
 
 
@@ -442,9 +454,9 @@ def test_spark_exact_on_order_two():
 
 
 def _track_full(monkeypatch, n):
-    """Weak references to the contexts and the (a, b, context given) of the
-    evaluations made of a system of size n, the full model; a surrogate's
-    contexts are smaller, and its points are no DeflatedSystem's."""
+    """Weak references to the contexts and the (a, b, LUs kept already) of
+    the evaluations made of a system of size n, the full model; a
+    surrogate's points are no DeflatedSystem's."""
     contexts, evaluated = [], []
     ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
 
@@ -453,10 +465,10 @@ def _track_full(monkeypatch, n):
             contexts.append(weakref.ref(self))
         ctx_init(self, A, E, pair, order)
 
-    def counting_evaluate(ds, a, b, ctx=None, **kw):
+    def counting_evaluate(ds, a, b):
         if isinstance(ds, DeflatedSystem) and ds.n == n:
-            evaluated.append((a, b, ctx is not None))
-        return evaluate(ds, a, b, ctx, **kw)
+            evaluated.append((a, b, _kept(ds, a, b)))
+        return evaluate(ds, a, b)
 
     monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked)
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
@@ -465,8 +477,9 @@ def _track_full(monkeypatch, n):
 
 def test_spark_factors_once_per_evaluated_point(monkeypatch):
     # one LU set of the full pencil per full-model point: one complex LU
-    # (conjugate pair) or two real LUs (real pair), none for a point that
-    # is handed the LUs of the pair the previous step returned at.  A
+    # (conjugate pair) or two real LUs (real pair), none for a point whose
+    # LUs the system keeps, as those of the pair the previous step
+    # returned at.  A
     # surrogate point factors nothing, no per-shift LU and no LAPACK LU,
     # and besides these a whole cumulative reduction factors only the
     # saddle-point matrix, first: nothing is refactored once a SPARK call
@@ -489,15 +502,14 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     evaluated, surrogate = [], []
     evaluate = sp.evaluate
 
-    def counting_evaluate(d, a, b, ctx=None, **kw):
+    def counting_evaluate(d, a, b):
         if isinstance(d, DeflatedSystem):
             assert d.n == sys.n
-            evaluated.append((a, b, ctx is not None, len(full)))
-            return evaluate(d, a, b, ctx, **kw)
-        assert ctx is None
+            evaluated.append((a, b, _kept(d, a, b), len(full)))
+            return evaluate(d, a, b)
         made = len(full) + len(dense)
-        point = evaluate(d, a, b, ctx, **kw)
-        surrogate.append((point.ctx, len(full) + len(dense) - made))
+        point = evaluate(d, a, b)
+        surrogate.append((point.V, len(full) + len(dense) - made))
         return point
 
     monkeypatch.setattr(sp, "evaluate", counting_evaluate)
@@ -512,7 +524,8 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     assert sum(st["full_evaluations"] for st in report["steps"]) \
         < len(evaluated)        # and the discarded stagnation call
     # the saddle-point LU, then the start pair's LU, from whose fill
-    # cured_spark picks the kernel and which it hands to the first point
+    # cured_spark picks the kernel and which the system keeps for the
+    # first point
     assert full[0] == 0.0 and evaluated[0][2] and evaluated[0][3] == 2
     ends = [k for *_, k in evaluated[1:]] + [len(full)]
     saw = set()
@@ -564,8 +577,8 @@ def test_returned_point_is_certified_after_any_stop(
     # with gtol = 0 the stopping test never passes: the loop stops after
     # maxiter full-model points, or when the surrogate finds no step from
     # the current pair.  Either way the returned pair is the last
-    # accepted full-model point, which still holds its LUs, and they
-    # certify it
+    # accepted full-model point, whose LUs the system still keeps, and
+    # they certify it
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
     contexts, evaluated = _track_full(monkeypatch, ds.n)
     monkeypatch.setattr(sp, "MAXITER", maxiter)
@@ -573,10 +586,73 @@ def test_returned_point_is_certified_after_any_stop(
         res = sp.spark(ds)
     assert res.reason == reason
     assert len(evaluated) == len(res.evaluations) > 1
-    assert len(contexts) == len(evaluated) + refactor
-    assert res.ctx is contexts[-1]()
-    assert np.array_equal(res.ctx.S, res.params.S)
+    assert ds.kept is contexts[-1]() and ds.kept.pair == res.params
     assert _certify(ds, res)[1] <= 1e-10
+    assert len(contexts) == len(evaluated) + refactor
+    assert ds.kept is contexts[-1]()
+
+
+def _surrogate_start(monkeypatch, singular):
+    """A surrogate, a start pair p off its optimum and p's point, with
+    ``spark.evaluate`` raising SingularShift at the surrogate candidates
+    for which ``singular`` (called with the number of candidates before)
+    is true."""
+    sur = pole_residue_surrogate(
+        DeflatedSystem.from_dae(make_random_stable_ode(8, seed=0)))
+    p = np.array([0.5, 0.3])
+    start = sp.evaluate(sur, *p)
+    evaluate, tried = sp.evaluate, []
+
+    def at_a_pole(model, a, b):
+        tried.append((a, b))
+        if singular(len(tried) - 1):
+            raise SingularShift(f"({a}, {b}) is a surrogate pole")
+        return evaluate(model, a, b)
+
+    monkeypatch.setattr(sp, "evaluate", at_a_pole)
+    return sur, p, start
+
+
+@pytest.mark.parametrize("steptol, reason",
+                         [(sp.STEPTOL, "steptol"), (0.0, "radius collapse")])
+def test_trust_region_rejects_every_candidate_at_a_pole(
+        steptol, reason, monkeypatch):
+    # a surrogate candidate at one of its poles is rejected and the
+    # radius halved, like a step out of the positive orthant.  When every
+    # candidate is one, no step is accepted and the very p passed in is
+    # returned: the step length falls under STEPTOL before the radius
+    # falls under RADIUS_MIN (STEPTOL > RADIUS_MIN); without the step
+    # test the radius collapses
+    monkeypatch.setattr(sp, "STEPTOL", steptol)
+    sur, p, start = _surrogate_start(monkeypatch, lambda k: True)
+    trace = [sp._start_record(p, start)]
+    q, converged, why = sp._trust_region(sur, p, start, sp.GTOL, trace)
+    assert q is p and (converged, why) == (True, reason)
+    records = trace[1:]
+    assert len(records) > 1
+    assert all(not r["accepted"] and r["why"] == "singular shift"
+               for r in records)
+    assert [r["radius"] for r in records] \
+        == [sp.RADIUS0 * sp.SHRINK ** k for k in range(len(records))]
+    last = records[-1]["radius"] * sp.SHRINK
+    if steptol:
+        assert last >= sp.RADIUS_MIN
+    else:
+        assert last < sp.RADIUS_MIN <= last / sp.SHRINK
+
+
+def test_trust_region_tries_again_at_half_the_radius_after_a_pole(
+        monkeypatch):
+    sur, p, start = _surrogate_start(monkeypatch, lambda k: k == 0)
+    trace = [sp._start_record(p, start)]
+    q, converged, why = sp._trust_region(sur, p, start, sp.GTOL, trace)
+    first, second = trace[1], trace[2]
+    assert not first["accepted"] and first["why"] == "singular shift"
+    assert first["radius"] == sp.RADIUS0
+    assert second["radius"] == sp.SHRINK * sp.RADIUS0
+    assert "why" not in second and second["step"] <= second["radius"]
+    assert (second["a"], second["b"]) != (first["a"], first["b"])
+    assert q is not p and converged
 
 
 def test_trust_region_step_tiny_curvature():
@@ -738,7 +814,8 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     assert res.reason == "gtol"
     assert abs(res.cost - opt.cost) <= 1e-10 * abs(opt.cost)
     # one that always crosses: no point after the start is accepted, and
-    # the start pair is returned with its LUs refactored once
+    # the system keeps the last rejected point's LUs, so the certificate
+    # of the returned start pair refactors them once
     contexts, evaluated = _track_full(monkeypatch, ds.n)
     monkeypatch.setattr(sp.SurrogateBasis, "surrogate", crossing(False))
     res = sp.spark(ds, init=init)
@@ -746,6 +823,9 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
         == [False] * (len(res.evaluations) - 1)
     assert len(res.evaluations) >= 2 and not res.converged
     assert np.array_equal(res.params.as_array(), init.as_array())
-    assert len(contexts) == len(evaluated) + 1
-    assert res.ctx is contexts[-1]()
+    assert len(contexts) == len(evaluated)
+    assert not any(kept for *_, kept in evaluated)
+    assert ds.kept.pair != init
     assert _certify(ds, res)[1] <= 1e-10
+    assert len(contexts) == len(evaluated) + 1
+    assert ds.kept is contexts[-1]() and ds.kept.pair == init
