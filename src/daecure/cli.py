@@ -177,9 +177,9 @@ def cmd_reduce(args):
 def _bode_eval(sys, rom, omegas):
     p, m = sys.p, sys.m
     fom = np.zeros((omegas.size, p, m), dtype=complex)
-    order = nk.elimination_order(sys.A, sys.E)    # one for the sweep
+    pencil = nk.Pencil(sys.A, sys.E)    # one for the sweep
     for k, om in enumerate(omegas):
-        fom[k] = dm.eval_transfer(sys, 1j * om, order)
+        fom[k] = dm.eval_transfer(sys, 1j * om, pencil)
     if rom is None:
         return fom, None
     red = np.zeros((omegas.size, rom.p, rom.m), dtype=complex)
@@ -250,8 +250,7 @@ def cmd_validate(args):
     check("polynomial part classified", pp.kind != "unsupported")
     if pp.kind != "unsupported":
         # G(s0) and G^sp(s0) = C Pi_r (s0 E - A)^-1 Pi_l B from one LU
-        fac = nk.ShiftedFactorization(sys.A, sys.E, 2.17 + 0.3j,
-                                      nk.elimination_order(sys.A, sys.E))
+        fac = nk.ShiftedFactorization(nk.Pencil(sys.A, sys.E), 2.17 + 0.3j)
         X = -fac.solve(np.hstack([sys.B.toarray(), B_defl]))
         total = sys.C @ X[:, :sys.m] + sys.D
         sp = sys.C @ kit.apply_right(X[:, sys.m:])

@@ -132,13 +132,13 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     its search on that surrogate, and the full model is first evaluated
     at the surrogate's optimum.
 
-    The first LUs, at ``init``, are made on ``ds``'s own pencil, with its
-    ``nk.elimination_order``, computed here once for every full-model LU
-    of the run (the ledger's copy of ``ds`` carries it).
-    ``nk.cheapest_pencil`` reads off their fill whether every later
-    full-model point gets LAPACK LUs: then the ledger's copy of ``ds``
-    holds A and E as dense arrays.  The kept LUs are dropped before
-    return.  Returns
+    The first LUs, at ``init``, are made on ``ds``'s own sparse pencil,
+    prepared here once as an ``nk.Pencil`` for every full-model LU of the
+    run (the ledger's copy of ``ds`` carries it).  ``nk.cheapest_pencil``
+    reads off their fill whether every later full-model point gets
+    LAPACK LUs: then the ledger's copy of ``ds`` holds A and E, and its
+    pencil, as dense arrays.  The kept LUs are dropped before return.
+    Returns
     (report dict, ledger); ``assemble_total(ledger.records)`` is the
     strictly proper total model.  ``max_steps`` < 1 leaves nothing to
     assemble and raises DimensionMismatch.
@@ -148,10 +148,9 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     if cfg.max_steps < 1:
         raise DimensionMismatch("no records to assemble")
     t0 = time.perf_counter()
-    ledger = CureLedger(ds=replace(
-        ds, order=nk.elimination_order(ds.A, ds.E)))
-    ledger.ds.A, ledger.ds.E = nk.cheapest_pencil(
-        ds.A, ds.E, ledger.ds.sylvester(cfg.init).factors[0])
+    ledger = CureLedger(ds=replace(ds, pencil=nk.Pencil(ds.A, ds.E)))
+    pencil = nk.cheapest_pencil(ledger.ds.sylvester(cfg.init).factors[0])
+    ledger.ds.A, ledger.ds.E, ledger.ds.pencil = pencil.A, pencil.E, pencil
     report = {"steps": [], "stop_reason": None, "flagged": False}
     basis = sparkmod.SurrogateBasis(ledger.ds.A, ledger.ds.E)
     degenerate_run = 0

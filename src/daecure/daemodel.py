@@ -154,8 +154,8 @@ class SchurSaddle:
     """Solves with a saddle-point matrix [[D, X], [Y, Z]] whose D = diag(d)
     has no zero entry, through an LU of its Schur complement
     S = Z - Y D^-1 X: S x2 = b2 - Y D^-1 b1, then x1 = D^-1 (b1 - X x2).
-    The LU of S uses its ``nk.elimination_order`` when it has one (a
-    pressure Schur complement A21 D^-1 A12 does).
+    The LU of S is made on its own ``nk.Pencil`` (S, 0), and so in its
+    elimination order when it has one.
 
     ``solve`` keeps the ``TOL_SOLVE`` contract of
     ``nk.ShiftedFactorization`` against the whole matrix.  Raises
@@ -165,10 +165,9 @@ class SchurSaddle:
     def __init__(self, d, X, Y, Z, what):
         self._d, self._dinv = d, 1.0 / d
         self._X, self._Y, self._Z = X, Y, Z
-        S = nk.as_csc(Z - Y @ (sps.diags(self._dinv) @ X))
-        zero = sps.csc_matrix(S.shape)
+        S = Z - Y @ (sps.diags(self._dinv) @ X)
         self._schur = nk.ShiftedFactorization(
-            S, zero, 0.0, nk.elimination_order(S, zero))
+            nk.Pencil(S, sps.csc_matrix(S.shape)), 0.0)
         self.n = d.size + S.shape[0]
         self.dtype = np.result_type(self._dinv, self._schur.dtype)
         self._what = what
@@ -181,7 +180,7 @@ class SchurSaddle:
         x = np.empty_like(b)
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(dinv, b[:nd], out=x[:nd])
-            x[nd:] = self._schur._lu.solve(b[nd:] - self._Y @ x[:nd])
+            x[nd:] = self._schur._lu_solve(b[nd:] - self._Y @ x[:nd])
             x[:nd] -= dinv * (self._X @ x[nd:])
         return x
 
@@ -231,11 +230,11 @@ def _factor_saddle(D, X, Y, Z, what):
 
 
 def _factor_assembled(M, what):
-    """LU of the saddle-point matrix M, probed."""
-    M = nk.as_csc(M)
+    """LU of the saddle-point matrix M, on its own pencil (M, 0),
+    probed."""
     try:
-        return _probed(nk.ShiftedFactorization(M, sps.csc_matrix(M.shape),
-                                               0.0))
+        return _probed(nk.ShiftedFactorization(
+            nk.Pencil(M, sps.csc_matrix(M.shape)), 0.0))
     except SingularShift as exc:
         raise SingularSchurComplement(f"{what} is singular: {exc}") from exc
 
@@ -296,10 +295,13 @@ def _projectors_stokes(sys):
     )
 
 
-def eval_transfer(sys: DaeSystem, s, order=None) -> np.ndarray:
-    """G(s) = C (sE - A)^-1 B + D via m sparse solves, with the pencil's
-    elimination ``order`` (``nk.elimination_order``) when given."""
-    fac = nk.ShiftedFactorization(sys.A, sys.E, s, order)
+def eval_transfer(sys: DaeSystem, s, pencil=None) -> np.ndarray:
+    """G(s) = C (sE - A)^-1 B + D via m sparse solves on ``pencil``, the
+    ``nk.Pencil`` of (sys.A, sys.E), which is prepared here when not
+    given."""
+    if pencil is None:
+        pencil = nk.Pencil(sys.A, sys.E)
+    fac = nk.ShiftedFactorization(pencil, s)
     X = fac.solve(sys.B.toarray())
     G = -(sys.C @ X) + sys.D
     return np.asarray(G)

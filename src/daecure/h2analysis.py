@@ -43,7 +43,10 @@ def _finite_std(obj):
     and (s E - A) Z = Y (s Ef - Af) with Ef = Y^T E Z, Af = Y^T A Z.  The
     deflated input Pi_l B lies in range Y, so the strictly proper part is
     C Z (s Ef - Af)^-1 Y^T Pi_l B.  The saddle-point LU behind the
-    projectors also certifies a regular pencil and deflates the input."""
+    projectors also certifies a regular pencil and deflates the input.
+    Pi_r of a Stokes system has zero pressure columns, so only its n_v
+    velocity columns are formed, and its rank is the trace of their
+    velocity block."""
     if isinstance(obj, RomRealization):
         U, sv, Vt = np.linalg.svd(obj.Er)
         n = sv.size
@@ -62,12 +65,12 @@ def _finite_std(obj):
             f"got {obj.n}")
     kit = dm.build_projectors(obj)
     B = dm.split_transfer(obj, kit)[0]
-    Pr = kit.apply_right(np.eye(obj.n))
     tag = obj.structure
     if isinstance(tag, dm.SemiExplicitIndex1):
-        nf = tag.n1
+        nf, cols = tag.n1, obj.n
     else:
-        nf = tag.n_v - tag.n_p
+        nf, cols = tag.n_v - tag.n_p, tag.n_v
+    Pr = kit.apply_right(np.eye(obj.n, cols))
     rank = int(round(np.trace(Pr)))
     if rank != nf:
         raise StructureViolation(

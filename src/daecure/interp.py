@@ -8,9 +8,10 @@ equation
 with the pair's closed-form (S, R) (``spark.SparkParams``); B is the
 input deflated onto the proper subspace, which ``DeflatedSystem`` carries
 along with A, E, C and the polynomial part split off with it.  The
-system also owns the LUs of its pencil: it keeps one pair's
-``nk.SylvesterContext``, so every full-model point and certificate at
-that pair shares one factorization, and no other pair's LUs are alive.
+system also owns its pencil, prepared once as an ``nk.Pencil``, and the
+LUs of it: it keeps one pair's ``nk.SylvesterContext``, so every
+full-model point and certificate at that pair shares one factorization,
+and no other pair's LUs are alive.
 """
 
 from dataclasses import dataclass, field
@@ -28,9 +29,9 @@ class DeflatedSystem:
 
     ``B_defl`` starts as Pi_l^f B and is depleted step by step during
     cumulative reduction; A, E, C never change.  ``poly`` is the
-    polynomial part split off with it.  ``order`` is the pencil's
-    ``nk.elimination_order`` once a reduction has computed it, for every
-    full-model LU; None factors with COLAMD.  ``kept`` is the
+    polynomial part split off with it.  ``pencil`` is (A, E) prepared
+    once as an ``nk.Pencil`` for every full-model LU: a reduction
+    prepares it, or ``sylvester`` does at its first call.  ``kept`` is the
     ``nk.SylvesterContext`` that ``sylvester`` made last, or None; a
     ``dataclasses.replace`` copy starts without one.
     """
@@ -40,7 +41,8 @@ class DeflatedSystem:
     B_defl: np.ndarray
     C: np.ndarray
     poly: dm.PolyPart
-    order: np.ndarray | None = None
+    pencil: nk.Pencil | None = field(default=None, repr=False,
+                                     compare=False)
     kept: nk.SylvesterContext | None = field(default=None, init=False,
                                              repr=False, compare=False)
 
@@ -53,13 +55,15 @@ class DeflatedSystem:
                    poly=poly)
 
     def sylvester(self, pair) -> nk.SylvesterContext:
-        """The Sylvester context of the pencil at ``pair``, factored with
-        ``order``: the kept one if it is ``pair``'s, else a new one, made
-        after the kept one is dropped and then kept in its place.  Its LUs
-        stay valid while A and E hold the same pencil."""
+        """The Sylvester context of ``pencil`` at ``pair``: the kept one
+        if it is ``pair``'s, else a new one, made after the kept one is
+        dropped and then kept in its place.  Its LUs stay valid while A
+        and E hold the same pencil."""
         if self.kept is None or self.kept.pair != pair:
             self.kept = None
-            self.kept = nk.SylvesterContext(self.A, self.E, pair, self.order)
+            if self.pencil is None:
+                self.pencil = nk.Pencil(self.A, self.E)
+            self.kept = nk.SylvesterContext(self.pencil, pair)
         return self.kept
 
     @property

@@ -13,14 +13,15 @@ and triangular solves the pair allows: two real LUs for a real pair, one
 for a confluent one, and one complex LU and solve for a conjugate pair.
 Its LUs, one per shift up to conjugation, certify an interpolation step.
 
-A sparse pencil whose pattern of |A| + |E| is structurally symmetric, a
-Stokes saddle-point pencil or a pressure Schur complement, has an
-``elimination_order`` of matched velocity-pressure pairs, computed once
-per pencil; every ``ShiftedFactorization`` of it is then an
-``OrderedLU`` with diagonal pivots.  Any other pattern, every index-1
-pencil here among them, keeps SuperLU's COLAMD LU with partial pivoting,
-which also replaces a failed ordered LU; only its failure raises
-SingularShift.
+Every LU is made on a ``Pencil``, prepared once per pencil: its
+union pattern of A and E, fixed for every shift, carries the pencil's
+``elimination_order``, and a shifted matrix costs one axpy on that
+pattern.  A pattern that is structurally symmetric, a Stokes
+saddle-point pencil or a pressure Schur complement, is then factored
+in its matched velocity-pressure order with diagonal pivots
+(``OrderedLU``).  Any other pattern, every index-1 pencil here among
+them, keeps SuperLU's COLAMD LU with partial pivoting, which also
+replaces a failed ordered LU; only its failure raises SingularShift.
 """
 
 import numpy as np
@@ -49,13 +50,6 @@ def _dense_matmul(A, x):
         x = np.ascontiguousarray(x)
         return (A @ x.view(np.float64)).view(np.complex128)
     return A @ x
-
-
-def _pencil(A, E):
-    """(A, E) as they are when both are dense arrays, else both as CSC."""
-    if isinstance(A, np.ndarray) and isinstance(E, np.ndarray):
-        return A, E
-    return as_csc(A), as_csc(E)
 
 
 def _match(G, diag):
@@ -118,10 +112,10 @@ def _match(G, diag):
     return partner
 
 
-def elimination_order(A, E):
-    """A symmetric elimination order of the sparse pencil (A, E), or None
-    when the pattern G of |A| + |E| is not structurally symmetric (or the
-    pencil is dense).
+def elimination_order(G):
+    """A symmetric elimination order of the sparse pattern ``G`` (CSC,
+    canonical, every stored entry nonzero: a ``Pencil``'s union pattern
+    of A and E), or None when it is not structurally symmetric.
 
     Each row of G without a diagonal (a pressure row of a saddle-point
     pencil) is matched to a distinct partner column with one (``_match``);
@@ -137,12 +131,8 @@ def elimination_order(A, E):
     factorization (``OrderedLU``), which costs less than computing it
     apart.
     """
-    if isinstance(A, np.ndarray) or isinstance(E, np.ndarray):
-        return None
-    A, E = as_csc(A), as_csc(E)
-    G = abs(A) + abs(E) if E.nnz else abs(A)
-    G.eliminate_zeros()
-    G.sort_indices()
+    G = sps.csc_matrix((np.ones(G.nnz), G.indices, G.indptr),
+                       shape=G.shape)
     Gt = G.T.tocsc()
     # compared as bytes: numpy's integer comparison would page in 128 kB
     # of its machine code for this one use
@@ -174,48 +164,106 @@ def elimination_order(A, E):
                        drop_rule="basic", permc_spec="MMD_AT_PLUS_A",
                        relax=1, panel_size=1,
                        options={"SymmetricMode": True}).perm_c
-    leads = np.flatnonzero(lead)[_inverse(perm)]
+    leads = np.flatnonzero(lead)[_scatter(np.arange(perm.size), perm)]
     order = np.stack([leads, follower[leads]], axis=1).ravel()
     return order[order >= 0]
 
 
-def _inverse(perm):
-    """The inverse permutation, by a scatter: numpy's sorts would page in
+def _scatter(y, perm):
+    """x with x[perm] = y, by a scatter: ``_scatter(arange(n), perm)`` is
+    the inverse permutation, without numpy's sorts, which would page in
     hundreds of kB of their machine code for this one use (640 kB in a
-    Stokes m=12 reduction)."""
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
+    Stokes m=12 reduction); a solution in a permuted order comes back in
+    the original one."""
+    x = np.empty_like(y)
+    x[perm] = y
+    return x
+
+
+class Pencil:
+    """The pencil (A, E), prepared once for the LUs of A - sigma E at
+    any number of shifts.
+
+    Two ``numpy.ndarray`` make a dense pencil: ``at(sigma)`` is a new
+    Fortran-ordered A - sigma E, which ``DenseLU`` factors in place.
+    Otherwise A and E are held as CSC and must be real.  One complex sum
+    A + iE gives their union pattern, with A and E as its real and
+    imaginary parts (they cannot cancel); ``order`` is that pattern's
+    ``elimination_order``, and a nonempty order permutes the pattern
+    once, columns and rows alike, into the matrix ``OrderedLU`` factors.
+    The real arrays ``a`` and ``e`` hold A and E on the prepared pattern,
+    so ``at(sigma)`` is one axpy on fixed index arrays.  An entry with
+    a_ij = sigma e_ij stays in that pattern as a stored zero.
+    """
+
+    def __init__(self, A, E):
+        self.dense = isinstance(A, np.ndarray) and isinstance(E, np.ndarray)
+        if not self.dense:
+            A, E = as_csc(A), as_csc(E)
+        if A.shape != E.shape or A.shape[0] != A.shape[1]:
+            raise DimensionMismatch(
+                f"A {A.shape} and E {E.shape} must be square and equal-sized"
+            )
+        self.A, self.E, self.n = A, E, A.shape[0]
+        self.order = self.perm = None
+        if self.dense:
+            self.dtype = np.result_type(A.dtype, E.dtype)
+            return
+        if np.iscomplexobj(A) or np.iscomplexobj(E):
+            raise DimensionMismatch("a sparse pencil needs real A and E")
+        self.dtype = np.dtype(np.float64)
+        U = A + E * 1j
+        self.order = elimination_order(U)
+        if self.order is not None and self.order.size:
+            # gather the columns, then renumber the rows: row fancy
+            # indexing of a CSC matrix would argsort
+            self.perm = self.order
+            U = U[:, self.perm]
+            inv = _scatter(np.arange(self.n), self.perm)
+            U = sps.csc_matrix((U.data, inv[U.indices],
+                                U.indptr), shape=U.shape)
+            U.sort_indices()
+        self._indices, self._indptr = U.indices, U.indptr
+        self.a, self.e = U.data.real.copy(), U.data.imag.copy()
+
+    def at(self, sigma):
+        """A - sigma E: CSC on the prepared pattern, P (A - sigma E) P^T
+        for a nonempty order's permutation P, or a dense array.  Real for
+        a real sigma."""
+        sigma = complex(sigma)
+        s = sigma if sigma.imag else sigma.real
+        if self.dense:
+            # a real E forms M with real temporaries only
+            M = np.array(self.A, dtype=np.result_type(self.dtype, s),
+                         order="F")
+            if np.iscomplexobj(self.E):
+                M -= s * self.E
+            else:
+                M.real -= sigma.real * self.E
+                if sigma.imag:
+                    M.imag -= sigma.imag * self.E
+            return M
+        M = sps.csc_matrix((self.a - s * self.e, self._indices,
+                            self._indptr), shape=(self.n, self.n))
+        M.has_canonical_format = True
+        return M
 
 
 class OrderedLU:
-    """SuperLU LU of P M P^T for an ``elimination_order`` P of M, with the
-    diagonal pivot wherever it is nonzero (``SymmetricMode``,
-    ``diag_pivot_thresh`` 0) and no column reordering (``NATURAL``); an
-    empty order is SuperLU's ``MMD_AT_PLUS_A`` of M itself.  ``solve(b)``
-    solves with M, and ``nnz`` counts the entries of the factors."""
+    """SuperLU LU of a ``Pencil.at`` matrix M of a pencil with an
+    elimination ``order``, with the diagonal pivot wherever it is nonzero
+    (``SymmetricMode``, ``diag_pivot_thresh`` 0): with no column
+    reordering (``NATURAL``) when the order has permuted M already, and
+    with SuperLU's ``MMD_AT_PLUS_A`` of M when the order is empty.
+    ``solve(b)`` solves with M, and ``nnz`` counts the entries of the
+    factors."""
 
     def __init__(self, M, order):
-        self._order = order if order.size else None
-        if self._order is not None:
-            # gather the columns, then renumber the rows: row fancy
-            # indexing of a CSC matrix would argsort
-            M = M[:, order]
-            M = sps.csc_matrix((M.data, _inverse(order)[M.indices],
-                                M.indptr), shape=M.shape)
         self._lu = spsla.splu(
-            M, permc_spec="MMD_AT_PLUS_A" if self._order is None
-            else "NATURAL", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True})
+            M, permc_spec="NATURAL" if order.size else "MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         self.nnz = self._lu.nnz
-
-    def solve(self, b):
-        if self._order is None:
-            return self._lu.solve(b)
-        y = self._lu.solve(b[self._order])
-        x = np.empty_like(y)
-        x[self._order] = y
-        return x
+        self.solve = self._lu.solve
 
 
 class DenseLU:
@@ -236,56 +284,43 @@ class DenseLU:
 
 
 class ShiftedFactorization:
-    """Direct factorization of (A - sigma*E) with residual-checked solves:
-    SuperLU for a sparse pencil, LAPACK for a dense one (see ``_pencil``).
+    """Direct factorization of (A - sigma*E) of a ``Pencil``, with
+    residual-checked solves: SuperLU for a sparse pencil, LAPACK for a
+    dense one.
 
-    ``order``, the pencil's ``elimination_order`` when it has one, makes
-    the SuperLU LU an ``OrderedLU``; if that LU fails, or a solve on it
-    misses the residual bound after refinement, it is replaced by the
-    COLAMD LU of the same matrix and the solve is retried.  A dense pencil
-    ignores ``order``.
+    A sparse pencil with an elimination order gets an ``OrderedLU``; if
+    that LU fails, or a solve on it misses the residual bound after
+    refinement, it is replaced by the COLAMD LU of the same matrix and the
+    solve is retried.  A pencil without one gets the COLAMD LU.  Solves
+    run on the pencil's prepared matrix: a right-hand side is permuted
+    once into its order and the solution once back.
 
     A factorization may be used from one execution context at a time;
     distinct factorizations are independent.
     """
 
-    def __init__(self, A, E, sigma, order=None):
-        A, E = _pencil(A, E)
-        dense = isinstance(A, np.ndarray)
-        if A.shape != E.shape or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(
-                f"A {A.shape} and E {E.shape} must be square and equal-sized"
-            )
+    def __init__(self, pencil: Pencil, sigma):
+        self.pencil = pencil
         self.sigma = complex(sigma)
-        self.n = A.shape[0]
-        self._A = A
-        self._E = E
+        self.n = pencil.n
         self._s = self.sigma if self.sigma.imag else self.sigma.real
-        self.dtype = np.result_type(A.dtype, E.dtype, self._s)
-        if dense:
-            # the LU overwrites M, and residuals are taken with A and E; a
-            # real E forms M with real temporaries only
-            M = np.array(A, dtype=self.dtype, order="F")
-            if np.iscomplexobj(E):
-                M -= self._s * E
-            else:
-                M.real -= self.sigma.real * E
-                if self.sigma.imag:
-                    M.imag -= self.sigma.imag * E
-            self._M = None
-        else:
-            self._M = as_csc(A.astype(self.dtype, copy=False) - self._s * E)
+        M = pencil.at(self._s)
+        self.dtype = M.dtype
         self._ordered = False
-        if dense:
+        if pencil.dense:
+            # the LU overwrites M, and residuals are taken with A and E
+            self._M = None
             self._lu = self._factor(DenseLU, M)
-        elif order is not None:
+            return
+        self._M = M
+        if pencil.order is not None:
             try:
-                self._lu = OrderedLU(self._M, order)
+                self._lu = OrderedLU(M, pencil.order)
                 self._ordered = True
+                return
             except RuntimeError:
-                self._lu = self._factor(spsla.splu, self._M)
-        else:
-            self._lu = self._factor(spsla.splu, self._M)
+                pass
+        self._lu = self._factor(spsla.splu, M)
 
     def _factor(self, lu, M):
         """``lu(M)``; SingularShift when it fails."""
@@ -297,10 +332,19 @@ class ShiftedFactorization:
             ) from exc
 
     def _apply(self, x):
-        """(A - sigma*E) x."""
+        """(A - sigma*E) x, in the prepared matrix's order."""
         if self._M is not None:
             return self._M @ x
-        return _dense_matmul(self._A, x) - self._s * _dense_matmul(self._E, x)
+        P = self.pencil
+        return _dense_matmul(P.A, x) - self._s * _dense_matmul(P.E, x)
+
+    def _lu_solve(self, b):
+        """The LU's solution of (A - sigma*E) x = b for an (n, k) block b,
+        with no residual check."""
+        p = self.pencil.perm
+        if p is None:
+            return self._lu.solve(b)
+        return _scatter(self._lu.solve(b[p]), p)
 
     def solve(self, rhs):
         """Solve (A - sigma*E) x = rhs.
@@ -310,6 +354,9 @@ class ShiftedFactorization:
         """
         rhs = np.asarray(rhs)
         b = rhs.reshape(self.n, -1)
+        p = self.pencil.perm
+        if p is not None:
+            b = b[p]
         what = f"shift {self.sigma}"
         try:
             x = _gated_solve(self._lu.solve, self._apply, self.dtype, b,
@@ -321,6 +368,8 @@ class ShiftedFactorization:
             self._ordered = False
             x = _gated_solve(self._lu.solve, self._apply, self.dtype, b,
                              what)
+        if p is not None:
+            x = _scatter(x, p)
         return x.reshape(rhs.shape)
 
 
@@ -376,20 +425,19 @@ DENSE_FILL = 0.5
 RECOVER_COND = 1e3
 
 
-def cheapest_pencil(A, E, fac: ShiftedFactorization):
-    """(A, E) as dense arrays if LAPACK LUs are the cheaper kernel for
-    this pencil, else as given.
+def cheapest_pencil(fac: ShiftedFactorization) -> Pencil:
+    """The pencil of ``fac``, a factorization of A - sigma E for one
+    sigma, as a dense ``Pencil`` if LAPACK LUs are the cheaper kernel for
+    it, else as it is.
 
-    Decided on ``fac``, a factorization of A - sigma E for one sigma:
-    dense when n <= ``DENSE_LIMIT`` and its SuperLU factors hold at least
+    Dense when n <= ``DENSE_LIMIT`` and the SuperLU factors hold at least
     ``DENSE_FILL`` n^2 entries, as SuperLU counts them (``nnz``, without
     copying L and U out).  A dense pencil stays dense.
     """
-    lu, n = fac._lu, fac.n
-    if isinstance(lu, DenseLU) or n > DENSE_LIMIT \
-            or lu.nnz < DENSE_FILL * n * n:
-        return A, E
-    return A.toarray(), E.toarray()
+    P, n = fac.pencil, fac.n
+    if P.dense or n > DENSE_LIMIT or fac._lu.nnz < DENSE_FILL * n * n:
+        return P
+    return Pencil(P.A.toarray(), P.E.toarray())
 
 
 class SylvesterContext:
@@ -400,29 +448,28 @@ class SylvesterContext:
     The pair's closed-form Schur data S = U T U^H decouple the two
     columns of Y = X U into shifted solves, column j at
     ``pair.shifts()[j]``.  ``factors`` holds one LU per shift up to
-    conjugation, made with the pencil's elimination ``order`` (see
-    ``ShiftedFactorization``) and reused across right-hand sides: two
-    real LUs for a real pair, in ``shifts()`` order, solved in real
-    arithmetic; one LU for a confluent pair, b = a^2, whose shifts are
-    equal; one complex LU at the first shift for a conjugate pair: the
-    second column's solve is conj((A - sigma E)^-1 conj(r)).  For a
-    conjugate pair, column 0 alone gives X = [Re y, Im y / |d|], where
-    d = sqrt(a^2 - b) and (A - (a + d) E) y = F (1, d)^T: one complex
-    solve, taken while max(|d|, 1/|d|) <= ``RECOVER_COND``.
+    conjugation, made on the ``Pencil`` (see ``ShiftedFactorization``)
+    and reused across right-hand sides: two real LUs for a real pair, in
+    ``shifts()`` order, solved in real arithmetic; one LU for a confluent
+    pair, b = a^2, whose shifts are equal; one complex LU at the first
+    shift for a conjugate pair: the second column's solve is
+    conj((A - sigma E)^-1 conj(r)).  For a conjugate pair, column 0
+    alone gives X = [Re y, Im y / |d|], where d = sqrt(a^2 - b) and
+    (A - (a + d) E) y = F (1, d)^T: one complex solve, taken while
+    max(|d|, 1/|d|) <= ``RECOVER_COND``.
     """
 
-    def __init__(self, A, E, pair, order=None):
-        self.A, self.E = _pencil(A, E)
-        if np.iscomplexobj(self.A) or np.iscomplexobj(self.E):
+    def __init__(self, pencil: Pencil, pair):
+        if pencil.dtype.kind == "c":
             raise DimensionMismatch("a Sylvester context needs real A and E")
+        self.pencil = pencil
         self.pair, self.S = pair, pair.S
         self.T, self.U = pair.schur()
         s0, s1 = pair.shifts()
         conjugate = np.iscomplexobj(s0)
-        self.factors = [ShiftedFactorization(self.A, self.E, s0, order)]
+        self.factors = [ShiftedFactorization(pencil, s0)]
         if not conjugate and s1 != s0:
-            self.factors.append(ShiftedFactorization(self.A, self.E, s1,
-                                                     order))
+            self.factors.append(ShiftedFactorization(pencil, s1))
         d = abs(s0.imag)
         self._recover = d if conjugate and max(d, 1 / d) <= RECOVER_COND \
             else None
@@ -434,6 +481,7 @@ class SylvesterContext:
         shape (k, n, 2); X has the shape of ``F``.  Column j of all k
         equations is one block solve.
         """
+        A, E = self.pencil.A, self.pencil.E
         F = np.asarray(F)
         Fs = F if F.ndim == 3 else F[None]
         fac = self.factors[0]
@@ -445,7 +493,7 @@ class SylvesterContext:
         else:
             Ft = Fs @ self.U
             y0 = fac.solve(Ft[:, :, 0].T)
-            r1 = Ft[:, :, 1].T + self.T[0, 1] * (self.E @ y0)
+            r1 = Ft[:, :, 1].T + self.T[0, 1] * (E @ y0)
             if fac.sigma.imag:
                 y1 = np.conj(fac.solve(np.conj(r1)))
             else:
@@ -455,8 +503,8 @@ class SylvesterContext:
         # still solves each equation (guards against genuine breakdown)
         X = np.ascontiguousarray(X.real)
         for Xi, Fi in zip(X, Fs):
-            AX = self.A @ Xi
-            res = AX - self.E @ (Xi @ self.S) - Fi
+            AX = A @ Xi
+            res = AX - E @ (Xi @ self.S) - Fi
             if np.abs(res).max() > 1e-8 * (np.abs(AX).max()
                                            + np.abs(Fi).max() + 1e-300):
                 raise SpectraOverlap(

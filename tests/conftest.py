@@ -152,9 +152,9 @@ def factor_log(monkeypatch):
     made = []
     init = nk.ShiftedFactorization.__init__
 
-    def counting_init(self, A, E, sigma, order=None):
+    def counting_init(self, pencil, sigma):
         made.append(complex(sigma))
-        init(self, A, E, sigma, order)
+        init(self, pencil, sigma)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)
     return made
@@ -187,8 +187,8 @@ def lu_solves(monkeypatch):
     log = []
     init = nk.ShiftedFactorization.__init__
 
-    def counting_init(self, A, E, sigma, order=None):
-        init(self, A, E, sigma, order)
+    def counting_init(self, pencil, sigma):
+        init(self, pencil, sigma)
         self._lu = CountingLU(self._lu, log)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)

@@ -151,7 +151,7 @@ def transfer(ds):
     """The transfer function s -> C (sE - A)^-1 B_defl of a DeflatedSystem
     (strictly proper by construction when B_defl is left-deflated)."""
     def G(s):
-        return -(ds.C @ nk.ShiftedFactorization(ds.A, ds.E, s)
+        return -(ds.C @ nk.ShiftedFactorization(nk.Pencil(ds.A, ds.E), s)
                  .solve(ds.B_defl))
     return G
 
@@ -309,7 +309,7 @@ def basis_solves(ds, a, b, kronecker=False):
         def solve(F):
             return kronecker_sylvester(A, E, pair.S, F)
     else:
-        solve = nk.SylvesterContext(ds.A, ds.E, pair).solve
+        solve = nk.SylvesterContext(nk.Pencil(ds.A, ds.E), pair).solve
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
     S_b = np.array([[0.0, 0.0], [-1.0, 0.0]])

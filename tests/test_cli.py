@@ -107,6 +107,43 @@ def test_bode_row_count_and_error_column(sysdir, tmp_path):
     assert abs(float(fom[-1][0]) - 1e2) <= 1e-10
 
 
+def test_bode_sweep_prepares_its_pencil_once(tmp_path, monkeypatch):
+    # a 40-point Stokes m=12 sweep computes one elimination order and
+    # factors every point in it, with no fallback to COLAMD; its FOM
+    # column is that of dense solves
+    sys = bio.gen_stokes_index2(12, 0)
+    path = bio.write_system(sys, tmp_path / "sys")
+    orders, ordered = [], []
+    elimination_order, solve = nk.elimination_order, \
+        nk.ShiftedFactorization.solve
+
+    def counting_order(G):
+        orders.append(G.shape)
+        return elimination_order(G)
+
+    def logged_solve(self, rhs):
+        x = solve(self, rhs)
+        ordered.append(isinstance(self._lu, nk.OrderedLU))
+        return x
+
+    monkeypatch.setattr(nk, "elimination_order", counting_order)
+    monkeypatch.setattr(nk.ShiftedFactorization, "solve", logged_solve)
+    out = tmp_path / "bode"
+    assert run(["bode", "--manifest", path, "--wmin", "1e-2", "--wmax",
+                "1e4", "--points", "40", "--out", str(out)]) == 0
+    assert orders == [(sys.n, sys.n)]
+    assert len(ordered) == 40 and all(ordered)
+    rows = list(csv.reader(open(out / "fom.csv")))[1:]
+    A, E = sys.A.toarray(), sys.E.toarray()
+    B, C = sys.B.toarray(), sys.C.toarray()
+    for row in rows:
+        w = float(row[0])
+        want = complex((-C @ np.linalg.solve(A - 1j * w * E, B)
+                        + sys.D)[0, 0])
+        got = complex(float(row[1]), float(row[2]))
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
 def test_h2norm_scalar_anchor(tmp_path, capsys):
     rom = RomRealization(Er=[[1.0]], Ar=[[-1.0]], Br=[[1.0]], Cr=[[1.0]])
     bio.write_rom(rom, tmp_path)
@@ -698,10 +735,10 @@ def test_reduce_solves_each_saddle_rhs_once(fixture, split_solves, request,
     saddle = []
     init = nk.ShiftedFactorization.__init__
 
-    def log_saddle_apart(self, A, E, sigma, order=None):
-        init(self, A, E, sigma, order)
+    def log_saddle_apart(self, pencil, sigma):
+        init(self, pencil, sigma)
         # only the saddle-point LU has E = 0; a surrogate's E is dense
-        if sps.issparse(self._E) and self._E.nnz == 0:
+        if sps.issparse(pencil.E) and pencil.E.nnz == 0:
             self._lu.log = saddle
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__",

@@ -300,15 +300,15 @@ def test_one_spark_context_alive_at_a_time(fixture, gtol, request,
     ctx_init = nk.SylvesterContext.__init__
     fac_init = nk.ShiftedFactorization.__init__
 
-    def tracked_ctx(self, A, E, pair, order=None):
-        if A.shape[0] == ds.n:
+    def tracked_ctx(self, pencil, pair):
+        if pencil.n == ds.n:
             contexts.append(weakref.ref(self))
-        ctx_init(self, A, E, pair, order)
+        ctx_init(self, pencil, pair)
 
-    def tracked_fac(self, A, E, sigma, order=None):
-        if A.shape[0] == ds.n:
+    def tracked_fac(self, pencil, sigma):
+        if pencil.n == ds.n:
             alive.append(sum(ref() is not None for ref in contexts))
-        fac_init(self, A, E, sigma, order)
+        fac_init(self, pencil, sigma)
 
     monkeypatch.setattr(nk.SylvesterContext, "__init__", tracked_ctx)
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", tracked_fac)
@@ -473,15 +473,17 @@ def test_dense_kernel_only_for_densely_filled_pencils():
     for A, E, dense in ((index1.A, index1.E, True),
                         (stokes.A, stokes.E, False),
                         (full, sps.eye(n, format="csc"), False)):
-        fac = nk.ShiftedFactorization(A, E, sp.INIT.shifts()[0])
+        pencil = nk.Pencil(A, E)
+        fac = nk.ShiftedFactorization(pencil, sp.INIT.shifts()[0])
         fill = fac._lu.nnz / fac.n ** 2
         assert (fill >= nk.DENSE_FILL) == (dense or fac.n > nk.DENSE_LIMIT)
-        A2, E2 = nk.cheapest_pencil(A, E, fac)
+        cheapest = nk.cheapest_pencil(fac)
         if dense:
-            assert np.array_equal(A2, A.toarray())
-            assert np.array_equal(E2, E.toarray())
+            assert cheapest.dense
+            assert np.array_equal(cheapest.A, A.toarray())
+            assert np.array_equal(cheapest.E, E.toarray())
         else:
-            assert A2 is A and E2 is E
+            assert cheapest is pencil
 
 
 def test_cured_spark_densifies_only_its_copy(monkeypatch):

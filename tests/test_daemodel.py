@@ -83,8 +83,8 @@ def test_saddle_lu_is_of_the_schur_complement_of_a_diagonal_e11(
     orders = []
     init = nk.ShiftedFactorization.__init__
 
-    def logged(self, A, E, sigma, order=None):
-        init(self, A, E, sigma, order)
+    def logged(self, pencil, sigma):
+        init(self, pencil, sigma)
         orders.append(self.n)
 
     monkeypatch.setattr(nk.ShiftedFactorization, "__init__", logged)
@@ -246,7 +246,7 @@ def test_stokes_pressure_io_is_unsupported(stokes_general, block):
 
 def eval_strictly_proper(sys, kit, s):
     """G^sp(s) = C Pi_r^f (sE - A)^-1 Pi_l^f B."""
-    fac = nk.ShiftedFactorization(sys.A, sys.E, s)
+    fac = nk.ShiftedFactorization(nk.Pencil(sys.A, sys.E), s)
     X = -fac.solve(kit.apply_left(sys.B.toarray()))
     return np.asarray(sys.C @ kit.apply_right(X))
 

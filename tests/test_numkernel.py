@@ -21,7 +21,7 @@ def test_factor_shifted_solves_shifted_system():
     A = sps.csc_matrix(rng.standard_normal((n, n)) - 6 * np.eye(n))
     E = sps.eye(n, format="csc")
     sigma = 0.3 + 1.1j
-    fac = nk.ShiftedFactorization(A, E, sigma)
+    fac = nk.ShiftedFactorization(nk.Pencil(A, E), sigma)
     b = rng.standard_normal(n)
     x = fac.solve(b)
     assert np.linalg.norm((A - sigma * E) @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -31,7 +31,7 @@ def test_factor_shifted_singular_raises():
     A = sps.csc_matrix(np.diag([1.0, 2.0]))
     E = sps.eye(2, format="csc")
     with pytest.raises(SingularShift):
-        nk.ShiftedFactorization(A, E, 1.0)
+        nk.ShiftedFactorization(nk.Pencil(A, E), 1.0)
 
 
 def test_dense_sylvester_matches_scipy_oracle():
@@ -58,7 +58,7 @@ def test_sparse_dense_sylvester_residual():
     pair = SparkParams(4.0, 2.0)        # a real pair, 4 +- sqrt(14)
     S = pair.S
     F = rng.standard_normal((n, 2))
-    V = nk.SylvesterContext(A, E, pair).solve(F)
+    V = nk.SylvesterContext(nk.Pencil(A, E), pair).solve(F)
     res = A @ V - E @ (V @ S) - F
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(F)
     assert not np.iscomplexobj(V)
@@ -73,7 +73,7 @@ def test_sylvester_context_complex_pair():
     pair = SparkParams(1.0, 5.0)
     S = pair.S
     F = rng.standard_normal((n, 2))
-    V = nk.SylvesterContext(A, E, pair).solve(F)
+    V = nk.SylvesterContext(nk.Pencil(A, E), pair).solve(F)
     assert np.linalg.norm(A @ V - E @ (V @ S) - F) <= 1e-9 * np.linalg.norm(F)
 
 
@@ -128,7 +128,7 @@ def test_sylvester_context_conjugate_pair_shares_one_lu(factor_log):
         pair = SparkParams(a, b)
         S = pair.S
         del made[:]
-        ctx = nk.SylvesterContext(A, E, pair)
+        ctx = nk.SylvesterContext(nk.Pencil(A, E), pair)
         if a * a < b:
             assert len(made) == 1 and made[0].imag != 0.0
             assert len(ctx.factors) == 1
@@ -141,7 +141,7 @@ def test_sylvester_context_conjugate_pair_shares_one_lu(factor_log):
         Xt = np.zeros((n, 2), dtype=complex)
         Ft = F @ U
         for j in range(2):
-            fac = nk.ShiftedFactorization(A, E, T[j, j])
+            fac = nk.ShiftedFactorization(nk.Pencil(A, E), T[j, j])
             Xt[:, j] = fac.solve(Ft[:, j] + E @ (Xt[:, :j] @ T[:j, j]))
         V2 = (Xt @ U.conj().T).real
         for X in (V, V2):
@@ -163,7 +163,7 @@ def test_block_solve_meets_tolerance_per_column(sigma):
     # let the small column miss the bound unseen
     rng, A, E = _well_posed(30, 9)
     M = A - sigma * E
-    fac = nk.ShiftedFactorization(A, E, sigma)
+    fac = nk.ShiftedFactorization(nk.Pencil(A, E), sigma)
     scales = np.array([1e-6, 1.0, 1e6])
     for b in (rng.standard_normal((30, 3)) * scales,
               (rng.standard_normal((30, 3))
@@ -178,7 +178,7 @@ def test_block_solve_meets_tolerance_per_column(sigma):
 
 def test_refinement_only_for_columns_that_miss_the_bound():
     rng, A, E = _well_posed(30, 10)
-    fac = nk.ShiftedFactorization(A, E, -0.7)
+    fac = nk.ShiftedFactorization(nk.Pencil(A, E), -0.7)
     lu = fac._lu
     b = rng.standard_normal((30, 3))
     log = []
@@ -203,7 +203,7 @@ def test_stacked_sylvester_solve_equals_single_solves(a, b):
     rng, A, E = _well_posed(40, 11)
     pair = SparkParams(a, b)
     S = pair.S
-    ctx = nk.SylvesterContext(A, E, pair)
+    ctx = nk.SylvesterContext(nk.Pencil(A, E), pair)
     F = rng.standard_normal((3, 40, 2))
     X = ctx.solve(F)
     assert X.shape == F.shape and not np.iscomplexobj(X)
@@ -221,8 +221,9 @@ def test_dense_and_sparse_factorizations_agree(sigma):
     # no dense copy of A - sigma E beside its LU
     rng, A, E = _well_posed(12, 13)
     M = (A - sigma * E).toarray()
-    sparse = nk.ShiftedFactorization(A, E, sigma)
-    dense = nk.ShiftedFactorization(A.toarray(), E.toarray(), sigma)
+    sparse = nk.ShiftedFactorization(nk.Pencil(A, E), sigma)
+    dense = nk.ShiftedFactorization(nk.Pencil(A.toarray(), E.toarray()),
+                                     sigma)
     assert isinstance(dense._lu, nk.DenseLU)
     assert dense._M is None
     for b in (rng.standard_normal(12), rng.standard_normal((12, 3)),
@@ -242,8 +243,8 @@ def test_sylvester_context_on_dense_pencil_shares_one_lu(factor_log):
     A, E = A.toarray(), E.toarray()
     pair = SparkParams(0.8, 1.4)                        # conjugate pair
     S = pair.S
-    ctx = nk.SylvesterContext(A, E, pair)
-    assert ctx.A is A and ctx.E is E
+    ctx = nk.SylvesterContext(nk.Pencil(A, E), pair)
+    assert ctx.pencil.A is A and ctx.pencil.E is E
     assert len(factor_log) == 1 and factor_log[0].imag != 0.0
     assert len(ctx.factors) == 1
     F = rng.standard_normal((10, 2))
@@ -258,11 +259,15 @@ def test_complex_pencil_is_refused(factor_log, a, b):
     # a Sylvester context takes real A and E (the one LU of a conjugate
     # pair solves at its partner shift as conj((A - s E)^-1 conj(r)), and
     # every pair's X is cast to real), and refuses a complex one for any
-    # pair before it factors anything
+    # pair before it factors anything: a dense pencil when the context is
+    # made, a sparse one already when it is prepared
     rng, A, E = _well_posed(10, 17)
     for M, N in ((A * (1 + 1j), E), (A, E * (1 + 1j))):
-        with pytest.raises(DimensionMismatch):
-            nk.SylvesterContext(M, N, SparkParams(a, b))
+        for dense in (True, False):
+            with pytest.raises(DimensionMismatch):
+                nk.SylvesterContext(
+                    nk.Pencil(M.toarray(), N.toarray()) if dense
+                    else nk.Pencil(M, N), SparkParams(a, b))
     assert factor_log == []
 
 
@@ -272,9 +277,10 @@ def test_dense_singular_shift_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularShift):
-            nk.ShiftedFactorization(np.eye(3), np.eye(3), 1.0)
+            nk.ShiftedFactorization(nk.Pencil(np.eye(3), np.eye(3)), 1.0)
         with pytest.raises(SingularShift):
-            nk.ShiftedFactorization(np.diag([1.0, np.inf]), np.eye(2), 0.5)
+            nk.ShiftedFactorization(
+                nk.Pencil(np.diag([1.0, np.inf]), np.eye(2)), 0.5)
 
 
 def _toward_confluence(kind, a, delta):
@@ -300,7 +306,7 @@ def test_sylvester_solve_toward_confluence_matches_kronecker(
     S = pair.S
     F = rng.standard_normal((3, 40, 2))
     del lu_solves[:]
-    ctx = nk.SylvesterContext(A, E, pair)
+    ctx = nk.SylvesterContext(nk.Pencil(A, E), pair)
     X = ctx.solve(F)
     for Xi, Fi in zip(X, F):
         want = kronecker_sylvester(A.toarray(), E.toarray(), S, Fi)
@@ -324,7 +330,7 @@ def test_equal_real_shifts_share_one_lu(factor_log):
     pair = SparkParams(a, a * a)
     S = pair.S
     assert S[1, 0] == 0.0
-    ctx = nk.SylvesterContext(A, E, pair)
+    ctx = nk.SylvesterContext(nk.Pencil(A, E), pair)
     assert factor_log == [a] and len(ctx.factors) == 1
     F = rng.standard_normal((40, 2))
     want = kronecker_sylvester(A.toarray(), E.toarray(), S, F)

@@ -1,8 +1,10 @@
-"""The matched velocity-pressure elimination order and its ordered LU."""
+"""The prepared pencil: its matched velocity-pressure elimination order,
+its shifted matrices and its ordered LU."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spsla
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from daecure import bench_io as bio
@@ -20,21 +22,61 @@ SHIFTS = [INIT.shifts()[0], 1.0] + [1j * w for w in np.logspace(-2, 4, 7)]
 @pytest.fixture(scope="module", params=[12, 20], ids=["m12", "m20"])
 def stokes(request):
     sys = bio.gen_stokes_index2(request.param, 0)
-    return sys.A, sys.E, nk.elimination_order(sys.A, sys.E)
+    return sys.A, sys.E, nk.Pencil(sys.A, sys.E)
 
 
 @pytest.mark.parametrize("sigma", SHIFTS, ids=lambda s: f"{s:.3g}")
 def test_ordered_lu_agrees_with_colamd_and_fills_less(stokes, sigma):
-    A, E, order = stokes
+    A, E, pencil = stokes
     rng = np.random.default_rng(0)
     b = rng.standard_normal((A.shape[0], 2))
-    colamd = nk.ShiftedFactorization(A, E, sigma)
-    ordered = nk.ShiftedFactorization(A, E, sigma, order)
-    x0, x1 = colamd.solve(b), ordered.solve(b)
+    M = (A - sigma * E).tocsc()
+    colamd = spsla.splu(M)
+    ordered = nk.ShiftedFactorization(pencil, sigma)
+    x0, x1 = colamd.solve(b.astype(M.dtype)), ordered.solve(b)
     # the ordered LU solved it, with no fallback to COLAMD
     assert isinstance(ordered._lu, nk.OrderedLU)
     assert np.linalg.norm(x1 - x0) <= nk.TOL_SOLVE * np.linalg.norm(x0)
-    assert ordered._lu.nnz < colamd._lu.nnz
+    assert ordered._lu.nnz < colamd.nnz
+
+
+@pytest.mark.parametrize("sigma", [0.7, 0.3 - 1.1j], ids=["real", "complex"])
+def test_pencil_at_is_the_permuted_shifted_matrix(stokes, sigma):
+    # the prepared pattern is P (A - sigma E) P^T for the order's
+    # permutation P, sorted, real for a real shift; a dense pencil gives
+    # the Fortran-ordered A - sigma E itself
+    A, E, pencil = stokes
+    assert pencil.perm is not None and pencil.perm is pencil.order
+    p = pencil.perm
+    M = pencil.at(sigma)
+    assert M.format == "csc" and M.has_sorted_indices
+    assert (M.dtype.kind == "c") == (np.imag(sigma) != 0)
+    assert np.array_equal(M.toarray(),
+                          (A - sigma * E).toarray()[np.ix_(p, p)])
+    D = nk.Pencil(A.toarray(), E.toarray()).at(sigma)
+    assert D.flags.f_contiguous
+    assert np.array_equal(D, (A - sigma * E).toarray())
+
+
+def test_cancelled_entry_stays_in_the_prepared_pattern(stokes):
+    # at sigma = a_kk / e_kk the diagonal entry (k, k) of A - sigma E is an
+    # exact zero (here every velocity diagonal entry is): SciPy's
+    # difference drops them, the prepared pattern keeps them, and the
+    # solve still meets the residual bound
+    A, E, pencil = stokes
+    k = 0
+    sigma = A[k, k] / E[k, k]
+    assert A[k, k] - sigma * E[k, k] == 0.0
+    M = pencil.at(sigma)
+    zeros = np.count_nonzero(M.data == 0.0)
+    assert zeros >= 1
+    assert M.nnz == pencil.a.size == (A - sigma * E).nnz + zeros
+    i = np.flatnonzero(pencil.perm == k)[0]
+    assert M[i, i] == 0.0
+    b = np.random.default_rng(1).standard_normal((pencil.n, 2))
+    x = nk.ShiftedFactorization(pencil, sigma).solve(b)
+    assert np.all(np.linalg.norm((A - sigma * E) @ x - b, axis=0)
+                  <= nk.TOL_SOLVE * np.linalg.norm(b, axis=0))
 
 
 def _saddle(eps):
@@ -52,9 +94,9 @@ def test_tiny_static_pivot_solves_through_the_colamd_fallback(eps,
     # 1e-13: the ordered LU exists, but its solve misses the residual
     # bound after refinement; 1e-16: the ordered LU itself fails
     M, Z = _saddle(eps)
-    order = nk.elimination_order(M, Z)
-    assert order is not None and order.size == 3
-    fac = nk.ShiftedFactorization(M, Z, 0.0, order)
+    pencil = nk.Pencil(M, Z)
+    assert pencil.order is not None and pencil.order.size == 3
+    fac = nk.ShiftedFactorization(pencil, 0.0)
     assert isinstance(fac._lu, nk.OrderedLU) == factored
     b = np.array([1.0, 2.0, 3.0])
     x = fac.solve(b)
@@ -67,10 +109,10 @@ def test_exact_pencil_eigenvalue_raises_singular_shift():
     # eigenvalue, and A + 2E has a zero row
     A = sps.csc_matrix(np.array([[-1.0, 0, 1], [0, -2, 0], [1, 0, 0]]))
     E = sps.csc_matrix(np.diag([1.0, 1, 0]))
-    order = nk.elimination_order(A, E)
-    assert order is not None and order.size == 3
+    pencil = nk.Pencil(A, E)
+    assert pencil.order is not None and pencil.order.size == 3
     with pytest.raises(SingularShift):
-        nk.ShiftedFactorization(A, E, -2.0, order)
+        nk.ShiftedFactorization(pencil, -2.0)
 
 
 @st.composite
@@ -106,7 +148,7 @@ def test_order_is_a_permutation_with_each_matched_row_after_its_partner(
         pencil):
     A, E = pencil
     n = A.shape[0]
-    order = nk.elimination_order(A, E)
+    order = nk.Pencil(A, E).order
     G = (abs(A) + abs(E)).toarray() != 0
     diag = np.diag(G)
     if diag.all():
@@ -134,5 +176,25 @@ def test_unsymmetric_pattern_gets_no_order(pencil, data):
     A[i, j] = 1.0
     A = sps.csc_matrix(A)
     A.eliminate_zeros()
-    assert nk.elimination_order(A, E) is None
-    assert nk.elimination_order(A.toarray(), E.toarray()) is None
+    assert nk.Pencil(A, E).order is None
+    assert nk.Pencil(A.toarray(), E.toarray()).order is None
+
+
+@hypothesis.settings(max_examples=150, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.
+                                            filter_too_much])
+@hypothesis.given(symmetric_pencils(),
+                  st.sampled_from([-1.5, 0.7, 0.4 + 1.3j]))
+def test_prepared_pencil_solves_agree_with_dense_solves(pencil, sigma):
+    # whichever LU the prepared pencil gets (ordered, MMD or the COLAMD
+    # fallback), its solves are those of the dense matrix, to the
+    # residual bound times the condition number
+    A, E = pencil
+    M = (A - sigma * E).toarray()
+    cond = np.linalg.cond(M)
+    hypothesis.assume(cond < 1e10)
+    b = np.random.default_rng(0).standard_normal((A.shape[0], 2))
+    x = nk.ShiftedFactorization(nk.Pencil(A, E), sigma).solve(b)
+    want = np.linalg.solve(M, b)
+    assert np.linalg.norm(x - want) \
+        <= 2 * cond * (nk.TOL_SOLVE + 1e-14) * np.linalg.norm(want)

@@ -460,10 +460,10 @@ def _track_full(monkeypatch, n):
     contexts, evaluated = [], []
     ctx_init, evaluate = nk.SylvesterContext.__init__, sp.evaluate
 
-    def tracked(self, A, E, pair, order=None):
-        if A.shape[0] == n:
+    def tracked(self, pencil, pair):
+        if pencil.n == n:
             contexts.append(weakref.ref(self))
-        ctx_init(self, A, E, pair, order)
+        ctx_init(self, pencil, pair)
 
     def counting_evaluate(ds, a, b):
         if isinstance(ds, DeflatedSystem) and ds.n == n:
@@ -489,9 +489,9 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     full, small, dense = [], [], []
     fac_init, lu_init = nk.ShiftedFactorization.__init__, nk.DenseLU.__init__
 
-    def counting(self, A, E, sigma, order=None):
-        (full if A.shape[0] == sys.n else small).append(complex(sigma))
-        fac_init(self, A, E, sigma, order)
+    def counting(self, pencil, sigma):
+        (full if pencil.n == sys.n else small).append(complex(sigma))
+        fac_init(self, pencil, sigma)
 
     def counting_lu(self, M):
         dense.append(M.shape[0])
