@@ -81,9 +81,8 @@ def assemble_total(records, poly: RomRealization = None) -> RomRealization:
                           Dr=None if poly is None else poly.Dr)
 
 
-def cure_step(ledger: CureLedger, point) -> CureLedger:
-    """Fold one full-model point, a ``spark.Point`` or a
-    ``spark.SparkResult``, into the ledger.
+def cure_step(ledger: CureLedger, point: sparkmod.Point) -> CureLedger:
+    """Fold one full-model ``spark.Point`` into the ledger.
 
     Builds the step's ROM and certifies it, the worst per-shift
     relative residual ||G - G_r|| / ||G|| with G(sigma) from
@@ -123,8 +122,8 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     total model drops below ``tol_rel`` (or degenerate/step limits hit).
     The ledger depletes a copy of ``ds``, so the caller's ``B_defl`` is
     left as it is.  One surrogate basis serves every step's SPARK, and
-    each folded step queues its returned bases (V, V_a, V_b) for it,
-    which needs no LU; they are orthogonalized only if a later search
+    each folded step queues its returned point's bases (V, V_a, V_b) for
+    it, which needs no LU; they are orthogonalized only if a later search
     reads the basis.  The ledger's copy of ``ds`` keeps the LUs of one
     pair (``DeflatedSystem.sylvester``), which SPARK and ``cure_step``
     share: a step after one that returned at ``init`` evaluates the full
@@ -132,30 +131,32 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     its search on that surrogate, and the full model is first evaluated
     at the surrogate's optimum.
 
-    The first LUs, at ``init``, are made on ``ds``'s own sparse pencil,
-    prepared here once as an ``nk.Pencil`` for every full-model LU of the
-    run (the ledger's copy of ``ds`` carries it).  ``nk.cheapest_pencil``
-    reads off their fill whether every later full-model point gets
-    LAPACK LUs: then the ledger's copy of ``ds`` holds A and E, and its
-    pencil, as dense arrays.  The kept LUs are dropped before return.
-    Returns
-    (report dict, ledger); ``assemble_total(ledger.records)`` is the
-    strictly proper total model.  ``max_steps`` < 1 leaves nothing to
-    assemble and raises DimensionMismatch.
+    The first LUs, at ``init``, are made on the sparse pencil that the
+    ledger's copy of ``ds`` prepares at its first ``sylvester`` call
+    (``ds``'s own, if it has one).  ``nk.cheapest_pencil`` reads off their
+    fill whether every later full-model point gets LAPACK LUs: then the
+    copy's pencil is a dense ``nk.Pencil`` of the same A and E, while its
+    A and E stay the caller's sparse matrices, which ``spark.evaluate``,
+    ``cure_step`` and the surrogate basis multiply by.  The kept LUs are
+    dropped before return.  Returns (report dict, ledger);
+    ``assemble_total(ledger.records)`` is the strictly proper total
+    model.  ``max_steps`` < 1 leaves nothing to assemble and raises
+    DimensionMismatch.
     """
     if cfg is None:
         cfg = CureConfig()
     if cfg.max_steps < 1:
         raise DimensionMismatch("no records to assemble")
     t0 = time.perf_counter()
-    ledger = CureLedger(ds=replace(ds, pencil=nk.Pencil(ds.A, ds.E)))
-    pencil = nk.cheapest_pencil(ledger.ds.sylvester(cfg.init).factors[0])
-    ledger.ds.A, ledger.ds.E, ledger.ds.pencil = pencil.A, pencil.E, pencil
+    ledger = CureLedger(ds=replace(ds))
+    ledger.ds.pencil = nk.cheapest_pencil(
+        ledger.ds.sylvester(cfg.init).factors[0])
     report = {"steps": [], "stop_reason": None, "flagged": False}
     basis = sparkmod.SurrogateBasis(ledger.ds.A, ledger.ds.E)
     degenerate_run = 0
     while ledger.k < cfg.max_steps:
         res = sparkmod.spark(ledger.ds, init=cfg.init, basis=basis)
+        point = res.point
         # by the error-norm decomposition each step adds exactly the
         # captured energy -J: ||G_tot(k)||^2 = ||G_tot(k-1)||^2 - J_k, exact
         # even where a dense Lyapunov solve of the assembled pencil would be
@@ -163,7 +164,7 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
         # folding the step in: a nearly exhausted residual drives the
         # optimizer against the b > 0 boundary and would contribute a
         # numerically singular block
-        captured = max(-res.cost, 0.0)
+        captured = max(-point.J, 0.0)
         prev = report["steps"][-1]["norm_total"] if report["steps"] else 0.0
         norm = float(np.sqrt(prev ** 2 + captured))
         rel_inc = (norm - prev) / norm if norm > 0 else 0.0
@@ -171,12 +172,12 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
             report["stop_reason"] = "degenerate" if degenerate_run else \
                 "tolerance"
             break
-        cure_step(ledger, res)
-        basis.add(res)
+        cure_step(ledger, point)
+        basis.add(point)
         report["steps"].append({
-            "k": ledger.k, "a": res.params.a, "b": res.params.b,
-            "shifts": [complex(s) for s in res.params.shifts()],
-            "J": res.cost, "converged": res.converged,
+            "k": ledger.k, "a": point.params.a, "b": point.params.b,
+            "shifts": [complex(s) for s in point.params.shifts()],
+            "J": point.J, "converged": res.converged,
             "reason": res.reason, "norm_total": norm, "rel_increase": rel_inc,
             "iterations": len(res.trace) - 1,
             "rejected": sum(not r["accepted"] for r in res.trace),

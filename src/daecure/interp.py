@@ -30,8 +30,9 @@ class DeflatedSystem:
     ``B_defl`` starts as Pi_l^f B and is depleted step by step during
     cumulative reduction; A, E, C never change.  ``poly`` is the
     polynomial part split off with it.  ``pencil`` is (A, E) prepared
-    once as an ``nk.Pencil`` for every full-model LU: a reduction
-    prepares it, or ``sylvester`` does at its first call.  ``kept`` is the
+    once as an ``nk.Pencil`` for every full-model LU, by ``sylvester`` at
+    its first call; a reduction may swap it for a dense ``nk.Pencil`` of
+    the same A and E (``nk.cheapest_pencil``).  ``kept`` is the
     ``nk.SylvesterContext`` that ``sylvester`` made last, or None; a
     ``dataclasses.replace`` copy starts without one.
     """

@@ -184,9 +184,10 @@ class Pencil:
     """The pencil (A, E), prepared once for the LUs of A - sigma E at
     any number of shifts.
 
+    A and E must be real, dense or sparse (DimensionMismatch otherwise).
     Two ``numpy.ndarray`` make a dense pencil: ``at(sigma)`` is a new
     Fortran-ordered A - sigma E, which ``DenseLU`` factors in place.
-    Otherwise A and E are held as CSC and must be real.  One complex sum
+    Otherwise A and E are held as CSC.  One complex sum
     A + iE gives their union pattern, with A and E as its real and
     imaginary parts (they cannot cancel); ``order`` is that pattern's
     ``elimination_order``, and a nonempty order permutes the pattern
@@ -204,14 +205,12 @@ class Pencil:
             raise DimensionMismatch(
                 f"A {A.shape} and E {E.shape} must be square and equal-sized"
             )
+        if np.iscomplexobj(A) or np.iscomplexobj(E):
+            raise DimensionMismatch("a pencil needs real A and E")
         self.A, self.E, self.n = A, E, A.shape[0]
         self.order = self.perm = None
         if self.dense:
-            self.dtype = np.result_type(A.dtype, E.dtype)
             return
-        if np.iscomplexobj(A) or np.iscomplexobj(E):
-            raise DimensionMismatch("a sparse pencil needs real A and E")
-        self.dtype = np.dtype(np.float64)
         U = A + E * 1j
         self.order = elimination_order(U)
         if self.order is not None and self.order.size:
@@ -233,15 +232,12 @@ class Pencil:
         sigma = complex(sigma)
         s = sigma if sigma.imag else sigma.real
         if self.dense:
-            # a real E forms M with real temporaries only
-            M = np.array(self.A, dtype=np.result_type(self.dtype, s),
+            # the real E forms M with real temporaries only
+            M = np.array(self.A, dtype=np.result_type(self.A, self.E, s),
                          order="F")
-            if np.iscomplexobj(self.E):
-                M -= s * self.E
-            else:
-                M.real -= sigma.real * self.E
-                if sigma.imag:
-                    M.imag -= sigma.imag * self.E
+            M.real -= sigma.real * self.E
+            if sigma.imag:
+                M.imag -= sigma.imag * self.E
             return M
         M = sps.csc_matrix((self.a - s * self.e, self._indices,
                             self._indptr), shape=(self.n, self.n))
@@ -460,8 +456,6 @@ class SylvesterContext:
     """
 
     def __init__(self, pencil: Pencil, pair):
-        if pencil.dtype.kind == "c":
-            raise DimensionMismatch("a Sylvester context needs real A and E")
         self.pencil = pencil
         self.pair, self.S = pair, pair.S
         self.T, self.U = pair.schur()

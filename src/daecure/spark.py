@@ -34,7 +34,6 @@ from .interp import DeflatedSystem
 
 #: trust-region radius rules and stopping thresholds
 RADIUS0 = 1.0
-RADIUS_MIN = 1e-14
 RADIUS_MAX = 1e6
 ETA1 = 0.1
 ETA2 = 0.75
@@ -265,8 +264,8 @@ class SurrogateBasis:
         self._queue = []
 
     def add(self, point: Point):
-        """Queue the bases (V, V_a, V_b) of ``point``, a ``Point`` or a
-        ``SparkResult``, for W."""
+        """Queue the bases (V, V_a, V_b) of the full-model ``point`` for
+        W."""
         self._queue.append((point.V, point.Va, point.Vb))
 
     def fold(self) -> int:
@@ -412,16 +411,10 @@ def trust_region_step(g, H, radius):
 
 @dataclass
 class SparkResult:
-    """The returned shift pair with its full-model evaluation: the basis
-    V with its first derivatives (V_a, V_b), which ``SurrogateBasis.add``
-    takes like a ``Point``."""
+    """The returned shift pair's full-model ``point``, with its basis V
+    and first derivatives (V_a, V_b), and how the search went."""
 
-    params: SparkParams
-    V: np.ndarray
-    Va: np.ndarray
-    Vb: np.ndarray
-    cost: float
-    grad: np.ndarray
+    point: Point
     converged: bool
     reason: str
     #: iteration 0 is the start pair, every later record one trust-region
@@ -442,9 +435,11 @@ def _trust_region(ds, p, point, gtol, trace):
     with a radius shrink) and accepted costs are monotone nonincreasing.
     A candidate at a pole of ``ds`` is rejected the same way: a surrogate
     is not stable by construction, and the full model judges its optimum.
-    Appends one record per iteration to ``trace``, numbered on from its
-    last, and returns (p, converged, reason), p the very array passed in
-    if no step was accepted.
+    A step never exceeds the radius, so a shrinking radius ends in the
+    step test, ||s|| <= STEPTOL * (1 + ||p||) ("steptol").  Appends one
+    record per iteration to ``trace``, numbered on from its last, and
+    returns (p, converged, reason), p the very array passed in if no step
+    was accepted.
     """
     radius = RADIUS0
     J, g, H = point.J, point.g, point.H
@@ -501,9 +496,6 @@ def _trust_region(ds, p, point, gtol, trace):
             elif rho > ETA2 and snorm >= 0.99 * radius:
                 radius = min(radius * EXPAND, RADIUS_MAX)
             trace.append(rec)
-        if radius < RADIUS_MIN:
-            converged, reason = True, "radius collapse"
-            break
     return p, converged, reason
 
 
@@ -603,7 +595,4 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT,
                 break
     else:
         converged, reason = False, "maxiter"
-    return SparkResult(params=point.params, V=point.V, Va=point.Va,
-                       Vb=point.Vb, cost=point.J,
-                       grad=point.g, converged=converged, reason=reason,
-                       trace=trace, evaluations=evaluations)
+    return SparkResult(point, converged, reason, trace, evaluations)

@@ -143,10 +143,10 @@ def test_report_contents(index1_small):
 
 
 def _result_at(ds, a, b):
-    """An unoptimized SparkResult for the shift pair (a, b): SPARK stops
-    at its start pair."""
+    """The point of an unoptimized SparkResult for the shift pair (a, b):
+    SPARK stops at its start pair."""
     with spark_gtol(1e30):
-        return sp.spark(ds, init=sp.SparkParams(a, b))
+        return sp.spark(ds, init=sp.SparkParams(a, b)).point
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
@@ -241,7 +241,7 @@ def test_step_certificate_can_fail(fixture, request, monkeypatch):
 
     monkeypatch.setattr(cure, "pork_input", wrong_rom)
     ledger = cure.CureLedger(DeflatedSystem.from_dae(sys))
-    cure.cure_step(ledger, sp.spark(ledger.ds))
+    cure.cure_step(ledger, sp.spark(ledger.ds).point)
     assert ledger.records[-1].interp_residual >= 1e-3
 
 
@@ -488,8 +488,8 @@ def test_dense_kernel_only_for_densely_filled_pencils():
 
 def test_cured_spark_densifies_only_its_copy(monkeypatch):
     # on index-1 250/50 the start pair's LU is the one SuperLU LU of the
-    # full pencil: the ledger's copy holds A and E dense, every later
-    # point gets LAPACK LUs, and the caller's system stays sparse
+    # full pencil: the ledger's copy holds a dense pencil, every later
+    # point gets LAPACK LUs, and A and E stay the caller's sparse matrices
     ds = DeflatedSystem.from_dae(bio.gen_semi_explicit_index1(250, 50, 0))
     superlu = []
     splu = nk.spsla.splu
@@ -502,9 +502,31 @@ def test_cured_spark_densifies_only_its_copy(monkeypatch):
     report, ledger = cure.cured_spark(ds, cure.CureConfig(max_steps=2))
     assert report["k"] == 2
     assert superlu == [(ds.n, ds.n)]
-    assert isinstance(ledger.ds.A, np.ndarray)
-    assert isinstance(ledger.ds.E, np.ndarray)
+    assert ledger.ds.pencil.dense
+    assert ledger.ds.A is ds.A and ledger.ds.E is ds.E
     assert sps.issparse(ds.A) and sps.issparse(ds.E)
+
+
+def test_a_reduction_prepares_its_full_pencil_once(monkeypatch):
+    # on Stokes m=12 the ledger's copy prepares the full pencil at its
+    # first Sylvester context, once for the run, and it stays sparse
+    # (its start-pair LU fills 11 % of n^2); the caller's system is given
+    # no pencil
+    ds = DeflatedSystem.from_dae(bio.gen_stokes_index2(12, 0))
+    orders = []
+    elimination_order = nk.elimination_order
+
+    def logged_order(G):
+        orders.append(G.shape)
+        return elimination_order(G)
+
+    monkeypatch.setattr(nk, "elimination_order", logged_order)
+    report, ledger = cure.cured_spark(ds, cure.CureConfig(max_steps=2))
+    assert report["k"] == 2
+    assert orders == [(ds.n, ds.n)]
+    assert ds.pencil is None
+    assert not ledger.ds.pencil.dense
+    assert ledger.ds.A is ds.A and ledger.ds.E is ds.E
 
 
 def test_one_surrogate_basis_serves_every_step(index1_small, monkeypatch):

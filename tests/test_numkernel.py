@@ -258,9 +258,9 @@ def test_sylvester_context_on_dense_pencil_shares_one_lu(factor_log):
 def test_complex_pencil_is_refused(factor_log, a, b):
     # a Sylvester context takes real A and E (the one LU of a conjugate
     # pair solves at its partner shift as conj((A - s E)^-1 conj(r)), and
-    # every pair's X is cast to real), and refuses a complex one for any
-    # pair before it factors anything: a dense pencil when the context is
-    # made, a sparse one already when it is prepared
+    # every pair's X is cast to real).  A complex one, dense or sparse,
+    # is refused already when its ``Pencil`` is prepared, for any pair
+    # and before anything is factored
     rng, A, E = _well_posed(10, 17)
     for M, N in ((A * (1 + 1j), E), (A, E * (1 + 1j))):
         for dense in (True, False):
