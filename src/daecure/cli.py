@@ -12,12 +12,16 @@ Exit codes: 0 ok, 1 numerical failure, 2 unsupported input, 3 I/O error.
 import argparse
 import ctypes
 import functools
+import importlib
 import json
 import os
+import platform
 import sys as _sys
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import bench_io as bio
 from . import cure as curemod
 from . import daemodel as dm
@@ -43,6 +47,15 @@ EXIT_IO = 3
 #: thread variables BLAS/OpenMP read when numpy loads; ``reduce`` records
 #: their values in report.json
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: each OpenBLAS copy that numpy and scipy load: the extension module
+#: whose shared object links it, and its thread-count getter.  numpy's
+#: copy is ``libscipy_openblas64_``, scipy's ``libscipy_openblas``
+OPENBLAS_GETTERS = {
+    "numpy": ("numpy._core._multiarray_umath",
+              "scipy_openblas_get_num_threads64_"),
+    "scipy": ("scipy.linalg._fblas", "scipy_openblas_get_num_threads"),
+}
 
 #: glibc's mallopt parameters, and the value the CLI pins both to: blocks
 #: of at least MALLOC_THRESHOLD bytes are mapped on their own, and free
@@ -82,6 +95,24 @@ def _load_siso(args):
             args.channel, int, "--channel must be 'out_idx,in_idx' (0-based)")
         sys = bio.select_channel(sys, out_idx, in_idx)
     return sys
+
+
+def openblas_threads():
+    """The effective thread count of each OpenBLAS copy in
+    ``OPENBLAS_GETTERS``, None where its module or getter is not found.
+    The getter is looked up on the extension module's shared object,
+    whose symbol search covers the libraries it links."""
+    counts = {}
+    for copy, (module, getter) in OPENBLAS_GETTERS.items():
+        try:
+            fn = getattr(ctypes.CDLL(importlib.import_module(module).__file__),
+                         getter)
+        except (ImportError, AttributeError, OSError):
+            counts[copy] = None
+            continue
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        counts[copy] = fn()
+    return counts
 
 
 def _step_interpolation_residuals(ledger):
@@ -154,6 +185,10 @@ def cmd_reduce(args):
         "input_hash": bio.content_hash(input_files),
         "output_hash": bio.content_hash(output_files),
         "threads": {v: os.environ.get(v) for v in THREAD_VARS},
+        "openblas_threads": openblas_threads(),
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "daecure": __version__},
         "orders": {
             "n": sys.n,
             "q_strictly_proper": report["order"],
@@ -175,17 +210,10 @@ def cmd_reduce(args):
 
 
 def _bode_eval(sys, rom, omegas):
-    p, m = sys.p, sys.m
-    fom = np.zeros((omegas.size, p, m), dtype=complex)
-    pencil = nk.Pencil(sys.A, sys.E)    # one for the sweep
-    for k, om in enumerate(omegas):
-        fom[k] = dm.eval_transfer(sys, 1j * om, pencil)
+    fom = dm.eval_transfer(sys, 1j * omegas)
     if rom is None:
         return fom, None
-    red = np.zeros((omegas.size, rom.p, rom.m), dtype=complex)
-    for k, om in enumerate(omegas):
-        red[k] = rom.eval(1j * om)
-    return fom, red
+    return fom, np.array([rom.eval(1j * om) for om in omegas], dtype=complex)
 
 
 def cmd_bode(args):

@@ -295,16 +295,19 @@ def _projectors_stokes(sys):
     )
 
 
-def eval_transfer(sys: DaeSystem, s, pencil=None) -> np.ndarray:
-    """G(s) = C (sE - A)^-1 B + D via m sparse solves on ``pencil``, the
-    ``nk.Pencil`` of (sys.A, sys.E), which is prepared here when not
-    given."""
-    if pencil is None:
-        pencil = nk.Pencil(sys.A, sys.E)
-    fac = nk.ShiftedFactorization(pencil, s)
-    X = fac.solve(sys.B.toarray())
-    G = -(sys.C @ X) + sys.D
-    return np.asarray(G)
+def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
+    """G(s) = C (sE - A)^-1 B + D at a shift s, a p x m matrix, or at
+    each shift of an array s, stacked into shape s.shape + (p, m).
+
+    The pencil is prepared and B and C densified once for all shifts;
+    each shift then costs one LU and one block solve of its m columns.
+    """
+    s = np.asarray(s)
+    pencil = nk.Pencil(sys.A, sys.E)
+    B, C = sys.B.toarray(), sys.C.toarray()
+    G = [sys.D - C @ nk.ShiftedFactorization(pencil, sk).solve(B)
+         for sk in s.ravel()]
+    return np.reshape(G, s.shape + sys.D.shape)
 
 
 @dataclass

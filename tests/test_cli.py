@@ -1,16 +1,21 @@
 import csv
+import ctypes
+import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 import scipy.io as spio
 import scipy.linalg as spla
 import scipy.sparse as sps
 
+import daecure
 from daecure import bench_io as bio
 from daecure import cli
 from daecure import cure
@@ -715,6 +720,33 @@ def test_report_records_thread_cap(sysdir, tmp_path, monkeypatch):
         assert report["threads"] == {"OMP_NUM_THREADS": env,
                                      "OPENBLAS_NUM_THREADS": env,
                                      "MKL_NUM_THREADS": env}
+
+
+def test_report_records_versions_and_openblas_threads(sysdir, tmp_path,
+                                                     monkeypatch):
+    # the count is the one OpenBLAS applies: numpy's copy is set to one
+    # thread for the run (and restored); a getter not found is null
+    module, getter = cli.OPENBLAS_GETTERS["numpy"]
+    lib = ctypes.CDLL(importlib.import_module(module).__file__)
+    get = getattr(lib, getter)
+    set_ = getattr(lib, getter.replace("_get_", "_set_"))
+    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+    before = get()
+    monkeypatch.setitem(cli.OPENBLAS_GETTERS, "scipy",
+                        ("scipy.linalg._fblas", "no_such_getter"))
+    set_(1)
+    try:
+        out = tmp_path / "res"
+        assert run(["reduce", "--manifest", _manifest(sysdir),
+                    "--max-steps", "1", "--out", str(out)]) == 0
+    finally:
+        set_(before)
+    report = json.load(open(out / "report.json"))
+    assert report["openblas_threads"] == {"numpy": 1, "scipy": None}
+    assert report["versions"] == {"python": platform.python_version(),
+                                  "numpy": np.__version__,
+                                  "scipy": scipy.__version__,
+                                  "daecure": daecure.__version__}
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])

@@ -265,6 +265,17 @@ def test_transfer_split(index1_small, index1_general, index1_singular_e11,
                 <= 1e-9 * max(np.linalg.norm(total), 1.0)
 
 
+def test_eval_transfer_stacks_an_array_of_shifts(index1_general):
+    # one call over an array of shifts gives, point by point, the values
+    # of scalar calls
+    sys = index1_general
+    s = np.array([[0.5 + 1.0j, 3.0], [0.1 + 7.0j, 2.0j]])
+    G = dm.eval_transfer(sys, s)
+    assert G.shape == s.shape + (sys.p, sys.m)
+    for k in np.ndindex(s.shape):
+        assert np.array_equal(G[k], dm.eval_transfer(sys, s[k]))
+
+
 def test_strictly_proper_part_decays(index1_small):
     kit = dm.build_projectors(index1_small)
     g1 = np.linalg.norm(eval_strictly_proper(index1_small, kit, 1e6))

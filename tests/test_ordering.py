@@ -40,6 +40,24 @@ def test_ordered_lu_agrees_with_colamd_and_fills_less(stokes, sigma):
     assert ordered._lu.nnz < colamd.nnz
 
 
+@pytest.mark.parametrize("sigma", SHIFTS, ids=lambda s: f"{s:.3g}")
+def test_ordered_lu_setting_fills_no_more_than_superlu_defaults(stokes,
+                                                                sigma):
+    # ORDERED_RELAX and ORDERED_PANEL against SuperLU's default supernode
+    # relaxation and panel width, on the same permuted matrix with the
+    # same column order and diagonal pivots
+    _, _, pencil = stokes
+    M = pencil.at(sigma)
+    default = spsla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    lu = nk.OrderedLU(M, pencil.order)
+    b = np.random.default_rng(0).standard_normal((pencil.n, 2))
+    b = b.astype(M.dtype)
+    x0, x1 = default.solve(b), lu.solve(b)
+    assert lu.nnz <= default.nnz
+    assert np.linalg.norm(x1 - x0) <= nk.TOL_SOLVE * np.linalg.norm(x0)
+
+
 @pytest.mark.parametrize("sigma", [0.7, 0.3 - 1.1j], ids=["real", "complex"])
 def test_pencil_at_is_the_permuted_shifted_matrix(stokes, sigma):
     # the prepared pattern is P (A - sigma E) P^T for the order's
