@@ -38,8 +38,7 @@ def _random_sparse(rng, rows, cols, density, scale=1.0):
     return sps.csc_matrix((vals, (ri, ci)), shape=(rows, cols))
 
 
-def gen_semi_explicit_index1(n1, n2, seed, m=1, p=1,
-                             density=0.05) -> dm.DaeSystem:
+def gen_semi_explicit_index1(n1, n2, seed, m=1, p=1) -> dm.DaeSystem:
     """Stable semi-explicit index-1 system with E11 = I, E12 = 0.
 
     A11 is a shifted negative-definite tridiagonal plus a random sparse
@@ -53,7 +52,7 @@ def gen_semi_explicit_index1(n1, n2, seed, m=1, p=1,
     main = -2.0 * np.ones(n1) - rng.uniform(0.5, 1.5, size=n1)
     off = rng.uniform(0.2, 0.9, size=n1 - 1)
     A11 = sps.diags([off, main, off], [-1, 0, 1], format="csc")
-    pert = _random_sparse(rng, n1, n1, density)
+    pert = _random_sparse(rng, n1, n1, 0.05)
     # guard: keep the perturbation well inside the stability margin of A11
     margin = -float(spla.eigvalsh((A11 + A11.T).toarray() / 2).max())
     pnorm = spla.norm(pert.toarray(), 2) if n1 <= GEN_DENSE_LIMIT else \
@@ -72,8 +71,8 @@ def gen_semi_explicit_index1(n1, n2, seed, m=1, p=1,
                      (rowsum + rng.uniform(1.0, 2.0, size=n2)))
     A22 = sps.csc_matrix(A22d)
 
-    A12 = _random_sparse(rng, n1, n2, density, scale=0.3)
-    A21 = _random_sparse(rng, n2, n1, density, scale=0.3)
+    A12 = _random_sparse(rng, n1, n2, 0.05, scale=0.3)
+    A21 = _random_sparse(rng, n2, n1, 0.05, scale=0.3)
     E = sps.block_diag([sps.eye(n1), sps.csc_matrix((n2, n2))]).tocsc()
     A = sps.bmat([[A11, A12], [A21, A22]]).tocsc()
     B = sps.vstack([_random_sparse(rng, n1, m, 0.3),

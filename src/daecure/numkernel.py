@@ -61,57 +61,32 @@ def _match(G, diag):
     G[i, j] != 0 and a diagonal: ``partner[i]`` is row i's column, -1 for
     a row left unmatched or with a diagonal.
 
-    A greedy pass gives each such row, in index order, its free candidate
-    with the most neighbours in G (the lowest index among equals): such a
-    partner already holds most of the row's neighbours, so the merged pair
-    adds the fewest new edges.  Then one search for an augmenting path
-    from each row still unmatched makes the matching maximum (Kuhn).
+    The matching is SciPy's Hopcroft-Karp.  The candidates are ranked by
+    their number of neighbours in G (most first, the lowest index among
+    equals) and each row lists its own by rank, so SciPy's first, greedy
+    pass gives each row, in index order, its free candidate with the most
+    neighbours.  A merged pair (``elimination_order``) adds the row's
+    neighbours that its partner lacks, and that partner holds the most.
+    Hopcroft-Karp keeps the greedy matching wherever it is maximum and
+    augments it wherever it is not.
     """
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     n = G.shape[0]
     zero = np.flatnonzero(~diag)
-    rows = G[:, zero]       # row i of G is its column i
-    cand, ptr = rows.indices.tolist(), rows.indptr.tolist()
-    # a column without a diagonal is never a partner
-    deg = np.where(diag, np.diff(G.indptr), -1).tolist()
-    owner = [-1] * n
-    free = []
-    for r in range(zero.size):
-        best, most = -1, -1
-        for c in cand[ptr[r]:ptr[r + 1]]:
-            if owner[c] < 0 and deg[c] > most:
-                best, most = c, deg[c]
-        if best < 0:
-            free.append(r)
-        else:
-            owner[best] = r
-    for r in free:
-        # depth-first search over alternating paths; stack[i] reaches
-        # stack[i + 1] through its matched column path[i]
-        stack, path, pos, seen = [r], [], [ptr[r]], set()
-        while stack:
-            k = pos[-1]
-            if k == ptr[stack[-1] + 1]:
-                stack.pop()
-                pos.pop()
-                if path:
-                    path.pop()
-                continue
-            pos[-1] = k + 1
-            c = cand[k]
-            if c in seen or deg[c] < 0:
-                continue
-            seen.add(c)
-            if owner[c] < 0:
-                for row, col in zip(stack, path + [c]):
-                    owner[col] = row
-                break
-            stack.append(owner[c])
-            pos.append(ptr[owner[c]])
-            path.append(c)
+    deg = np.diff(G.indptr)
+    # one mask per degree value, not a sort (see ``_scatter``)
+    ranked = np.concatenate([np.flatnonzero(diag & (deg == d))
+                             for d in np.flatnonzero(np.bincount(deg))[::-1]])
+    k = ranked.size
+    # B[r, c] = G[zero[r], ranked[c]]: row i of G is its column i
+    B = G[:, zero].T @ sps.csc_matrix((np.ones(k), ranked, np.arange(k + 1)),
+                                      shape=(n, k))
+    B.sort_indices()
+    match = maximum_bipartite_matching(B, perm_type="column")
     partner = np.full(n, -1)
-    owner = np.array(owner)
-    taken = np.flatnonzero(owner >= 0)
-    partner[zero[owner[taken]]] = taken
+    taken = match >= 0
+    partner[zero[taken]] = ranked[match[taken]]
     return partner
 
 
@@ -121,13 +96,14 @@ def elimination_order(G):
     of A and E), or None when it is not structurally symmetric.
 
     Each row of G without a diagonal (a pressure row of a saddle-point
-    pencil) is matched to a distinct partner column with one (``_match``);
-    for a Stokes pencil the candidates are pattern(A21) and
-    pattern(A12^T), which agree.  Each matched pair is merged into one
-    node, the merged graph is ordered by SuperLU's ``MMD_AT_PLUS_A``, and
-    each node is expanded partner first: eliminating the partner fills the
-    pressure row's diagonal, so every pivot of the order can be a diagonal
-    one.  The order is independent of sigma, computed once per pencil.
+    pencil) is matched to a distinct neighbour with one, the one with the
+    most neighbours where a maximum matching allows (``_match``); for a
+    Stokes pencil the candidates are pattern(A21) and pattern(A12^T),
+    which agree.  Each pair is merged into one node, the merged graph is
+    ordered by SuperLU's ``MMD_AT_PLUS_A``, and each node is expanded
+    partner first: eliminating the partner fills the pressure row's
+    diagonal, so every pivot of the order can be a diagonal one.  The
+    order is independent of sigma, computed once per pencil.
 
     When every row of G has a diagonal there is nothing to merge, and the
     order is empty: SuperLU then computes the same MMD order inside the

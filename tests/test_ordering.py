@@ -97,6 +97,50 @@ def test_cancelled_entry_stays_in_the_prepared_pattern(stokes):
                   <= nk.TOL_SOLVE * np.linalg.norm(b, axis=0))
 
 
+#: the fill of the ordered LU at sigma = 1, by pencil order: Stokes m=12
+#: (n = 431) and m=20 (n = 1 199)
+ORDERED_FILL = {431: 13_890, 1199: 51_550}
+
+
+def test_ordered_lu_fill_at_one(stokes):
+    # the matching's preference for the partner with the most neighbours
+    # sets this fill; a matching that picks other partners fills more
+    _, _, pencil = stokes
+    fac = nk.ShiftedFactorization(pencil, 1.0)
+    assert isinstance(fac._lu, nk.OrderedLU)
+    assert fac._lu.nnz <= ORDERED_FILL[pencil.n]
+
+
+def _pattern(n, edges, diag):
+    """The symmetric CSC pattern of ``edges`` plus the diagonal entries
+    ``diag``, and the mask of rows with one."""
+    G = np.zeros((n, n))
+    for i, j in edges:
+        G[i, j] = G[j, i] = 1.0
+    has = np.isin(np.arange(n), diag)
+    G[has, has] = 1.0
+    return sps.csc_matrix(G), has
+
+
+@pytest.mark.parametrize("edges, partner", [
+    # candidate 1 has 2 neighbours (0, 3), candidate 2 has 3 (0, 3, 4)
+    ([(0, 1), (0, 2), (1, 3), (2, 3), (2, 4)], 2),
+    # both have 2 (0, 3): the lower index
+    ([(0, 1), (0, 2), (1, 3), (2, 3)], 1),
+], ids=["most-neighbours", "lowest-index"])
+def test_pressure_row_gets_the_candidate_with_most_neighbours(edges,
+                                                              partner):
+    G, diag = _pattern(5, edges, [1, 2, 3, 4])
+    assert nk._match(G, diag).tolist() == [partner, -1, -1, -1, -1]
+
+
+def test_pattern_without_diagonal_matches_nothing():
+    G, diag = _pattern(4, [(0, 1), (0, 2), (1, 2), (2, 3)], [])
+    assert nk._match(G, diag).tolist() == [-1] * 4
+    order = nk.Pencil(G, sps.csc_matrix(G.shape)).order
+    assert np.array_equal(np.sort(order), np.arange(4))
+
+
 def _saddle(eps):
     """[[eps, 1, 1], [1, eps, 1], [1, 1, 0]]: symmetric pattern, one row
     without a diagonal, and a static pivot eps wherever the order
