@@ -213,7 +213,7 @@ def _bode_eval(sys, rom, omegas):
     fom = dm.eval_transfer(sys, 1j * omegas)
     if rom is None:
         return fom, None
-    return fom, np.array([rom.eval(1j * om) for om in omegas], dtype=complex)
+    return fom, rom.eval(1j * omegas)
 
 
 def cmd_bode(args):

@@ -3,7 +3,13 @@
 Every object is analyzed in the finite coordinates of its pencil, which
 come from saddle-point projectors (Stykel, ETNA 30, 2008), with no QZ:
 a system's from its structure tag, and a reduced realization's after an
-SVD of Er has brought it to semi-explicit index-1 form.  The H2 norm of
+SVD of Er has brought it to semi-explicit index-1 form.  The right
+projector is applied to n_f orthonormal columns chosen from the tag (a
+basis of range E^T for index 1, of ker A21 padded with zero pressure
+rows for Stokes), so it never sees more columns than the finite
+subspace has dimensions.  They must be orthonormal: E times their image
+is factored with no rescaling, and unscaled rows of an E whose singular
+values span many decades would square that spread.  The H2 norm of
 the strictly proper part is then one small Lyapunov solve there.
 """
 
@@ -26,6 +32,23 @@ from .pork import RomRealization
 STABLE_MARGIN = 1e-10
 
 
+def _finite_basis(sys):
+    """Orthonormal n x n_f columns V0 on which Pi_r of ``sys`` is one to
+    one, from its structure tag.
+
+    Index 1: an orthonormal basis of range E^T, the complement of
+    ker E = ker Pi_r, from one QR of the differential rows' transpose.
+    Stokes: [N; 0] with N an orthonormal basis of ker A21, on which the
+    velocity block P of Pi_r is the identity, from one complete QR of
+    A21^T."""
+    tag = sys.structure
+    if isinstance(tag, dm.SemiExplicitIndex1):
+        return np.linalg.qr(sys.E[:tag.n1].T.toarray())[0]
+    nv = tag.n_v
+    Q = np.linalg.qr(sys.A[nv:, :nv].T.toarray(), mode="complete")[0]
+    return dm._with_zeros(Q[:, tag.n_p:], 0, tag.n_p)
+
+
 def _finite_std(obj):
     """Finite-coordinate standard realization (A1, B1, C1) of the strictly
     proper part of a DaeSystem or a RomRealization.
@@ -39,14 +62,19 @@ def _finite_std(obj):
     realization is dense already.
 
     The finite coordinates come from the spectral projectors (Stykel,
-    ETNA 30, 2008): Z spans range Pi_r, Y = orth(E Z) spans range Pi_l,
-    and (s E - A) Z = Y (s Ef - Af) with Ef = Y^T E Z, Af = Y^T A Z.  The
+    ETNA 30, 2008): Z = Pi_r V0 spans range Pi_r for the n_f orthonormal
+    columns V0 of ``_finite_basis`` (index 1: range E^T, which is
+    [I_r; 0] for a reduced realization; Stokes: [N; 0] with
+    N spanning ker A21).  Y = orth(E Z) spans range Pi_l, and
+    (s E - A) Z = Y (s Ef - Af) with Ef = Y^T E Z, Af = Y^T A Z.  The
     deflated input Pi_l B lies in range Y, so the strictly proper part is
-    C Z (s Ef - Af)^-1 Y^T Pi_l B.  The saddle-point LU behind the
-    projectors also certifies a regular pencil and deflates the input.
-    Pi_r of a Stokes system has zero pressure columns, so only its n_v
-    velocity columns are formed, and its rank is the trace of their
-    velocity block."""
+    C Z (s Ef - Af)^-1 Y^T Pi_l B.  Z needs no QR of its own: E Z = E V0,
+    so Ef is as well conditioned as E on range V0.  That holds only for an
+    orthonormal V0; unscaled rows of an E whose singular values span many
+    decades would square that spread into Ef.  The saddle-point LU behind
+    the projectors also certifies a regular pencil and deflates the
+    input.  As a self-check, Pi_r must return z = Z 1 / sqrt(n_f), a
+    point of its range, to 1e-8 relative; else StructureViolation."""
     if isinstance(obj, RomRealization):
         U, sv, Vt = np.linalg.svd(obj.Er)
         n = sv.size
@@ -65,19 +93,15 @@ def _finite_std(obj):
             f"got {obj.n}")
     kit = dm.build_projectors(obj)
     B = dm.split_transfer(obj, kit)[0]
-    tag = obj.structure
-    if isinstance(tag, dm.SemiExplicitIndex1):
-        nf, cols = tag.n1, obj.n
-    else:
-        nf, cols = tag.n_v - tag.n_p, tag.n_v
-    Pr = kit.apply_right(np.eye(obj.n, cols))
-    rank = int(round(np.trace(Pr)))
-    if rank != nf:
+    Z = kit.apply_right(_finite_basis(obj))
+    z = Z.sum(axis=1) / np.sqrt(max(Z.shape[1], 1))
+    defect = np.linalg.norm(kit.apply_right(z) - z)
+    if not defect <= 1e-8 * np.linalg.norm(z):
         raise StructureViolation(
-            f"right projector has rank {rank}, but the structure tag "
-            f"implies {nf} finite eigenvalues"
+            f"right projector is not idempotent on the {Z.shape[1]} "
+            f"finite columns the structure tag implies (relative defect "
+            f"{defect / np.linalg.norm(z):.1e})"
         )
-    Z = spla.qr(Pr, mode="economic", pivoting=True)[0][:, :nf]
     Y, Ef = np.linalg.qr(obj.E @ Z)
     A1 = np.linalg.solve(Ef, Y.T @ (obj.A @ Z))
     B1 = np.linalg.solve(Ef, Y.T @ B)

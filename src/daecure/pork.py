@@ -63,8 +63,10 @@ class RomRealization:
         return self.Cr.shape[0]
 
     def eval(self, s):
-        """Transfer function value Cr (s Er - Ar)^-1 Br + Dr."""
-        M = s * self.Er - self.Ar
+        """Transfer function value Cr (s Er - Ar)^-1 Br + Dr at a shift s,
+        a p x m matrix, or at each shift of an array s, stacked into shape
+        s.shape + (p, m) by one stacked solve."""
+        M = np.asarray(s)[..., None, None] * self.Er - self.Ar
         return self.Cr @ np.linalg.solve(M, self.Br.astype(M.dtype)) \
             + self.Dr
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as spla
 import scipy.sparse as sps
 
 from daecure import daemodel as dm
@@ -135,19 +136,82 @@ def test_projector_route_matches_qz_oracle(fixture, request):
     assert abs(h2.h2_norm(sys) - oracle) <= 1e-10 * oracle
 
 
-def test_rom_route_matches_qz_oracle():
-    # a rank-2 Er hidden by random orthogonal factors, over an algebraic
-    # block that makes the pencil index 1
+def _rank2_rom():
+    """A rank-2 Er hidden by random orthogonal factors, over an algebraic
+    block that makes the pencil index 1."""
     rng = np.random.default_rng(3)
     Q1, Q2 = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
-    rom = RomRealization(Er=Q1 @ np.diag([1.0, 0.5, 0.0, 0.0]) @ Q2,
-                         Ar=Q1 @ (np.diag([-1.0, -3.0, 1.0, 2.0])
-                                  + np.triu(np.ones((4, 4)), 1)) @ Q2,
-                         Br=rng.standard_normal((4, 1)),
-                         Cr=rng.standard_normal((1, 4)))
+    return RomRealization(Er=Q1 @ np.diag([1.0, 0.5, 0.0, 0.0]) @ Q2,
+                          Ar=Q1 @ (np.diag([-1.0, -3.0, 1.0, 2.0])
+                                   + np.triu(np.ones((4, 4)), 1)) @ Q2,
+                          Br=rng.standard_normal((4, 1)),
+                          Cr=rng.standard_normal((1, 4)))
+
+
+def test_rom_route_matches_qz_oracle():
+    rom = _rank2_rom()
     assert h2._finite_std(rom)[0].shape == (2, 2)
     oracle = qz_h2_norm(rom)
     assert abs(h2.h2_norm(rom) - oracle) <= 1e-12 * oracle
+
+
+def test_rom_route_keeps_er_singular_values_twelve_decades_apart():
+    # Er's singular values run from 1 to 1e-12, hidden by random
+    # orthogonal factors.  The four small ones carry fast modes that B and
+    # C do not reach, so the norm is well conditioned and QZ resolves it.
+    # A basis of Er's unscaled rows squares that spread into Ef and misses
+    # the norm by about 1e-8.
+    rng = np.random.default_rng(0)
+    q, k = 8, 4
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((q, q)))[0] for _ in range(2))
+    small = np.logspace(-2, -12, k)
+    T = np.triu(rng.standard_normal((q, q)), 1)
+    T[np.diag_indices(q)] = -rng.uniform(1.0, 3.0, q)
+    T[q - k:] *= small[:, None]
+    T[:q - k, q - k:] = 0.0
+    b, c = (np.concatenate([rng.standard_normal(q - k), np.zeros(k)])
+            for _ in range(2))
+    rom = RomRealization(Er=Q1 @ np.diag(np.r_[np.ones(q - k), small]) @ Q2,
+                         Ar=Q1 @ T @ Q2, Br=(Q1 @ b)[:, None],
+                         Cr=(c @ Q2)[None, :])
+    sv = np.linalg.svd(rom.Er, compute_uv=False)
+    assert sv[0] >= 1e10 * sv[-1]
+    oracle = qz_h2_norm(rom)
+    assert abs(h2.h2_norm(rom) - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "index1_singular_e11",
+                                     "stokes_small", "rom"])
+def test_projector_applied_to_finite_columns_only(fixture, request,
+                                                  monkeypatch):
+    # Pi_r sees n_f columns and the one self-check column, and no pivoted
+    # QR picks a basis out of its range
+    if fixture == "rom":
+        obj, nf = _rank2_rom(), 2
+    else:
+        obj = request.getfixturevalue(fixture)
+        tag = obj.structure
+        nf = tag.n1 if isinstance(tag, dm.SemiExplicitIndex1) \
+            else tag.n_v - tag.n_p
+    build, qr, cols = dm.build_projectors, spla.qr, []
+
+    def counting(sys):
+        kit = build(sys)
+
+        def right(v):
+            cols.append(1 if v.ndim == 1 else v.shape[1])
+            return kit.apply_right(v)
+
+        return dataclasses.replace(kit, apply_right=right)
+
+    def unpivoted(*args, **kwargs):
+        assert not kwargs.get("pivoting"), "pivoted QR"
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(dm, "build_projectors", counting)
+    monkeypatch.setattr(spla, "qr", unpivoted)
+    h2.h2_norm(obj)
+    assert cols == [nf, 1]
 
 
 @pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS)
@@ -173,7 +237,7 @@ def test_projector_rank_must_match_the_tag(index1_small, monkeypatch):
             kit, apply_right=lambda v: 0.5 * kit.apply_right(v))
 
     monkeypatch.setattr(dm, "build_projectors", halved)
-    with pytest.raises(StructureViolation, match="rank 25"):
+    with pytest.raises(StructureViolation, match="not idempotent"):
         h2.h2_norm(index1_small)
 
 

@@ -12,8 +12,11 @@ from daecure import numkernel as nk
 from daecure.errors import SingularShift
 from daecure.spark import INIT
 
-hypothesis = pytest.importorskip("hypothesis")
-st = pytest.importorskip("hypothesis.strategies")
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the property tests at the end need it
+    hypothesis = None
 
 #: the shifts of the check: the start pair's, 1, and 1e-2i ... 1e4i
 SHIFTS = [INIT.shifts()[0], 1.0] + [1j * w for w in np.logspace(-2, 4, 7)]
@@ -177,86 +180,91 @@ def test_exact_pencil_eigenvalue_raises_singular_shift():
         nk.ShiftedFactorization(pencil, -2.0)
 
 
-@st.composite
-def symmetric_pencils(draw):
-    """(A, E) with a structurally symmetric |A| + |E|: a random symmetric
-    pattern for A, some of its diagonal dropped, and E diagonal on a few
-    rows."""
-    n = draw(st.integers(2, 24))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
-    P = np.triu(rng.random((n, n)) < draw(st.floats(0.05, 0.6)), 1)
-    P = P | P.T
-    np.fill_diagonal(P, rng.random(n) < draw(st.floats(0.2, 0.9)))
-    A = np.where(P, rng.uniform(0.5, 2.0, (n, n)), 0.0)
-    e = np.where(np.diag(P) & (rng.random(n) < 0.3), 1.0, 0.0)
-    return sps.csc_matrix(A), sps.diags(e, format="csc")
+if hypothesis is None:
+    @pytest.mark.skip(reason="the property tests below need hypothesis")
+    def test_properties_need_hypothesis():
+        pass
+else:
+    @st.composite
+    def symmetric_pencils(draw):
+        """(A, E) with a structurally symmetric |A| + |E|: a random symmetric
+        pattern for A, some of its diagonal dropped, and E diagonal on a few
+        rows."""
+        n = draw(st.integers(2, 24))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        P = np.triu(rng.random((n, n)) < draw(st.floats(0.05, 0.6)), 1)
+        P = P | P.T
+        np.fill_diagonal(P, rng.random(n) < draw(st.floats(0.2, 0.9)))
+        A = np.where(P, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+        e = np.where(np.diag(P) & (rng.random(n) < 0.3), 1.0, 0.0)
+        return sps.csc_matrix(A), sps.diags(e, format="csc")
 
 
-def _maximum_matching(A, E):
-    """Size of a maximum matching of the rows of |A| + |E| without a
-    diagonal to distinct neighbours with one."""
-    G = (abs(A) + abs(E)).toarray() != 0
-    diag = np.diag(G)
-    B = sps.csr_matrix(G[~diag][:, diag])
-    if not B.shape[0] or not B.shape[1]:
-        return 0
-    return int(np.sum(maximum_bipartite_matching(B) >= 0))
+    def _maximum_matching(A, E):
+        """Size of a maximum matching of the rows of |A| + |E| without a
+        diagonal to distinct neighbours with one."""
+        G = (abs(A) + abs(E)).toarray() != 0
+        diag = np.diag(G)
+        B = sps.csr_matrix(G[~diag][:, diag])
+        if not B.shape[0] or not B.shape[1]:
+            return 0
+        return int(np.sum(maximum_bipartite_matching(B) >= 0))
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
-@hypothesis.given(symmetric_pencils())
-def test_order_is_a_permutation_with_each_matched_row_after_its_partner(
-        pencil):
-    A, E = pencil
-    n = A.shape[0]
-    order = nk.Pencil(A, E).order
-    G = (abs(A) + abs(E)).toarray() != 0
-    diag = np.diag(G)
-    if diag.all():
-        # nothing to merge: SuperLU orders the matrix itself
-        assert order is not None and order.size == 0
-        return
-    assert np.array_equal(np.sort(order), np.arange(n))
-    # a row without a diagonal that directly follows a neighbour with one
-    # is matched to it; a maximum matching leaves no free pair adjacent
-    after = [k for k in range(1, n) if not diag[order[k]]
-             and diag[order[k - 1]] and G[order[k], order[k - 1]]]
-    assert len(after) == _maximum_matching(A, E)
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(symmetric_pencils())
+    def test_order_is_a_permutation_with_each_matched_row_after_its_partner(
+            pencil):
+        A, E = pencil
+        n = A.shape[0]
+        order = nk.Pencil(A, E).order
+        G = (abs(A) + abs(E)).toarray() != 0
+        diag = np.diag(G)
+        if diag.all():
+            # nothing to merge: SuperLU orders the matrix itself
+            assert order is not None and order.size == 0
+            return
+        assert np.array_equal(np.sort(order), np.arange(n))
+        # a row without a diagonal that directly follows a neighbour with one
+        # is matched to it; a maximum matching leaves no free pair adjacent
+        after = [k for k in range(1, n) if not diag[order[k]]
+                 and diag[order[k - 1]] and G[order[k], order[k - 1]]]
+        assert len(after) == _maximum_matching(A, E)
 
 
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(symmetric_pencils(), st.data())
-def test_unsymmetric_pattern_gets_no_order(pencil, data):
-    A, E = pencil
-    n = A.shape[0]
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1).filter(lambda k: k != i))
-    A = A.tolil()
-    A[i, j] = 0.0
-    A[j, i] = 0.0
-    A[i, j] = 1.0
-    A = sps.csc_matrix(A)
-    A.eliminate_zeros()
-    assert nk.Pencil(A, E).order is None
-    assert nk.Pencil(A.toarray(), E.toarray()).order is None
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(symmetric_pencils(), st.data())
+    def test_unsymmetric_pattern_gets_no_order(pencil, data):
+        A, E = pencil
+        n = A.shape[0]
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1).filter(lambda k: k != i))
+        A = A.tolil()
+        A[i, j] = 0.0
+        A[j, i] = 0.0
+        A[i, j] = 1.0
+        A = sps.csc_matrix(A)
+        A.eliminate_zeros()
+        assert nk.Pencil(A, E).order is None
+        assert nk.Pencil(A.toarray(), E.toarray()).order is None
 
 
-@hypothesis.settings(max_examples=150, deadline=None,
-                     suppress_health_check=[hypothesis.HealthCheck.
-                                            filter_too_much])
-@hypothesis.given(symmetric_pencils(),
-                  st.sampled_from([-1.5, 0.7, 0.4 + 1.3j]))
-def test_prepared_pencil_solves_agree_with_dense_solves(pencil, sigma):
-    # whichever LU the prepared pencil gets (ordered, MMD or the COLAMD
-    # fallback), its solves are those of the dense matrix, to the
-    # residual bound times the condition number
-    A, E = pencil
-    M = (A - sigma * E).toarray()
-    cond = np.linalg.cond(M)
-    hypothesis.assume(cond < 1e10)
-    b = np.random.default_rng(0).standard_normal((A.shape[0], 2))
-    x = nk.ShiftedFactorization(nk.Pencil(A, E), sigma).solve(b)
-    want = np.linalg.solve(M, b)
-    assert np.linalg.norm(x - want) \
-        <= 2 * cond * (nk.TOL_SOLVE + 1e-14) * np.linalg.norm(want)
+    @hypothesis.settings(max_examples=150, deadline=None,
+                         suppress_health_check=[hypothesis.HealthCheck.
+                                                filter_too_much])
+    @hypothesis.given(symmetric_pencils(),
+                      st.sampled_from([-1.5, 0.7, 0.4 + 1.3j]))
+    def test_prepared_pencil_solves_agree_with_dense_solves(pencil, sigma):
+        # whichever LU the prepared pencil gets (ordered, MMD or the COLAMD
+        # fallback), its solves are those of the dense matrix, to the
+        # residual bound times the condition number
+        A, E = pencil
+        M = (A - sigma * E).toarray()
+        cond = np.linalg.cond(M)
+        hypothesis.assume(cond < 1e10)
+        b = np.random.default_rng(0).standard_normal((A.shape[0], 2))
+        x = nk.ShiftedFactorization(nk.Pencil(A, E), sigma).solve(b)
+        want = np.linalg.solve(M, b)
+        assert np.linalg.norm(x - want) \
+            <= 2 * cond * (nk.TOL_SOLVE + 1e-14) * np.linalg.norm(want)

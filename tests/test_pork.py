@@ -3,7 +3,7 @@ import scipy.linalg as spla
 
 from daecure import h2analysis as h2
 from daecure.interp import DeflatedSystem
-from daecure.pork import check_interpolation, pork_input
+from daecure.pork import RomRealization, check_interpolation, pork_input
 
 from conftest import basis_at, make_ode
 from oracles import check_orthogonality, h2_error_norm, transfer
@@ -56,6 +56,23 @@ def test_interpolation_order_two_anchor():
     assert abs(rom.eval(0.0)[0, 0] - 1 / 2) <= 1e-13
     assert max(check_interpolation(transfer(ds), rom,
                                    pair.shifts())) <= 1e-13
+
+
+def test_eval_at_an_array_of_shifts_is_the_scalar_evals():
+    # one stacked solve gives, bitwise, what one solve per shift gives
+    rng = np.random.default_rng(0)
+    rom = RomRealization(Er=rng.standard_normal((5, 5)),
+                         Ar=rng.standard_normal((5, 5)),
+                         Br=rng.standard_normal((5, 2)),
+                         Cr=rng.standard_normal((3, 5)),
+                         Dr=rng.standard_normal((3, 2)))
+    for s in (1j * np.logspace(-2, 4, 40), np.array([[0.5, 2.0, 3.0]]),
+              np.array([[1.0 + 2.0j], [-0.3j]])):
+        G = rom.eval(s)
+        assert G.shape == s.shape + (3, 2)
+        for k in np.ndindex(s.shape):
+            assert np.array_equal(G[k], rom.eval(s[k]))
+    assert rom.eval(0.7).shape == (3, 2)
 
 
 def test_orthogonality_of_pseudo_optimal_error(index1_small):
