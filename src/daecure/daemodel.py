@@ -301,12 +301,26 @@ def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
 
     The pencil is prepared and B and C densified once for all shifts;
     each shift then costs one LU and one block solve of its m columns.
+    The kernel is chosen as in a reduction: ``nk.cheapest_pencil`` reads
+    off the fill of the first shift's LU on the sparse pencil whether
+    LAPACK LUs are cheaper.  If so, that shift is factored again on the
+    dense pencil, so that every value comes from one kernel and a shift
+    gets the same bits in a scalar call as in an array.
     """
     s = np.asarray(s)
     pencil = nk.Pencil(sys.A, sys.E)
     B, C = sys.B.toarray(), sys.C.toarray()
-    G = [sys.D - C @ nk.ShiftedFactorization(pencil, sk).solve(B)
-         for sk in s.ravel()]
+    G = []
+    for sk in s.ravel():
+        fac = nk.ShiftedFactorization(pencil, sk)
+        if not G:
+            pencil = nk.cheapest_pencil(fac)
+            if pencil is not fac.pencil:
+                fac = nk.ShiftedFactorization(pencil, sk)
+        G.append(sys.D - C @ fac.solve(B))
+        # freed before the next shift's LU is made: two LUs alive at once
+        # leave the heap so that the next command faults its pages anew
+        del fac
     return np.reshape(G, s.shape + sys.D.shape)
 
 

@@ -104,7 +104,7 @@ class SparkParams:
 
     def gamma(self):
         """Gamma = [[a^2 + b, -a], [-a, 1]] / (4ab); its inverse is the
-        reduced controllability Gramian ``_gramian_c``."""
+        reduced controllability Gramian 4a [[1, a], [a, a^2 + b]]."""
         a, b = self.a, self.b
         return np.array([[a * a + b, -a], [-a, 1.0]]) / (4 * a * b)
 
@@ -114,22 +114,6 @@ class SparkParams:
 
 #: the start pair of a SPARK run that is given none
 INIT = SparkParams(1e-4, 1e-4)
-
-
-# reduced controllability Gramian in closed form
-def _gramian_c(a, b):
-    return np.array([[4 * a, 4 * a * a],
-                     [4 * a * a, 4 * a * (a * a + b)]])
-
-
-def _gramians(a, b):
-    """The reduced Gramian and its nonzero derivatives, stacked as
-    (G, G_a, G_b, G_aa, G_ab); G_bb = 0."""
-    return np.array([_gramian_c(a, b),
-                     [[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]],
-                     [[0.0, 0.0], [0.0, 4 * a]],
-                     [[0.0, 8.0], [8.0, 24 * a]],
-                     [[0.0, 0.0], [0.0, 4.0]]])
 
 
 # the b-derivative of S(a, b) = [[a, 1], [a^2 - b, a]]
@@ -152,26 +136,42 @@ class Point(NamedTuple):
 
 def _contract(Cs, a, b):
     """(J, gradient, Hessian) of J(a, b) = -tr(Cr G Cr^T), Cr = C V, off
-    one contraction of the traces tr(C V_i G_m (C V_j)^T) over the stack
-    ``Cs`` of C V_i and the closed-form Gramian's derivatives G_m; the
-    Hessian needs V_i in (V, V_a, V_b, V_aa, V_ab, V_bb), else is None."""
-    # T[m, i, j] = tr(C_i G_m C_j^T), C_i = Cs[i] and G_m in (G, G_a, G_b,
-    # G_aa, G_ab); G_bb = 0
-    T = np.einsum("ipk,mkl,jpl->mij", Cs, _gramians(a, b), Cs)
-    J = -float(T[0, 0, 0])
+    the traces tr(C V_i M (C V_j)^T) over the stack ``Cs`` of C V_i, with M
+    the closed-form Gramian G = 4a [[1, a], [a, a^2 + b]] or one of its
+    derivatives; the Hessian needs V_i in (V, V_a, V_b, V_aa, V_ab, V_bb),
+    else is None.  Every trace is read off one Gram product of the stack.
+    """
+    Z = Cs.transpose(0, 2, 1).reshape(2 * len(Cs), -1)
+    K = (Z @ Z.T).tolist()      # K[2i + k][2j + l] = (C_i^T C_j)[k, l]
+    a, b = float(a), float(b)     # J a float also at numpy scalars
+
+    def tr(i, j, m00, m01, m11):
+        """tr(C_i M C_j^T) for M = [[m00, m01], [m01, m11]]."""
+        k0, k1 = K[2 * i], K[2 * i + 1]
+        return m00 * k0[2 * j] + m01 * (k0[2 * j + 1] + k1[2 * j]) \
+            + m11 * k1[2 * j + 1]
+
+    # the entries (M00, M01, M11) of G and G_a; G_b = [[0, 0], [0, 4a]],
+    # G_aa = [[0, 8], [8, 24a]], G_ab = [[0, 0], [0, 4]] and G_bb = 0
+    g0, g1, g2 = 4 * a, 4 * a * a, 4 * a * (a * a + b)
+    a0, a1, a2 = 4.0, 8 * a, 12 * a * a + 4 * b
     # J_i = -2 tr(C_i G Cr^T) - tr(Cr G_i Cr^T)
-    g = -2 * T[0, 1:3, 0] - T[1:3, 0, 0]
+    g = np.array([-2 * tr(1, 0, g0, g1, g2) - tr(0, 0, a0, a1, a2),
+                  -2 * tr(2, 0, g0, g1, g2) - tr(0, 0, 0, 0, g0)])
     H = None
     if len(Cs) == 6:
         # J_ij = -2 (tr(C_ij G Cr^T) + tr(C_i G C_j^T) + tr(C_i G_j Cr^T)
-        # + tr(C_j G_i Cr^T)) - tr(Cr G_ij Cr^T), where C_ij is entry
-        # [[3, 4], [4, 5]][i][j] of the stack and D[j, i] = tr(C_i G_j Cr^T)
-        D = T[1:3, 1:3, 0]
-        Gij = T[3:5, 0, 0]
-        H = -2 * (T[0, [[3, 4], [4, 5]], 0] + T[0, 1:3, 1:3] + D + D.T) \
-            - np.array([[Gij[0], Gij[1]], [Gij[1], 0.0]])
-        H[1, 0] = H[0, 1]
-    return J, g, H
+        # + tr(C_j G_i Cr^T)) - tr(Cr G_ij Cr^T), C_ij = C V_ij at
+        # [[3, 4], [4, 5]][i][j] of the stack
+        haa = -2 * (tr(3, 0, g0, g1, g2) + tr(1, 1, g0, g1, g2)
+                    + 2 * tr(1, 0, a0, a1, a2)) - tr(0, 0, 0, 8, 6 * g0)
+        hab = -2 * (tr(4, 0, g0, g1, g2) + tr(1, 2, g0, g1, g2)
+                    + tr(1, 0, 0, 0, g0) + tr(2, 0, a0, a1, a2)) \
+            - tr(0, 0, 0, 0, 4)
+        hbb = -2 * (tr(5, 0, g0, g1, g2) + tr(2, 2, g0, g1, g2)
+                    + 2 * tr(2, 0, 0, 0, g0))
+        H = np.array([[haa, hab], [hab, hbb]])
+    return -tr(0, 0, g0, g1, g2), g, H
 
 
 @dataclass(frozen=True)
@@ -189,17 +189,23 @@ class Surrogate:
         """The stack C V_i of ``_contract``; SingularShift if q_i = 0."""
         lam, rho = self.poles, self.residues
         q = lam * (lam - 2 * a) + b
-        if not np.all(q):
+        if not q.all():
             raise SingularShift(f"a shift of ({a}, {b}) is a surrogate pole")
-        # column 1: the derivatives of u = 1/q; column 0: (poles - a) times
-        # them, plus the terms of d(poles - a)/da = -1
+        # f: u = 1/q and (u_a, u_b, u_aa, u_ab, u_bb), d/da = -2 poles d/db;
+        # x: those of (poles - a) u, with the terms of d(poles - a)/da = -1
         u = 1 / q
-        f = np.array([u, 2 * lam * u**2, -u**2, 8 * lam**2 * u**3,
-                      -4 * lam * u**3, 2 * u**3])
-        c1 = f @ rho.T
-        c0 = ((lam - a) * f) @ rho.T
-        c0[[1, 3, 4]] -= c1[:3] * [[1], [2], [1]]
-        return np.stack([c0, c1], axis=-1).real
+        m = -2 * lam
+        ub = -u * u
+        ubb = -2 * u * ub
+        uab = m * ubb
+        f = np.array([u, m * ub, ub, m * uab, uab, ubb])
+        x = f * (lam - a)
+        x[1] -= f[0]
+        x[3] -= 2 * f[1]
+        x[4] -= f[2]
+        # columns 0 and 1 of every C V_i from one (12 x r) (r x p) product
+        c = (np.array([x, f]).reshape(12, -1) @ rho.T).real
+        return c.reshape(2, 6, -1).transpose(1, 2, 0)
 
 
 def evaluate(ds, a: float, b: float) -> Point:
@@ -216,7 +222,7 @@ def evaluate(ds, a: float, b: float) -> Point:
     pair = SparkParams(a, b)
     if isinstance(ds, Surrogate):
         J, g, H = _contract(ds.outputs(a, b), a, b)
-        if not all(np.isfinite(x).all() for x in (J, g, H)):
+        if not all(map(math.isfinite, (J, *g.tolist(), *H.flat))):
             raise SingularShift(f"the surrogate is not finite at ({a}, {b})")
         return Point(J, g, H, None, None, None, pair)
     ctx = ds.sylvester(pair)
@@ -320,56 +326,60 @@ class SurrogateBasis:
 def trust_region_step(g, H, radius):
     """Exact solution of min gᵀs + ½ sᵀHs subject to ||s|| <= radius.
 
-    Works on the eigendecomposition H = Q diag(w) Qᵀ of the (symmetrized)
-    2x2 Hessian, including the hard case.  A boundary step is
-    s = -Q (Qᵀg / (e + mu)), e = w + lam0 and lam0 = max(0, -min w), and
-    its offset mu from the pole solves 1/||s(mu)|| = 1/radius by Newton's
-    method (Moré & Sorensen 1983), safeguarded by bisection, to a few
-    ulps of mu.  The small denominators e + mu keep full relative
-    precision, so a step never exceeds the radius by more than rounding.
-    Every threshold is relative to the problem's scale, so the step does
-    not change when g and H are scaled by a common factor.  Raises
-    NonFiniteDerivatives if g or H has a NaN or infinite entry.
+    Works in floats on the (symmetrized) 2x2 Hessian H = Q diag(w) Qᵀ, w
+    ascending, one Jacobi rotation, including the hard case.  A boundary
+    step is s = -Q (Qᵀg / (e + mu)), e = w + lam0 and lam0 =
+    max(0, -min w), and its offset mu from the pole solves 1/||s(mu)|| =
+    1/radius by Newton's method (Moré & Sorensen 1983), safeguarded by
+    bisection, to a few ulps of mu.  The small denominators e + mu keep
+    full relative precision, so a step never exceeds the radius by more
+    than rounding.  Every threshold is relative to the problem's scale, so
+    the step does not change when g and H are scaled by a common factor.
+    Raises NonFiniteDerivatives if g or H has a NaN or infinite entry.
     """
-    g = np.asarray(g, dtype=float)
-    H = 0.5 * (np.asarray(H, dtype=float) + np.asarray(H, dtype=float).T)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-        raise NonFiniteDerivatives(f"gradient {g} or Hessian {H.tolist()} "
-                                   "is not finite")
-    w, Q = np.linalg.eigh(H)
-    gt = Q.T @ g
-    if w.min() > 0:
-        s = -Q @ (gt / w)
-        if np.linalg.norm(s) <= radius:
-            return s
+    g0, g1 = np.asarray(g, dtype=float).tolist()
+    (h00, h01), (h10, h11) = np.asarray(H, dtype=float).tolist()
+    h = 0.5 * (h01 + h10)
+    if not all(map(math.isfinite, (g0, g1, h00, h, h11))):
+        raise NonFiniteDerivatives(f"gradient {[g0, g1]} or Hessian "
+                                   f"{[[h00, h01], [h10, h11]]} is not finite")
+    # the rotation [[c, s], [-s, c]], s = t c, takes H to diag(h00 - t h,
+    # h11 + t h) (Golub & Van Loan, sym.schur2); t = 0 when h = 0
+    theta = (0.5 * h11 - 0.5 * h00) / h if h else math.inf
+    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+    c = 1 / math.sqrt(1 + t * t)
+    (w0, q0), (w1, q1) = sorted([(h00 - t * h, (c, -t * c)),
+                                 (h11 + t * h, (t * c, c))])
+    g0, g1 = q0[0] * g0 + q0[1] * g1, q1[0] * g0 + q1[1] * g1
 
-    lam0 = max(0.0, -w.min())
-    gnorm = np.linalg.norm(gt)
+    def back(t0, t1):       # -Q (t0, t1)
+        return np.array([-(q0[0] * t0 + q1[0] * t1),
+                         -(q0[1] * t0 + q1[1] * t1)])
+    if w0 > 0:
+        t0, t1 = g0 / w0, g1 / w1
+        if math.hypot(t0, t1) <= radius:
+            return back(t0, t1)
+
+    lam0 = max(0.0, -w0)
+    gnorm = math.hypot(g0, g1)
+    e0, e1 = w0 + lam0, w1 + lam0
     # hard case: an eigenvalue sits at -lam0 AND the gradient has no
     # component along its eigvector (otherwise the secular equation still
-    # has a root lam > lam0 and the regular branch applies)
-    wscale = max(np.abs(w).max(), np.finfo(float).tiny)
-    active = np.abs(w + lam0) > 1e-14 * wscale
-    gnorm_floor = np.linalg.norm(gt[active] / (w[active] + lam0)) \
-        if np.any(active) else 0.0
-    degenerate_g = np.all(np.abs(gt[~active]) <= 1e-14 * gnorm)
-    if (not np.all(active)) and degenerate_g and gnorm_floor <= radius:
-        s_part = np.zeros(2)
-        s_part[active] = -gt[active] / (w[active] + lam0)
-        free = Q[:, ~active][:, 0]
-        tau = np.sqrt(max(radius ** 2 - gnorm_floor ** 2, 0.0))
-        return Q @ s_part + tau * free
+    # has a root lam > lam0 and the regular branch applies).  0 <= e0 <= e1
+    wscale = max(abs(w0), abs(w1), np.finfo(float).tiny)
+    if abs(e0) <= 1e-14 * wscale and abs(g0) <= 1e-14 * gnorm:
+        active = abs(e1) > 1e-14 * wscale
+        t1 = g1 / e1 if active else 0.0
+        if (active or abs(g1) <= 1e-14 * gnorm) and abs(t1) <= radius:
+            return back(-math.sqrt(max(radius ** 2 - t1 ** 2, 0.0)), t1)
     # regular boundary case in the offset mu = lam - lam0 from the pole:
     # e >= 0, ||s(mu)|| decreases in mu, and at hi every e + hi >=
     # 2 ||g|| / radius, so ||s(hi)|| <= radius / 2
-    e = w + lam0
-    (g0, g1), (e0, e1) = gt.tolist(), e.tolist()
 
     def step_norm(mu):
         return math.hypot(g0 / (e0 + mu), g1 / (e1 + mu))
-
-    hi = 2 * float(gnorm) / radius
-    if w.min() > 0:
+    hi = 2 * gnorm / radius
+    if w0 > 0:
         lo = 0.0        # the Newton step left the region: ||s(0)|| > radius
     else:
         # step off the pole by a shift relative to lam0 + hi; eps > 0, so
@@ -379,7 +389,7 @@ def trust_region_step(g, H, radius):
             eps *= 10
         lo = eps
         if step_norm(lo) <= radius:
-            return -Q @ (gt / (e + lo))
+            return back(g0 / (e0 + lo), g1 / (e1 + lo))
     # phi(mu) = 1/||s(mu)|| - 1/radius is increasing and concave, so Newton
     # steps from lo, where phi < 0, stay left of the root; a step that
     # leaves the bracket [lo, hi] all the same is replaced by bisection
@@ -406,7 +416,7 @@ def trust_region_step(g, H, radius):
         if abs(nxt - mu) <= 4 * math.ulp(nxt):
             break
         mu = nxt
-    return -(Q @ (t0, t1))
+    return back(t0, t1)
 
 
 @dataclass
@@ -442,33 +452,37 @@ def _trust_region(ds, p, point, gtol, trace):
     was accepted.
     """
     radius = RADIUS0
-    J, g, H = point.J, point.g, point.H
+    J, (g0, g1), H = point.J, point.g.tolist(), point.H.tolist()
+    p0, p1 = p.tolist()
     converged, reason = False, "maxiter"
     it0 = trace[-1]["iter"]
     for it in range(it0 + 1, it0 + MAXITER + 1):
-        if np.linalg.norm(g) <= gtol * (1.0 + abs(J)):
+        if math.hypot(g0, g1) <= gtol * (1.0 + abs(J)):
             converged, reason = True, "gtol"
             break
         # affine scaling: in directions pushed toward the a, b > 0 boundary
         # the trust region is shrunk to the distance from it, so small
         # parameters cannot veto long steps in the other coordinate
-        d = np.where(g > 0, np.minimum(p, 1.0), 1.0)
-        d = np.maximum(d, 1e-12)
-        u = trust_region_step(d * g, d[:, None] * H * d[None, :], radius)
-        s = d * u
-        snorm = float(np.linalg.norm(s))
-        if snorm <= STEPTOL * (1.0 + np.linalg.norm(p)):
+        d0 = max(min(p0, 1.0), 1e-12) if g0 > 0 else 1.0
+        d1 = max(min(p1, 1.0), 1e-12) if g1 > 0 else 1.0
+        (h00, h01), (h10, h11) = H
+        u0, u1 = trust_region_step(
+            (d0 * g0, d1 * g1), ((d0 * h00 * d0, d0 * h01 * d1),
+                                 (d1 * h10 * d0, d1 * h11 * d1)),
+            radius).tolist()
+        s0, s1 = d0 * u0, d1 * u1
+        snorm = math.hypot(s0, s1)
+        if snorm <= STEPTOL * (1.0 + math.hypot(p0, p1)):
             converged, reason = True, "steptol"
             break
-        cand = p + s
-        rec = {"iter": it, "a": cand[0], "b": cand[1], "radius": radius,
-               "step": snorm}
+        c0, c1 = p0 + s0, p1 + s1
+        rec = {"iter": it, "a": c0, "b": c1, "radius": radius, "step": snorm}
         why = None
-        if cand[0] <= PARAM_FLOOR or cand[1] <= PARAM_FLOOR:
+        if c0 <= PARAM_FLOOR or c1 <= PARAM_FLOOR:
             why = "left positive orthant"
         else:
             try:
-                trial = evaluate(ds, *cand)
+                trial = evaluate(ds, c0, c1)
             except SingularShift:
                 why = "singular shift"
         if why:
@@ -476,8 +490,9 @@ def _trust_region(ds, p, point, gtol, trace):
             rec.update(accepted=False, why=why)
             trace.append(rec)
         else:
-            pred = -(g @ s + 0.5 * s @ H @ s)
-            rho = (J - trial.J) / pred if pred > 0 else -np.inf
+            pred = -(g0 * s0 + g1 * s1 + 0.5 * (s0 * (h00 * s0 + h01 * s1)
+                                                + s1 * (h10 * s0 + h11 * s1)))
+            rho = (J - trial.J) / pred if pred > 0 else -math.inf
             rec["rho"] = rho
             # near the optimum the predicted reduction drops to rounding
             # noise and the ratio test becomes meaningless; accept the
@@ -485,10 +500,9 @@ def _trust_region(ds, p, point, gtol, trace):
             noise = 1e-13 * (1.0 + abs(J))
             polish = pred <= noise and trial.J <= J + noise
             if rho >= ETA1 or polish:
-                p = cand
-                J, g, H = trial.J, trial.g, trial.H
-                rec.update(accepted=True, J=J,
-                           gnorm=float(np.linalg.norm(g)))
+                p, p0, p1 = np.array([c0, c1]), c0, c1
+                J, (g0, g1), H = trial.J, trial.g.tolist(), trial.H.tolist()
+                rec.update(accepted=True, J=J, gnorm=math.hypot(g0, g1))
             else:
                 rec.update(accepted=False)
             if rho < ETA1 and not polish:

@@ -321,6 +321,13 @@ def basis_solves(ds, a, b, kronecker=False):
             solve(E @ (Va @ S_b + Vb @ S_a)), solve(E @ (2 * Vb @ S_b)))
 
 
+def gramian_c(a, b):
+    """The reduced controllability Gramian of the shift pair (a, b) in
+    closed form, the inverse of ``SparkParams.gamma()``."""
+    return np.array([[4 * a, 4 * a * a],
+                     [4 * a * a, 4 * a * (a * a + b)]])
+
+
 def trace_derivatives(ds, a, b, hessian=True, kronecker=False):
     """(J, gradient, Hessian) of J(a, b) = -tr(Cr G Cr^T) at the shift pair
     (a, b), one trace product per term, from ``basis_solves`` (with

@@ -21,9 +21,9 @@ from daecure.interp import DeflatedSystem
 from daecure.pork import RomRealization, pork_input
 
 from conftest import basis_at, make_ode, make_random_stable_ode, spark_gtol
-from oracles import (allpass_factor, check_orthogonality, h2_error_norm,
-                     h2_inner_pole_residue, h2_inner_sylvester_dense,
-                     rom_to_pole_residue, transfer)
+from oracles import (allpass_factor, check_orthogonality, gramian_c,
+                     h2_error_norm, h2_inner_pole_residue,
+                     h2_inner_sylvester_dense, rom_to_pole_residue, transfer)
 
 
 _CAP = None
@@ -153,7 +153,7 @@ def test_criterion_06_closed_form_objects():
         lyap = S.T @ rom.Er + rom.Er @ S - R.T @ R
         Ar = np.array([[-2 * a, 1.0], [-1.0, 0.0]]) / (4 * a)
         br = np.array([[-1.0], [0.0]])
-        Gc = sp._gramian_c(a, b)
+        Gc = gramian_c(a, b)
         worst = max(
             worst,
             np.abs(lyap).max()

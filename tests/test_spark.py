@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import weakref
 
 import numpy as np
@@ -15,8 +16,14 @@ from daecure.pork import pork_input
 
 from conftest import (basis_at, make_ode, make_random_stable_ode,
                       pole_residue_surrogate, spark_gtol)
-from oracles import (galerkin_system, h2_error_norm, sylvester_residual,
-                     trace_derivatives)
+from oracles import (galerkin_system, gramian_c, h2_error_norm,
+                     sylvester_residual, trace_derivatives)
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # only the property test at the end needs it
+    hypothesis = None
 
 
 def _certify(ds, res):
@@ -52,7 +59,7 @@ def test_closed_form_reduced_matrices():
         assert np.allclose(rom.Er, Er, atol=1e-12 * scale)
         assert np.allclose(rom.Ar, Ar, atol=1e-12 * max(np.abs(Ar).max(), 1.0))
         assert np.allclose(rom.Br, [[-1.0], [0.0]], atol=1e-15)
-        G = sp._gramian_c(a, b)
+        G = gramian_c(a, b)
         assert np.allclose(np.linalg.inv(rom.Er), G,
                            atol=1e-9 * np.abs(G).max())
 
@@ -822,3 +829,182 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     assert _certify(ds, res)[1] <= 1e-10
     assert len(contexts) == len(evaluated) + 1
     assert ds.kept is contexts[-1]() and ds.kept.pair == init
+
+
+def _gramians(a, b):
+    """The reduced Gramian and its nonzero derivatives, stacked as
+    (G, G_a, G_b, G_aa, G_ab); G_bb = 0."""
+    return np.array([gramian_c(a, b),
+                     [[4.0, 8 * a], [8 * a, 12 * a * a + 4 * b]],
+                     [[0.0, 0.0], [0.0, 4 * a]],
+                     [[0.0, 8.0], [8.0, 24 * a]],
+                     [[0.0, 0.0], [0.0, 4.0]]])
+
+
+def _einsum_contract(Cs, a, b):
+    """The oracle of ``sp._contract``: every trace tr(C_i G_m C_j^T) of the
+    stack and the Gramian's derivatives, from one einsum."""
+    T = np.einsum("ipk,mkl,jpl->mij", Cs, _gramians(a, b), Cs)
+    J = -float(T[0, 0, 0])
+    g = -2 * T[0, 1:3, 0] - T[1:3, 0, 0]
+    H = None
+    if len(Cs) == 6:
+        D = T[1:3, 1:3, 0]
+        Gij = T[3:5, 0, 0]
+        H = -2 * (T[0, [[3, 4], [4, 5]], 0] + T[0, 1:3, 1:3] + D + D.T) \
+            - np.array([[Gij[0], Gij[1]], [Gij[1], 0.0]])
+        H[1, 0] = H[0, 1]
+    return J, g, H
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("k", [3, 6])
+def test_gram_contraction_is_the_einsum_over_the_gramian_stack(k, p):
+    # J, g and H read off the Gram product of a stack of k C V_i with p
+    # outputs each equal the einsum over (G, G_a, G_b, G_aa, G_ab), at
+    # real, confluent and conjugate pairs over six decades of a
+    rng = np.random.default_rng(10 * k + p)
+    for _ in range(20):
+        Cs = rng.standard_normal((k, p, 2)) * 10.0 ** rng.uniform(-3, 3)
+        a = 10.0 ** rng.uniform(-3, 3)
+        b = a * a * rng.choice([0.25, 1.0, 4.0])
+        J, g, H = sp._contract(Cs, a, b)
+        J0, g0, H0 = _einsum_contract(Cs, a, b)
+        assert type(J) is float and g.shape == (2,)
+        assert abs(J - J0) <= 1e-13 * abs(J0)
+        assert np.linalg.norm(g - g0) <= 1e-13 * np.linalg.norm(g0)
+        if k == 3:
+            assert H is None and H0 is None
+        else:
+            assert np.array_equal(H, H.T)
+            assert np.linalg.norm(H - H0) <= 1e-13 * np.linalg.norm(H0)
+
+
+def _eigh_trust_region_step(g, H, radius):
+    """The oracle of ``sp.trust_region_step``: the same steps on the
+    eigendecomposition of the symmetrized H that ``np.linalg.eigh``
+    gives."""
+    g = np.asarray(g, dtype=float)
+    H = 0.5 * (np.asarray(H, dtype=float) + np.asarray(H, dtype=float).T)
+    w, Q = np.linalg.eigh(H)
+    gt = Q.T @ g
+    if w.min() > 0:
+        s = -Q @ (gt / w)
+        if np.linalg.norm(s) <= radius:
+            return s
+    lam0 = max(0.0, -w.min())
+    gnorm = np.linalg.norm(gt)
+    wscale = max(np.abs(w).max(), np.finfo(float).tiny)
+    active = np.abs(w + lam0) > 1e-14 * wscale
+    gnorm_floor = np.linalg.norm(gt[active] / (w[active] + lam0)) \
+        if np.any(active) else 0.0
+    degenerate_g = np.all(np.abs(gt[~active]) <= 1e-14 * gnorm)
+    if (not np.all(active)) and degenerate_g and gnorm_floor <= radius:
+        s_part = np.zeros(2)
+        s_part[active] = -gt[active] / (w[active] + lam0)
+        free = Q[:, ~active][:, 0]
+        tau = np.sqrt(max(radius ** 2 - gnorm_floor ** 2, 0.0))
+        return Q @ s_part + tau * free
+    e = w + lam0
+    (g0, g1), (e0, e1) = gt.tolist(), e.tolist()
+
+    def step_norm(mu):
+        return math.hypot(g0 / (e0 + mu), g1 / (e1 + mu))
+
+    hi = 2 * float(gnorm) / radius
+    if w.min() > 0:
+        lo = 0.0
+    else:
+        eps = max(1e-16 * (lam0 + hi), np.finfo(float).tiny)
+        while not math.isfinite(step_norm(eps)):
+            eps *= 10
+        lo = eps
+        if step_norm(lo) <= radius:
+            return -Q @ (gt / (e + lo))
+    mu = lo
+    while True:
+        d0, d1 = e0 + mu, e1 + mu
+        t0, t1 = g0 / d0, g1 / d1
+        snorm = math.hypot(t0, t1)
+        if snorm == radius:
+            break
+        if snorm > radius:
+            lo = mu
+        else:
+            hi = mu
+        nxt = 0.5 * (lo + hi)
+        if 0 < snorm < math.inf:
+            u0, u1 = t0 / snorm, t1 / snorm
+            curv = u0 * u0 / d0 + u1 * u1 / d1
+            if curv > 0:
+                newton = mu + (snorm - radius) / (radius * curv)
+                if lo < newton < hi:
+                    nxt = newton
+        if abs(nxt - mu) <= 4 * math.ulp(nxt):
+            break
+        mu = nxt
+    return -(Q @ (t0, t1))
+
+
+if hypothesis is None:
+    @pytest.mark.skip(reason="the property test below needs hypothesis")
+    def test_property_needs_hypothesis():
+        pass
+else:
+    #: eigenvalue, gradient and radius magnitudes, 0.1 ... 10
+    _MAGNITUDES = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+    _SIGNED = st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDES).map(
+        lambda t: t[0] * t[1])
+
+    @st.composite
+    def _subproblems(draw):
+        """(g, H, radius, hard) with H = Q diag(w) Q^T, Q a rotation by
+        angle and g = Q gt: a zero off-diagonal, equal, near-equal, zero
+        and negative eigenvalues, the hard case (gt along the least
+        eigenvalue zero, its floor ||gt_1 / (w_1 - w_0)|| off the
+        radius, where the step has a square-root singularity), each
+        scaled by c in (1e-6, 1, 1e6)."""
+        kind = draw(st.sampled_from(["general", "diagonal", "equal",
+                                     "near-equal", "zero", "negative",
+                                     "hard"]))
+        w = sorted([draw(_SIGNED), draw(_SIGNED)])
+        gt = [draw(_SIGNED), draw(_SIGNED)]
+        radius = draw(_MAGNITUDES)
+        if kind == "equal":
+            w[1] = w[0]
+        elif kind == "near-equal":
+            w[1] = w[0] + abs(w[0]) * draw(st.sampled_from([1e-12, 1e-9,
+                                                            1e-6]))
+        elif kind == "zero":
+            w[draw(st.sampled_from([0, 1]))] = 0.0
+        elif kind in ("negative", "hard"):
+            w = [-abs(w[0]), abs(w[1])]
+        hard = kind == "hard"
+        if hard:
+            gt[0] = 0.0
+            floor = abs(gt[1] / (w[1] - w[0]))
+            hypothesis.assume(abs(floor - radius) > 1e-2 * radius)
+        angle = 0.0 if kind == "diagonal" else draw(st.floats(0.0, math.pi))
+        Q = np.array([[math.cos(angle), -math.sin(angle)],
+                      [math.sin(angle), math.cos(angle)]])
+        H = Q @ np.diag(w) @ Q.T
+        c = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        return c * (Q @ gt), c * 0.5 * (H + H.T), radius, hard
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(_subproblems())
+    def test_rotation_step_is_the_eigh_step(problem):
+        # the closed-form 2x2 step equals the eigh-based one to
+        # 1e-12 (1 + ||s||), and never leaves the radius by more than
+        # rounding.  In the hard case the step along the free eigenvector
+        # has either sign in both, so its mirror image counts as well
+        g, H, radius, hard = problem
+        s = sp.trust_region_step(g, H, radius)
+        want = _eigh_trust_region_step(g, H, radius)
+        tol = 1e-12 * (1 + np.linalg.norm(s))
+        gap = np.linalg.norm(s - want)
+        if hard:
+            v = np.linalg.eigh(H)[1][:, 0]
+            gap = min(gap, np.linalg.norm(s - want + 2 * (v @ want) * v))
+        assert gap <= tol
+        assert np.linalg.norm(s) <= radius * (1 + 1e-14)
