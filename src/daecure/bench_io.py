@@ -356,12 +356,15 @@ def write_h2_history(path, steps):
 
 
 def write_rom(rom, outdir):
-    """ROM matrices as dense Matrix-Market arrays; returns the file map."""
+    """ROM matrices as dense Matrix-Market arrays, a zero Dr as no file
+    (an earlier ROM's ``rom_D.mtx`` is removed); returns the file map."""
     os.makedirs(outdir, exist_ok=True)
     files = {}
     mats = {"E": rom.Er, "A": rom.Ar, "B": rom.Br, "C": rom.Cr}
     if np.any(rom.Dr):
         mats["D"] = rom.Dr
+    elif os.path.exists(os.path.join(outdir, "rom_D.mtx")):
+        os.remove(os.path.join(outdir, "rom_D.mtx"))
     for key, mat in mats.items():
         fn = f"rom_{key}.mtx"
         spio.mmwrite(os.path.join(outdir, fn), np.atleast_2d(mat))

@@ -84,21 +84,17 @@ def assemble_total(records, poly: RomRealization = None) -> RomRealization:
 def cure_step(ledger: CureLedger, point: sparkmod.Point) -> CureLedger:
     """Fold one full-model ``spark.Point`` into the ledger.
 
-    Builds the step's ROM and certifies it, the worst per-shift
-    relative residual ||G - G_r|| / ||G|| with G(sigma) from
-    ``TOL_SOLVE``-checked solves of the current deflated input with the
-    LUs ``ledger.ds.sylvester`` keeps for the point's pair, then depletes
-    that input.  They were made for the point itself unless a later
-    full-model point was evaluated.  The LUs are one per shift up to
-    conjugation, and so are the shifts checked: the real system and its
+    Builds the step's ROM and certifies it by the worst per-shift relative
+    residual ||G - G_r|| / ||G||, G(sigma) the point's ``TOL_SOLVE``-checked
+    solves of the current deflated input on its pair's LUs, then depletes
+    that input; it factors and solves nothing.  The LUs, and so the shifts
+    checked, are one per shift up to conjugation: the real system and its
     real ROM match at conj(sigma) exactly when they match at sigma.
     """
     ds = ledger.ds
     rom = pork_input(point.V, point.params, ds.C)
-    factors = dict(zip(point.params.shifts(),
-                       ds.sylvester(point.params).factors))
-    residual = max(check_interpolation(
-        lambda s: -(ds.C @ factors[s].solve(ds.B_defl)), rom, factors))
+    G = dict(zip(point.params.shifts(), point.G))
+    residual = max(check_interpolation(G.get, rom, G))
     rec = CureRecord(rom=rom, params=point.params, interp_residual=residual)
     ds.B_defl = ds.B_defl - ds.E @ (point.V
                                     @ np.linalg.solve(rom.Er, rom.Br))
@@ -125,7 +121,7 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     each folded step queues its returned point's bases (V, V_a, V_b) for
     it, which needs no LU; they are orthogonalized only if a later search
     reads the basis.  The ledger's copy of ``ds`` keeps the LUs of one
-    pair (``DeflatedSystem.sylvester``), which SPARK and ``cure_step``
+    pair (``DeflatedSystem.sylvester``), which SPARK's full-model points
     share: a step after one that returned at ``init`` evaluates the full
     model there on the kept LUs; any other step after the first starts
     its search on that surrogate, and the full model is first evaluated

@@ -10,8 +10,8 @@ input deflated onto the proper subspace, which ``DeflatedSystem`` carries
 along with A, E, C and the polynomial part split off with it.  The
 system also owns its pencil, prepared once as an ``nk.Pencil``, and the
 LUs of it: it keeps one pair's ``nk.SylvesterContext``, so every
-full-model point and certificate at that pair shares one factorization,
-and no other pair's LUs are alive.
+full-model point at that pair shares one factorization, and no other
+pair's LUs are alive.
 """
 
 from dataclasses import dataclass, field

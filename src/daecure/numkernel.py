@@ -11,7 +11,7 @@ The Sylvester solver ``SylvesterContext`` takes a shift pair
 through the pair's closed-form Schur data with the fewest shifted LUs
 and triangular solves the pair allows: two real LUs for a real pair, one
 for a confluent one, and one complex LU and solve for a conjugate pair.
-Its LUs, one per shift up to conjugation, certify an interpolation step.
+Its input solve also returns (A - s E)^-1 B at each LU's shift s.
 
 Every LU is made on a ``Pencil``, prepared once per pencil: its
 union pattern of A and E, fixed for every shift, carries the pencil's
@@ -463,6 +463,21 @@ class SylvesterContext:
         self._recover = d if conjugate and max(d, 1 / d) <= RECOVER_COND \
             else None
 
+    def solve_input(self, B):
+        """(V, z) of A V - E V S = B R, R = [1, 0], for a real (n, 1) B: the
+        real V, and z[j] = (A - s_j E)^-1 B at ``factors[j]``'s shift from
+        V's own solves, the recover path's y or the Schur path's y0 / u00;
+        a real pair's second LU solves Schur column 1 and B in one block."""
+        F, z = (B @ self.pair.R)[None], [self.factors[0].solve(B)]
+        if self._recover is not None:
+            return self._real(z[0], None, F)[0], z
+        y0 = self.U[0, 0] * z[0]
+        r1 = self.U[0, 1] * B + self.T[0, 1] * (self.pencil.E @ y0)
+        if len(self.factors) == 2:
+            y1, z1 = np.hsplit(self.factors[1].solve(np.hstack([r1, B])), 2)
+            return self._real(y0, y1, F)[0], z + [z1]
+        return self._real(y0, self._second(r1), F)[0], z
+
     def solve(self, F):
         """Return the real X with A X - E X S = F.
 
@@ -470,26 +485,38 @@ class SylvesterContext:
         shape (k, n, 2); X has the shape of ``F``.  Column j of all k
         equations is one block solve.
         """
-        A, E = self.pencil.A, self.pencil.E
         F = np.asarray(F)
         Fs = F if F.ndim == 3 else F[None]
         fac = self.factors[0]
         if self._recover is not None:
             # y = X (1, d)^T = X[:, 0] + i |d| X[:, 1]
             d = self._recover
-            y = fac.solve((Fs[:, :, 0] + 1j * d * Fs[:, :, 1]).T).T
-            X = np.stack([y.real, y.imag / d], axis=-1)
+            y = fac.solve((Fs[:, :, 0] + 1j * d * Fs[:, :, 1]).T)
+            X = self._real(y, None, Fs)
         else:
             Ft = Fs @ self.U
             y0 = fac.solve(Ft[:, :, 0].T)
-            r1 = Ft[:, :, 1].T + self.T[0, 1] * (E @ y0)
-            if fac.sigma.imag:
-                y1 = np.conj(fac.solve(np.conj(r1)))
-            else:
-                y1 = self.factors[-1].solve(r1)
+            r1 = Ft[:, :, 1].T + self.T[0, 1] * (self.pencil.E @ y0)
+            X = self._real(y0, self._second(r1), Fs)
+        return X if F.ndim == 3 else X[0]
+
+    def _second(self, r1):
+        """Schur column 1, (A - s_1 E)^-1 r1: conj((A - s_0 E)^-1 conj(r1))
+        for a conjugate pair."""
+        fac = self.factors[-1]
+        return np.conj(fac.solve(np.conj(r1))) if fac.sigma.imag \
+            else fac.solve(r1)
+
+    def _real(self, y0, y1, Fs):
+        """The real X (k, n, 2) of the equations ``Fs`` from Schur columns
+        y0, y1 (n, k): [y0, y1] U^H, or [Re y0, Im y0 / |d|] for y1 None."""
+        if y1 is None:
+            X = np.stack([y0.real.T, y0.imag.T / self._recover], axis=-1)
+        else:
             X = np.stack([y0.T, y1.T], axis=-1) @ self.U.conj().T
         # the exact solution is real; accept the real cast only if it
         # still solves each equation (guards against genuine breakdown)
+        A, E = self.pencil.A, self.pencil.E
         X = np.ascontiguousarray(X.real)
         for Xi, Fi in zip(X, Fs):
             AX = A @ Xi
@@ -499,4 +526,4 @@ class SylvesterContext:
                 raise SpectraOverlap(
                     "real Sylvester problem produced a complex solution"
                 )
-        return X if F.ndim == 3 else X[0]
+        return X

@@ -14,9 +14,9 @@ start pair of a search that has no model yet, or whose model finds no
 step from it, the full pencil is factored only at the model's optima.
 The model is kept in pole-residue form, one eigendecomposition per basis
 change, and its points are closed forms that factor nothing and carry
-the exact Hessian; full-model points take the per-shift LUs that the
-``DeflatedSystem`` keeps for their pair, which certify the step, and are
-first order.  Both read J and its derivatives off one contraction.
+the exact Hessian; full-model points are first order, on the per-shift
+LUs the ``DeflatedSystem`` keeps for their pair, and carry the G that
+certify the step.  Both read J and its derivatives off one contraction.
 """
 
 import math
@@ -123,7 +123,8 @@ _S_DB = np.array([[0.0, 0.0], [-1.0, 0.0]])
 class Point(NamedTuple):
     """One evaluated shift pair: the cost, its exact derivatives (the
     Hessian ``None`` on a full-model point), the basis V with its first
-    derivatives (``None`` on a surrogate point) and the pair."""
+    derivatives, the pair, and G at the shift of each of the pair's LUs
+    (V, V_a, V_b and G ``None`` on a surrogate point)."""
 
     J: float
     g: np.ndarray
@@ -132,6 +133,7 @@ class Point(NamedTuple):
     Va: np.ndarray
     Vb: np.ndarray
     params: SparkParams
+    G: tuple = None
 
 
 def _contract(Cs, a, b):
@@ -217,7 +219,8 @@ def evaluate(ds, a: float, b: float) -> Point:
     that is not finite, raises SingularShift.  A full-model point is first
     order (H None): it solves A V - E V S = B R and A V_i - E V_i S =
     E V S_i for the derivatives, one stacked solve per level (V, then V_a,
-    V_b) on ``ds.sylvester(pair)``, which ``ds`` keeps.
+    V_b) on ``ds.sylvester(pair)``, which ``ds`` keeps; the V level also
+    gives G(s) = -C (A - s E)^-1 B at the shift s of each LU.
     """
     pair = SparkParams(a, b)
     if isinstance(ds, Surrogate):
@@ -228,9 +231,10 @@ def evaluate(ds, a: float, b: float) -> Point:
     ctx = ds.sylvester(pair)
     E = ds.E
     S_a = np.array([[1.0, 0.0], [2 * a, 1.0]])
-    V = ctx.solve(ds.B_defl @ pair.R)
+    V, z = ctx.solve_input(ds.B_defl)
     Vs = [V, *ctx.solve(np.stack([E @ (V @ S_a), E @ (V @ _S_DB)]))]
-    return Point(*_contract(ds.C @ np.stack(Vs), a, b), *Vs, pair)
+    return Point(*_contract(ds.C @ np.stack(Vs), a, b), *Vs, pair,
+                 tuple(-(ds.C @ zj) for zj in z))
 
 
 def _eigen(A, E):
@@ -551,7 +555,7 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT,
     Every full-model point takes its LUs from ``ds.sylvester``, so one
     pair's LUs are alive at a time: on return ``ds`` keeps those of the
     last full-model point, the returned pair unless a later point was
-    rejected.
+    rejected.  The returned point carries the G that certify the step.
     """
     if ds.m != 1:
         raise DimensionMismatch("shift-pair optimization requires SISO input")

@@ -199,3 +199,15 @@ def test_rom_roundtrip(tmp_path):
     back = bio.read_rom(tmp_path)
     for key in ("Er", "Ar", "Br", "Cr"):
         assert np.allclose(getattr(back, key), getattr(rom, key), atol=1e-12)
+
+
+def test_rom_without_feedthrough_replaces_an_earlier_one(tmp_path):
+    # a ROM with a constant part, then one without, written to the same
+    # directory: the second reads back with Dr = 0, not the first's Dr
+    blocks = dict(Er=[[1.0]], Ar=[[-1.0]], Br=[[1.0]], Cr=[[2.0]])
+    assert "D" in bio.write_rom(RomRealization(**blocks, Dr=[[5.0]]),
+                                tmp_path)
+    assert bio.read_rom(tmp_path).Dr.tolist() == [[5.0]]
+    assert "D" not in bio.write_rom(RomRealization(**blocks), tmp_path)
+    assert not (tmp_path / "rom_D.mtx").exists()
+    assert bio.read_rom(tmp_path).Dr.tolist() == [[0.0]]

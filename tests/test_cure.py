@@ -151,9 +151,9 @@ def _result_at(ds, a, b):
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
 def test_cure_step_makes_no_factorization(fixture, request, factor_log):
-    # the step certificate comes from the factorizations of the point's
-    # own evaluation: one complex LU for a conjugate pair, two real LUs
-    # for a real pair, and none in cure_step
+    # the step certificate comes from the solves of the point's own
+    # evaluation, on one complex LU for a conjugate pair or two real LUs
+    # for a real pair: cure_step factors nothing
     ledger = cure.CureLedger(
         DeflatedSystem.from_dae(request.getfixturevalue(fixture)))
     for a, b in ((0.5, 4.0), (2.0, 3.0)):     # conjugate pair, real pair
@@ -172,10 +172,51 @@ def test_cure_step_makes_no_factorization(fixture, request, factor_log):
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_cure_step_solves_nothing_without_kept_lus(fixture, request,
+                                                   factor_log, monkeypatch):
+    # the certificate reads G off the point: with the system's LUs
+    # dropped, cure_step makes no factorization and no solve
+    ledger = cure.CureLedger(
+        DeflatedSystem.from_dae(request.getfixturevalue(fixture)))
+    solves, solve = [], nk.ShiftedFactorization.solve
+
+    def counting_solve(self, rhs):
+        solves.append(np.shape(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(nk.ShiftedFactorization, "solve", counting_solve)
+    for a, b in ((0.5, 4.0), (2.0, 3.0), (1.5, 2.25)):
+        point = sp.evaluate(ledger.ds, a, b)
+        ledger.ds.kept = None
+        del factor_log[:], solves[:]
+        cure.cure_step(ledger, point)
+        assert factor_log == [] and solves == []
+        assert ledger.records[-1].interp_residual <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
+def test_certificate_checks_the_rom_against_the_full_model(
+        fixture, request, monkeypatch):
+    # the transfer values on the point are the full model's, not read
+    # back from V or the ROM: a ROM whose Cr is off by 1e-6 fails its
+    # certificate by about that much
+    def off_rom(V, data, C):
+        rom = pork_input(V, data, C)
+        return dataclasses.replace(rom, Cr=(1 + 1e-6) * rom.Cr)
+
+    monkeypatch.setattr(cure, "pork_input", off_rom)
+    ledger = cure.CureLedger(
+        DeflatedSystem.from_dae(request.getfixturevalue(fixture)))
+    for a, b in ((0.5, 4.0), (2.0, 3.0), (1.5, 2.25)):
+        cure.cure_step(ledger, sp.evaluate(ledger.ds, a, b))
+        assert ledger.records[-1].interp_residual >= 5e-7
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small"])
 def test_cure_step_folds_a_bare_point(fixture, request, factor_log):
-    # a full-model point is certified with the LUs its evaluation left
-    # with the system, and it depletes the input to the bits of a SPARK
-    # result stopped at the same pair
+    # a full-model point is certified from its evaluation's solves, and
+    # it depletes the input to the bits of a SPARK result stopped at the
+    # same pair
     sys = request.getfixturevalue(fixture)
     ledger = cure.CureLedger(DeflatedSystem.from_dae(sys))
     via_spark = cure.CureLedger(DeflatedSystem.from_dae(sys))

@@ -100,13 +100,13 @@ def test_evaluate_makes_two_solve_levels(lu_solves, a, b):
     # a full-model point is first order: evaluate solves V, then
     # (V_a, V_b), and no third level.  A conjugate pair makes one complex
     # block solve per level (Schur column 0 fixes the real solution); a
-    # real pair one real block solve per Schur column and level.  A SPARK
-    # call that returns at its start pair makes the same solves; then a
-    # certificate adds one B_defl solve per LU: G at the conjugate shift
-    # is the conjugate of the first.  No column needs refinement
+    # real pair one real block solve per Schur column and level, where
+    # the second LU's block at the V level is Schur column 1's right-hand
+    # side and B_defl, G's solve at that shift.  A SPARK call that returns
+    # at its start pair makes the same solves, and its certificate none.
+    # No column needs refinement
     ds = DeflatedSystem.from_dae(make_random_stable_ode(12, seed=2))
-    per_level = 1 if a * a < b else 2
-    levels = [k for k in (1, 2) for _ in range(per_level)]
+    levels = [1, 2] if a * a < b else [1, 2, 2, 2]
     del lu_solves[:]
     point = sp.evaluate(ds, a, b)
     assert point.H is None
@@ -117,7 +117,34 @@ def test_evaluate_makes_two_solve_levels(lu_solves, a, b):
     assert res.reason == "gtol" and res.trace[-1]["iter"] == 0
     assert [shape[1] for shape in lu_solves] == levels
     _certify(ds, res)
-    assert [shape[1] for shape in lu_solves] == levels + [1] * per_level
+    assert [shape[1] for shape in lu_solves] == levels
+
+
+@pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
+                                     "ode_small"])
+@pytest.mark.parametrize("a, b, recover", [
+    (0.8, 1.4, True), (1.0, 1 + 1e-7, False), (2.0, 1.0, False),
+    (1.5, 2.25, False)], ids=["recover", "conjugate-schur", "real",
+                              "confluent"])
+def test_point_transfer_values_are_the_lus_solves(fixture, request, a, b,
+                                                  recover):
+    # evaluate takes G(s_j) = -C (A - s_j E)^-1 B_defl at the shift of
+    # each LU from the solves that make V: on the recover path, on the
+    # Schur path of a conjugate pair near confluence, where 1/|d| is
+    # above RECOVER_COND, and for a real and a confluent pair.  V is the
+    # general Sylvester solve's with the input's right-hand side
+    ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
+    point = sp.evaluate(ds, a, b)
+    ctx = ds.kept
+    assert (ctx._recover is not None) is recover
+    assert len(point.G) == len(ctx.factors)
+    for Gj, fac in zip(point.G, ctx.factors):
+        G = -(ds.C @ fac.solve(ds.B_defl))
+        assert np.linalg.norm(Gj - G) <= 1e-13 * np.linalg.norm(G)
+    V = ctx.solve(ds.B_defl @ point.params.R)
+    assert np.linalg.norm(point.V - V) <= 1e-13 * np.linalg.norm(V)
+    assert sp.evaluate(sp.Surrogate(np.array([-1.0]), np.ones((1, 1))),
+                       a, b).G is None
 
 
 @pytest.mark.parametrize("fixture", ["index1_small", "stokes_small",
@@ -814,8 +841,8 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     assert res.reason == "gtol"
     assert abs(res.point.J - opt.point.J) <= 1e-10 * abs(opt.point.J)
     # one that always crosses: no point after the start is accepted, and
-    # the system keeps the last rejected point's LUs, so the certificate
-    # of the returned start pair refactors them once
+    # the system keeps the last rejected point's LUs; the certificate of
+    # the returned start pair reads its point and makes no context
     contexts, evaluated = _track_full(monkeypatch, ds.n)
     monkeypatch.setattr(sp.SurrogateBasis, "surrogate", crossing(False))
     res = sp.spark(ds, init=init)
@@ -825,10 +852,11 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     assert np.array_equal(res.point.params.as_array(), init.as_array())
     assert len(contexts) == len(evaluated)
     assert not any(kept for *_, kept in evaluated)
-    assert ds.kept.pair != init
+    kept = ds.kept
+    assert kept.pair != init
     assert _certify(ds, res)[1] <= 1e-10
-    assert len(contexts) == len(evaluated) + 1
-    assert ds.kept is contexts[-1]() and ds.kept.pair == init
+    assert len(contexts) == len(evaluated)
+    assert ds.kept is kept is contexts[-1]()
 
 
 def _gramians(a, b):
