@@ -32,6 +32,7 @@ from .errors import (
     DeskScaleExceeded,
     DimensionMismatch,
     InvalidEntries,
+    InvariantViolation,
     NonPositiveParams,
     ParseError,
     StructureViolation,
@@ -152,15 +153,14 @@ def cmd_reduce(args):
 
     poles = rom.poles()
     finite = poles[np.isfinite(poles)]
+    norms = report["norm_history"]
+    certs = _step_interpolation_residuals(ledger)
     invariants = {
-        "interpolation_residual_max_per_step":
-            _step_interpolation_residuals(ledger),
+        "interpolation_residual_max_per_step": certs,
         "total_poles_max_real": float(finite.real.max())
         if finite.size else None,
         "stable": bool(finite.size == 0 or finite.real.max() < 0),
-        "norm_history_nondecreasing": bool(
-            np.all(np.diff(report["norm_history"]) >= -1e-12)
-        ),
+        "norm_history_nondecreasing": bool(np.all(np.diff(norms) >= -1e-12)),
     }
     os.makedirs(args.out, exist_ok=True)
     rom_files = bio.write_rom(rom, args.out)
@@ -204,8 +204,14 @@ def cmd_reduce(args):
     print(f"reduced order q = {rom.order} "
           f"({report['k']} steps, stop: {report['stop_reason']})")
     print(f"report written to {os.path.join(args.out, 'report.json')}")
-    if not invariants["stable"]:
-        raise DaecureError("reduced model failed the stability check")
+    # each step: finite nondecreasing norm, certificate <= 1e-8; last: stable
+    ok = [p - 1e-12 <= x < np.inf and c <= 1e-8
+          for x, p, c in zip(norms, [0.0] + norms, certs)]
+    ok[-1] &= invariants["stable"]
+    if not all(ok):
+        k = ok.index(False)
+        raise InvariantViolation(f"phase cure, step {k + 1}: ||G_r|| = "
+                                 f"{norms[k]!r}, certificate {certs[k]!r}")
     return EXIT_OK
 
 

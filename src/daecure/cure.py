@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import numkernel as nk
 from . import spark as sparkmod
 from .errors import DimensionMismatch
 from .interp import DeflatedSystem
@@ -120,21 +119,14 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     left as it is.  One surrogate basis serves every step's SPARK, and
     each folded step queues its returned point's bases (V, V_a, V_b) for
     it, which needs no LU; they are orthogonalized only if a later search
-    reads the basis.  The ledger's copy of ``ds`` keeps the LUs of one
-    pair (``DeflatedSystem.sylvester``), which SPARK's full-model points
+    reads the basis.  The ledger's copy of ``ds`` prepares its own pencil,
+    picks its LUs' kernel and keeps the LUs of one pair
+    (``DeflatedSystem.sylvester``), which SPARK's full-model points
     share: a step after one that returned at ``init`` evaluates the full
     model there on the kept LUs; any other step after the first starts
     its search on that surrogate, and the full model is first evaluated
-    at the surrogate's optimum.
-
-    The first LUs, at ``init``, are made on the sparse pencil that the
-    ledger's copy of ``ds`` prepares at its first ``sylvester`` call
-    (``ds``'s own, if it has one).  ``nk.cheapest_pencil`` reads off their
-    fill whether every later full-model point gets LAPACK LUs: then the
-    copy's pencil is a dense ``nk.Pencil`` of the same A and E, while its
-    A and E stay the caller's sparse matrices, which ``spark.evaluate``,
-    ``cure_step`` and the surrogate basis multiply by.  The kept LUs are
-    dropped before return.  Returns (report dict, ledger);
+    at the surrogate's optimum.  The kept LUs are dropped before return.
+    Returns (report dict, ledger);
     ``assemble_total(ledger.records)`` is the strictly proper total
     model.  ``max_steps`` < 1 leaves nothing to assemble and raises
     DimensionMismatch.
@@ -145,8 +137,6 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
         raise DimensionMismatch("no records to assemble")
     t0 = time.perf_counter()
     ledger = CureLedger(ds=replace(ds))
-    ledger.ds.pencil = nk.cheapest_pencil(
-        ledger.ds.sylvester(cfg.init).factors[0])
     report = {"steps": [], "stop_reason": None, "flagged": False}
     basis = sparkmod.SurrogateBasis(ledger.ds.A, ledger.ds.E)
     degenerate_run = 0

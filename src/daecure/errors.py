@@ -38,6 +38,10 @@ class NonFiniteDerivatives(DaecureError):
     """The gradient or Hessian of the shift-pair cost is NaN or infinite."""
 
 
+class InvariantViolation(DaecureError):
+    """A written ROM fails an invariant that its reduction records."""
+
+
 class UnstableSystem(DaecureError):
     """An operation requiring asymptotic stability got an unstable model."""
 

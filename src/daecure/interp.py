@@ -8,10 +8,10 @@ equation
 with the pair's closed-form (S, R) (``spark.SparkParams``); B is the
 input deflated onto the proper subspace, which ``DeflatedSystem`` carries
 along with A, E, C and the polynomial part split off with it.  The
-system also owns its pencil, prepared once as an ``nk.Pencil``, and the
-LUs of it: it keeps one pair's ``nk.SylvesterContext``, so every
-full-model point at that pair shares one factorization, and no other
-pair's LUs are alive.
+system also owns its pencil and its LUs, and picks their kernel from
+its first LU (``nk.cheapest_pencil``).  It keeps one pair's
+``nk.SylvesterContext``, so every full-model point at that pair shares
+one factorization, and no other pair's LUs are alive.
 """
 
 from dataclasses import dataclass, field
@@ -29,12 +29,12 @@ class DeflatedSystem:
 
     ``B_defl`` starts as Pi_l^f B and is depleted step by step during
     cumulative reduction; A, E, C never change.  ``poly`` is the
-    polynomial part split off with it.  ``pencil`` is (A, E) prepared
-    once as an ``nk.Pencil`` for every full-model LU, by ``sylvester`` at
-    its first call; a reduction may swap it for a dense ``nk.Pencil`` of
-    the same A and E (``nk.cheapest_pencil``).  ``kept`` is the
-    ``nk.SylvesterContext`` that ``sylvester`` made last, or None; a
-    ``dataclasses.replace`` copy starts without one.
+    polynomial part split off with it.  ``pencil`` is the ``nk.Pencil``
+    of every full-model LU after the first: ``nk.cheapest_pencil`` of
+    that LU, a dense one of the same A and E where LAPACK LUs are
+    cheaper.  ``kept`` is the ``nk.SylvesterContext`` that ``sylvester``
+    made last, or None.  Neither is passed in; a ``dataclasses.replace``
+    copy starts with neither.
     """
 
     A: sps.csc_matrix
@@ -42,8 +42,8 @@ class DeflatedSystem:
     B_defl: np.ndarray
     C: np.ndarray
     poly: dm.PolyPart
-    pencil: nk.Pencil | None = field(default=None, repr=False,
-                                     compare=False)
+    pencil: nk.Pencil | None = field(default=None, init=False,
+                                     repr=False, compare=False)
     kept: nk.SylvesterContext | None = field(default=None, init=False,
                                              repr=False, compare=False)
 
@@ -57,14 +57,16 @@ class DeflatedSystem:
 
     def sylvester(self, pair) -> nk.SylvesterContext:
         """The Sylvester context of ``pencil`` at ``pair``: the kept one
-        if it is ``pair``'s, else a new one, made after the kept one is
-        dropped and then kept in its place.  Its LUs stay valid while A
-        and E hold the same pencil."""
+        if it is ``pair``'s, else a new one (the first on a sparse
+        ``nk.Pencil``), made after the kept one is dropped and kept in
+        its place.  Its LUs stay valid while A and E hold the same pencil."""
         if self.kept is None or self.kept.pair != pair:
             self.kept = None
-            if self.pencil is None:
-                self.pencil = nk.Pencil(self.A, self.E)
-            self.kept = nk.SylvesterContext(self.pencil, pair)
+            first = self.pencil is None
+            self.kept = nk.SylvesterContext(
+                nk.Pencil(self.A, self.E) if first else self.pencil, pair)
+            if first:
+                self.pencil = nk.cheapest_pencil(self.kept.factors[0])
         return self.kept
 
     @property

@@ -2,9 +2,9 @@
 
 Sparse matrices are held in SciPy CSC format throughout (duplicate entries
 are summed on conversion; stored shape is the declared shape).  A pencil
-given as two ``numpy.ndarray`` gets LAPACK LUs: a full pencil of order at
-most ``DENSE_LIMIT`` whose SuperLU factors fill at least ``DENSE_FILL``
-of n^2 is densified (``cheapest_pencil``), as the cheaper exact kernel.
+given as two ``numpy.ndarray`` gets LAPACK LUs: its owner densifies a
+full pencil of order at most ``DENSE_LIMIT`` whose first SuperLU LU fills
+at least ``DENSE_FILL`` of n^2 (``cheapest_pencil``), the cheaper kernel.
 
 The Sylvester solver ``SylvesterContext`` takes a shift pair
 (``spark.SparkParams``) and solves A X - E X S = F for its S = S(a, b)
@@ -408,11 +408,11 @@ DENSE_LIMIT = 500
 #: Stokes m=12 fills 11 % (getrf is 3.6x slower)
 DENSE_FILL = 0.5
 
-#: a conjugate pair recovers the real X from Schur column 0 only while
-#: max(|d|, 1/|d|), d = sqrt(a^2 - b), is at most this: the condition
-#: number of [Re u0, Im u0] for that column's Schur vector u0 = (1, d) / c.
-#: The recovery amplifies the solve's rounding by about that much, so it
-#: grows toward confluence (it is 100 at the start pair (1e-4, 1e-4))
+#: a conjugate pair recovers the real X from Schur column 0 whenever
+#: 1/|d|, d = sqrt(a^2 - b), is at most this.  The recovery amplifies the
+#: solve's rounding by about max(|d|, 1/|d|), the condition number of
+#: [Re u0, Im u0] for the Schur vector u0 = (1, d) / c; toward confluence
+#: (it is 100 at the start pair (1e-4, 1e-4)) both columns are solved
 RECOVER_COND = 1e3
 
 
@@ -446,8 +446,8 @@ class SylvesterContext:
     shift for a conjugate pair: the second column's solve is
     conj((A - sigma E)^-1 conj(r)).  For a conjugate pair, column 0
     alone gives X = [Re y, Im y / |d|], where d = sqrt(a^2 - b) and
-    (A - (a + d) E) y = F (1, d)^T: one complex solve, taken while
-    max(|d|, 1/|d|) <= ``RECOVER_COND``.
+    (A - (a + d) E) y = F (1, d)^T: one complex solve, taken whenever
+    |d| >= 1 / ``RECOVER_COND``; nearer confluence, the Schur path's two.
     """
 
     def __init__(self, pencil: Pencil, pair):
@@ -460,8 +460,7 @@ class SylvesterContext:
         if not conjugate and s1 != s0:
             self.factors.append(ShiftedFactorization(pencil, s1))
         d = abs(s0.imag)
-        self._recover = d if conjugate and max(d, 1 / d) <= RECOVER_COND \
-            else None
+        self._recover = d if conjugate and d >= 1 / RECOVER_COND else None
 
     def solve_input(self, B):
         """(V, z) of A V - E V S = B R, R = [1, 0], for a real (n, 1) B: the

@@ -275,6 +275,72 @@ def test_h2norm_of_a_scaled_manifest(scales, code, tmp_path, capsys):
         assert json.loads(lines[0])["error"] == "DaecureError"
 
 
+def _reduce(manifest, out, capsys):
+    """(exit code, JSON error objects on stderr, report.json) of
+    ``daecure reduce``; stderr may also carry numpy's warnings."""
+    capsys.readouterr()
+    code = run(["reduce", "--manifest", str(manifest), "--out", str(out)])
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+              if line.startswith("{")]
+    return code, errors, json.load(open(os.path.join(out, "report.json")))
+
+
+@pytest.mark.parametrize("scales, code", [
+    ({"C": 1e200}, cli.EXIT_NUMERICAL),
+    ({"B": 1e-160}, cli.EXIT_OK),
+], ids=["C-1e200", "B-1e-160"])
+def test_reduce_fails_closed_on_a_non_finite_result(scales, code, tmp_path,
+                                                     capsys):
+    # C x 1e200 makes the captured norm and the certificate NaN: reduce
+    # writes its report, then exits 1 naming the phase and the step.
+    # B x 1e-160 gives finite zeros, which pass every recorded invariant
+    sys = bio.gen_semi_explicit_index1(20, 5, 0)
+    bio.write_system(dm.DaeSystem(
+        sys.E, sys.A, sys.B * scales.get("B", 1.0),
+        sys.C * scales.get("C", 1.0), sys.D, sys.structure), tmp_path)
+    got, errors, report = _reduce(_manifest(tmp_path), tmp_path / "rom",
+                                  capsys)
+    assert got == code
+    history = report["cure"]["norm_history"]
+    certs = report["invariants"]["interpolation_residual_max_per_step"]
+    if code == cli.EXIT_OK:
+        assert errors == [] and history == [0.0] and certs == [0.0]
+    else:
+        assert len(errors) == 1
+        assert errors[0]["error"] == "InvariantViolation"
+        assert errors[0]["message"].startswith("phase cure, step 1:")
+        assert np.isnan(history).all() and np.isnan(certs).all()
+
+
+@pytest.mark.parametrize("spoil", ["certificate", "decrease", "unstable"])
+def test_reduce_fails_closed_on_each_recorded_invariant(
+        spoil, sysdir, tmp_path, capsys, monkeypatch):
+    # a certificate above 1e-8 or a norm below its predecessor fails its
+    # step, and an unstable total model the last step, after report.json
+    # is written; the run takes two steps
+    cured_spark = cli.curemod.cured_spark
+
+    def spoiled(ds, cfg):
+        report, ledger = cured_spark(ds, cfg)
+        if spoil == "certificate":
+            ledger.records[0].interp_residual = 1e-6
+        elif spoil == "decrease":
+            report["norm_history"][1] = report["norm_history"][0] / 2
+        else:
+            monkeypatch.setattr(RomRealization, "poles",
+                                lambda rom: np.array([1.0]))
+        return report, ledger
+
+    monkeypatch.setattr(cli.curemod, "cured_spark", spoiled)
+    got, errors, report = _reduce(_manifest(sysdir), tmp_path / "rom",
+                                  capsys)
+    k = {"certificate": 1, "decrease": 2}.get(spoil, report["cure"]["k"])
+    assert report["cure"]["k"] >= 2
+    assert got == cli.EXIT_NUMERICAL and len(errors) == 1
+    assert errors[0]["error"] == "InvariantViolation"
+    assert errors[0]["message"].startswith(f"phase cure, step {k}:")
+
+
 @pytest.mark.parametrize("ar, code, error", [
     (-1.0, cli.EXIT_OK, None),
     (0.0, cli.EXIT_NUMERICAL, "SingularSchurComplement"),

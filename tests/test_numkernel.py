@@ -296,8 +296,9 @@ def _toward_confluence(kind, a, delta):
 def test_sylvester_solve_toward_confluence_matches_kronecker(
         kind, delta, lu_solves):
     # A conjugate pair recovers the real X from one complex block solve
-    # while [Re u0, Im u0] is well conditioned (cond = max(|d|, 1/|d|),
-    # d = sqrt(a^2 - b)) and keeps the two-column path toward confluence;
+    # unless it is near confluence, where [Re u0, Im u0] is ill
+    # conditioned (cond = 1/|d| for |d| < 1, d = sqrt(a^2 - b)), and
+    # keeps the two-column path there;
     # a real pair runs on real Schur data, one real block solve per shift.
     # Either way X is the dense Kronecker solution
     rng, A, E = _well_posed(40, 15)
@@ -317,9 +318,30 @@ def test_sylvester_solve_toward_confluence_matches_kronecker(
     else:
         d = np.sqrt(pair.b - a * a)
         recovered = ctx._recover is not None
-        assert recovered == (max(d, 1 / d) <= nk.RECOVER_COND)
+        assert recovered == (d >= 1 / nk.RECOVER_COND)
         assert recovered == (delta >= 1e-4)
         assert lu_solves == ([(40, 3)] if recovered else [(40, 3), (40, 3)])
+
+
+@pytest.mark.parametrize("d", [1.4e3, 4e3, 1e4])
+@pytest.mark.parametrize("a", [0.5, 3.0, 20.0])
+def test_conjugate_pair_far_from_confluence_recovers(a, d, stokes_small,
+                                                     lu_solves):
+    # |d| >> 1 is well away from confluence: the pair takes the recover
+    # path, one complex LU and one solve column for the input equation,
+    # and V is the dense Kronecker solution after one refinement step
+    ds = DeflatedSystem.from_dae(stokes_small)
+    pair = SparkParams(a, a * a + d * d)
+    ctx = ds.sylvester(pair)
+    del lu_solves[:]
+    V, _ = ctx.solve_input(ds.B_defl)
+    assert ctx._recover is not None and len(ctx.factors) == 1
+    assert lu_solves == [(ds.n, 1)]
+    A, E, F = ds.A.toarray(), ds.E.toarray(), ds.B_defl @ pair.R
+    want = kronecker_sylvester(A, E, pair.S, F)
+    want += kronecker_sylvester(A, E, pair.S,
+                                F - (A @ want - E @ want @ pair.S))
+    assert np.linalg.norm(V - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_equal_real_shifts_share_one_lu(factor_log):

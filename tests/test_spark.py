@@ -558,10 +558,11 @@ def test_spark_factors_once_per_evaluated_point(monkeypatch):
     assert all(n == sys.n for n in dense)
     assert sum(st["full_evaluations"] for st in report["steps"]) \
         < len(evaluated)        # and the discarded stagnation call
-    # the saddle-point LU, then the start pair's LU, from whose fill
-    # cured_spark picks the kernel and which the system keeps for the
-    # first point
-    assert full[0] == 0.0 and evaluated[0][2] and evaluated[0][3] == 2
+    # the saddle-point LU first; the start pair's LU is made inside the
+    # first evaluate, at the system's first Sylvester context, from whose
+    # fill the system picks the kernel of every later LU
+    assert full[0] == 0.0 and evaluated[0][3] == 1
+    assert evaluated[0][:3] == (sp.INIT.a, sp.INIT.b, False)
     ends = [k for *_, k in evaluated[1:]] + [len(full)]
     saw = set()
     for (a, b, given, start), end in zip(evaluated, ends):
