@@ -299,13 +299,13 @@ def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
     """G(s) = C (sE - A)^-1 B + D at a shift s, a p x m matrix, or at
     each shift of an array s, stacked into shape s.shape + (p, m).
 
-    The pencil is prepared and B and C densified once for all shifts;
-    each shift then costs one LU and one block solve of its m columns.
-    The kernel is chosen as in a reduction: ``nk.cheapest_pencil`` reads
-    off the fill of the first shift's LU on the sparse pencil whether
-    LAPACK LUs are cheaper.  If so, that shift is factored again on the
-    dense pencil, so that every value comes from one kernel and a shift
-    gets the same bits in a scalar call as in an array.
+    The reference evaluation: the pencil is prepared and B and C
+    densified once for all shifts, and each shift then costs one sparse
+    LU of its own (``nk.ShiftedFactorization``) and one block solve of
+    its m columns, so a shift gets the same bits in a scalar call as in
+    an array.  ``bode`` sweeps a system above ``nk.DENSE_LIMIT`` with it;
+    below, it sweeps in finite coordinates
+    (``h2analysis.sweep_transfer``).
     """
     s = np.asarray(s)
     pencil = nk.Pencil(sys.A, sys.E)
@@ -313,10 +313,6 @@ def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
     G = []
     for sk in s.ravel():
         fac = nk.ShiftedFactorization(pencil, sk)
-        if not G:
-            pencil = nk.cheapest_pencil(fac)
-            if pencil is not fac.pencil:
-                fac = nk.ShiftedFactorization(pencil, sk)
         G.append(sys.D - C @ fac.solve(B))
         # freed before the next shift's LU is made: two LUs alive at once
         # leave the heap so that the next command faults its pages anew
@@ -326,11 +322,19 @@ def eval_transfer(sys: DaeSystem, s) -> np.ndarray:
 
 @dataclass
 class PolyPart:
-    """Polynomial part classification: 'constant', 'strictly_proper' or
-    'unsupported'; ``constant`` holds the p x m matrix in the first case."""
+    """The polynomial part P(s) = constant + s linear, a p x m matrix at
+    each s, and its class: 'constant' (index 1: ``constant`` is the value
+    at infinity and ``linear`` zero), 'strictly_proper' (Stokes, P0 and
+    P1 zero to rounding: both are zero) or 'unsupported' (Stokes with
+    pressure inputs or outputs: P0 and P1 as computed)."""
 
     kind: str
-    constant: np.ndarray | None = None
+    constant: np.ndarray
+    linear: np.ndarray
+
+    def at(self, s) -> np.ndarray:
+        """P at each shift of an array s, shape s.shape + (p, m)."""
+        return self.constant + np.asarray(s)[..., None, None] * self.linear
 
 
 def split_transfer(sys: DaeSystem, kit: ProjectorKit):
@@ -345,15 +349,16 @@ def split_transfer(sys: DaeSystem, kit: ProjectorKit):
     (x_c, y_c) = K^-1 [B1 - A11 x_b; 0], Pi_l B = [E11 x_c; 0],
     P1 = C2 y_b and P0 = D - C1 x_b - C2 y_c.  The part is
     'strictly_proper' when P0 and P1 vanish to rounding, relative to
-    ||C|| times the solves they come from, else 'unsupported'.
-    Returns (B_defl, PolyPart).
+    ||C|| times the solves they come from, and then both are zero;
+    else 'unsupported', which keeps them.  Returns (B_defl, PolyPart).
     """
     fac = kit.saddle
     B = sys.B.toarray()
     if isinstance(sys.structure, SemiExplicitIndex1):
         n1 = sys.structure.n1
         X = fac.solve(_with_zeros(B[n1:], n1, 0))
-        return B - sys.A @ X, PolyPart("constant", sys.D - sys.C @ X)
+        P = sys.D - sys.C @ X
+        return B - sys.A @ X, PolyPart("constant", P, np.zeros_like(P))
     nv, npp = sys.structure.n_v, sys.structure.n_p
     C1, C2 = sys.C[:, :nv], sys.C[:, nv:]
     xy_b = fac.solve(_with_zeros(B[nv:], nv, 0))
@@ -366,8 +371,9 @@ def split_transfer(sys: DaeSystem, kit: ProjectorKit):
     nb, nc = np.linalg.norm(xy_b), np.linalg.norm(xy_c)
     if (np.linalg.norm(P1) <= tol * nb
             and np.linalg.norm(P0) <= tol * (nb + nc)):
-        return B_defl, PolyPart("strictly_proper")
-    return B_defl, PolyPart("unsupported")
+        return B_defl, PolyPart("strictly_proper", np.zeros_like(P0),
+                                np.zeros_like(P1))
+    return B_defl, PolyPart("unsupported", P0, P1)
 
 
 def realize_constant_poly(P: np.ndarray):

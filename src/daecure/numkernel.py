@@ -398,8 +398,9 @@ def _gated_solve(solve, apply, dtype, b, what):
     return x
 
 
-#: largest order of a sparse system that is densified: for its H2 norm,
-#: and for LAPACK LUs of a densely filled pencil (``cheapest_pencil``)
+#: largest order of a sparse system that is densified: for its H2 norm
+#: and its ``bode`` sweep in finite coordinates, and for LAPACK LUs of a
+#: densely filled pencil (``cheapest_pencil``)
 DENSE_LIMIT = 500
 
 #: share of n^2 entries in the SuperLU factors of a pencil from which its

@@ -112,32 +112,25 @@ def test_bode_row_count_and_error_column(sysdir, tmp_path):
     assert abs(float(fom[-1][0]) - 1e2) <= 1e-10
 
 
-def test_bode_sweep_prepares_its_pencil_once(tmp_path, monkeypatch):
-    # a 40-point Stokes m=12 sweep computes one elimination order and
-    # factors every point in it, with no fallback to COLAMD; its FOM
-    # column is that of dense solves
+def test_bode_sweep_factors_no_order_n_pencil(tmp_path, monkeypatch):
+    # a 40-point Stokes m=12 sweep (n = 431 <= DENSE_LIMIT) runs in finite
+    # coordinates: its one LU is the projector build's, of the order-143
+    # pressure Schur complement, and its FOM column is that of dense solves
     sys = bio.gen_stokes_index2(12, 0)
+    assert sys.n <= nk.DENSE_LIMIT
     path = bio.write_system(sys, tmp_path / "sys")
-    orders, ordered = [], []
-    elimination_order, solve = nk.elimination_order, \
-        nk.ShiftedFactorization.solve
+    orders = []
+    init = nk.ShiftedFactorization.__init__
 
-    def counting_order(G):
-        orders.append(G.shape)
-        return elimination_order(G)
+    def counting_init(self, pencil, sigma):
+        orders.append(pencil.n)
+        init(self, pencil, sigma)
 
-    def logged_solve(self, rhs):
-        x = solve(self, rhs)
-        ordered.append(isinstance(self._lu, nk.OrderedLU))
-        return x
-
-    monkeypatch.setattr(nk, "elimination_order", counting_order)
-    monkeypatch.setattr(nk.ShiftedFactorization, "solve", logged_solve)
+    monkeypatch.setattr(nk.ShiftedFactorization, "__init__", counting_init)
     out = tmp_path / "bode"
     assert run(["bode", "--manifest", path, "--wmin", "1e-2", "--wmax",
                 "1e4", "--points", "40", "--out", str(out)]) == 0
-    assert orders == [(sys.n, sys.n)]
-    assert len(ordered) == 40 and all(ordered)
+    assert orders == [sys.structure.n_p]
     rows = list(csv.reader(open(out / "fom.csv")))[1:]
     A, E = sys.A.toarray(), sys.E.toarray()
     B, C = sys.B.toarray(), sys.C.toarray()
@@ -277,11 +270,10 @@ def test_h2norm_of_a_scaled_manifest(scales, code, tmp_path, capsys):
 
 def _reduce(manifest, out, capsys):
     """(exit code, JSON error objects on stderr, report.json) of
-    ``daecure reduce``; stderr may also carry numpy's warnings."""
+    ``daecure reduce``; every stderr line must be one."""
     capsys.readouterr()
     code = run(["reduce", "--manifest", str(manifest), "--out", str(out)])
-    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()
-              if line.startswith("{")]
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     return code, errors, json.load(open(os.path.join(out, "report.json")))
 
 
@@ -292,8 +284,10 @@ def _reduce(manifest, out, capsys):
 def test_reduce_fails_closed_on_a_non_finite_result(scales, code, tmp_path,
                                                      capsys):
     # C x 1e200 makes the captured norm and the certificate NaN: reduce
-    # writes its report, then exits 1 naming the phase and the step.
-    # B x 1e-160 gives finite zeros, which pass every recorded invariant
+    # writes its report, which records the norm history as failing, then
+    # exits 1 with one JSON line on stderr, naming the phase and the step
+    # (numpy's overflow warnings on the way are not printed).  B x 1e-160
+    # gives finite zeros, which pass every recorded invariant
     sys = bio.gen_semi_explicit_index1(20, 5, 0)
     bio.write_system(dm.DaeSystem(
         sys.E, sys.A, sys.B * scales.get("B", 1.0),
@@ -303,13 +297,34 @@ def test_reduce_fails_closed_on_a_non_finite_result(scales, code, tmp_path,
     assert got == code
     history = report["cure"]["norm_history"]
     certs = report["invariants"]["interpolation_residual_max_per_step"]
+    nondecreasing = report["invariants"]["norm_history_nondecreasing"]
     if code == cli.EXIT_OK:
         assert errors == [] and history == [0.0] and certs == [0.0]
+        assert nondecreasing is True
     else:
+        assert nondecreasing is False
         assert len(errors) == 1
         assert errors[0]["error"] == "InvariantViolation"
         assert errors[0]["message"].startswith("phase cure, step 1:")
         assert np.isnan(history).all() and np.isnan(certs).all()
+
+
+def test_non_finite_reduce_prints_one_json_line(tmp_path):
+    # as a process, where numpy's warnings would reach stderr: C x 1e200
+    # overflows in SPARK and PORK, and stderr is the one JSON error alone
+    dae = bio.gen_semi_explicit_index1(20, 5, 0)
+    bio.write_system(dm.DaeSystem(dae.E, dae.A, dae.B, dae.C * 1e200, dae.D,
+                                  dae.structure), tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
+                                                   "..", "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "daecure.cli", "reduce", "--manifest",
+         _manifest(tmp_path), "--out", str(tmp_path / "rom")],
+        env=env, capture_output=True, text=True, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "InvariantViolation"
 
 
 @pytest.mark.parametrize("spoil", ["certificate", "decrease", "unstable"])
@@ -533,7 +548,7 @@ def test_non_regular_pencil_fails_with_typed_error(tmp_path, capsys):
             (["h2norm", mp], "SingularSchurComplement"),
             (["bode", "--manifest", mp, "--wmin", "1e-2", "--wmax", "1e2",
               "--points", "5", "--out", str(tmp_path / "b")],
-             "SingularShift")):
+             "SingularSchurComplement")):
         assert run(argv) == cli.EXIT_NUMERICAL
         obj = json.loads(capsys.readouterr().err.strip())
         assert obj["error"] == error and obj["exit_code"] == cli.EXIT_NUMERICAL

@@ -10,6 +10,7 @@ from daecure import h2analysis as h2
 from daecure import numkernel as nk
 from daecure.errors import (
     DeskScaleExceeded,
+    SingularShift,
     StructureViolation,
     UnstableSystem,
 )
@@ -130,7 +131,7 @@ def test_desk_scale_limit_enforced(monkeypatch):
 @pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS)
 def test_projector_route_matches_qz_oracle(fixture, request):
     sys = request.getfixturevalue(fixture)
-    A1 = h2._finite_std(sys)[0]
+    A1 = h2._finite_std(sys).A1
     assert A1.shape[0] == qz_finite_std(sys)[0].shape[0]
     oracle = qz_h2_norm(sys)
     assert abs(h2.h2_norm(sys) - oracle) <= 1e-10 * oracle
@@ -150,7 +151,7 @@ def _rank2_rom():
 
 def test_rom_route_matches_qz_oracle():
     rom = _rank2_rom()
-    assert h2._finite_std(rom)[0].shape == (2, 2)
+    assert h2._finite_std(h2._semi_explicit(rom)).A1.shape == (2, 2)
     oracle = qz_h2_norm(rom)
     assert abs(h2.h2_norm(rom) - oracle) <= 1e-12 * oracle
 
@@ -248,3 +249,100 @@ def test_error_norm_of_exact_model_is_zero():
                          Br=np.array([[1.0], [1.0]]),
                          Cr=np.array([[2.0, -1.0]]))
     assert h2_error_norm(ds, rom) <= 1e-12
+
+
+#: the sweep of the benchmark's bode grid
+SWEEP = 1j * np.logspace(-2, 4, 40)
+
+
+def _pressure_io(sys):
+    """Stokes ``sys`` with inputs into the constraint rows and outputs
+    reading the pressure: a polynomial part P0 + s P1 with both
+    nonzero."""
+    nv = sys.structure.n_v
+    rng = np.random.default_rng(7)
+    B, C = sys.B.toarray(), sys.C.toarray()
+    B[nv:] = rng.standard_normal(B[nv:].shape)
+    C[:, nv:] = rng.standard_normal(C[:, nv:].shape)
+    return dm.DaeSystem(sys.E, sys.A, sps.csc_matrix(B), sps.csc_matrix(C),
+                        sys.D, sys.structure)
+
+
+def _two_inputs(sys):
+    """``sys`` with a second random input and output."""
+    rng = np.random.default_rng(8)
+    B = np.hstack([sys.B.toarray(), rng.standard_normal((sys.n, 1))])
+    C = np.vstack([sys.C.toarray(), rng.standard_normal((1, sys.n))])
+    return dm.DaeSystem(sys.E, sys.A, sps.csc_matrix(B), sps.csc_matrix(C),
+                        np.ones((2, 2)), sys.structure)
+
+
+@pytest.mark.parametrize("fixture", STRUCTURE_VARIANTS
+                         + ["pressure_io", "two_inputs"])
+def test_sweep_matches_per_shift_lus(fixture, request):
+    # finite coordinates and a Hessenberg form give, point by point, the
+    # values of one sparse LU of the pencil per shift, the polynomial
+    # part included
+    if fixture == "pressure_io":
+        sys = _pressure_io(request.getfixturevalue("stokes_small"))
+        _, pp = dm.split_transfer(sys, dm.build_projectors(sys))
+        assert pp.kind == "unsupported"
+        assert np.any(pp.constant) and np.any(pp.linear)
+    elif fixture == "two_inputs":
+        sys = _two_inputs(request.getfixturevalue("index1_general"))
+    else:
+        sys = request.getfixturevalue(fixture)
+    G, residuals = h2.sweep_transfer(sys, SWEEP)
+    want = dm.eval_transfer(sys, SWEEP)
+    assert G.shape == want.shape == SWEEP.shape + (sys.p, sys.m)
+    assert residuals.shape == SWEEP.shape
+    assert np.all(residuals <= nk.TOL_SOLVE)
+    for Gk, wk in zip(G, want):
+        assert np.linalg.norm(Gk - wk) <= 1e-12 * np.linalg.norm(wk)
+
+
+def test_sweep_matches_dense_solves_with_pressure_io(stokes_general):
+    # E11 != I and A21 != A12^T with pressure inputs and outputs: against
+    # LAPACK solves of the assembled sE - A the sweep keeps 1e-13, where
+    # the ordered sparse LUs of ``eval_transfer`` keep about 1e-12
+    sys = _pressure_io(stokes_general)
+    A, E, B, C = (M.toarray() for M in (sys.A, sys.E, sys.B, sys.C))
+    for Gk, sk in zip(h2.sweep_transfer(sys, SWEEP)[0], SWEEP):
+        want = C @ np.linalg.solve(sk * E - A, B) + sys.D
+        assert np.linalg.norm(Gk - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_sweep_of_one_shift(stokes_small):
+    s = 0.5 + 2.0j
+    G = h2.sweep_transfer(stokes_small, s)[0]
+    want = dm.eval_transfer(stokes_small, s)
+    assert G.shape == want.shape
+    assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_sweep_certificate_catches_a_perturbed_basis(stokes_general,
+                                                     monkeypatch):
+    # Z off range Pi_r by 1e-6 relative: the Hessenberg solves still meet
+    # their own bound, but the lifted state misses the full-pencil one
+    finite_std = h2._finite_std
+
+    def perturbed(sys):
+        fr = finite_std(sys)
+        rng = np.random.default_rng(0)
+        return dataclasses.replace(
+            fr, Z=fr.Z * (1 + 1e-6 * rng.standard_normal(fr.Z.shape)))
+
+    monkeypatch.setattr(h2, "_finite_std", perturbed)
+    with pytest.raises(SingularShift, match="full-pencil residual"):
+        h2.sweep_transfer(stokes_general, SWEEP)
+
+
+def test_sweep_at_a_pole_is_a_singular_shift():
+    # poles at +-i: the shift i makes sI - H exactly singular
+    A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    sys = dm.DaeSystem(sps.eye(3, format="csc"), sps.csc_matrix(A),
+                       sps.csc_matrix(np.ones((3, 1))),
+                       sps.csc_matrix(np.ones((1, 3))), np.zeros((1, 1)),
+                       dm.SemiExplicitIndex1(3))
+    with pytest.raises(SingularShift, match="singular at shift"):
+        h2.sweep_transfer(sys, np.array([2j, 1j]))
