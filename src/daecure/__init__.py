@@ -11,7 +11,6 @@ from .daemodel import (
     build_projectors,
     eval_transfer,
     realize_constant_poly,
-    split_transfer,
 )
 from .errors import DaecureError
 from .h2analysis import h2_norm
@@ -40,7 +39,6 @@ __all__ = [
     "pork_input",
     "realize_constant_poly",
     "spark",
-    "split_transfer",
 ]
 
 __version__ = "0.1.0"

@@ -162,7 +162,7 @@ def _tag_from_json(obj):
         raise ParseError("manifest: structure entry must have a 'kind'")
     fields = {"semi_explicit_index1": (dm.SemiExplicitIndex1, ("n1",)),
               "stokes_index2": (dm.StokesIndex2, ("n_v", "n_p"))}
-    if kind not in fields:
+    if not isinstance(kind, str) or kind not in fields:
         raise ParseError(f"manifest: unknown structure kind {kind!r}")
     tag, keys = fields[kind]
     missing = [key for key in keys if key not in obj]

@@ -288,16 +288,15 @@ def cmd_validate(args):
     check("E-compatibility of the projector pair",
           np.linalg.norm(ev - kit.apply_left(sys.E @ v))
           <= 1e-8 * max(np.linalg.norm(sys.E @ v), 1.0))
-    B_defl, pp = dm.split_transfer(sys, kit)
-    check("polynomial part classified", pp.kind != "unsupported")
-    if pp.kind != "unsupported":
+    check("polynomial part classified", kit.poly.kind != "unsupported")
+    if kit.poly.kind != "unsupported":
         # G(s0) and G^sp(s0) = C Pi_r (s0 E - A)^-1 Pi_l B from one LU
         fac = nk.ShiftedFactorization(nk.Pencil(sys.A, sys.E), 2.17 + 0.3j)
-        X = -fac.solve(np.hstack([sys.B.toarray(), B_defl]))
+        X = -fac.solve(np.hstack([sys.B.toarray(), kit.B_defl]))
         total = sys.C @ X[:, :sys.m] + sys.D
         sp = sys.C @ kit.apply_right(X[:, sys.m:])
         check("transfer splits into strictly proper + polynomial",
-              np.linalg.norm(total - sp - pp.constant)
+              np.linalg.norm(total - sp - kit.poly.constant)
               <= 1e-8 * max(np.linalg.norm(total), 1.0))
     if failures:
         raise DaecureError(f"validation failed: {', '.join(failures)}")

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spsla
+from scipy.linalg import lapack
 
 from . import numkernel as nk
 from .errors import (
+    DaecureError,
     SingularSchurComplement,
     SingularShift,
     StructureViolation,
@@ -68,6 +70,8 @@ class DaeSystem:
             raise StructureViolation("B/C dimensions inconsistent with E, A")
         if self.D.shape != (self.C.shape[0], self.B.shape[1]):
             raise StructureViolation("D must be p x m")
+        if not (self.m and self.p):
+            raise StructureViolation(f"need m, p >= 1, got {self.m}, {self.p}")
         _validate_structure(self)
 
     @property
@@ -94,8 +98,9 @@ def _validate_structure(sys):
             raise StructureViolation("semi-explicit tag: E rows below n1 not zero")
     elif isinstance(tag, StokesIndex2):
         nv, npp = tag.n_v, tag.n_p
-        if nv + npp != n:
-            raise StructureViolation(f"n_v + n_p = {nv + npp} != n = {n}")
+        if nv + npp != n or min(nv, npp) < 1:
+            raise StructureViolation(
+                f"need n_v + n_p = n = {n}, both >= 1, got {nv}, {npp}")
         if (sys.E[nv:, :].count_nonzero()
                 or sys.E[:nv, nv:].count_nonzero()):
             raise StructureViolation("Stokes tag: E must be [[E11,0],[0,0]]")
@@ -117,22 +122,33 @@ def _with_zeros(x, above, below):
 
 @dataclass
 class ProjectorKit:
-    """Implicit applications of the finite spectral projectors.
+    """The finite spectral projectors of a system and the split
+    G = G_sp + P of its transfer function.
 
-    Each map takes and returns an (n,) vector or (n, k) block, real or
-    complex.  ``saddle`` is the one factorization every map solves with,
-    of M = [[E11, E12], [A21, A22]] (index 1) or K = [[E11, A12], [A21, 0]]
-    (Stokes); ``split_transfer`` reuses it.
+    ``apply_left`` and ``apply_right`` map an (n,) vector or (n, k) block,
+    real or complex.  ``saddle`` is the one factorization they solve
+    with, of M = [[E11, E12], [A21, A22]] (index 1) or
+    K = [[E11, A12], [A21, 0]] (Stokes).  ``B_defl`` = Pi_l B realizes
+    G_sp and ``poly`` is P, both read off the solves of ``apply_left`` at
+    B.  E is zero below its first ``n_diff`` rows (n1 or n_v), and
+    ``finite_basis()`` returns new orthonormal n x n_f columns V0 on
+    which Pi_r is one to one.
     """
 
-    apply_left: callable = field(repr=False, default=None)
-    apply_right: callable = field(repr=False, default=None)
-    saddle: "nk.ShiftedFactorization | SchurSaddle" = field(repr=False,
-                                                           default=None)
+    apply_left: callable = field(repr=False)
+    apply_right: callable = field(repr=False)
+    saddle: "nk.ShiftedFactorization | SchurSaddle" = field(repr=False)
+    B_defl: np.ndarray = field(repr=False)
+    poly: "PolyPart"
+    n_diff: int
+    finite_basis: callable = field(repr=False)
 
 
 def build_projectors(sys: DaeSystem) -> ProjectorKit:
-    """Construct the implicit finite spectral projector maps for ``sys``.
+    """The ``ProjectorKit`` of ``sys``: its implicit finite spectral
+    projectors, Pi_l B, the polynomial part and the finite basis, from one
+    factorization; what follows the projectors sees the structure tag
+    only through it.
 
     Raises SingularSchurComplement when the saddle-point matrix M (index 1)
     or K (Stokes) is singular, i.e. the pencil does not have the declared
@@ -246,6 +262,10 @@ def _projectors_semi_explicit(sys):
     W A M^-1 = W, from which idempotence, Pi_l A = A Pi_r and
     Pi_l E = E = E Pi_r follow.  Pi_r has range ker(W A) (the
     constraint manifold) and kernel ker E.  One M-solve per application.
+    At B, X = M^-1 W B gives Pi_l B = B - A X and P = D - C X, the value
+    of G at infinity.  V0 is an orthonormal basis of range E^T, the
+    complement of ker E = ker Pi_r, from one QR of the differential rows'
+    transpose.
     """
     n1 = sys.structure.n1
     A = sys.A
@@ -255,10 +275,20 @@ def _projectors_semi_explicit(sys):
     def alg(x):  # W x
         return _with_zeros(x[n1:], n1, 0)
 
+    def left(v):  # Pi_l v and the solve X = M^-1 W v it is read off
+        X = fac.solve(alg(v))
+        return v - A @ X, X
+
+    B_defl, X = left(sys.B.toarray())
+    P = sys.D - sys.C @ X
     return ProjectorKit(
-        apply_left=lambda v: v - A @ fac.solve(alg(v)),
+        apply_left=lambda v: left(v)[0],
         apply_right=lambda v: v - fac.solve(alg(A @ v)),
         saddle=fac,
+        B_defl=B_defl,
+        poly=PolyPart("constant", P, np.zeros_like(P)),
+        n_diff=n1,
+        finite_basis=lambda: np.linalg.qr(sys.E[:n1].T.toarray())[0],
     )
 
 
@@ -271,6 +301,14 @@ def _projectors_stokes(sys):
     S^-1 A21 E11^-1 (A11 P v1) are blocks of K-solves, and so are the
     factors of Pi_l = [[E11 P E11^-1, -E11 P E11^-1 A11 E11^-1 A12 S^-1],
     [0, 0]].
+
+    At B, the expansion of (sE - A)^-1 B at infinity gives the polynomial
+    part P0 + s P1 from the solves (x_b, y_b) = K^-1 [0; B2] and
+    (x_c, y_c) = K^-1 [B1 - A11 x_b; 0] of Pi_l B = [E11 x_c; 0]:
+    P1 = C2 y_b and P0 = D - C1 x_b - C2 y_c.  It is 'strictly_proper',
+    and zero, when P0 and P1 vanish to rounding relative to ||C|| times
+    those solves; else 'unsupported'.  V0 = [N; 0] with N an orthonormal
+    basis of ker A21, on which P is the identity.
     """
     nv, npp = sys.structure.n_v, sys.structure.n_p
     E11 = sys.E[:nv, :nv]
@@ -283,15 +321,46 @@ def _projectors_stokes(sys):
         p = fac.solve(_with_zeros(A11 @ x, 0, npp))[nv:]
         return np.concatenate([x, -p])
 
-    def left(v):
-        w = fac.solve(_with_zeros(v[nv:], nv, 0))[:nv]
-        x = fac.solve(_with_zeros(v[:nv] - A11 @ w, 0, npp))[:nv]
-        return _with_zeros(E11 @ x, 0, npp)
+    def left(v):  # Pi_l v and the two K-solves it is read off
+        xy_b = fac.solve(_with_zeros(v[nv:], nv, 0))
+        xy_c = fac.solve(_with_zeros(v[:nv] - A11 @ xy_b[:nv], 0, npp))
+        return _with_zeros(E11 @ xy_c[:nv], 0, npp), xy_b, xy_c
 
+    def finite_basis():
+        # the last n_v - n_p columns of the complete Q of A21^T: the QR's
+        # reflectors applied to those columns of the identity alone.
+        # numpy's raw QR is LAPACK's geqrf output, transposed
+        qr, tau = np.linalg.qr(sys.A[nv:, :nv].T.toarray(), mode="raw")
+        qr = qr.T
+        N = np.zeros((nv, nv - npp), order="F")
+        N[npp:] = np.eye(nv - npp)
+        ormqr = lapack.get_lapack_funcs("ormqr", (qr,))
+        lwork = int(ormqr("L", "N", qr, tau, N, -1)[1][0])
+        N, _, info = ormqr("L", "N", qr, tau, N, lwork, overwrite_c=True)
+        if info != 0:
+            raise DaecureError(f"ormqr failed with info={info}")
+        return _with_zeros(N, 0, npp)
+
+    B_defl, xy_b, xy_c = left(sys.B.toarray())
+    C1, C2 = sys.C[:, :nv], sys.C[:, nv:]
+    P1 = C2 @ xy_b[nv:]
+    P0 = sys.D - C1 @ xy_b[:nv] - C2 @ xy_c[nv:]
+    tol = 1e-8 * spsla.norm(sys.C)
+    nb, nc = np.linalg.norm(xy_b), np.linalg.norm(xy_c)
+    if (np.linalg.norm(P1) <= tol * nb
+            and np.linalg.norm(P0) <= tol * (nb + nc)):
+        poly = PolyPart("strictly_proper", np.zeros_like(P0),
+                        np.zeros_like(P1))
+    else:
+        poly = PolyPart("unsupported", P0, P1)
     return ProjectorKit(
-        apply_left=left,
+        apply_left=lambda v: left(v)[0],
         apply_right=right,
         saddle=fac,
+        B_defl=B_defl,
+        poly=poly,
+        n_diff=nv,
+        finite_basis=finite_basis,
     )
 
 
@@ -335,45 +404,6 @@ class PolyPart:
     def at(self, s) -> np.ndarray:
         """P at each shift of an array s, shape s.shape + (p, m)."""
         return self.constant + np.asarray(s)[..., None, None] * self.linear
-
-
-def split_transfer(sys: DaeSystem, kit: ProjectorKit):
-    """Split G = G_sp + P: the deflated input Pi_l B that realizes the
-    strictly proper part G_sp, and the polynomial part P.
-
-    Both come from the same solves with the saddle-point factorization of
-    ``kit``, the ones ``kit.apply_left(B)`` makes.  Index 1: with
-    X = M^-1 [0; B2], Pi_l B = B - A X and P = D - C X, the value of G at
-    infinity.  Stokes: the expansion of (sE - A)^-1 B at infinity gives
-    P(s) = P0 + s P1 with (x_b, y_b) = K^-1 [0; B2],
-    (x_c, y_c) = K^-1 [B1 - A11 x_b; 0], Pi_l B = [E11 x_c; 0],
-    P1 = C2 y_b and P0 = D - C1 x_b - C2 y_c.  The part is
-    'strictly_proper' when P0 and P1 vanish to rounding, relative to
-    ||C|| times the solves they come from, and then both are zero;
-    else 'unsupported', which keeps them.  Returns (B_defl, PolyPart).
-    """
-    fac = kit.saddle
-    B = sys.B.toarray()
-    if isinstance(sys.structure, SemiExplicitIndex1):
-        n1 = sys.structure.n1
-        X = fac.solve(_with_zeros(B[n1:], n1, 0))
-        P = sys.D - sys.C @ X
-        return B - sys.A @ X, PolyPart("constant", P, np.zeros_like(P))
-    nv, npp = sys.structure.n_v, sys.structure.n_p
-    C1, C2 = sys.C[:, :nv], sys.C[:, nv:]
-    xy_b = fac.solve(_with_zeros(B[nv:], nv, 0))
-    x_b = xy_b[:nv]
-    xy_c = fac.solve(_with_zeros(B[:nv] - sys.A[:nv, :nv] @ x_b, 0, npp))
-    B_defl = _with_zeros(sys.E[:nv, :nv] @ xy_c[:nv], 0, npp)
-    P1 = C2 @ xy_b[nv:]
-    P0 = sys.D - C1 @ x_b - C2 @ xy_c[nv:]
-    tol = 1e-8 * spsla.norm(sys.C)
-    nb, nc = np.linalg.norm(xy_b), np.linalg.norm(xy_c)
-    if (np.linalg.norm(P1) <= tol * nb
-            and np.linalg.norm(P0) <= tol * (nb + nc)):
-        return B_defl, PolyPart("strictly_proper", np.zeros_like(P0),
-                                np.zeros_like(P1))
-    return B_defl, PolyPart("unsupported", P0, P1)
 
 
 def realize_constant_poly(P: np.ndarray):

@@ -3,12 +3,12 @@ function sweeps of systems up to ``nk.DENSE_LIMIT``.
 
 Every object is analyzed in the finite coordinates of its pencil, which
 come from saddle-point projectors (Stykel, ETNA 30, 2008), with no QZ:
-a system's from its structure tag, and a reduced realization's after an
-SVD of Er has brought it to semi-explicit index-1 form.  The right
-projector is applied to n_f orthonormal columns chosen from the tag (a
-basis of range E^T for index 1, of ker A21 padded with zero pressure
-rows for Stokes), so it never sees more columns than the finite
-subspace has dimensions.  They must be orthonormal: E times their image
+a system's from its ``dm.build_projectors`` kit, and a reduced
+realization's after an SVD of Er has brought it to semi-explicit index-1
+form.  The right projector is applied to the kit's n_f orthonormal
+columns V0 (a basis of range E^T for index 1, of ker A21 padded with
+zero pressure rows for Stokes), so it never sees more columns than the
+finite subspace has dimensions.  They must be orthonormal: E times their image
 is factored with no rescaling, and unscaled rows of an E whose singular
 values span many decades would square that spread.  The H2 norm of
 the strictly proper part is then one small Lyapunov solve there.  A
@@ -43,33 +43,6 @@ STABLE_MARGIN = 1e-10
 #: all 145 columns at once, Stokes m=12's ``h2norm`` left about 0.5 MB
 #: more anonymous memory resident; the values are the same bits
 BASIS_BLOCK = 64
-
-
-def _finite_basis(sys):
-    """Orthonormal n x n_f columns V0 on which Pi_r of ``sys`` is one to
-    one, from its structure tag.
-
-    Index 1: an orthonormal basis of range E^T, the complement of
-    ker E = ker Pi_r, from one QR of the differential rows' transpose.
-    Stokes: [N; 0] with N an orthonormal basis of ker A21, on which the
-    velocity block P of Pi_r is the identity: the last n_v - n_p columns
-    of the complete Q of A21^T, made by applying the QR's reflectors to
-    those columns of the identity alone."""
-    tag = sys.structure
-    if isinstance(tag, dm.SemiExplicitIndex1):
-        return np.linalg.qr(sys.E[:tag.n1].T.toarray())[0]
-    nv, npp = tag.n_v, tag.n_p
-    # numpy's raw QR is LAPACK's geqrf output, transposed
-    qr, tau = np.linalg.qr(sys.A[nv:, :nv].T.toarray(), mode="raw")
-    qr = qr.T
-    N = np.zeros((nv, nv - npp), order="F")
-    N[npp:] = np.eye(nv - npp)
-    ormqr = lapack.get_lapack_funcs("ormqr", (qr,))
-    lwork = int(ormqr("L", "N", qr, tau, N, -1)[1][0])
-    N, _, info = ormqr("L", "N", qr, tau, N, lwork, overwrite_c=True)
-    if info != 0:
-        raise DaecureError(f"ormqr failed with info={info}")
-    return dm._with_zeros(N, 0, npp)
 
 
 @dataclass
@@ -122,14 +95,14 @@ def _finite_std(sys) -> FiniteRealization:
 
     The finite coordinates come from the spectral projectors (Stykel,
     ETNA 30, 2008): Z = Pi_r V0 spans range Pi_r for the n_f orthonormal
-    columns V0 of ``_finite_basis`` (index 1: range E^T, which is
+    columns V0 of ``kit.finite_basis`` (index 1: range E^T, which is
     [I_r; 0] for a reduced realization; Stokes: [N; 0] with
     N spanning ker A21), overwritten by Z ``BASIS_BLOCK`` columns at a
     time.  Y = orth(E Z) spans range Pi_l, and
     (s E - A) Z = Y (s Ef - Af) with Ef = Y^T E Z, Af = Y^T A Z.  The
     deflated input Pi_l B lies in range Y, so the strictly proper part is
-    C Z (s Ef - Af)^-1 Y^T Pi_l B.  Only the differential rows of E (the
-    first n1 or n_v) are nonzero, so the QR of E Z and the products with
+    C Z (s Ef - Af)^-1 Y^T Pi_l B.  Only the first ``kit.n_diff`` rows of
+    E (n1 or n_v) are nonzero, so the QR of E Z and the products with
     Y^T run over them alone; Ef is their R factor, applied by triangular
     solves.  Z needs no QR of its own: E Z = E V0, so Ef is as well
     conditioned as E on range V0.  That holds only for an orthonormal
@@ -139,8 +112,7 @@ def _finite_std(sys) -> FiniteRealization:
     As a self-check, Pi_r must return z = Z 1 / sqrt(n_f), a point of its
     range, to 1e-8 relative; else StructureViolation."""
     kit = dm.build_projectors(sys)
-    B, poly = dm.split_transfer(sys, kit)
-    Z = _finite_basis(sys)
+    Z = kit.finite_basis()
     for c in range(0, Z.shape[1], BASIS_BLOCK):
         Z[:, c:c + BASIS_BLOCK] = kit.apply_right(Z[:, c:c + BASIS_BLOCK])
     z = Z.sum(axis=1) / np.sqrt(max(Z.shape[1], 1))
@@ -151,12 +123,12 @@ def _finite_std(sys) -> FiniteRealization:
             f"finite columns the structure tag implies (relative defect "
             f"{defect / np.linalg.norm(z):.1e})"
         )
-    tag = sys.structure
-    k = tag.n1 if isinstance(tag, dm.SemiExplicitIndex1) else tag.n_v
+    k = kit.n_diff
     Y, Ef = np.linalg.qr(sys.E[:k] @ Z)
     A1 = spla.solve_triangular(Ef, Y.T @ (sys.A[:k] @ Z))
-    B1 = spla.solve_triangular(Ef, Y.T @ B[:k])
-    return FiniteRealization(A1, B1, sys.C.toarray() @ Z, Z, B, poly)
+    B1 = spla.solve_triangular(Ef, Y.T @ kit.B_defl[:k])
+    return FiniteRealization(A1, B1, sys.C.toarray() @ Z, Z, kit.B_defl,
+                             kit.poly)
 
 
 def _check_stable(A, cplx=False):
@@ -240,7 +212,7 @@ def sweep_transfer(sys, s):
     IEEE TAC 26(2), 1981): a banded LU of sI - H with one subdiagonal
     (LAPACK gbtrf) and a solve with it for y, under the ``TOL_SOLVE``
     contract of ``nk._gated_solve`` on that system.  Then
-    G(s) = C1 Q y + P(s), with the polynomial part P of ``split_transfer``.
+    G(s) = C1 Q y + P(s), with the polynomial part P of the projector kit.
     Every shift is certified on the full pencil: x = Z Q y must solve
     (sE - A) x = Pi_l B to ``TOL_SOLVE`` relative in each column, else
     SingularShift, as for a shift at which sI - H is singular.

@@ -49,11 +49,11 @@ class DeflatedSystem:
 
     @classmethod
     def from_dae(cls, sys: dm.DaeSystem):
-        """Build the projectors and split the transfer function; the
-        saddle-point factorization is released on return."""
-        B_defl, poly = dm.split_transfer(sys, dm.build_projectors(sys))
-        return cls(A=sys.A, E=sys.E, B_defl=B_defl, C=sys.C.toarray(),
-                   poly=poly)
+        """Build the projectors and keep the split of the transfer
+        function; the saddle-point factorization is released on return."""
+        kit = dm.build_projectors(sys)
+        return cls(A=sys.A, E=sys.E, B_defl=kit.B_defl, C=sys.C.toarray(),
+                   poly=kit.poly)
 
     def sylvester(self, pair) -> nk.SylvesterContext:
         """The Sylvester context of ``pencil`` at ``pair``: the kept one

@@ -557,7 +557,7 @@ def test_non_regular_pencil_fails_with_typed_error(tmp_path, capsys):
 INDEX1 = {"kind": "semi_explicit_index1"}
 
 
-@pytest.mark.parametrize("command", ["validate", "bode", "reduce"])
+@pytest.mark.parametrize("command", ["validate", "bode", "reduce", "h2norm"])
 @pytest.mark.parametrize("edit", [
     lambda man: {**man, "structure": INDEX1},
     lambda man: {**man, "structure": {**INDEX1, "n1": "eight"}},
@@ -566,8 +566,9 @@ INDEX1 = {"kind": "semi_explicit_index1"}
     lambda man: {**man, "row_perm": ["x"] + list(range(1, man["n"]))},
     lambda man: {**man, "files": {**man["files"], "E": 5}},
     lambda man: [man],
+    lambda man: {**man, "structure": {"kind": []}},
 ], ids=["no-n1", "n1-text", "n1-fraction", "n-text", "row-perm-text",
-        "file-not-a-name", "top-level-list"])
+        "file-not-a-name", "top-level-list", "kind-not-a-string"])
 def test_malformed_manifest_field_is_parse_error(tmp_path, capsys, command,
                                                  edit):
     mp = bio.write_system(bio.gen_stokes_index2(4, seed=1), tmp_path)
@@ -576,7 +577,8 @@ def test_malformed_manifest_field_is_parse_error(tmp_path, capsys, command,
     argv = {"validate": ["validate", mp],
             "bode": ["bode", "--manifest", mp, "--wmin", "1e-2",
                      "--wmax", "1e2", "--out", out],
-            "reduce": ["reduce", "--manifest", mp, "--out", out]}[command]
+            "reduce": ["reduce", "--manifest", mp, "--out", out],
+            "h2norm": ["h2norm", mp]}[command]
     assert run(argv) == cli.EXIT_IO
     obj = json.loads(capsys.readouterr().err.strip())
     assert obj["error"] == "ParseError" and obj["exit_code"] == cli.EXIT_IO
@@ -594,6 +596,53 @@ def test_general_dense_manifest_is_parse_error(sysdir, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == cli.EXIT_IO
     assert "general_dense" in err["message"]
+
+
+def _with_block(d, key, shape):
+    """Index-1 20/5 with an empty ``key`` block of ``shape`` and no
+    declared sizes."""
+    mp = bio.write_system(bio.gen_semi_explicit_index1(20, 5, seed=0), d)
+    man = json.load(open(mp))
+    spio.mmwrite(os.path.join(d, man["files"][key]), sps.csc_matrix(shape))
+    json.dump({k: v for k, v in man.items() if k not in ("n", "m", "p")},
+              open(mp, "w"))
+    return mp
+
+
+def _stokes_tag_without_pressure(d):
+    # a stable ODE, x' = -diag(1..6) x, tagged Stokes with n_p = 0
+    n = 6
+    ode = dm.DaeSystem(sps.eye(n), sps.diags(-np.arange(1.0, n + 1)),
+                       np.ones((n, 1)), np.ones((1, n)), np.zeros((1, 1)),
+                       dm.SemiExplicitIndex1(n))
+    mp = bio.write_system(ode, d)
+    json.dump({**json.load(open(mp)), "structure": {
+        "kind": "stokes_index2", "n_v": n, "n_p": 0}}, open(mp, "w"))
+    return mp
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: _with_block(d, "B", (25, 0)),
+    lambda d: _with_block(d, "C", (0, 25)),
+    _stokes_tag_without_pressure,
+], ids=["no-inputs", "no-outputs", "stokes-n_p-0"])
+@pytest.mark.parametrize("command", ["h2norm", "bode", "validate", "reduce"])
+def test_degenerate_system_exits2_with_one_json_object(tmp_path, capsys,
+                                                       command, make):
+    mp = make(tmp_path / "sys")
+    out = str(tmp_path / "out")
+    argv = {"h2norm": ["h2norm", mp],
+            "bode": ["bode", "--manifest", mp, "--wmin", "1e-2",
+                     "--wmax", "1e2", "--out", out],
+            "validate": ["validate", mp],
+            "reduce": ["reduce", "--manifest", mp, "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_UNSUPPORTED
+    std = capsys.readouterr()
+    obj = json.loads(std.err)          # exactly one JSON object
+    assert obj["error"] == "StructureViolation"
+    assert obj["exit_code"] == cli.EXIT_UNSUPPORTED
+    assert std.out == "" and not os.path.exists(out)
 
 
 def _spoil(mat, value):

@@ -49,8 +49,7 @@ def test_projectors_and_transfer_split_share_one_factorization(
         fixture, request, factor_log):
     sys = request.getfixturevalue(fixture)
     del factor_log[:]
-    kit = dm.build_projectors(sys)
-    dm.split_transfer(sys, kit)
+    dm.build_projectors(sys)
     assert len(factor_log) == 1
 
 
@@ -106,8 +105,8 @@ def test_schur_saddle_agrees_with_the_assembled_lu(fixture, request):
     def close(x, y):
         return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
-    (B, pp), (B_ref, pp_ref) = (dm.split_transfer(sys, k) for k in (kit, ref))
-    assert close(B, B_ref) and pp.kind == pp_ref.kind
+    pp, pp_ref = kit.poly, ref.poly
+    assert close(kit.B_defl, ref.B_defl) and pp.kind == pp_ref.kind
     if pp.kind == "constant":
         assert close(pp.constant, pp_ref.constant)
     V = np.random.default_rng(3).standard_normal((sys.n, 3))
@@ -173,14 +172,13 @@ def test_failed_schur_saddle_falls_back_to_the_assembled_lu(make):
     assert np.array_equal(kit.apply_right(v), ref.apply_right(v))
 
 
-def test_split_transfer_deflates_like_the_left_projector(
+def test_kit_deflates_like_the_left_projector(
         index1_small, index1_general, index1_singular_e11, stokes_small,
         stokes_general, stokes_singular_e11):
     for sys in (index1_small, index1_general, index1_singular_e11,
                 stokes_small, stokes_general, stokes_singular_e11):
         kit = dm.build_projectors(sys)
-        B_defl, _ = dm.split_transfer(sys, kit)
-        assert np.array_equal(B_defl, kit.apply_left(sys.B.toarray()))
+        assert np.array_equal(kit.B_defl, kit.apply_left(sys.B.toarray()))
 
 
 def test_ode_projectors_are_identity(ode_small):
@@ -217,14 +215,13 @@ def test_index1_polynomial_part_is_schur_constant(index1_small):
     B2 = sys.B[n1:, :].toarray()
     C2 = sys.C[:, n1:].toarray()
     expect = -C2 @ np.linalg.solve(A22, B2) + sys.D
-    _, pp = dm.split_transfer(sys, dm.build_projectors(sys))
+    pp = dm.build_projectors(sys).poly
     assert pp.kind == "constant"
     assert np.allclose(pp.constant, expect, atol=1e-10 * max(np.abs(expect).max(), 1.0))
 
 
 def test_stokes_polynomial_part_strictly_proper(stokes_small):
-    _, pp = dm.split_transfer(stokes_small, dm.build_projectors(stokes_small))
-    assert pp.kind == "strictly_proper"
+    assert dm.build_projectors(stokes_small).poly.kind == "strictly_proper"
 
 
 @pytest.mark.parametrize("block", ["B2", "C2"])
@@ -241,8 +238,7 @@ def test_stokes_pressure_io_is_unsupported(stokes_general, block):
         C[:, nv:] = rng.standard_normal(C[:, nv:].shape)
     sys = dm.DaeSystem(sys.E, sys.A, sps.csc_matrix(B), sps.csc_matrix(C),
                        sys.D, sys.structure)
-    _, pp = dm.split_transfer(sys, dm.build_projectors(sys))
-    assert pp.kind == "unsupported"
+    assert dm.build_projectors(sys).poly.kind == "unsupported"
 
 
 def eval_strictly_proper(sys, kit, s):
@@ -257,7 +253,7 @@ def test_transfer_split(index1_small, index1_general, index1_singular_e11,
     for sys in (index1_small, index1_general, index1_singular_e11,
                 stokes_general):
         kit = dm.build_projectors(sys)
-        _, pp = dm.split_transfer(sys, kit)
+        pp = kit.poly
         poly = pp.constant if pp.kind == "constant" else 0.0
         for s in (0.5 + 1.0j, 3.0, 0.1 + 7.0j):
             total = dm.eval_transfer(sys, s)
