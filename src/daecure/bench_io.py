@@ -234,7 +234,10 @@ def read_system(manifest_path) -> dm.DaeSystem:
     """Parse a manifest, load the Matrix-Market matrices and validate the
     declared structure.  Optional 'row_perm'/'col_perm' entries reorder the
     loaded matrices (0-based index lists); they need a square E and A
-    that B and C fit, else StructureViolation."""
+    that B and C fit, else StructureViolation.  A 'files' key other than
+    E, A, B, C and D is a ParseError, before any matrix is read; a
+    declared n, m, p or index-1 structure.n2 = n - n1 that the matrices
+    do not have, a StructureViolation."""
     try:
         with open(manifest_path) as fh:
             man = json.load(fh)
@@ -255,6 +258,8 @@ def read_system(manifest_path) -> dm.DaeSystem:
         if key not in files:
             raise ParseError(f"manifest: missing file entry for {key}")
     for key, fn in files.items():
+        if key not in ("E", "A", "B", "C", "D"):
+            raise ParseError(f"manifest: unknown file entry {key!r}")
         if not isinstance(fn, str):
             raise ParseError(f"manifest: file entry for {key} must be a "
                              "file name")
@@ -283,11 +288,14 @@ def read_system(manifest_path) -> dm.DaeSystem:
         B = B[rp].tocsc()
         C = C[:, cp].tocsc()
     tag = _tag_from_json(man.get("structure"))
-    sizes = {"n": (E.shape[0], f"E is {E.shape[0]} x {E.shape[1]}"),
-             "m": (B.shape[1], f"B has {B.shape[1]} columns"),
-             "p": (C.shape[0], f"C has {C.shape[0]} rows")}
-    for key, (size, what) in sizes.items():
-        decl = man.get(key)
+    n = E.shape[0]
+    sizes = {"n": (man.get("n"), n, f"E is {n} x {E.shape[1]}"),
+             "m": (man.get("m"), B.shape[1], f"B has {B.shape[1]} columns"),
+             "p": (man.get("p"), C.shape[0], f"C has {C.shape[0]} rows")}
+    if isinstance(tag, dm.SemiExplicitIndex1):
+        sizes["structure.n2"] = (man["structure"].get("n2"), n - tag.n1,
+                                 f"n - n1 = {n - tag.n1}")
+    for key, (decl, size, what) in sizes.items():
         if decl is not None and _integer(decl, key) != size:
             raise StructureViolation(
                 f"manifest declares {key} = {decl} but {what}")

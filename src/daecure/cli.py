@@ -144,6 +144,7 @@ def cmd_reduce(args):
     pp = ds.poly
     if pp.kind == "unsupported":
         raise UnsupportedInput("Unsupported polynomial part")
+    os.makedirs(args.out, exist_ok=True)
     report, ledger = curemod.cured_spark(ds, curemod.CureConfig(
         tol_rel=args.tol, max_steps=args.max_steps, init=init))
     poly_rom = None
@@ -164,7 +165,6 @@ def cmd_reduce(args):
         "stable": bool(finite.size == 0 or finite.real.max() < 0),
         "norm_history_nondecreasing": all(grows),
     }
-    os.makedirs(args.out, exist_ok=True)
     rom_files = bio.write_rom(rom, args.out)
     history = os.path.join(args.out, "h2_history.csv")
     bio.write_h2_history(history, report["steps"])
@@ -244,8 +244,8 @@ def cmd_bode(args):
             f"{sys.p} x {sys.m}")
     omegas = np.logspace(np.log10(args.wmin), np.log10(args.wmax),
                          args.points)
-    fom, red = _bode_eval(sys, rom, omegas)
     os.makedirs(args.out, exist_ok=True)
+    fom, red = _bode_eval(sys, rom, omegas)
     bio.write_freq_response(os.path.join(args.out, "fom.csv"), omegas, fom)
     written = ["fom.csv"]
     if red is not None:

@@ -122,10 +122,12 @@ def cured_spark(ds: DeflatedSystem, cfg: CureConfig = None):
     reads the basis.  The ledger's copy of ``ds`` prepares its own pencil,
     picks its LUs' kernel and keeps the LUs of one pair
     (``DeflatedSystem.sylvester``), which SPARK's full-model points
-    share: a step after one that returned at ``init`` evaluates the full
-    model there on the kept LUs; any other step after the first starts
-    its search on that surrogate, and the full model is first evaluated
-    at the surrogate's optimum.  The kept LUs are dropped before return.
+    share.  SPARK's one start rule then hands off between steps: a step
+    after one that returned at ``init`` evaluates the full model there
+    on the kept LUs; any other step after the first searches the shared
+    surrogate from ``init`` first, and its first full-model point is the
+    surrogate's optimum, or ``init`` where the surrogate finds no step
+    from there.  The kept LUs are dropped before return.
     Returns (report dict, ledger);
     ``assemble_total(ledger.records)`` is the strictly proper total
     model.  ``max_steps`` < 1 leaves nothing to assemble and raises

@@ -433,11 +433,9 @@ class SparkResult:
     reason: str
     #: iteration 0 is the start pair, every later record one trust-region
     #: iteration on the surrogate.  Record 0 holds the full model's J at
-    #: the start pair, or the surrogate's in a surrogate-first search
+    #: the start pair where that was evaluated, else the surrogate's
     trace: list = field(default_factory=list)
-    #: one record per full-model point, the first full-model point first:
-    #: the start pair, or the surrogate's optimum in a surrogate-first
-    #: search
+    #: one record per full-model point, in the order evaluated
     evaluations: list = field(default_factory=list)
 
 
@@ -529,28 +527,26 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT,
     """Search for the locally optimal shift pair of a SISO ``ds`` on a
     model function (DimensionMismatch for more inputs).
 
-    An outer loop over full-model points: evaluate the full model at the
-    current pair to first order (the exact Hessian is taken on the
-    surrogate only) and stop once ||g|| <= GTOL * (1 + |J|).  Otherwise add
-    the point's bases to ``basis`` (a fresh one of ``ds``'s pencil when
-    not given; a caller may keep one across calls on the same A and E),
-    run the trust region on the Galerkin surrogate from the current pair
-    down to the stricter ``SURROGATE_GTOL * GTOL``, and evaluate the full
-    model at the surrogate's optimum.  The optimum becomes the current
-    pair if its full J does not increase; otherwise its bases enrich the
-    surrogate, which is solved again from the current pair.  The loop
-    also stops when the surrogate finds no step from the current pair
-    (reason "surrogate singular" when the surrogate has no certified
-    decomposition or the pair is one of its poles), when a rejected
-    optimum adds nothing to it, or after ``MAXITER`` full-model points.
+    One loop over full-model points.  Each pass runs the trust region on
+    the Galerkin surrogate of ``basis`` (a fresh one of ``ds``'s pencil
+    when not given; a caller may keep one across calls on the same A and
+    E) from the current pair p down to the stricter ``SURROGATE_GTOL *
+    GTOL``, and evaluates the full model to first order (the exact Hessian
+    is taken on the surrogate only) at its optimum q.  If q's full J does
+    not increase, q becomes p: the search stops once ||g|| <= GTOL *
+    (1 + |J|) there, and else goes on with p's bases added to ``basis``.
+    A rejected q's bases enrich the surrogate instead.  Where the
+    surrogate finds no step from a p the full model has not seen, the
+    full model is evaluated at p.
 
-    Surrogate first: when ``ds`` does not keep ``init``'s LUs and
-    ``basis`` already has columns, the trust region runs on the surrogate
-    from ``init`` before the full model is evaluated anywhere, and the
-    first full-model point is the surrogate's optimum.  The full model is
-    evaluated at ``init`` only when ``ds`` keeps its LUs, which then
-    factors nothing, or when the surrogate finds no step from there, has
-    no certified decomposition or has ``init`` as one of its poles.
+    Where the search starts is one rule: p starts at ``init``, and the
+    first pass searches the surrogate only when ``basis`` has columns and
+    ``ds`` does not keep ``init``'s LUs; otherwise the full model is
+    evaluated at ``init`` first.  The loop stops when the surrogate finds
+    no step from an evaluated p (the trust region's reason, or "surrogate
+    singular" when it has no certified decomposition or p is one of its
+    poles), when a rejected q adds nothing to it ("surrogate stalled"),
+    or after the first full-model point and ``MAXITER`` more ("maxiter").
 
     Every full-model point takes its LUs from ``ds.sylvester``, so one
     pair's LUs are alive at a time: on return ``ds`` keeps those of the
@@ -561,50 +557,40 @@ def spark(ds: DeflatedSystem, init: SparkParams = INIT,
         raise DimensionMismatch("shift-pair optimization requires SISO input")
     if basis is None:
         basis = SurrogateBasis(ds.A, ds.E)
-    p = init.as_array()
-    point, trace = None, []
-    if getattr(ds.kept, "pair", None) != init and basis.W.shape[1]:
-        try:
-            sur = basis.surrogate(ds)
-            start = evaluate(sur, *p)
-        except SingularShift:
-            start = None
-        if start is not None:
-            trace.append(_start_record(p, start))
-            q, _, _ = _trust_region(sur, p, start, SURROGATE_GTOL * GTOL,
-                                    trace)
-            if q is not p:
-                p, point = q, evaluate(ds, *q)
-    if point is None:
-        point = evaluate(ds, *p)
-        # record 0 takes the full J, also after a surrogate with no step
-        trace[:1] = [_start_record(p, point)]
-    evaluations = [{"a": p[0], "b": p[1], "J": point.J,
-                    "gnorm": float(np.linalg.norm(point.g)),
-                    "accepted": True}]
-    for _ in range(MAXITER):
-        if np.linalg.norm(point.g) <= GTOL * (1.0 + abs(point.J)):
-            converged, reason = True, "gtol"
-            break
-        basis.add(point)
-        try:
-            sur = basis.surrogate(ds)
-            start = evaluate(sur, *p)
-        except SingularShift:
-            converged, reason = False, "surrogate singular"
-            break       # the surrogate has no step from the current pair
-        q, converged, reason = _trust_region(sur, p, start,
-                                             SURROGATE_GTOL * GTOL, trace)
-        if q is p:
+    surrogate_first = getattr(ds.kept, "pair", None) != init \
+        and basis.W.shape[1]
+    p, point, accepted = init.as_array(), None, False
+    trace, evaluations = [], []
+    for _ in range(MAXITER + 1):
+        if accepted:
+            basis.add(point)        # the search goes on from it
+        q = p
+        if point is not None or surrogate_first:
+            try:
+                sur = basis.surrogate(ds)
+                start = evaluate(sur, *p)
+            except SingularShift:
+                converged, reason = False, "surrogate singular"
+            else:
+                if not trace:
+                    trace.append(_start_record(p, start))
+                q, converged, reason = _trust_region(
+                    sur, p, start, SURROGATE_GTOL * GTOL, trace)
+        if q is p and point is not None:
             break       # the surrogate has no step from the current pair
         trial = evaluate(ds, *q)
-        noise = 1e-13 * (1.0 + abs(point.J))
-        accepted = trial.J <= point.J + noise
+        if q is p:      # record 0 takes the full J at the start pair
+            trace[:1] = [_start_record(p, trial)]
+        accepted = point is None \
+            or trial.J <= point.J + 1e-13 * (1.0 + abs(point.J))
         evaluations.append({"a": q[0], "b": q[1], "J": trial.J,
                             "gnorm": float(np.linalg.norm(trial.g)),
                             "accepted": accepted})
         if accepted:
             p, point = q, trial
+            if np.linalg.norm(point.g) <= GTOL * (1.0 + abs(point.J)):
+                converged, reason = True, "gtol"
+                break
         else:
             basis.add(trial)
             if not basis.fold():

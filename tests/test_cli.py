@@ -492,6 +492,33 @@ def test_declared_size_mismatch_exit2(tmp_path, capsys, command, sizes):
     assert std.out == "" and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("n2, code", [(5, cli.EXIT_OK), (5.0, cli.EXIT_OK),
+                                      (999, cli.EXIT_UNSUPPORTED),
+                                      (4, cli.EXIT_UNSUPPORTED)])
+@pytest.mark.parametrize("command", ["validate", "reduce"])
+def test_declared_n2_must_be_n_minus_n1(tmp_path, capsys, command, n2,
+                                        code):
+    # an index-1 manifest may declare n2, the algebraic row count; one
+    # that E does not have is refused like a declared n, m or p
+    mp = bio.write_system(bio.gen_semi_explicit_index1(20, 5, seed=0),
+                          tmp_path / "sys")
+    man = json.load(open(mp))
+    json.dump({**man, "structure": {**man["structure"], "n2": n2}},
+              open(mp, "w"))
+    out = str(tmp_path / "out")
+    argv = {"validate": ["validate", mp],
+            "reduce": ["reduce", "--manifest", mp, "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == code
+    if code == cli.EXIT_OK:
+        return
+    std = capsys.readouterr()
+    obj = json.loads(std.err)          # exactly one JSON object
+    assert obj["error"] == "StructureViolation"
+    assert obj["message"] == (f"manifest declares structure.n2 = {n2} but "
+                              "n - n1 = 5")
+    assert std.out == "" and not os.path.exists(out)
+
 @pytest.mark.parametrize("perm", [None, "row_perm", "col_perm"])
 @pytest.mark.parametrize("shapes", [{"E": (8, 9), "A": (8, 9)},
                                     {"B": (9, 1)}],
@@ -567,8 +594,10 @@ INDEX1 = {"kind": "semi_explicit_index1"}
     lambda man: {**man, "files": {**man["files"], "E": 5}},
     lambda man: [man],
     lambda man: {**man, "structure": {"kind": []}},
+    lambda man: {**man, "files": {**man["files"], "X": "missing.mtx"}},
 ], ids=["no-n1", "n1-text", "n1-fraction", "n-text", "row-perm-text",
-        "file-not-a-name", "top-level-list", "kind-not-a-string"])
+        "file-not-a-name", "top-level-list", "kind-not-a-string",
+        "unknown-file-key"])
 def test_malformed_manifest_field_is_parse_error(tmp_path, capsys, command,
                                                  edit):
     mp = bio.write_system(bio.gen_stokes_index2(4, seed=1), tmp_path)
@@ -771,6 +800,29 @@ def test_bode_with_rom_of_other_channel_count_fails_first(
     assert factor_log == []
     assert not out.exists()
 
+
+@pytest.mark.parametrize("command", ["reduce", "bode"])
+def test_out_naming_a_file_fails_before_the_reduction_or_sweep(
+        sysdir, tmp_path, capsys, monkeypatch, command):
+    # --out is made as soon as the input is read and checked, so a file
+    # in its place exits 3 before the reduction or the frequency sweep
+    # starts, and the file is left as it was
+    entered = []
+    monkeypatch.setattr(cure, "cured_spark",
+                        lambda *args: entered.append("cured_spark"))
+    monkeypatch.setattr(cli, "_bode_eval",
+                        lambda *args: entered.append("sweep"))
+    out = tmp_path / "afile"
+    out.write_bytes(b"not a directory\n")
+    flags = ["--wmin", "1e-2", "--wmax", "1e2"] if command == "bode" else []
+    assert run([command, "--manifest", _manifest(sysdir), *flags,
+                "--out", str(out)]) == cli.EXIT_IO
+    std = capsys.readouterr()
+    obj = json.loads(std.err)          # exactly one JSON object
+    assert obj["error"] == "FileExistsError"
+    assert obj["exit_code"] == cli.EXIT_IO
+    assert entered == [] and std.out == ""
+    assert out.read_bytes() == b"not a directory\n"
 
 @pytest.mark.parametrize("argv", [
     ["reduce", "--max-steps", "0"],

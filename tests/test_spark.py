@@ -611,8 +611,8 @@ def test_full_pencil_solves_first_order_and_surrogate_skips_superlu(
 def test_returned_point_is_certified_after_any_stop(
         fixture, maxiter, reason, refactor, request, monkeypatch):
     # with gtol = 0 the stopping test never passes: the loop stops after
-    # maxiter full-model points, or when the surrogate finds no step from
-    # the current pair.  Either way the returned pair is the last
+    # the first full-model point and maxiter more, or when the surrogate
+    # finds no step from the current pair.  Either way the returned pair is the last
     # accepted full-model point, whose LUs the system still keeps, and
     # they certify it
     ds = DeflatedSystem.from_dae(request.getfixturevalue(fixture))
@@ -810,29 +810,40 @@ def test_surrogate_basis_folds_queued_blocks_when_read(index1_small,
     assert len(svds) == len(points) and lazy.fold() == 0
 
 
+def _crossing(crossed, once):
+    """``SurrogateBasis.surrogate`` with the poles moved until the
+    rightmost sits at +1, only the first time if ``once``; each shift is
+    appended to ``crossed``."""
+    surrogate = sp.SurrogateBasis.surrogate
+
+    def make(self, d):
+        sur = surrogate(self, d)
+        if once and crossed:
+            return sur
+        mu = 1.0 - sur.poles.real.max()
+        crossed.append(mu)
+        return dataclasses.replace(sur, poles=sur.poles + mu)
+    return make
+
+
+def _off_optimum(ds):
+    """A start pair near, but not at, the optimum SPARK finds on ``ds``."""
+    opt = sp.spark(ds)
+    init = sp.SparkParams(1.2 * opt.point.params.a, opt.point.params.b / 1.2)
+    return opt, init
+
+
 def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     # Galerkin does not keep an index-1 surrogate stable.  Here one is
     # moved until its rightmost pole sits at +1, where its J has no lower
     # bound: the full-model J of its optimum rises and the point is
     # rejected, which enriches the surrogate
     ds = DeflatedSystem.from_dae(index1_small)
-    opt = sp.spark(ds)
-    init = sp.SparkParams(1.2 * opt.point.params.a, opt.point.params.b / 1.2)
-    surrogate = sp.SurrogateBasis.surrogate
+    opt, init = _off_optimum(ds)
     crossed = []
-
-    def crossing(once):
-        def make(self, d):
-            sur = surrogate(self, d)
-            if once and crossed:
-                return sur
-            mu = 1.0 - sur.poles.real.max()
-            crossed.append(mu)
-            return dataclasses.replace(sur, poles=sur.poles + mu)
-        return make
-
     # a surrogate that crosses once: the step then converges as before
-    monkeypatch.setattr(sp.SurrogateBasis, "surrogate", crossing(True))
+    monkeypatch.setattr(sp.SurrogateBasis, "surrogate",
+                        _crossing(crossed, True))
     res = sp.spark(ds, init=init)
     assert crossed and crossed[0] > 1.0
     accepted = [e["accepted"] for e in res.evaluations]
@@ -845,7 +856,8 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     # the system keeps the last rejected point's LUs; the certificate of
     # the returned start pair reads its point and makes no context
     contexts, evaluated = _track_full(monkeypatch, ds.n)
-    monkeypatch.setattr(sp.SurrogateBasis, "surrogate", crossing(False))
+    monkeypatch.setattr(sp.SurrogateBasis, "surrogate",
+                        _crossing(crossed, False))
     res = sp.spark(ds, init=init)
     assert [e["accepted"] for e in res.evaluations][1:] \
         == [False] * (len(res.evaluations) - 1)
@@ -859,6 +871,34 @@ def test_surrogate_crossing_the_axis_is_caught(index1_small, monkeypatch):
     assert len(contexts) == len(evaluated)
     assert ds.kept is kept is contexts[-1]()
 
+
+def test_each_full_model_point_is_queued_once(index1_small, monkeypatch):
+    # the search queues a full-model point for the surrogate basis when it
+    # is accepted and goes on from it, or when it is rejected, and never
+    # again: a rejected point does not re-queue the current one, whose
+    # block would cost one more SVD and add nothing.  The always-crossing
+    # surrogate rejects every point after the start
+    ds = DeflatedSystem.from_dae(index1_small)
+    _, init = _off_optimum(ds)
+    monkeypatch.setattr(sp.SurrogateBasis, "surrogate", _crossing([], False))
+    add, svd, added, svds = sp.SurrogateBasis.add, np.linalg.svd, [], []
+
+    def counted_add(self, point):
+        added.append(point.params)
+        return add(self, point)
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(sp.SurrogateBasis, "add", counted_add)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    res = sp.spark(ds, init=init)
+    assert [e["accepted"] for e in res.evaluations] == [True, False, False]
+    assert res.reason == "surrogate stalled"
+    assert len(added) == len(set(added)) == len(svds) == 3
+    assert [(p.a, p.b) for p in added] \
+        == [(e["a"], e["b"]) for e in res.evaluations]
 
 def _gramians(a, b):
     """The reduced Gramian and its nonzero derivatives, stacked as
